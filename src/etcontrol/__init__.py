@@ -39,7 +39,6 @@ from .simulation import (
 from .synthesis import (
     ConditionCheck,
     FeasibilityReport,
-    MatchedModel,
     SynthesisOutcome,
     SynthesisParams,
     UncertaintyModel,
@@ -75,7 +74,6 @@ __all__ = [
     "ExperimentConfig",
     "FeasibilityError",
     "FeasibilityReport",
-    "MatchedModel",
     "NumericalError",
     "ParamTrajectory",
     "PolicyComparison",

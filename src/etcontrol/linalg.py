@@ -2,14 +2,13 @@
 
 All routines operate on plain float64 numpy arrays and validate their
 inputs: shapes, finiteness, and (where required) symmetry. They are thin
-wrappers over LAPACK via numpy and scipy, with the tolerance conventions
+wrappers over LAPACK via numpy, with the tolerance conventions
 of the rest of the package baked in so callers do not re-derive them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RankDeficiencyError, SingularMatrixError
 
@@ -56,37 +55,16 @@ def sym_eigvals(values, name: str = "matrix") -> np.ndarray:
     return np.linalg.eigvalsh(symmetrize(values, name))
 
 
-def _ldl_pivots(m: np.ndarray) -> np.ndarray:
-    """Pivot values of a symmetric indefinite factorization.
-
-    2x2 pivot blocks (which Bunch-Kaufman may produce for indefinite
-    matrices) contribute their two eigenvalues.
-    """
-    _, d, _ = scipy.linalg.ldl(m)
-    pivots = []
-    k = 0
-    n = d.shape[0]
-    while k < n:
-        if k + 1 < n and d[k, k + 1] != 0.0:
-            block = d[k : k + 2, k : k + 2]
-            pivots.extend(np.linalg.eigvalsh(0.5 * (block + block.T)))
-            k += 2
-        else:
-            pivots.append(d[k, k])
-            k += 1
-    return np.asarray(pivots, dtype=float)
-
-
 def is_positive_definite(values, tol: float = DEFINITENESS_TOL) -> bool:
-    """True when every pivot of a symmetric factorization exceeds tol."""
+    """True when every eigenvalue exceeds tol (scaled by the matrix magnitude)."""
     m = symmetrize(values)
-    return bool(np.all(_ldl_pivots(m) > tol * max(1.0, float(np.max(np.abs(m))))))
+    return bool(sym_eigvals(m)[0] > tol * max(1.0, float(np.max(np.abs(m)))))
 
 
 def is_positive_semidefinite(values, tol: float = DEFINITENESS_TOL) -> bool:
-    """True when no pivot falls below -tol (scaled by the matrix magnitude)."""
+    """True when no eigenvalue falls below -tol (scaled by the matrix magnitude)."""
     m = symmetrize(values)
-    return bool(np.all(_ldl_pivots(m) >= -tol * max(1.0, float(np.max(np.abs(m))))))
+    return bool(sym_eigvals(m)[0] >= -tol * max(1.0, float(np.max(np.abs(m)))))
 
 
 def inverse(values, name: str = "matrix") -> np.ndarray:

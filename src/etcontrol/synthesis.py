@@ -48,7 +48,7 @@ DIVERGENCE_LIMIT = 1e14
 
 HOLD_TOL = 1e-9
 MARGINAL_BAND = 1e-6
-DEFAULT_GRID_POINTS = 101
+MATCHED_TOL = 1e-12
 
 HOLDS = "holds"
 MARGINAL = "marginal"
@@ -171,86 +171,8 @@ class UncertaintyModel:
         return np.clip(p, self.p_lo, self.p_hi)
 
     def vertices(self):
-        """Iterate over the corners of the parameter box."""
-        if self.dimension == 0:
-            yield np.zeros(0)
-            return
+        """Iterate over the corners of the parameter box (one when d = 0)."""
         for combo in itertools.product(*zip(self.p_lo, self.p_hi)):
-            yield np.asarray(combo, dtype=float)
-
-    def grid(self, points_per_axis: int):
-        """Iterate over a regular grid covering the box, endpoints included."""
-        if self.dimension == 0:
-            yield np.zeros(0)
-            return
-        axes = [
-            np.linspace(lo, hi, points_per_axis)
-            for lo, hi in zip(self.p_lo, self.p_hi)
-        ]
-        for combo in itertools.product(*axes):
-            yield np.asarray(combo, dtype=float)
-
-
-@dataclass(frozen=True)
-class MatchedModel:
-    """Uncertainty factored through the input channel: dA(p) = B phi(p).
-
-    phi(p) = sum_i p_i phi_i with each phi_i of shape m x n. Use
-    ``as_matched_model`` to derive one from an UncertaintyModel whose basis
-    directions all lie in the range of B.
-    """
-
-    phi_basis: tuple
-    p_lo: np.ndarray
-    p_hi: np.ndarray
-    F: np.ndarray
-
-    def __post_init__(self):
-        basis = tuple(as_matrix(ph, f"phi_basis[{i}]") for i, ph in enumerate(self.phi_basis))
-        object.__setattr__(self, "phi_basis", basis)
-        lo = np.atleast_1d(np.asarray(self.p_lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.p_hi, dtype=float))
-        object.__setattr__(self, "p_lo", lo)
-        object.__setattr__(self, "p_hi", hi)
-        object.__setattr__(self, "F", symmetrize(self.F, "F"))
-        if len(basis) != lo.size or lo.size != hi.size:
-            raise ValueError("phi_basis, p_lo, and p_hi must agree in length")
-        if np.any(lo > hi):
-            raise ValueError("p_lo must not exceed p_hi componentwise")
-        if not is_positive_semidefinite(self.F):
-            raise ValueError("F must be positive semidefinite")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.phi_basis)
-
-    def phi_at(self, p) -> np.ndarray:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        if p.shape != (self.dimension,):
-            raise ValueError(f"p has shape {p.shape}, expected ({self.dimension},)")
-        n = self.F.shape[0]
-        m = self.phi_basis[0].shape[0] if self.phi_basis else 0
-        out = np.zeros((m, n)) if self.phi_basis else np.zeros((0, n))
-        for coeff, ph in zip(p, self.phi_basis):
-            out += coeff * ph
-        return out
-
-    def vertices(self):
-        if self.dimension == 0:
-            yield np.zeros(0)
-            return
-        for combo in itertools.product(*zip(self.p_lo, self.p_hi)):
-            yield np.asarray(combo, dtype=float)
-
-    def grid(self, points_per_axis: int):
-        if self.dimension == 0:
-            yield np.zeros(0)
-            return
-        axes = [
-            np.linspace(lo, hi, points_per_axis)
-            for lo, hi in zip(self.p_lo, self.p_hi)
-        ]
-        for combo in itertools.product(*axes):
             yield np.asarray(combo, dtype=float)
 
 
@@ -260,8 +182,8 @@ class ConditionCheck:
 
     margin is the smallest eigenvalue of the slack matrix (nonnegative means
     the condition holds); witness_p is the worst parameter vector for
-    box-scanned conditions and None otherwise. margin is None when the
-    condition could not be evaluated at all.
+    box conditions and None otherwise. margin is None when the condition
+    could not be evaluated or certified; its verdict is then FAILS.
     """
 
     condition: str
@@ -332,7 +254,7 @@ def _input_weight(B: np.ndarray, params: SynthesisParams) -> np.ndarray:
     return 0.5 * (W + W.T)
 
 
-def _riccati_iteration(A, B, params, F, step_tol, max_iter):
+def _riccati_iteration(A, B, params, F):
     """Fixed-point iteration P -> A' (P^-1 + W)^-1 A + Q + F + beta^2 I.
 
     The update is evaluated as A' (I + P W)^-1 P A, which never inverts the
@@ -344,7 +266,7 @@ def _riccati_iteration(A, B, params, F, step_tol, max_iter):
     Qbar = symmetrize(params.Q + F + params.beta**2 * np.eye(n), "effective state weight")
     eye = np.eye(n)
     P = Qbar.copy()
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, RICCATI_MAX_ITER + 1):
         X = np.linalg.solve(eye + P @ W, P)
         P_next = A.T @ X @ A + Qbar
         P_next = 0.5 * (P_next + P_next.T)
@@ -356,18 +278,18 @@ def _riccati_iteration(A, B, params, F, step_tol, max_iter):
             )
         step = float(np.max(np.abs(P_next - P)))
         P = P_next
-        if step <= step_tol:
+        if step <= RICCATI_STEP_TOL:
             X = np.linalg.solve(eye + P @ W, P)
             residual = float(np.max(np.abs(A.T @ X @ A + Qbar - P)))
             return P, iteration, residual, W
     raise RiccatiConvergenceError(
-        f"no convergence within {max_iter} iterations (last step {step:.3e})",
-        iterations=max_iter,
+        f"no convergence within {RICCATI_MAX_ITER} iterations (last step {step:.3e})",
+        iterations=RICCATI_MAX_ITER,
         last_step=step,
     )
 
 
-def _validated_riccati(A, B, params, F, step_tol, max_iter):
+def _validated_riccati(A, B, params, F):
     A = require_square(A, "A")
     B = as_matrix(B, "B")
     if B.shape[0] != A.shape[0]:
@@ -377,7 +299,7 @@ def _validated_riccati(A, B, params, F, step_tol, max_iter):
         raise ValueError(f"F has shape {F.shape}, expected {A.shape}")
     if not is_positive_semidefinite(F):
         raise ValueError("F must be positive semidefinite")
-    P, iterations, residual, W = _riccati_iteration(A, B, params, F, step_tol, max_iter)
+    P, iterations, residual, W = _riccati_iteration(A, B, params, F)
     if residual > RICCATI_RESIDUAL_TOL:
         raise RiccatiConvergenceError(
             f"converged point has residual {residual:.3e} above tolerance "
@@ -389,14 +311,7 @@ def _validated_riccati(A, B, params, F, step_tol, max_iter):
     return P, iterations, residual, W
 
 
-def solve_modified_dare(
-    A,
-    B,
-    params: SynthesisParams,
-    F,
-    step_tol: float = RICCATI_STEP_TOL,
-    max_iter: int = RICCATI_MAX_ITER,
-) -> np.ndarray:
+def solve_modified_dare(A, B, params: SynthesisParams, F) -> np.ndarray:
     """Solve the modified discrete Riccati equation for the uncertain plant.
 
     Finds the symmetric positive definite P with
@@ -405,7 +320,7 @@ def solve_modified_dare(
     the range of B. Raises RiccatiConvergenceError when the iteration
     diverges, stalls, or lands on a point whose residual exceeds tolerance.
     """
-    P, _, _, _ = _validated_riccati(A, B, params, F, step_tol, max_iter)
+    P, _, _, _ = _validated_riccati(A, B, params, F)
     return P
 
 
@@ -525,30 +440,26 @@ def _verdict(margin: float, scale: float, band: float) -> str:
     return FAILS
 
 
-def _box_worst(model, slack_fn, points_per_axis: int):
-    """Worst slack eigenvalue over box vertices plus a regular grid."""
-    worst_margin = np.inf
-    worst_p = None
-    seen_any = False
-    for p in itertools.chain(model.vertices(), model.grid(points_per_axis)):
-        seen_any = True
-        margin = float(np.linalg.eigvalsh(slack_fn(p))[0])
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_p = p
-    if not seen_any:
-        raise ValueError("uncertainty model produced no evaluation points")
-    return worst_margin, tuple(float(v) for v in worst_p)
+def _box_check(condition, description, model, slack_of_dA, band_scale):
+    """Smallest slack eigenvalue over the vertices of the parameter box.
 
-
-def _box_check(condition, description, model, slack_fn, points_per_axis, band_scale):
-    margin, witness = _box_worst(model, slack_fn, points_per_axis)
-    band = MARGINAL_BAND * band_scale
+    slack_of_dA maps the perturbation dA to a slack F - dA' W dA with W
+    positive semidefinite (c I or Z). Because dA(p) is affine in p, the
+    slack is matrix-concave in p, lambda_min of it is concave, and its
+    minimum over the box lies at a vertex: the margin is a certificate for
+    the whole box, not a sample (multi-convexity; Boyd et al., LMIs in
+    System and Control Theory, 1994).
+    """
+    margin, witness = np.inf, None
+    for p in model.vertices():
+        value = float(np.linalg.eigvalsh(slack_of_dA(model.matrix_at(p)))[0])
+        if value < margin:
+            margin, witness = value, p
     return ConditionCheck(
         condition=condition,
-        verdict=_verdict(margin, band_scale, band),
+        verdict=_verdict(margin, band_scale, MARGINAL_BAND * band_scale),
         margin=margin,
-        witness_p=witness,
+        witness_p=tuple(float(v) for v in witness),
         description=description,
     )
 
@@ -565,6 +476,22 @@ def _matrix_check(condition, description, slack, scale):
     )
 
 
+def _uncertified(condition, description):
+    """A condition that could not be evaluated or certified: it fails."""
+    return ConditionCheck(
+        condition=condition, verdict=FAILS, margin=None, witness_p=None, description=description
+    )
+
+
+def _window_check(P, inv_eps):
+    return _matrix_check(
+        COND_EPS_WINDOW,
+        "design window: (1/epsilon) I - P is positive definite",
+        inv_eps * np.eye(len(P)) - P,
+        max(1.0, inv_eps),
+    )
+
+
 def feasibility_report(
     A,
     B,
@@ -575,15 +502,18 @@ def feasibility_report(
     L,
     Z,
     Q1,
-    grid_points: int = DEFAULT_GRID_POINTS,
 ) -> FeasibilityReport:
     """Evaluate every design condition for a mismatched synthesis.
 
-    Box-scanned conditions are checked at all vertices of the parameter box
-    plus a regular grid with grid_points samples per coordinate; the margin
-    reported is the worst slack eigenvalue found and witness_p the parameter
-    at which it occurred. Verdicts use a relative hold tolerance and a
-    marginal band proportional to the scale of the condition.
+    The two box conditions are certified at the 2^d vertices of the
+    parameter box: their slacks F - (1/epsilon) dA' dA and F - dA' Z dA are
+    matrix-concave in p, so the smallest slack eigenvalue over the box is
+    attained at a vertex. margin is that eigenvalue and witness_p the vertex
+    attaining it. The weighted slack is concave only when Z is positive
+    semidefinite, which holds inside the design window; otherwise the
+    weighted condition fails as not certified, with margin and witness None.
+    Verdicts use a relative hold tolerance and a marginal band proportional
+    to the scale of the condition.
     """
     A = require_square(A, "A")
     n = A.shape[0]
@@ -591,30 +521,20 @@ def feasibility_report(
     inv_eps = 1.0 / params.epsilon
     F = model.F
     F_scale = max(1.0, spectral_norm(F))
-    checks = []
-
-    gap = inv_eps * eye - P
-    checks.append(
-        _matrix_check(
-            COND_EPS_WINDOW,
-            "design window: (1/epsilon) I - P is positive definite",
-            gap,
-            max(1.0, inv_eps),
-        )
-    )
+    checks = [_window_check(P, inv_eps)]
 
     checks.append(
         _box_check(
             COND_UNC_SCALED,
             "scaled uncertainty bound: (1/epsilon) dA' dA <= F over the box",
             model,
-            lambda p: F - inv_eps * (model.matrix_at(p).T @ model.matrix_at(p)),
-            grid_points,
+            lambda dA: F - inv_eps * (dA.T @ dA),
             F_scale,
         )
     )
 
     A_fb = A + B @ K
+    decay_description = "periodic transmission decay margin is nonnegative"
     try:
         inner = P @ inverse(eye - params.epsilon * P, "inner window gap")
         slack = (
@@ -626,20 +546,16 @@ def feasibility_report(
         checks.append(
             _matrix_check(
                 COND_PERIODIC_DECAY,
-                "periodic transmission decay margin is nonnegative",
+                decay_description,
                 0.5 * (slack + slack.T),
                 max(1.0, spectral_norm(P)),
             )
         )
     except NumericalError:
         checks.append(
-            ConditionCheck(
-                condition=COND_PERIODIC_DECAY,
-                verdict=FAILS,
-                margin=None,
-                witness_p=None,
-                description="periodic transmission decay margin is nonnegative "
-                "(not evaluable: inner window gap is singular)",
+            _uncertified(
+                COND_PERIODIC_DECAY,
+                decay_description + " (not evaluable: inner window gap is singular)",
             )
         )
 
@@ -652,16 +568,24 @@ def feasibility_report(
         )
     )
 
-    checks.append(
-        _box_check(
-            COND_UNC_WEIGHTED,
-            "weighted uncertainty bound: dA' Z dA <= F over the box",
-            model,
-            lambda p: F - model.matrix_at(p).T @ Z @ model.matrix_at(p),
-            grid_points,
-            F_scale,
+    weighted_description = "weighted uncertainty bound: dA' Z dA <= F over the box"
+    if is_positive_semidefinite(Z):
+        checks.append(
+            _box_check(
+                COND_UNC_WEIGHTED,
+                weighted_description,
+                model,
+                lambda dA: F - dA.T @ Z @ dA,
+                F_scale,
+            )
         )
-    )
+    else:
+        checks.append(
+            _uncertified(
+                COND_UNC_WEIGHTED,
+                weighted_description + " (not certified: Z is not positive semidefinite)",
+            )
+        )
 
     checks.append(
         _matrix_check(
@@ -675,13 +599,15 @@ def feasibility_report(
     return FeasibilityReport(checks=tuple(checks))
 
 
-def synthesize(
-    A,
-    B,
-    model: UncertaintyModel,
-    params: SynthesisParams,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> SynthesisOutcome:
+def _require_state_dim(model: UncertaintyModel, A: np.ndarray) -> None:
+    if model.state_dim != A.shape[0]:
+        raise ValueError(
+            f"uncertainty model is for state dimension {model.state_dim}, "
+            f"but A is {A.shape[0]} x {A.shape[0]}"
+        )
+
+
+def synthesize(A, B, model: UncertaintyModel, params: SynthesisParams) -> SynthesisOutcome:
     """Full mismatched synthesis: Riccati solve, gains, trigger, report.
 
     Completes whenever every quantity is computable, even if design
@@ -691,19 +617,13 @@ def synthesize(
     """
     A = require_square(A, "A")
     B = as_matrix(B, "B")
-    if model.state_dim != A.shape[0]:
-        raise ValueError(
-            f"uncertainty model is for state dimension {model.state_dim}, "
-            f"but A is {A.shape[0]} x {A.shape[0]}"
-        )
-    P, iterations, residual, _ = _validated_riccati(
-        A, B, params, model.F, RICCATI_STEP_TOL, RICCATI_MAX_ITER
-    )
+    _require_state_dim(model, A)
+    P, iterations, residual, _ = _validated_riccati(A, B, params, model.F)
     K = feedback_gain(A, B, P, params)
     L = virtual_gain(A, B, P, params)
     Z = error_weight(P, params.epsilon, require_window=False)
     Q1 = decay_matrix(A, B, K, L, Z, params)
-    report = feasibility_report(A, B, model, params, P, K, L, Z, Q1, grid_points)
+    report = feasibility_report(A, B, model, params, P, K, L, Z, Q1)
     mu = trigger_coefficient(K, B, Z, Q1, params.sigma)
     return SynthesisOutcome(
         P=P,
@@ -720,113 +640,87 @@ def synthesize(
     )
 
 
-def as_matched_model(B, model: UncertaintyModel, tol: float = 1e-12) -> MatchedModel:
-    """Factor an uncertainty model through the input channel.
+def as_matched_model(B, model: UncertaintyModel) -> UncertaintyModel:
+    """Check that an uncertainty model enters through the input channel.
 
-    Each basis direction E_i must satisfy E_i = B phi_i exactly (up to tol,
-    relative to the magnitude of E_i); otherwise the model is genuinely
-    mismatched and a ValueError explains which direction leaks outside the
-    range of B.
+    Each basis direction E_i must satisfy E_i = B phi_i for some phi_i (up
+    to MATCHED_TOL, relative to the magnitude of E_i), so that
+    dA(p) = B phi(p). Returns the model unchanged when it is matched;
+    otherwise the model is genuinely mismatched and a ValueError explains
+    which direction leaks outside the range of B.
     """
     B = as_matrix(B, "B")
+    if B.shape[0] != model.state_dim:
+        raise ValueError(
+            f"B has {B.shape[0]} rows but the uncertainty model is for state "
+            f"dimension {model.state_dim}"
+        )
     B_pinv = pseudo_inverse(B, "B")
-    phis = []
     for i, e in enumerate(model.basis):
-        phi = B_pinv @ e
-        defect = float(np.max(np.abs(B @ phi - e)))
-        if defect > tol * max(1.0, float(np.max(np.abs(e)))):
+        defect = float(np.max(np.abs(B @ (B_pinv @ e) - e)))
+        if defect > MATCHED_TOL * max(1.0, float(np.max(np.abs(e)))):
             raise ValueError(
                 f"basis[{i}] is not matched: its residual outside the range of B "
                 f"has magnitude {defect:.3e}"
             )
-        phis.append(phi)
-    return MatchedModel(
-        phi_basis=tuple(phis), p_lo=model.p_lo, p_hi=model.p_hi, F=model.F
-    )
+    return model
 
 
-def _matched_feasibility_report(A, B, matched, params, P, K, grid_points):
+def _matched_feasibility_report(A, B, model, params, P, K):
     n = A.shape[0]
-    eye = np.eye(n)
     inv_eps = 1.0 / params.epsilon
-    F = matched.F
-    F_scale = max(1.0, spectral_norm(F))
-    checks = []
-
-    checks.append(
-        _matrix_check(
-            COND_EPS_WINDOW,
-            "design window: (1/epsilon) I - P is positive definite",
-            inv_eps * eye - P,
-            max(1.0, inv_eps),
-        )
-    )
-
-    BtB = B.T @ B
-
-    def matched_slack(p):
-        phi = matched.phi_at(p)
-        return F - (2.0 * inv_eps) * (phi.T @ BtB @ phi)
-
-    checks.append(
-        _box_check(
-            COND_UNC_MATCHED,
-            "matched uncertainty bound: (2/epsilon) phi' B' B phi <= F over the box",
-            matched,
-            matched_slack,
-            grid_points,
-            F_scale,
-        )
-    )
-
+    F = model.F
     A_fb = A + B @ K
-    slack = params.beta**2 * eye + K.T @ params.R1 @ K - (2.0 * inv_eps) * (A_fb.T @ A_fb)
-    checks.append(
-        _matrix_check(
-            COND_MATCHED_DECAY,
-            "matched decay condition on the nominal closed loop",
-            0.5 * (slack + slack.T),
-            max(1.0, spectral_norm(A_fb) ** 2 * 2.0 * inv_eps),
+    slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K - (2.0 * inv_eps) * (A_fb.T @ A_fb)
+    return FeasibilityReport(
+        checks=(
+            _window_check(P, inv_eps),
+            _box_check(
+                COND_UNC_MATCHED,
+                "matched uncertainty bound: (2/epsilon) phi' B' B phi = "
+                "(2/epsilon) dA' dA <= F over the box",
+                model,
+                lambda dA: F - (2.0 * inv_eps) * (dA.T @ dA),
+                max(1.0, spectral_norm(F)),
+            ),
+            _matrix_check(
+                COND_MATCHED_DECAY,
+                "matched decay condition on the nominal closed loop",
+                0.5 * (slack + slack.T),
+                max(1.0, spectral_norm(A_fb) ** 2 * 2.0 * inv_eps),
+            ),
         )
     )
-
-    return FeasibilityReport(checks=tuple(checks))
 
 
 def synthesize_matched(
-    A,
-    B,
-    matched: MatchedModel,
-    params: SynthesisParams,
-    grid_points: int = DEFAULT_GRID_POINTS,
+    A, B, model: UncertaintyModel, params: SynthesisParams
 ) -> SynthesisOutcome:
-    """Synthesis specialized to matched uncertainty.
+    """Synthesis specialized to matched uncertainty dA(p) = B phi(p).
 
-    The virtual channel is absent (alpha is forced to zero), so the Riccati
-    weighting reduces to the physical input alone, and the trigger
-    coefficient uses the effective state weight Q + F + beta^2 I together
-    with the inner window matrix (P^-1 - epsilon I)^-1 instead of the
-    mismatched pair (Q1, Z).
+    model is checked with ``as_matched_model`` first, so a mismatched model
+    raises ValueError. The virtual channel is absent (alpha is forced to
+    zero), so the Riccati weighting reduces to the physical input alone, and
+    the trigger coefficient uses the effective state weight Q + F + beta^2 I
+    together with the inner window matrix (P^-1 - epsilon I)^-1 instead of
+    the mismatched pair (Q1, Z). The report certifies the matched bound
+    (2/epsilon) dA' dA <= F at the vertices of the box, as in
+    ``feasibility_report``.
     """
     A = require_square(A, "A")
     B = as_matrix(B, "B")
-    if matched.F.shape[0] != A.shape[0]:
-        raise ValueError(
-            f"matched model is for state dimension {matched.F.shape[0]}, "
-            f"but A is {A.shape[0]} x {A.shape[0]}"
-        )
+    _require_state_dim(model, A)
+    as_matched_model(B, model)
     params0 = dataclasses.replace(params, alpha=0.0)
     n = A.shape[0]
-    P, iterations, residual, _ = _validated_riccati(
-        A, B, params0, matched.F, RICCATI_STEP_TOL, RICCATI_MAX_ITER
-    )
+    P, iterations, residual, _ = _validated_riccati(A, B, params0, model.F)
     K = feedback_gain(A, B, P, params0)
     L = np.zeros((n, n))
     Z = error_weight(P, params0.epsilon, require_window=False)
-    report = _matched_feasibility_report(A, B, matched, params0, P, K, grid_points)
+    report = _matched_feasibility_report(A, B, model, params0, P, K)
 
     Q_eff = symmetrize(
-        params0.Q + matched.F + params0.beta**2 * np.eye(n), "effective state weight"
+        params0.Q + model.F + params0.beta**2 * np.eye(n), "effective state weight"
     )
     eigs = sym_eigvals(Q_eff, "effective state weight")
     if eigs[0] <= 0.0:
@@ -858,14 +752,7 @@ def synthesize_matched(
     )
 
 
-def sweep_epsilon(
-    A,
-    B,
-    model: UncertaintyModel,
-    params: SynthesisParams,
-    epsilons,
-    grid_points: int = 21,
-) -> list:
+def sweep_epsilon(A, B, model: UncertaintyModel, params: SynthesisParams, epsilons) -> list:
     """Feasibility report for each candidate epsilon.
 
     The Riccati solution does not depend on epsilon, so it is solved once;
@@ -876,7 +763,7 @@ def sweep_epsilon(
     """
     A = require_square(A, "A")
     B = as_matrix(B, "B")
-    P, _, _, _ = _validated_riccati(A, B, params, model.F, RICCATI_STEP_TOL, RICCATI_MAX_ITER)
+    P, _, _, _ = _validated_riccati(A, B, params, model.F)
     K = feedback_gain(A, B, P, params)
     L = virtual_gain(A, B, P, params)
     results = []
@@ -886,19 +773,11 @@ def sweep_epsilon(
         try:
             Z = error_weight(P, eps, require_window=False)
             Q1 = decay_matrix(A, B, K, L, Z, params_eps)
-            report = feasibility_report(
-                A, B, model, params_eps, P, K, L, Z, Q1, grid_points
-            )
+            report = feasibility_report(A, B, model, params_eps, P, K, L, Z, Q1)
         except NumericalError:
             report = FeasibilityReport(
                 checks=(
-                    ConditionCheck(
-                        condition=COND_EPS_WINDOW,
-                        verdict=FAILS,
-                        margin=None,
-                        witness_p=None,
-                        description="design window gap is singular at this epsilon",
-                    ),
+                    _uncertified(COND_EPS_WINDOW, "design window gap is singular at this epsilon"),
                 )
             )
         results.append((eps, report))

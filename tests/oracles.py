@@ -130,3 +130,17 @@ def random_instance(rng, max_dim: int = 5, spectral_lo: float = 0.3, spectral_hi
     alpha = float(rng.uniform(0.0, 2.0))
     beta = float(rng.uniform(0.0, 1.0))
     return A, B, Q, R1, R2, F, alpha, beta
+
+
+def box_min_dense(slack, p_lo, p_hi, points: int) -> float:
+    """Smallest eigenvalue of slack(p) over a dense grid covering the box.
+
+    The grid has points samples per coordinate, endpoints included, so it
+    contains every vertex; slack maps a parameter vector to a symmetric
+    matrix. A sample of the box, not a certificate: it bounds the true
+    minimum from above.
+    """
+    axes = [np.linspace(lo, hi, points) for lo, hi in zip(p_lo, p_hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=1)
+    return min(float(np.linalg.eigvalsh(slack(p))[0]) for p in grid)

@@ -22,10 +22,10 @@ import pytest
 import oracles
 from conftest import CONFIG_DIR
 from etcontrol import (
-    MatchedModel,
     ParamTrajectory,
     SynthesisParams,
     TriggerPolicy,
+    UncertaintyModel,
     feedback_gain,
     simulate,
     solve_modified_dare,
@@ -195,17 +195,16 @@ def test_criterion_05_matched_reduces_to_lqr(capsys):
     for _ in range(50):
         A, B, Q, R1, R2, _, _, _ = oracles.random_instance(rng)
         n = A.shape[0]
-        m = B.shape[1]
         params = SynthesisParams(
             Q=Q, R1=R1, R2=R2, alpha=0.0, beta=0.0, epsilon=1e-9, sigma=0.5
         )
-        matched = MatchedModel(
-            phi_basis=(np.zeros((m, n)),),
+        model = UncertaintyModel(
+            basis=(np.zeros((n, n)),),
             p_lo=[0.0],
             p_hi=[0.0],
             F=np.zeros((n, n)),
         )
-        outcome = synthesize_matched(A, B, matched, params)
+        outcome = synthesize_matched(A, B, model, params)
         P_ref = oracles.lqr_value_iteration(A, B, Q, R1, tol=1e-12)
         K_ref = oracles.lqr_gain(A, B, P_ref, R1)
         worst_p = max(worst_p, float(np.max(np.abs(outcome.P - P_ref))))

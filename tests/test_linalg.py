@@ -1,5 +1,10 @@
 """Unit tests for the dense linear algebra helpers."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,3 +149,14 @@ def test_spectral_norm_examples():
 def test_ordering_margin():
     assert np.isclose(ordering_margin(np.eye(2), 3.0 * np.eye(2)), 2.0)
     assert ordering_margin(2.0 * np.eye(2), np.eye(2)) < 0.0
+
+
+def test_import_does_not_load_scipy():
+    """The package and its CLI import on numpy alone."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, etcontrol, etcontrol.cli; "
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    )
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), check=True)

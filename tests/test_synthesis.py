@@ -1,6 +1,7 @@
 """Synthesis pipeline tests: solver, gains, trigger threshold, feasibility."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -293,10 +294,16 @@ def test_reference_report_flags_window_and_bound(reference_system):
     assert scaled.witness_p == pytest.approx((0.8,))
     assert report.get(COND_WEIGHT_PD).verdict == FAILS
     assert report.get(COND_PERIODIC_DECAY).verdict == HOLDS
-    assert report.get(COND_UNC_WEIGHTED).verdict == HOLDS
+    # Outside the window Z is indefinite, so the weighted bound has no
+    # vertex certificate and is reported as not certified.
+    weighted = report.get(COND_UNC_WEIGHTED)
+    assert weighted.verdict == FAILS
+    assert weighted.margin is None
+    assert weighted.witness_p is None
+    assert "not certified" in weighted.description
     assert report.get(COND_DECAY_PSD).verdict == HOLDS
     failed = {c.condition for c in report.failed()}
-    assert failed == {COND_EPS_WINDOW, COND_UNC_SCALED, COND_WEIGHT_PD}
+    assert failed == {COND_EPS_WINDOW, COND_UNC_SCALED, COND_WEIGHT_PD, COND_UNC_WEIGHTED}
 
 
 def test_demo_report_all_hold(demo_system):
@@ -334,10 +341,86 @@ def test_report_orders_conditions(demo_system):
 def test_feasibility_report_standalone(demo_system):
     A, B, model, params = demo_system
     out = synthesize(A, B, model, params)
-    report = feasibility_report(
-        A, B, model, params, out.P, out.K, out.L, out.Z, out.Q1, grid_points=11
-    )
+    report = feasibility_report(A, B, model, params, out.P, out.K, out.L, out.Z, out.Q1)
     assert report.all_hold
+
+
+# ---------------------------------------------------------------------------
+# vertex certificates of the box conditions
+
+
+def _random_report_inputs(rng, d, n=3):
+    """A random parameter box plus the other report inputs (unused by the box checks)."""
+    G = rng.normal(size=(n, n))
+    model = UncertaintyModel(
+        basis=tuple(rng.normal(size=(n, n)) for _ in range(d)),
+        p_lo=rng.uniform(-1.0, 0.0, size=d),
+        p_hi=rng.uniform(0.5, 1.5, size=d),
+        F=G @ G.T,
+    )
+    params = SynthesisParams(
+        Q=np.eye(n), R1=np.eye(1), R2=np.eye(n), alpha=1.0, beta=0.5, epsilon=2.0, sigma=0.5
+    )
+    return rng.normal(size=(n, n)), rng.normal(size=(n, 1)), model, params
+
+
+@pytest.mark.parametrize("d, points", [(1, 401), (2, 61), (3, 15)])
+def test_box_margins_are_vertex_minima(d, points):
+    """With Z >= 0 both box margins are the vertex minimum and no grid point beats them."""
+    rng = np.random.default_rng(100 + d)
+    A, B, model, params = _random_report_inputs(rng, d)
+    n = A.shape[0]
+    H = rng.normal(size=(n, n - 1))
+    Z = H @ H.T  # positive semidefinite and singular
+    report = feasibility_report(
+        A, B, model, params, 0.1 * np.eye(n), rng.normal(size=(1, n)), np.zeros((n, n)), Z, np.eye(n)
+    )
+    F = model.F
+    basis = np.array(model.basis)
+
+    def dA(p):
+        return np.tensordot(p, basis, axes=1)
+
+    slacks = {
+        COND_UNC_SCALED: lambda p: F - dA(p).T @ dA(p) / params.epsilon,
+        COND_UNC_WEIGHTED: lambda p: F - dA(p).T @ Z @ dA(p),
+    }
+    tol = 1e-12 * max(1.0, np.linalg.norm(F, 2))
+    vertices = [np.array(v) for v in itertools.product(*zip(model.p_lo, model.p_hi))]
+    for condition, slack in slacks.items():
+        check = report.get(condition)
+        vertex_min = min(float(np.linalg.eigvalsh(slack(v))[0]) for v in vertices)
+        assert check.margin == pytest.approx(vertex_min, rel=0.0, abs=tol)
+        witness = np.array(check.witness_p)
+        assert all(w in (lo, hi) for w, lo, hi in zip(witness, model.p_lo, model.p_hi))
+        assert float(np.linalg.eigvalsh(slack(witness))[0]) == pytest.approx(
+            check.margin, rel=0.0, abs=tol
+        )
+        dense_min = oracles.box_min_dense(slack, model.p_lo, model.p_hi, points)
+        assert dense_min >= check.margin - tol
+
+
+def test_weighted_bound_not_certified_for_indefinite_weight():
+    """Without Z >= 0 the minimum may be interior, so no vertex margin is reported."""
+    model = UncertaintyModel(basis=([[1.0]],), p_lo=[-1.0], p_hi=[1.0], F=[[1.0]])
+    params = SynthesisParams(
+        Q=[[1.0]], R1=[[1.0]], R2=[[1.0]], alpha=1.0, beta=0.5, epsilon=2.0, sigma=0.5
+    )
+    Z = np.array([[-1.0]])
+    one = np.ones((1, 1))
+    report = feasibility_report(0.5 * one, one, model, params, 0.1 * one, 0.1 * one, 0 * one, Z, one)
+    check = report.get(COND_UNC_WEIGHTED)
+    assert check.verdict == FAILS
+    assert check.margin is None
+    assert check.witness_p is None
+    assert "not certified" in check.description
+    assert COND_UNC_WEIGHTED in {c.condition for c in report.failed()}
+    # The slack 1 + p^2 is smallest at p = 0, inside the box: a vertex scan
+    # would overstate the margin (2 instead of 1).
+    dense_min = oracles.box_min_dense(
+        lambda p: model.F - model.matrix_at(p).T @ Z @ model.matrix_at(p), [-1.0], [1.0], 101
+    )
+    assert dense_min == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +478,9 @@ def _matched_demo():
 
 def test_as_matched_model_roundtrip():
     A, B, model, params = _matched_demo()
-    matched = as_matched_model(B, model)
-    for e, phi in zip(model.basis, matched.phi_basis):
+    assert as_matched_model(B, model) is model
+    for e in model.basis:
+        phi = np.linalg.lstsq(B, e, rcond=None)[0]
         assert np.allclose(B @ phi, e, atol=1e-12)
 
 
@@ -404,6 +488,12 @@ def test_as_matched_model_rejects_mismatched(reference_system):
     _, B, model, _ = reference_system
     with pytest.raises(ValueError, match="not matched"):
         as_matched_model(B, model)
+
+
+def test_as_matched_model_rejects_wrong_row_count(reference_system):
+    _, _, model, _ = reference_system
+    with pytest.raises(ValueError, match="B has 3 rows"):
+        as_matched_model(np.ones((3, 1)), model)
 
 
 def test_matched_synthesis_values():
@@ -436,7 +526,7 @@ def test_matched_equals_mismatched_without_virtual_channel():
 
 def test_sweep_epsilon_demo(demo_system):
     A, B, model, params = demo_system
-    results = sweep_epsilon(A, B, model, params, [10.0, 100.0], grid_points=11)
+    results = sweep_epsilon(A, B, model, params, [10.0, 100.0])
     assert len(results) == 2
     eps_first, report_first = results[0]
     eps_second, report_second = results[1]
