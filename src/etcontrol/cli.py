@@ -114,6 +114,8 @@ def _outcome_payload(outcome) -> dict:
                 "margin": check.margin,
                 "witness_p": list(check.witness_p) if check.witness_p is not None else None,
                 "description": check.description,
+                "points_evaluated": check.points_evaluated,
+                "margin_exact": check.margin_exact,
             }
         )
     return {

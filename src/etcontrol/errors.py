@@ -31,7 +31,11 @@ class RankDeficiencyError(NumericalError):
 
 
 class RiccatiConvergenceError(NumericalError):
-    """The Riccati fixed-point iteration diverged or failed to converge."""
+    """The Riccati doubling iteration diverged or failed to converge.
+
+    iterations is the doubling step at which it stopped; last_step is the
+    last change of the iterate relative to its largest entry, when known.
+    """
 
     def __init__(self, message, iterations=None, last_step=None):
         super().__init__(message)

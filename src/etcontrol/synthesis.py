@@ -41,8 +41,8 @@ from .linalg import (
     symmetrize,
 )
 
-RICCATI_STEP_TOL = 1e-12
-RICCATI_MAX_ITER = 10000
+RICCATI_STEP_TOL = 1e-12  # relative to max(1, max|P|)
+RICCATI_MAX_ITER = 50  # doubling steps
 RICCATI_RESIDUAL_TOL = 1e-9
 DIVERGENCE_LIMIT = 1e14
 
@@ -184,6 +184,10 @@ class ConditionCheck:
     the condition holds); witness_p is the worst parameter vector for
     box conditions and None otherwise. margin is None when the condition
     could not be evaluated or certified; its verdict is then FAILS.
+    points_evaluated counts the box points whose slack was evaluated (2^d
+    for box conditions, 0 for matrix conditions and uncertified ones), and
+    margin_exact says whether margin is the exact minimum over the box, a
+    certificate rather than a sample.
     """
 
     condition: str
@@ -191,6 +195,8 @@ class ConditionCheck:
     margin: float | None
     witness_p: tuple | None
     description: str
+    points_evaluated: int
+    margin_exact: bool
 
 
 @dataclass(frozen=True)
@@ -255,35 +261,49 @@ def _input_weight(B: np.ndarray, params: SynthesisParams) -> np.ndarray:
 
 
 def _riccati_iteration(A, B, params, F):
-    """Fixed-point iteration P -> A' (P^-1 + W)^-1 A + Q + F + beta^2 I.
+    """Structure-preserving doubling for P = A' (I + P W)^-1 P A + Q + F + beta^2 I.
 
-    The update is evaluated as A' (I + P W)^-1 P A, which never inverts the
-    iterate and stays well defined for semidefinite P. Returns the solution
-    together with the iteration count, the verified residual, and W.
+    Starting from A_0 = A, G_0 = W and H_0 = Q + F + beta^2 I, each step
+    solves (I + G_k H_k) [X_A, X_G] = [A_k, G_k] once and sets
+    H_{k+1} = H_k + A_k' H_k X_A, G_{k+1} = G_k + A_k X_G A_k' and
+    A_{k+1} = A_k X_A. H_k is the fixed-point iterate after 2^k steps from
+    P = 0, so it converges quadratically to the stabilizing solution
+    (Anderson, 1978; Chu, Fan and Lin, 2005). G_k and H_k stay positive
+    semidefinite, so I + G_k H_k is always invertible. The loop stops once a
+    step changes H by at most RICCATI_STEP_TOL relative to max(1, max|H|).
+    Returns the solution together with the doubling-step count, the residual
+    of the original equation, and W.
     """
     n = A.shape[0]
     W = _input_weight(B, params)
     Qbar = symmetrize(params.Q + F + params.beta**2 * np.eye(n), "effective state weight")
     eye = np.eye(n)
-    P = Qbar.copy()
+    A_k, G, H = A, W, Qbar
     for iteration in range(1, RICCATI_MAX_ITER + 1):
-        X = np.linalg.solve(eye + P @ W, P)
-        P_next = A.T @ X @ A + Qbar
-        P_next = 0.5 * (P_next + P_next.T)
-        if not np.all(np.isfinite(P_next)) or np.max(np.abs(P_next)) > DIVERGENCE_LIMIT:
+        X = np.linalg.solve(eye + G @ H, np.hstack([A_k, G]))
+        X_A, X_G = X[:, :n], X[:, n:]
+        H_next = H + A_k.T @ H @ X_A
+        H_next = 0.5 * (H_next + H_next.T)
+        G = G + A_k @ X_G @ A_k.T
+        G = 0.5 * (G + G.T)
+        A_k = A_k @ X_A
+        scale = float(np.max(np.abs(H_next)))
+        step = float(np.max(np.abs(H_next - H))) / max(1.0, scale)
+        context = f"last relative step {step:.3e}, largest entry of H {scale:.3e}"
+        if not np.isfinite(scale) or scale > DIVERGENCE_LIMIT:
             raise RiccatiConvergenceError(
-                f"iteration diverged after {iteration} steps; "
+                f"doubling diverged at step {iteration} ({context}); "
                 "the pair (A, B) may not admit a stabilizing solution",
                 iterations=iteration,
+                last_step=step,
             )
-        step = float(np.max(np.abs(P_next - P)))
-        P = P_next
+        H = H_next
         if step <= RICCATI_STEP_TOL:
-            X = np.linalg.solve(eye + P @ W, P)
-            residual = float(np.max(np.abs(A.T @ X @ A + Qbar - P)))
-            return P, iteration, residual, W
+            X = np.linalg.solve(eye + H @ W, H)
+            residual = float(np.max(np.abs(A.T @ X @ A + Qbar - H)))
+            return H, iteration, residual, W
     raise RiccatiConvergenceError(
-        f"no convergence within {RICCATI_MAX_ITER} iterations (last step {step:.3e})",
+        f"no convergence within {RICCATI_MAX_ITER} doubling steps ({context})",
         iterations=RICCATI_MAX_ITER,
         last_step=step,
     )
@@ -317,8 +337,10 @@ def solve_modified_dare(A, B, params: SynthesisParams, F) -> np.ndarray:
     Finds the symmetric positive definite P with
     A' (P^-1 + W)^-1 A - P + Q + F + beta^2 I = 0, where W combines the
     physical input weighting with the virtual channel on the complement of
-    the range of B. Raises RiccatiConvergenceError when the iteration
-    diverges, stalls, or lands on a point whose residual exceeds tolerance.
+    the range of B, by structure-preserving doubling (quadratic convergence,
+    a few dozen steps at most). Raises RiccatiConvergenceError when the
+    doubling diverges, does not settle within RICCATI_MAX_ITER steps, or lands
+    on a point whose residual exceeds RICCATI_RESIDUAL_TOL.
     """
     P, _, _, _ = _validated_riccati(A, B, params, F)
     return P
@@ -450,9 +472,10 @@ def _box_check(condition, description, model, slack_of_dA, band_scale):
     the whole box, not a sample (multi-convexity; Boyd et al., LMIs in
     System and Control Theory, 1994).
     """
-    margin, witness = np.inf, None
+    margin, witness, points = np.inf, None, 0
     for p in model.vertices():
         value = float(np.linalg.eigvalsh(slack_of_dA(model.matrix_at(p)))[0])
+        points += 1
         if value < margin:
             margin, witness = value, p
     return ConditionCheck(
@@ -461,6 +484,8 @@ def _box_check(condition, description, model, slack_of_dA, band_scale):
         margin=margin,
         witness_p=tuple(float(v) for v in witness),
         description=description,
+        points_evaluated=points,
+        margin_exact=True,
     )
 
 
@@ -473,13 +498,21 @@ def _matrix_check(condition, description, slack, scale):
         margin=margin,
         witness_p=None,
         description=description,
+        points_evaluated=0,
+        margin_exact=True,
     )
 
 
 def _uncertified(condition, description):
     """A condition that could not be evaluated or certified: it fails."""
     return ConditionCheck(
-        condition=condition, verdict=FAILS, margin=None, witness_p=None, description=description
+        condition=condition,
+        verdict=FAILS,
+        margin=None,
+        witness_p=None,
+        description=description,
+        points_evaluated=0,
+        margin_exact=False,
     )
 
 
@@ -513,10 +546,25 @@ def feasibility_report(
     semidefinite, which holds inside the design window; otherwise the
     weighted condition fails as not certified, with margin and witness None.
     Verdicts use a relative hold tolerance and a marginal band proportional
-    to the scale of the condition.
+    to the scale of the condition. The matrices are validated like the
+    inputs of ``synthesize``: a wrong shape raises ValueError naming the
+    argument.
     """
     A = require_square(A, "A")
-    n = A.shape[0]
+    _require_state_dim(model, A)
+    B, K, L = as_matrix(B, "B"), as_matrix(K, "K"), as_matrix(L, "L")
+    P, Z, Q1 = symmetrize(P, "P"), symmetrize(Z, "Z"), symmetrize(Q1, "Q1")
+    n, m = A.shape[0], B.shape[1]
+    for name, M, shape in (
+        ("B", B, (n, m)),
+        ("K", K, (m, n)),
+        ("L", L, (n, n)),
+        ("P", P, (n, n)),
+        ("Z", Z, (n, n)),
+        ("Q1", Q1, (n, n)),
+    ):
+        if M.shape != shape:
+            raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
     eye = np.eye(n)
     inv_eps = 1.0 / params.epsilon
     F = model.F

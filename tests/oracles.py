@@ -1,7 +1,8 @@
 """Independent reference computations used to pin expected test values.
 
 These deliberately avoid the package's own code paths. The scalar Riccati
-solution comes from the quadratic formula, the LQR oracle from plain value
+solution comes from the quadratic formula, the matrix one from the stable
+eigenvectors of the symplectic matrix, the LQR oracle from plain value
 iteration on the textbook recursion, and the residual and trigger
 coefficient evaluators use explicit matrix inverses instead of the
 solver's factored updates.
@@ -144,3 +145,23 @@ def box_min_dense(slack, p_lo, p_hi, points: int) -> float:
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)
     return min(float(np.linalg.eigvalsh(slack(p))[0]) for p in grid)
+
+
+def dare_symplectic(A, G, H):
+    """Stabilizing solution of X = A' X (I + G X)^-1 A + H from the symplectic pencil.
+
+    The stable invariant subspace [U1; U2] of
+    [[A + G A^-T H, -G A^-T], [-A^-T H, A^-T]] (its n eigenvalues inside the
+    unit circle) gives X = U2 U1^-1. A must be invertible. An eigenvector
+    construction, independent of any iteration on the equation itself.
+    """
+    A = np.asarray(A, dtype=float)
+    G = np.asarray(G, dtype=float)
+    H = np.asarray(H, dtype=float)
+    n = A.shape[0]
+    A_inv_t = np.linalg.inv(A).T
+    S = np.block([[A + G @ A_inv_t @ H, -G @ A_inv_t], [-A_inv_t @ H, A_inv_t]])
+    values, vectors = np.linalg.eig(S)
+    stable = vectors[:, np.argsort(np.abs(values))[:n]]
+    X = np.real(stable[n:] @ np.linalg.inv(stable[:n]))
+    return 0.5 * (X + X.T)

@@ -14,6 +14,7 @@ at that design's derived coefficient.
 """
 
 import dataclasses
+import json
 import time
 
 import numpy as np
@@ -351,10 +352,29 @@ def test_criterion_09_feasibility_audit(reference_system, capsys):
     assert restricted_ok
 
 
+# The artifact holds deterministic diagnostics only; timings stay out of it.
+SYNTHESIS_KEYS = {
+    "mode", "P", "K", "L", "Z", "Q1", "mu", "A_closed", "iterations", "residual", "feasibility",
+}
+CHECK_KEYS = {
+    "condition", "verdict", "margin", "witness_p", "description", "points_evaluated",
+    "margin_exact",
+}
+
+
+def _expected_diagnostics(check):
+    """Box checks scan the 2^d vertices exactly; matrix checks scan no box point."""
+    if check["margin"] is None:
+        return 0, False
+    if check["witness_p"] is None:
+        return 0, True
+    return 2 ** len(check["witness_p"]), True
+
+
 def test_criterion_10_deterministic_outputs(tmp_path, capsys):
     configs = {"reference": REFERENCE_CONFIG, "demo": DEMO_CONFIG}
     artifacts = ("synthesis.json", "trace.csv", "comparison.json", "verification.json")
-    mismatched = []
+    mismatched, bad_diagnostics = [], []
     for name, config in configs.items():
         outputs = []
         for run in ("first", "second"):
@@ -365,9 +385,20 @@ def test_criterion_10_deterministic_outputs(tmp_path, capsys):
         for filename in artifacts:
             if (outputs[0] / filename).read_bytes() != (outputs[1] / filename).read_bytes():
                 mismatched.append(f"{name}/{filename}")
-    passed = not mismatched
-    detail = "all CSV/JSON artifacts byte-identical across repeated runs"
-    if mismatched:
-        detail = "non-deterministic artifacts: " + ", ".join(mismatched)
+        synthesis = json.loads((outputs[0] / "synthesis.json").read_text())
+        bad_diagnostics += [
+            f"{name}/{check['condition']}"
+            for check in synthesis["feasibility"]["checks"]
+            if check.keys() != CHECK_KEYS
+            or (check["points_evaluated"], check["margin_exact"]) != _expected_diagnostics(check)
+        ]
+        if synthesis.keys() != SYNTHESIS_KEYS:
+            bad_diagnostics.append(f"{name}/synthesis.json keys")
+    passed = not mismatched and not bad_diagnostics
+    detail = "all CSV/JSON artifacts byte-identical across repeated runs, diagnostics as expected"
+    if not passed:
+        detail = "non-deterministic artifacts: " + (", ".join(mismatched) or "none")
+        detail += "; wrong diagnostics: " + (", ".join(bad_diagnostics) or "none")
     _report(capsys, 10, passed, detail)
     assert not mismatched
+    assert not bad_diagnostics

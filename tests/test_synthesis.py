@@ -39,6 +39,8 @@ from etcontrol.synthesis import (
     FAILS,
     HOLDS,
     MARGINAL,
+    RICCATI_MAX_ITER,
+    _validated_riccati,
 )
 
 # Frozen regression values for the benchmark fixtures.
@@ -147,8 +149,44 @@ def test_unstabilizable_pair_raises():
     params = SynthesisParams(
         Q=np.eye(2), R1=[[1.0]], R2=np.eye(2), alpha=0.0, beta=0.0, epsilon=1.0, sigma=0.5
     )
-    with pytest.raises(RiccatiConvergenceError):
+    with pytest.raises(RiccatiConvergenceError) as info:
         solve_modified_dare(np.diag([1.2, 0.5]), [[0.0], [1.0]], params, np.zeros((2, 2)))
+    err = info.value
+    assert err.iterations is not None and 1 <= err.iterations <= RICCATI_MAX_ITER
+    assert err.last_step is not None
+    message = str(err)
+    assert f"step {err.iterations}" in message
+    assert "last relative step" in message and "largest entry of H" in message
+
+
+_INTEGRATOR = np.array([[1.0, 0.1], [0.0, 1.0]])
+_OSCILLATOR = 0.997 * np.array([[np.cos(0.25), np.sin(0.25)], [-np.sin(0.25), np.cos(0.25)]])
+
+
+@pytest.mark.parametrize(
+    "A, R1",
+    [(_INTEGRATOR, 1e2), (_INTEGRATOR, 1e4), (_INTEGRATOR, 1e6), (_OSCILLATOR, 10.0)],
+    ids=["integrator-R1=1e2", "integrator-R1=1e4", "integrator-R1=1e6", "oscillator-0.997"],
+)
+def test_slowly_converging_plants_match_symplectic_oracle(A, R1):
+    """Plants whose closed loop has spectral radius near 1 solve in few steps.
+
+    rho(A + B K) is 0.9998 for the integrator at R1 = 1e6, where a
+    fixed-point iteration needs far more than 10,000 steps.
+    """
+    B = np.array([[0.0], [0.1]])
+    Q = 1e-4 * np.eye(2)
+    F = np.zeros((2, 2))
+    params = _nominal_params(Q, [[R1]], np.eye(2))
+    P, iterations, _, _ = _validated_riccati(A, B, params, F)
+    assert iterations <= 30
+    scale = max(1.0, float(np.max(np.abs(P))))
+    residual = oracles.riccati_residual_explicit(A, B, P, Q, [[R1]], np.eye(2), 0.0, 0.0, F)
+    assert residual <= 1e-9 * scale
+    X = oracles.dare_symplectic(A, B @ B.T / R1, Q)
+    assert np.max(np.abs(P - X)) <= 1e-7 * float(np.max(np.abs(X)))
+    K = feedback_gain(A, B, P, params)
+    assert max(abs(np.linalg.eigvals(A + B @ K))) < 1.0
 
 
 def test_monotone_in_state_weight():
@@ -345,6 +383,31 @@ def test_feasibility_report_standalone(demo_system):
     assert report.all_hold
 
 
+def test_feasibility_report_accepts_nested_lists(scalar_system):
+    A, B, model, params = scalar_system
+    out = synthesize(A, B, model, params)
+    matrices = (A, B, out.P, out.K, out.L, out.Z, out.Q1)
+    from_arrays = feasibility_report(*matrices[:2], model, params, *matrices[2:])
+    lists = [m.tolist() for m in matrices]
+    from_lists = feasibility_report(*lists[:2], model, params, *lists[2:])
+    assert from_lists == from_arrays
+    assert from_arrays.all_hold
+
+
+@pytest.mark.parametrize("name", ["B", "K", "L", "P", "Z", "Q1"])
+def test_feasibility_report_rejects_wrong_shape(demo_system, name):
+    A, B, model, params = demo_system
+    out = synthesize(A, B, model, params)
+    args = {"B": B, "P": out.P, "K": out.K, "L": out.L, "Z": out.Z, "Q1": out.Q1}
+    n = A.shape[0]
+    wrong = {"B": np.ones((n + 1, B.shape[1])), "K": np.ones((B.shape[1], n + 1))}
+    args[name] = wrong.get(name, np.eye(n + 1))
+    with pytest.raises(ValueError, match=f"^{name} has shape"):
+        feasibility_report(
+            A, args["B"], model, params, args["P"], args["K"], args["L"], args["Z"], args["Q1"]
+        )
+
+
 # ---------------------------------------------------------------------------
 # vertex certificates of the box conditions
 
@@ -398,6 +461,8 @@ def test_box_margins_are_vertex_minima(d, points):
         )
         dense_min = oracles.box_min_dense(slack, model.p_lo, model.p_hi, points)
         assert dense_min >= check.margin - tol
+        assert check.points_evaluated == 2**d
+        assert check.margin_exact
 
 
 def test_weighted_bound_not_certified_for_indefinite_weight():
@@ -414,6 +479,8 @@ def test_weighted_bound_not_certified_for_indefinite_weight():
     assert check.margin is None
     assert check.witness_p is None
     assert "not certified" in check.description
+    assert check.points_evaluated == 0
+    assert not check.margin_exact
     assert COND_UNC_WEIGHTED in {c.condition for c in report.failed()}
     # The slack 1 + p^2 is smallest at p = 0, inside the box: a vertex scan
     # would overstate the margin (2 instead of 1).
