@@ -64,7 +64,13 @@ def _require_block(data, path, required, optional=()):
 def _as_float(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = float("inf")
+    if not np.isfinite(number):
+        raise ConfigError(f"{path}: must be finite, got {number}")
+    return number
 
 
 def _as_int(value, path):
@@ -76,7 +82,7 @@ def _as_int(value, path):
 def _as_vector(value, path):
     try:
         v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: expected a list of numbers") from None
     if v.ndim != 1:
         raise ConfigError(f"{path}: expected a flat list of numbers, got shape {v.shape}")
@@ -88,7 +94,7 @@ def _as_vector(value, path):
 def _as_matrix(value, path):
     try:
         m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: expected a list of rows of numbers") from None
     if m.ndim != 2:
         raise ConfigError(f"{path}: expected a list of rows, got shape {m.shape}")

@@ -16,7 +16,6 @@ SYMMETRY_TOL = 1e-9
 DEFINITENESS_TOL = 1e-9
 RCOND_LIMIT = 1e-13
 RANK_TOL = 1e-10
-ORDERING_TOL = 1e-9
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -105,9 +104,3 @@ def pseudo_inverse(values, name: str = "matrix", rank_tol: float = RANK_TOL) -> 
 def spectral_norm(values) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(as_matrix(values), 2))
-
-
-def ordering_margin(lhs, rhs) -> float:
-    """Smallest eigenvalue of rhs - lhs; nonnegative means lhs <= rhs."""
-    slack = as_matrix(rhs) - as_matrix(lhs)
-    return float(sym_eigvals(slack, "ordering slack")[0])

@@ -5,19 +5,21 @@ u = K x_held between transmissions (zero-order hold). A periodic policy
 transmits every step; an event policy transmits when the squared holding
 error reaches a fraction mu of the squared state norm. Parameter
 trajectories describe how the uncertain plant parameters evolve over the
-horizon and are always realized once, so that policy comparisons see the
-exact same plant.
+horizon. They are realized once per run, together with the plant matrices
+A + dA(p_k) along the run, so that policy comparisons see the exact same
+plant.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import as_matrix, require_square, symmetrize
-from .synthesis import UncertaintyModel
+from .synthesis import UncertaintyModel, _require_state_dim
 
 DIVERGENCE_NORM = 1e12
 
@@ -35,7 +37,7 @@ class TriggerPolicy:
     """Transmission policy: kind is "periodic" or "event".
 
     mu is the relative threshold coefficient and must be present (and
-    positive) exactly when kind is "event".
+    finite and positive) exactly when kind is "event".
     """
 
     kind: str
@@ -48,6 +50,8 @@ class TriggerPolicy:
             if self.mu is None:
                 raise ValueError("event policy requires a threshold coefficient mu")
             object.__setattr__(self, "mu", float(self.mu))
+            if not np.isfinite(self.mu):
+                raise ValueError("mu must be finite")
             if self.mu <= 0.0:
                 raise ValueError("mu must be positive")
         elif self.mu is not None:
@@ -194,7 +198,6 @@ class SimTrace:
     triggered: np.ndarray
     p: np.ndarray
     V: np.ndarray
-    transmissions: int
     diverged: bool
     clamped_steps: int
     policy: TriggerPolicy
@@ -202,6 +205,10 @@ class SimTrace:
     @property
     def n_steps(self) -> int:
         return self.states.shape[0] - 1
+
+    @property
+    def transmissions(self) -> int:
+        return int(self.triggered.sum())
 
     @property
     def trigger_indices(self) -> np.ndarray:
@@ -224,69 +231,84 @@ class PolicyComparison:
     max_gap: float | None
 
 
-def _simulate_realized(A, B, model, K, policy, p_rows, x0, n_steps, P, clamped_steps):
-    n = A.shape[0]
-    m = B.shape[1]
-    states = np.zeros((n_steps + 1, n))
-    inputs = np.zeros((n_steps + 1, m))
-    errors = np.zeros((n_steps + 1, n))
-    monitored = np.zeros(n_steps + 1)
-    thresholds = np.zeros(n_steps + 1)
-    fired = np.zeros(n_steps + 1, dtype=bool)
-    values = np.zeros(n_steps + 1)
+def _validated_run(A, B, K, P, x0, n_steps):
+    """Coerce and shape-check the closed-loop inputs of one run."""
+    A = require_square(A, "A")
+    B = as_matrix(B, "B")
+    K = as_matrix(K, "K")
+    P = symmetrize(P, "P")
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    n_steps = int(n_steps)
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    n, m = A.shape[0], B.shape[1]
+    shapes = {"B": (n, m), "K": (m, n), "P": (n, n), "x0": (n,)}
+    for (name, shape), value in zip(shapes.items(), (B, K, P, x0)):
+        if value.shape != shape:
+            raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 contains non-finite entries")
+    return A, B, K, P, x0, n_steps
 
-    is_event = policy.kind == POLICY_EVENT
-    x = np.asarray(x0, dtype=float).copy()
-    held = None
-    u = np.zeros(m)
-    transmissions = 0
-    diverged = False
-    last = n_steps
 
+def _realized_plant(A, model, trajectory, n_steps):
+    """The parameter rows of one run and the plant matrices A + dA(p_k) along it."""
+    _require_state_dim(model, A)
+    p_rows, clamped = trajectory.realize(n_steps, model)
+    return A + model.matrix_at(p_rows[:n_steps]), p_rows, clamped
+
+
+def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
+    """Step x(k+1) = plant[k] x(k) + B u(k) through a realized plant stack.
+
+    The loop carries only the state, the held state and the input, and
+    records states, inputs and decisions; the other columns are derived
+    from those once it ends.
+    """
+    n_steps = plant.shape[0]
+    if policy.kind == POLICY_PERIODIC:
+        transmits = lambda x, held: True  # noqa: E731
+    else:
+        transmits = functools.partial(should_trigger, mu=policy.mu)
+    states = np.zeros((n_steps + 1, x0.size))
+    inputs = np.zeros((n_steps + 1, B.shape[1]))
+    triggered = np.zeros(n_steps + 1, dtype=bool)
+    states[0] = x0
+    held = u = None
+    last, diverged = n_steps, False
     for k in range(n_steps):
-        if held is None:
-            monitored[k] = 0.0
-            fire = True
-        else:
-            e_pre = held - x
-            monitored[k] = float(e_pre @ e_pre)
-            fire = True if not is_event else should_trigger(x, held, policy.mu)
-        thresholds[k] = policy.mu * float(x @ x) if is_event else 0.0
-        if fire:
-            held = x.copy()
+        x = states[k]
+        if k == 0 or transmits(x, held):
+            held = x
             u = K @ held
-            transmissions += 1
-        states[k] = x
+            triggered[k] = True
         inputs[k] = u
-        errors[k] = held - x
-        fired[k] = fire
-        values[k] = float(x @ P @ x)
-        x = (A + model.matrix_at(p_rows[k])) @ x + B @ u
-        if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > DIVERGENCE_NORM:
-            diverged = True
-            last = k + 1
+        states[k + 1] = plant[k] @ x + B @ u
+        # A non-finite state fails this comparison too.
+        if not float(np.linalg.norm(states[k + 1])) <= DIVERGENCE_NORM:
+            last, diverged = k + 1, True
             break
-
-    states[last] = x
     inputs[last] = u
-    errors[last] = held - x
-    e_sq = float(errors[last] @ errors[last])
-    monitored[last] = e_sq
-    thresholds[last] = policy.mu * float(x @ x) if is_event else 0.0
-    fired[last] = False
-    values[last] = float(x @ P @ x)
-    end = last + 1
 
+    end = last + 1
+    states, inputs, triggered = states[:end], inputs[:end], triggered[:end]
+    # The row whose state the controller holds after the decision at k, and
+    # the one it held while deciding (row 0 compares the state with itself).
+    held_after = np.maximum.accumulate(np.where(triggered, np.arange(end), 0))
+    held_before = np.concatenate(([0], held_after[:-1]))
+    if policy.kind == POLICY_PERIODIC:
+        thresholds = np.zeros(end)
+    else:
+        thresholds = np.array([policy.mu * float(x @ x) for x in states])
     return SimTrace(
-        states=states[:end],
-        inputs=inputs[:end],
-        errors=errors[:end],
-        monitored_sq=monitored[:end],
-        thresholds=thresholds[:end],
-        triggered=fired[:end],
+        states=states,
+        inputs=inputs,
+        errors=states[held_after] - states,
+        monitored_sq=np.array([float(e @ e) for e in states[held_before] - states]),
+        thresholds=thresholds,
+        triggered=triggered,
         p=p_rows[:end].copy(),
-        V=values[:end],
-        transmissions=transmissions,
+        V=np.array([float(x @ P @ x) for x in states]),
         diverged=diverged,
         clamped_steps=clamped_steps,
         policy=policy,
@@ -310,20 +332,9 @@ def simulate(
     divergence limit, in which case the run stops early with the diverged
     flag set. P supplies the Lyapunov value column V = x' P x.
     """
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
-    K = as_matrix(K, "K")
-    P = symmetrize(P, "P")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if x0.shape != (A.shape[0],):
-        raise ValueError(f"x0 has shape {x0.shape}, expected ({A.shape[0]},)")
-    if K.shape != (B.shape[1], A.shape[0]):
-        raise ValueError(f"K has shape {K.shape}, expected {(B.shape[1], A.shape[0])}")
-    p_rows, clamped = trajectory.realize(n_steps, model)
-    return _simulate_realized(A, B, model, K, policy, p_rows, x0, n_steps, P, clamped)
+    A, B, K, P, x0, n_steps = _validated_run(A, B, K, P, x0, n_steps)
+    plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
+    return _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped)
 
 
 def compare_policies(
@@ -339,38 +350,18 @@ def compare_policies(
 ) -> PolicyComparison:
     """Run periodic and event policies against one shared plant realization.
 
-    The parameter path is realized once and reused, so the two traces
-    differ only through the transmission policy. savings_ratio is
-    1 - event transmissions / periodic transmissions.
+    The parameter path and the plant matrices along it are realized once
+    and reused, so the two traces differ only through the transmission
+    policy. savings_ratio is 1 - event transmissions / periodic
+    transmissions.
     """
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
-    K = as_matrix(K, "K")
-    P = symmetrize(P, "P")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    p_rows, clamped = trajectory.realize(n_steps, model)
-    periodic = _simulate_realized(
-        A, B, model, K, TriggerPolicy.periodic(), p_rows, x0, n_steps, P, clamped
-    )
-    event = _simulate_realized(
-        A, B, model, K, TriggerPolicy.event(mu), p_rows, x0, n_steps, P, clamped
+    A, B, K, P, x0, n_steps = _validated_run(A, B, K, P, x0, n_steps)
+    policies = (TriggerPolicy.periodic(), TriggerPolicy.event(mu))
+    plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
+    periodic, event = (
+        _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped) for policy in policies
     )
     savings = 1.0 - event.transmissions / periodic.transmissions
     gaps = event.inter_event_gaps
-    if gaps.size:
-        min_gap = float(gaps.min())
-        mean_gap = float(gaps.mean())
-        max_gap = float(gaps.max())
-    else:
-        min_gap = mean_gap = max_gap = None
-    return PolicyComparison(
-        periodic=periodic,
-        event=event,
-        savings_ratio=float(savings),
-        min_gap=min_gap,
-        mean_gap=mean_gap,
-        max_gap=max_gap,
-    )
+    stats = (float(gaps.min()), float(gaps.mean()), float(gaps.max())) if gaps.size else (None,) * 3
+    return PolicyComparison(periodic, event, float(savings), *stats)

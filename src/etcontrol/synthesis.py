@@ -96,6 +96,9 @@ class SynthesisParams:
             raise ValueError("R1 must be positive definite")
         if not is_positive_definite(self.R2):
             raise ValueError("R2 must be positive definite")
+        for name in ("alpha", "beta", "epsilon"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha < 0.0:
             raise ValueError("alpha must be nonnegative")
         if self.beta < 0.0:
@@ -153,22 +156,21 @@ class UncertaintyModel:
         return self.F.shape[0]
 
     def matrix_at(self, p) -> np.ndarray:
-        """The perturbation dA at parameter p (no box check here)."""
+        """The perturbation dA at parameter p (no box check here).
+
+        p is one row of shape (d,), giving an (n, n) matrix, or a stack of
+        rows of shape (k, d), giving a (k, n, n) stack. The sum is taken
+        elementwise in basis order, so each slice of a stack equals the
+        single-row result bit for bit.
+        """
         p = np.atleast_1d(np.asarray(p, dtype=float))
-        if p.shape != (self.dimension,):
-            raise ValueError(f"p has shape {p.shape}, expected ({self.dimension},)")
-        out = np.zeros((self.state_dim, self.state_dim))
-        for coeff, e in zip(p, self.basis):
-            out += coeff * e
+        d = self.dimension
+        if p.ndim > 2 or p.shape[-1] != d:
+            raise ValueError(f"p has shape {p.shape}, expected ({d},) or (k, {d})")
+        out = np.zeros(p.shape[:-1] + (self.state_dim, self.state_dim))
+        for i, e in enumerate(self.basis):
+            out += p[..., i, None, None] * e
         return out
-
-    def contains(self, p) -> bool:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return bool(np.all(p >= self.p_lo) and np.all(p <= self.p_hi))
-
-    def clip(self, p) -> np.ndarray:
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        return np.clip(p, self.p_lo, self.p_hi)
 
     def vertices(self):
         """Iterate over the corners of the parameter box (one when d = 0)."""
@@ -271,8 +273,8 @@ def _riccati_iteration(A, B, params, F):
     (Anderson, 1978; Chu, Fan and Lin, 2005). G_k and H_k stay positive
     semidefinite, so I + G_k H_k is always invertible. The loop stops once a
     step changes H by at most RICCATI_STEP_TOL relative to max(1, max|H|).
-    Returns the solution together with the doubling-step count, the residual
-    of the original equation, and W.
+    Returns the solution together with the doubling-step count and the
+    residual of the original equation.
     """
     n = A.shape[0]
     W = _input_weight(B, params)
@@ -301,7 +303,7 @@ def _riccati_iteration(A, B, params, F):
         if step <= RICCATI_STEP_TOL:
             X = np.linalg.solve(eye + H @ W, H)
             residual = float(np.max(np.abs(A.T @ X @ A + Qbar - H)))
-            return H, iteration, residual, W
+            return H, iteration, residual
     raise RiccatiConvergenceError(
         f"no convergence within {RICCATI_MAX_ITER} doubling steps ({context})",
         iterations=RICCATI_MAX_ITER,
@@ -319,7 +321,7 @@ def _validated_riccati(A, B, params, F):
         raise ValueError(f"F has shape {F.shape}, expected {A.shape}")
     if not is_positive_semidefinite(F):
         raise ValueError("F must be positive semidefinite")
-    P, iterations, residual, W = _riccati_iteration(A, B, params, F)
+    P, iterations, residual = _riccati_iteration(A, B, params, F)
     if residual > RICCATI_RESIDUAL_TOL:
         raise RiccatiConvergenceError(
             f"converged point has residual {residual:.3e} above tolerance "
@@ -328,7 +330,7 @@ def _validated_riccati(A, B, params, F):
         )
     if not is_positive_definite(P):
         raise NumericalError("Riccati solution is not positive definite")
-    return P, iterations, residual, W
+    return P, iterations, residual
 
 
 def solve_modified_dare(A, B, params: SynthesisParams, F) -> np.ndarray:
@@ -342,7 +344,7 @@ def solve_modified_dare(A, B, params: SynthesisParams, F) -> np.ndarray:
     doubling diverges, does not settle within RICCATI_MAX_ITER steps, or lands
     on a point whose residual exceeds RICCATI_RESIDUAL_TOL.
     """
-    P, _, _, _ = _validated_riccati(A, B, params, F)
+    P, _, _ = _validated_riccati(A, B, params, F)
     return P
 
 
@@ -666,7 +668,7 @@ def synthesize(A, B, model: UncertaintyModel, params: SynthesisParams) -> Synthe
     A = require_square(A, "A")
     B = as_matrix(B, "B")
     _require_state_dim(model, A)
-    P, iterations, residual, _ = _validated_riccati(A, B, params, model.F)
+    P, iterations, residual = _validated_riccati(A, B, params, model.F)
     K = feedback_gain(A, B, P, params)
     L = virtual_gain(A, B, P, params)
     Z = error_weight(P, params.epsilon, require_window=False)
@@ -761,7 +763,7 @@ def synthesize_matched(
     as_matched_model(B, model)
     params0 = dataclasses.replace(params, alpha=0.0)
     n = A.shape[0]
-    P, iterations, residual, _ = _validated_riccati(A, B, params0, model.F)
+    P, iterations, residual = _validated_riccati(A, B, params0, model.F)
     K = feedback_gain(A, B, P, params0)
     L = np.zeros((n, n))
     Z = error_weight(P, params0.epsilon, require_window=False)
@@ -811,7 +813,7 @@ def sweep_epsilon(A, B, model: UncertaintyModel, params: SynthesisParams, epsilo
     """
     A = require_square(A, "A")
     B = as_matrix(B, "B")
-    P, _, _, _ = _validated_riccati(A, B, params, model.F)
+    P, _, _ = _validated_riccati(A, B, params, model.F)
     K = feedback_gain(A, B, P, params)
     L = virtual_gain(A, B, P, params)
     results = []

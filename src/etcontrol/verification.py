@@ -198,14 +198,16 @@ def check_dissipation(
     witness = {}
     skipped = 0
     audited = 0
-    f_tol = CHECK_TOL * max(1.0, spectral_norm(F)) if F is not None else 0.0
+    gated = np.zeros(trace.n_steps, dtype=bool)
+    if model is not None and F is not None:
+        dA = model.matrix_at(trace.p[: trace.n_steps])
+        slack = np.linalg.eigvalsh(F - np.swapaxes(dA, 1, 2) @ Z @ dA)[:, 0]
+        gated = slack < -CHECK_TOL * max(1.0, spectral_norm(F))
 
     for k in range(trace.n_steps):
-        if model is not None and F is not None:
-            dA = model.matrix_at(trace.p[k])
-            if float(np.linalg.eigvalsh(F - dA.T @ Z @ dA)[0]) < -f_tol:
-                skipped += 1
-                continue
+        if gated[k]:
+            skipped += 1
+            continue
         audited += 1
         x = trace.states[k]
         e = trace.errors[k]

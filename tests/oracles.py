@@ -5,7 +5,8 @@ solution comes from the quadratic formula, the matrix one from the stable
 eigenvectors of the symplectic matrix, the LQR oracle from plain value
 iteration on the textbook recursion, and the residual and trigger
 coefficient evaluators use explicit matrix inverses instead of the
-solver's factored updates.
+solver's factored updates, and the closed-loop trace comes from a plain
+per-step loop that forms the plant matrix afresh at every step.
 """
 
 import numpy as np
@@ -165,3 +166,54 @@ def dare_symplectic(A, G, H):
     stable = vectors[:, np.argsort(np.abs(values))[:n]]
     X = np.real(stable[n:] @ np.linalg.inv(stable[:n]))
     return 0.5 * (X + X.T)
+
+
+def simulate_stepwise(A, B, basis, K, mu, p_rows, x0, P, divergence_norm: float = 1e12):
+    """A closed-loop trace by a plain per-step loop, after the README's "Trace format".
+
+    mu is None for the periodic policy. p_rows holds n_steps + 1 parameter
+    rows. Row k records the state x(k), the input applied from k to k + 1,
+    the holding error after the decision, the squared holding error the
+    rule examined before it (0 at step 0, which always transmits), the
+    threshold mu ||x(k)||^2 (0 when periodic), the decision, the parameters
+    and V = x' P x. The event rule transmits when ||held - x||^2 >=
+    mu ||x||^2, except at rest at the origin. The last row is the terminal
+    state with the held input and no decision; a state whose norm exceeds
+    divergence_norm, or is not finite, ends the run there. The plant matrix
+    is formed afresh at every step as A + sum_i p_i E_i. Returns the
+    columns by SimTrace field name and the diverged flag.
+    """
+    A, B, K, P = (np.asarray(v, dtype=float) for v in (A, B, K, P))
+    p_rows = np.asarray(p_rows, dtype=float)
+    n_steps = p_rows.shape[0] - 1
+    names = ("states", "inputs", "errors", "monitored_sq", "thresholds", "triggered", "p", "V")
+    columns = {name: [] for name in names}
+    x = np.asarray(x0, dtype=float)
+    held = u = None
+    diverged = False
+    for k in range(n_steps + 1):
+        terminal = k == n_steps or diverged
+        e_before = np.zeros_like(x) if held is None else held - x
+        monitored = float(e_before @ e_before)
+        x_sq = float(x @ x)
+        if terminal:
+            fire = False
+        elif held is None or mu is None:
+            fire = True
+        else:
+            fire = monitored >= mu * x_sq and not (monitored == 0.0 and x_sq == 0.0)
+        if fire:
+            held = x.copy()
+            u = K @ held
+        threshold = 0.0 if mu is None else mu * x_sq
+        row = (x, u, held - x, monitored, threshold, fire, p_rows[k], float(x @ P @ x))
+        for name, value in zip(names, row):
+            columns[name].append(value)
+        if terminal:
+            break
+        dA = np.zeros_like(A)
+        for coeff, E in zip(p_rows[k], basis):
+            dA += coeff * np.asarray(E, dtype=float)
+        x = (A + dA) @ x + B @ u
+        diverged = not (np.all(np.isfinite(x)) and np.linalg.norm(x) <= divergence_norm)
+    return {name: np.array(values) for name, values in columns.items()}, diverged

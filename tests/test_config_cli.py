@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,34 @@ def test_negative_mu_rejected():
     data = _reference_dict()
     data["simulation"]["mu"] = -0.1
     with pytest.raises(ConfigError, match=r"simulation\.mu"):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), 10**400], ids=["NaN", "Infinity", "huge-integer"]
+)
+@pytest.mark.parametrize("path", ["design.alpha", "design.beta", "design.epsilon", "simulation.mu"])
+def test_non_finite_scalar_rejected(tmp_path, capsys, path, value):
+    """JSON's NaN and Infinity literals are refused by every subcommand."""
+    with open(DEMO_CONFIG, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    section, key = path.split(".")
+    data[section][key] = value
+    with pytest.raises(ConfigError, match=rf"{re.escape(path)}: must be finite"):
+        config_from_dict(data)
+    config_path = tmp_path / "non_finite.json"
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("synth", "simulate", "compare", "verify"):
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path / command)]) == 2
+        assert f"{path}: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["uncertainty.p_lo", "uncertainty.F"])
+def test_huge_integer_in_array_rejected(path):
+    data = _reference_dict()
+    section, key = path.split(".")
+    data[section][key] = [[10**400] * 2] * 2 if key == "F" else [10**400]
+    with pytest.raises(ConfigError, match=re.escape(path)):
         config_from_dict(data)
 
 

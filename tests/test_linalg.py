@@ -16,7 +16,6 @@ from etcontrol.linalg import (
     inverse,
     is_positive_definite,
     is_positive_semidefinite,
-    ordering_margin,
     pseudo_inverse,
     require_square,
     spectral_norm,
@@ -144,11 +143,6 @@ def test_pseudo_inverse_rank_deficient_raises():
 def test_spectral_norm_examples():
     assert spectral_norm(np.zeros((2, 2))) == 0.0
     assert np.isclose(spectral_norm(np.diag([3.0, -4.0])), 4.0)
-
-
-def test_ordering_margin():
-    assert np.isclose(ordering_margin(np.eye(2), 3.0 * np.eye(2)), 2.0)
-    assert ordering_margin(2.0 * np.eye(2), np.eye(2)) < 0.0
 
 
 def test_import_does_not_load_scipy():

@@ -10,11 +10,13 @@ from etcontrol import (
     SynthesisParams,
     TriggerPolicy,
     UncertaintyModel,
+    check_dissipation,
     compare_policies,
     should_trigger,
     simulate,
     synthesize,
 )
+from oracles import simulate_stepwise
 
 
 @pytest.fixture
@@ -41,10 +43,37 @@ def test_policy_validation():
         TriggerPolicy.event(0.0)
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+def test_policy_rejects_non_finite_mu(mu):
+    with pytest.raises(ValueError, match="finite"):
+        TriggerPolicy.event(mu)
+
+
 def test_matrix_at(reference_system):
     _, _, model, _ = reference_system
     assert np.allclose(model.matrix_at([0.8]), [[0.8, 0.8], [0.0, 0.0]])
     assert np.allclose(model.matrix_at([0.0]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_matrix_at_stack_matches_rows(d):
+    """A (k, d) stack gives the single-row matrices bit for bit."""
+    rng = np.random.default_rng(d)
+    model = UncertaintyModel(
+        basis=tuple(rng.normal(size=(3, 3)) for _ in range(d)),
+        p_lo=-np.ones(d),
+        p_hi=np.ones(d),
+        F=np.eye(3),
+    )
+    rows = rng.uniform(-1.0, 1.0, size=(7, d))
+    stack = model.matrix_at(rows)
+    assert stack.shape == (7, 3, 3)
+    for row, dA in zip(rows, stack):
+        assert np.array_equal(dA, model.matrix_at(row))
+    assert model.matrix_at(rows[:0]).shape == (0, 3, 3)
+    for bad in (np.zeros((7, d + 1)), np.zeros((2, 7, d))):
+        with pytest.raises(ValueError, match="p has shape"):
+            model.matrix_at(bad)
 
 
 def test_constant_trajectory(reference_system):
@@ -279,6 +308,27 @@ def test_simulate_validates_shapes(reference_gain):
             ParamTrajectory.constant([0.5]),
             [1.0, -1.0], 0, out.P,
         )
+    with pytest.raises(ValueError, match="K has shape"):
+        simulate(
+            A, B, model, np.zeros((1, 3)),
+            TriggerPolicy.periodic(),
+            ParamTrajectory.constant([0.5]),
+            [1.0, -1.0], 5, out.P,
+        )
+
+
+def test_compare_policies_validates_shapes(reference_gain):
+    A, B, model, out = reference_gain
+
+    def run(K=out.K, x0=(1.0, -1.0), n_steps=5):
+        compare_policies(A, B, model, K, 0.29, ParamTrajectory.constant([0.5]), x0, n_steps, out.P)
+
+    with pytest.raises(ValueError, match="x0"):
+        run(x0=[1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="K has shape"):
+        run(K=np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="n_steps"):
+        run(n_steps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +371,96 @@ def test_tiny_threshold_recovers_periodic(reference_gain):
     assert np.array_equal(comparison.event.states, comparison.periodic.states)
     assert np.array_equal(comparison.event.inputs, comparison.periodic.inputs)
     assert np.array_equal(comparison.event.triggered, comparison.periodic.triggered)
+
+
+# ---------------------------------------------------------------------------
+# the step loop against the per-step oracle
+
+SECOND_AXIS = np.array([[0.05, 0.1], [-0.1, 0.0]])
+
+
+def _assert_matches_oracle(trace, A, B, model, K, mu, rows, x0, P):
+    """Every SimTrace column equals the stepwise oracle's bit for bit."""
+    expected, diverged = simulate_stepwise(A, B, model.basis, K, mu, rows, x0, P)
+    for name, column in expected.items():
+        assert np.array_equal(getattr(trace, name), column), name
+    assert trace.diverged == diverged
+    assert trace.transmissions == int(expected["triggered"].sum())
+
+
+def _traces_against_oracle(A, B, model, K, mu, trajectory, x0, n_steps, P):
+    """simulate and compare_policies under both policies, each checked by the oracle."""
+    rows, _ = trajectory.realize(n_steps, model)
+    comparison = compare_policies(A, B, model, K, mu, trajectory, x0, n_steps, P)
+    for policy, pair_trace in ((None, comparison.periodic), (mu, comparison.event)):
+        single = TriggerPolicy.periodic() if policy is None else TriggerPolicy.event(policy)
+        trace = simulate(A, B, model, K, single, trajectory, x0, n_steps, P)
+        _assert_matches_oracle(trace, A, B, model, K, policy, rows, x0, P)
+        _assert_matches_oracle(pair_trace, A, B, model, K, policy, rows, x0, P)
+    return comparison
+
+
+@pytest.mark.parametrize("kind", ["constant", "ramp", "sequence", "random"])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_trace_matches_stepwise_oracle(holding_system, d, kind):
+    """mu = 30 makes the event loop hold its input on every path here."""
+    A, B, model, params = holding_system
+    out = synthesize(A, B, model, params)
+    model = UncertaintyModel(
+        basis=(model.basis[0], SECOND_AXIS)[:d], p_lo=-np.ones(d), p_hi=np.ones(d), F=model.F
+    )
+    n_steps = 25
+    trajectory = {
+        "constant": ParamTrajectory.constant(np.full(d, 0.7)),
+        "ramp": ParamTrajectory.ramp(-np.ones(d), np.ones(d)),
+        "sequence": ParamTrajectory.sequence(
+            np.random.default_rng(2026).uniform(-1.0, 1.0, size=(n_steps + 1, d))
+        ),
+        "random": ParamTrajectory.random(5),
+    }[kind]
+    comparison = _traces_against_oracle(
+        A, B, model, out.K, 30.0, trajectory, [1.0, -1.0], n_steps, out.P
+    )
+    assert comparison.event.transmissions < n_steps
+
+
+@pytest.mark.parametrize("x0", [[1.0, 1.0], [0.0, 0.0]], ids=["diverging", "at-rest"])
+def test_diverging_and_resting_runs_match_stepwise_oracle(x0):
+    model = UncertaintyModel(basis=(0.1 * np.eye(2),), p_lo=[-1.0], p_hi=[1.0], F=0.01 * np.eye(2))
+    comparison = _traces_against_oracle(
+        2.0 * np.eye(2), [[0.0], [1.0]], model, np.array([[0.0, -0.5]]), 0.3,
+        ParamTrajectory.random(3), x0, 60, np.eye(2),
+    )
+    assert comparison.periodic.diverged == comparison.event.diverged == any(x0)
+
+
+def test_tiny_threshold_matches_stepwise_oracle(reference_gain):
+    A, B, model, out = reference_gain
+    comparison = _traces_against_oracle(
+        A, B, model, out.K, 1e-9, ParamTrajectory.constant([0.8]), [1.0, -1.0], 20, out.P
+    )
+    assert comparison.event.transmissions == 20
+
+
+def test_plant_realized_once_per_run(holding_system, monkeypatch):
+    """compare_policies and the dissipation audit each build dA(p_k) in one call."""
+    A, B, model, params = holding_system
+    out = synthesize(A, B, model, params)
+    shapes = []
+    matrix_at = UncertaintyModel.matrix_at
+
+    def counting(self, p):
+        shapes.append(np.shape(p))
+        return matrix_at(self, p)
+
+    monkeypatch.setattr(UncertaintyModel, "matrix_at", counting)
+    trajectory = ParamTrajectory.random(1)
+    comparison = compare_policies(A, B, model, out.K, out.mu, trajectory, [1.0, -1.0], 20, out.P)
+    assert shapes == [(20, 1)]
+    audit = check_dissipation(
+        comparison.event, out.P, out.Q1, out.K, B, out.Z, params.sigma, model=model, F=model.F
+    )
+    assert audit.holds
+    assert shapes == [(20, 1)] * 2
+    simulate(A, B, model, out.K, TriggerPolicy.periodic(), trajectory, [1.0, -1.0], 20, out.P)
+    assert shapes == [(20, 1)] * 3

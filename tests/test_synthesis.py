@@ -92,6 +92,14 @@ def _nominal_params(Q, R1, R2):
     )
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["alpha", "beta", "epsilon"])
+def test_params_reject_non_finite_scalars(name, value):
+    scalars = {"alpha": 0.0, "beta": 0.0, "epsilon": 1.0, "sigma": 0.5, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SynthesisParams(Q=[[1.0]], R1=[[1.0]], R2=[[1.0]], **scalars)
+
+
 def test_golden_ratio_scalar():
     """Scalar unit instance: the solution is the golden ratio."""
     params = _nominal_params([[1.0]], [[1.0]], [[1.0]])
@@ -178,7 +186,7 @@ def test_slowly_converging_plants_match_symplectic_oracle(A, R1):
     Q = 1e-4 * np.eye(2)
     F = np.zeros((2, 2))
     params = _nominal_params(Q, [[R1]], np.eye(2))
-    P, iterations, _, _ = _validated_riccati(A, B, params, F)
+    P, iterations, _ = _validated_riccati(A, B, params, F)
     assert iterations <= 30
     scale = max(1.0, float(np.max(np.abs(P))))
     residual = oracles.riccati_residual_explicit(A, B, P, Q, [[R1]], np.eye(2), 0.0, 0.0, F)

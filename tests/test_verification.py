@@ -168,6 +168,23 @@ def test_dissipation_gate_skips_unsupported_steps(demo_system):
     assert "no eligible steps" in result.note
 
 
+def test_dissipation_gate_skips_exactly_the_violating_steps(demo_system):
+    """F is set so that the weighted bound F - dA' Z dA >= 0 holds only for |p| <= 0.15."""
+    rows = np.where(np.arange(31) < 10, 0.3, 0.1)[:, None]
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.sequence(rows))
+    E = model.basis[0]
+    F = 0.15**2 * np.linalg.eigvalsh(E.T @ out.Z @ E)[-1] * np.eye(2)
+    tol = 1e-8 * max(1.0, np.linalg.norm(F, 2))
+    expected = sum(
+        np.linalg.eigvalsh(F - (p * E).T @ out.Z @ (p * E))[0] < -tol for (p,) in trace.p[:-1]
+    )
+    assert expected == 10
+    result = check_dissipation(
+        trace, out.P, out.Q1, out.K, B, out.Z, params.sigma, model=model, F=F
+    )
+    assert f"{trace.n_steps - expected} steps audited, {expected} skipped" in result.note
+
+
 def test_dissipation_without_gate(demo_system):
     A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.constant([0.0]))
     result = check_dissipation(trace, out.P, out.Q1, out.K, B, out.Z, params.sigma)
