@@ -4,6 +4,12 @@ All routines operate on plain float64 numpy arrays and validate their
 inputs: shapes, finiteness, and (where required) symmetry. They are thin
 wrappers over LAPACK via numpy, with the tolerance conventions
 of the rest of the package baked in so callers do not re-derive them.
+
+The ``*_stack`` forms hold the tests, tolerances and messages, and apply
+them to each matrix of a (k, n, n) stack in one LAPACK call per routine.
+The single-matrix forms validate their 2-D input and run the stack form
+on a stack of one. numpy runs each routine slice by slice, so every slice
+of a stacked result equals the single-matrix result bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     m = np.asarray(values, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -42,11 +48,7 @@ def symmetrize(values, name: str = "matrix", tol: float = SYMMETRY_TOL) -> np.nd
     default tolerance is loose enough for accumulated round-off from a few
     chained products but tight enough to flag transposition mistakes.
     """
-    m = require_square(values, name)
-    defect = float(np.max(np.abs(m - m.T)))
-    if defect > tol * max(1.0, float(np.max(np.abs(m)))):
-        raise ValueError(f"{name} is not symmetric (defect {defect:.3e})")
-    return 0.5 * (m + m.T)
+    return symmetrize_stack(require_square(values, name)[None], name, tol)[0]
 
 
 def sym_eigvals(values, name: str = "matrix") -> np.ndarray:
@@ -56,8 +58,7 @@ def sym_eigvals(values, name: str = "matrix") -> np.ndarray:
 
 def is_positive_definite(values, tol: float = DEFINITENESS_TOL) -> bool:
     """True when every eigenvalue exceeds tol (scaled by the matrix magnitude)."""
-    m = symmetrize(values)
-    return bool(sym_eigvals(m)[0] > tol * max(1.0, float(np.max(np.abs(m)))))
+    return bool(positive_definite_stack(require_square(values)[None], tol)[0])
 
 
 def is_positive_semidefinite(values, tol: float = DEFINITENESS_TOL) -> bool:
@@ -72,16 +73,7 @@ def inverse(values, name: str = "matrix") -> np.ndarray:
     Raises SingularMatrixError when the reciprocal condition number falls
     below RCOND_LIMIT, instead of silently returning garbage.
     """
-    m = require_square(values, name)
-    s = np.linalg.svd(m, compute_uv=False)
-    smax = float(s[0])
-    smin = float(s[-1])
-    if smax == 0.0 or smin / smax < RCOND_LIMIT:
-        rcond = smin / smax if smax > 0.0 else 0.0
-        raise SingularMatrixError(
-            f"{name} is singular to working precision (rcond {rcond:.2e})"
-        )
-    return np.linalg.solve(m, np.eye(m.shape[0]))
+    return inverse_stack(require_square(values, name)[None], name)[0]
 
 
 def pseudo_inverse(values, name: str = "matrix", rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -103,4 +95,57 @@ def pseudo_inverse(values, name: str = "matrix", rank_tol: float = RANK_TOL) -> 
 
 def spectral_norm(values) -> float:
     """Largest singular value."""
-    return float(np.linalg.norm(as_matrix(values), 2))
+    return float(spectral_norm_stack(as_matrix(values)[None])[0])
+
+
+def as_stack(values, name: str = "matrix") -> np.ndarray:
+    """Coerce to a (k, m, n) float64 stack, rejecting non-finite entries."""
+    m = np.asarray(values, dtype=float)
+    if m.ndim != 3:
+        raise ValueError(f"{name} must be a (k, m, n) stack, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def require_square_stack(values, name: str = "matrix") -> np.ndarray:
+    m = as_stack(values, name)
+    if m.shape[1] != m.shape[2]:
+        raise ValueError(f"{name} must be a stack of square matrices, got shape {m.shape}")
+    return m
+
+
+def symmetrize_stack(values, name: str = "matrix", tol: float = SYMMETRY_TOL) -> np.ndarray:
+    """symmetrize for each matrix of a stack; the message gives the first defect."""
+    m = require_square_stack(values, name)
+    mt = m.transpose(0, 2, 1)
+    defect = abs(m - mt).max(axis=(1, 2))
+    bad = defect > tol * np.maximum(1.0, abs(m).max(axis=(1, 2)))
+    if bad.any():
+        raise ValueError(f"{name} is not symmetric (defect {defect[bad.argmax()]:.3e})")
+    return 0.5 * (m + mt)
+
+
+def positive_definite_stack(values, tol: float = DEFINITENESS_TOL) -> np.ndarray:
+    """is_positive_definite for each matrix of a stack, as a boolean array."""
+    m = symmetrize_stack(values)
+    return np.linalg.eigvalsh(m)[:, 0] > tol * np.maximum(1.0, abs(m).max(axis=(1, 2)))
+
+
+def inverse_stack(values, name: str = "matrix") -> np.ndarray:
+    """inverse for each matrix of a stack; raises for the first ill-conditioned one."""
+    m = require_square_stack(values, name)
+    s = np.linalg.svd(m, compute_uv=False)
+    smax = s[:, 0]
+    rcond = s[:, -1] / np.where(smax > 0.0, smax, np.inf)
+    bad = rcond < RCOND_LIMIT
+    if bad.any():
+        raise SingularMatrixError(
+            f"{name} is singular to working precision (rcond {rcond[bad.argmax()]:.2e})"
+        )
+    return np.linalg.solve(m, np.eye(m.shape[1])[None])
+
+
+def spectral_norm_stack(values) -> np.ndarray:
+    """Largest singular value of each matrix of a stack."""
+    return np.linalg.svd(as_stack(values), compute_uv=False).max(axis=1)

@@ -73,8 +73,9 @@ class ParamTrajectory:
     kind is one of "constant", "ramp", "sequence", or "random". constant
     holds value; ramp interpolates linearly from start to end across the
     horizon; sequence plays back given rows; random draws each step
-    uniformly from the parameter box using the given seed. Values outside
-    the box are clamped with a warning when realized.
+    uniformly from the parameter box using the given seed. Every given
+    value must be finite; values outside the box are clamped with a
+    warning when realized.
     """
 
     kind: str
@@ -87,12 +88,18 @@ class ParamTrajectory:
     def __post_init__(self):
         if self.kind not in (TRAJ_CONSTANT, TRAJ_RAMP, TRAJ_SEQUENCE, TRAJ_RANDOM):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        for name in ("value", "start", "end"):
+        for name, coerce in (
+            ("value", np.atleast_1d),
+            ("start", np.atleast_1d),
+            ("end", np.atleast_1d),
+            ("values", np.atleast_2d),
+        ):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, np.atleast_1d(np.asarray(v, dtype=float)))
-        if self.values is not None:
-            object.__setattr__(self, "values", np.atleast_2d(np.asarray(self.values, dtype=float)))
+                v = coerce(np.asarray(v, dtype=float))
+                if not np.all(np.isfinite(v)):
+                    raise ValueError(f"{name} must be finite")
+                object.__setattr__(self, name, v)
         object.__setattr__(self, "seed", int(self.seed))
         if self.kind == TRAJ_CONSTANT and self.value is None:
             raise ValueError("constant trajectory requires a value")

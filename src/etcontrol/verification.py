@@ -7,22 +7,36 @@ kind: identity checks report the worst absolute residual (small is good),
 bound checks report the smallest slack eigenvalue (nonnegative is good).
 The random campaigns stress the two results that hold unconditionally
 under their stated preconditions.
+
+Each of those two identities has one stacked kernel over (k, n, n)
+stacks, inversion_identity_margins and cross_term_margins, which runs
+every validation on every matrix of the stack. The single checks are the
+kernel on a stack of one, and the campaigns draw their samples one by one,
+exactly as a per-sample loop would, then audit them by dimension with one
+kernel call per dimension. numpy's stacked LAPACK and BLAS calls work
+slice by slice, so every margin equals the per-sample one bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import FeasibilityError
 from .linalg import (
     as_matrix,
+    as_stack,
     inverse,
-    is_positive_definite,
+    inverse_stack,
+    positive_definite_stack,
+    require_square,
     spectral_norm,
+    spectral_norm_stack,
     sym_eigvals,
     symmetrize,
+    symmetrize_stack,
 )
 from .synthesis import (
     COND_EPS_WINDOW,
@@ -50,33 +64,127 @@ class CheckResult:
     note: str = ""
 
 
+def _instance_weights(epsilon, P) -> np.ndarray:
+    """Validate a kernel's (k,) epsilons against the (k, n, n) stack P."""
+    epsilon = np.asarray(epsilon, dtype=float)
+    if epsilon.shape != P.shape[:1]:
+        raise ValueError(f"epsilon must have shape ({P.shape[0]},), got {epsilon.shape}")
+    if np.any(epsilon <= 0.0):
+        raise ValueError("epsilon must be positive")
+    return epsilon
+
+
+def _like_P(values, P, name: str) -> np.ndarray:
+    """Validate a kernel's stack argument against the (k, n, n) stack P."""
+    m = as_stack(values, name)
+    if m.shape != P.shape:
+        raise ValueError(f"{name} must have the shape of P, {P.shape}, got {m.shape}")
+    return m
+
+
+def inversion_identity_margins(P, epsilon):
+    """Audit (P^-1 - eps I)^-1 = P + P ((1/eps) I - P)^-1 P on a stack.
+
+    P is a (k, n, n) stack of symmetric positive definite matrices and
+    epsilon a (k,) array of positive weights; both window matrices of every
+    instance must be invertible (SingularMatrixError otherwise). Returns
+    per-instance arrays (margins, tolerances, holds): the worst entrywise
+    residual between the two sides, CHECK_TOL relative to the magnitude of
+    P, and whether the residual stays within it.
+    """
+    P = symmetrize_stack(P, "P")
+    epsilon = _instance_weights(epsilon, P)
+    if not np.all(positive_definite_stack(P)):
+        raise ValueError("P must be positive definite")
+    eye = np.eye(P.shape[1])
+    lhs = P @ inverse_stack(eye - epsilon[:, None, None] * P, "inner window gap")
+    gap = (1.0 / epsilon)[:, None, None] * eye - P
+    rhs = P + P @ inverse_stack(gap, "design window gap") @ P
+    residual = np.max(np.abs(lhs - rhs), axis=(1, 2))
+    tol = CHECK_TOL * np.maximum(1.0, spectral_norm_stack(P))
+    return residual, tol, residual <= tol
+
+
 def check_inversion_identity(P, epsilon: float) -> CheckResult:
     """Audit (P^-1 - eps I)^-1 = P + P ((1/eps) I - P)^-1 P.
 
     Requires P symmetric positive definite and both window matrices
     invertible; the margin is the worst entrywise residual between the two
     sides, and the check holds when it stays below CHECK_TOL relative to
-    the magnitude of P.
+    the magnitude of P. This is inversion_identity_margins on a stack of one.
     """
-    P = symmetrize(P, "P")
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if not is_positive_definite(P):
-        raise ValueError("P must be positive definite")
-    n = P.shape[0]
-    eye = np.eye(n)
-    lhs = P @ inverse(eye - epsilon * P, "inner window gap")
-    gap = (1.0 / epsilon) * eye - P
-    rhs = P + P @ inverse(gap, "design window gap") @ P
-    residual = float(np.max(np.abs(lhs - rhs)))
-    tol = CHECK_TOL * max(1.0, spectral_norm(P))
+    residual, tol, holds = inversion_identity_margins(
+        require_square(P, "P")[None], [float(epsilon)]
+    )
     return CheckResult(
         name="inversion_identity",
-        holds=residual <= tol,
-        margin=residual,
-        witness={"tolerance": tol},
+        holds=bool(holds[0]),
+        margin=float(residual[0]),
+        witness={"tolerance": float(tol[0])},
         note="margin is the worst entrywise residual",
+    )
+
+
+def cross_term_margins(P, epsilon, A_closed, dA):
+    """Audit the completion-of-squares bound on the cross terms on a stack.
+
+    Inside the design window ((1/eps) I - P positive definite) the mixed
+    terms Ac' P dA + dA' P Ac + dA' P dA are dominated by
+    Ac' P ((1/eps) I - P)^-1 P Ac + (1/eps) dA' dA. P, A_closed and dA are
+    (k, n, n) stacks and epsilon a (k,) array; raises FeasibilityError when
+    the window precondition fails for any instance, since the bound is not
+    claimed there. Returns per-instance arrays (margins, tolerances,
+    holds): the smallest slack eigenvalue, CHECK_TOL relative to the
+    magnitude of the dominating side, and whether the margin stays above
+    minus that tolerance.
+    """
+    P = symmetrize_stack(P, "P")
+    A_closed = _like_P(A_closed, P, "A_closed")
+    dA = _like_P(dA, P, "dA")
+    epsilon = _instance_weights(epsilon, P)
+    gap = (1.0 / epsilon)[:, None, None] * np.eye(P.shape[1]) - P
+    if not np.all(positive_definite_stack(gap)):
+        raise FeasibilityError(
+            "design window violated: (1/epsilon) I - P is not positive definite, "
+            "the cross-term bound is not claimed here",
+            condition=COND_EPS_WINDOW,
+        )
+    A_closed_t = np.swapaxes(A_closed, 1, 2)
+    dA_t = np.swapaxes(dA, 1, 2)
+    cross = A_closed_t @ P @ dA + dA_t @ P @ A_closed + dA_t @ P @ dA
+    dominating = (
+        A_closed_t @ P @ inverse_stack(gap, "design window gap") @ P @ A_closed
+        + (1.0 / epsilon)[:, None, None] * (dA_t @ dA)
+    )
+    difference = dominating - cross
+    slack = 0.5 * (difference + np.swapaxes(difference, 1, 2))
+    margin = np.linalg.eigvalsh(slack)[:, 0]
+    tol = CHECK_TOL * np.maximum(1.0, spectral_norm_stack(dominating))
+    return margin, tol, margin >= -tol
+
+
+def _worst_cross_term(P, epsilon: float, A_closed, dA) -> tuple[int, CheckResult]:
+    """Audit one design against a (k, n, n) stack dA of perturbations.
+
+    Returns the index of the first perturbation with the smallest margin
+    and its CheckResult.
+    """
+    P = require_square(P, "P")
+    A_closed = as_matrix(A_closed, "A_closed")
+    k = len(dA)
+    margin, tol, holds = cross_term_margins(
+        np.broadcast_to(P, (k,) + P.shape),
+        np.full(k, float(epsilon)),
+        np.broadcast_to(A_closed, (k,) + A_closed.shape),
+        dA,
+    )
+    worst = int(np.argmin(margin))
+    return worst, CheckResult(
+        name="cross_term_bound",
+        holds=bool(holds[worst]),
+        margin=float(margin[worst]),
+        witness={"tolerance": float(tol[worst])},
+        note="margin is the smallest slack eigenvalue",
     )
 
 
@@ -87,37 +195,24 @@ def check_cross_term_bound(P, epsilon: float, A_closed, dA) -> CheckResult:
     terms Ac' P dA + dA' P Ac + dA' P dA are dominated by
     Ac' P ((1/eps) I - P)^-1 P Ac + (1/eps) dA' dA. Raises FeasibilityError
     when the window precondition fails; the bound is not claimed there.
-    Margin is the smallest slack eigenvalue.
+    Margin is the smallest slack eigenvalue. This is cross_term_margins on
+    a stack of one.
     """
-    P = symmetrize(P, "P")
-    A_closed = as_matrix(A_closed, "A_closed")
-    dA = as_matrix(dA, "dA")
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    n = P.shape[0]
-    eye = np.eye(n)
-    gap = (1.0 / epsilon) * eye - P
-    if not is_positive_definite(gap):
-        raise FeasibilityError(
-            "design window violated: (1/epsilon) I - P is not positive definite, "
-            "the cross-term bound is not claimed here",
-            condition=COND_EPS_WINDOW,
-        )
-    cross = A_closed.T @ P @ dA + dA.T @ P @ A_closed + dA.T @ P @ dA
-    dominating = (
-        A_closed.T @ P @ inverse(gap, "design window gap") @ P @ A_closed
-        + (1.0 / epsilon) * (dA.T @ dA)
-    )
-    slack = 0.5 * ((dominating - cross) + (dominating - cross).T)
-    margin = float(np.linalg.eigvalsh(slack)[0])
-    tol = CHECK_TOL * max(1.0, spectral_norm(dominating))
-    return CheckResult(
-        name="cross_term_bound",
-        holds=margin >= -tol,
-        margin=margin,
-        witness={"tolerance": tol},
-        note="margin is the smallest slack eigenvalue",
+    return _worst_cross_term(P, epsilon, A_closed, as_matrix(dA, "dA")[None])[1]
+
+
+def check_cross_term_bound_at_vertices(P, epsilon: float, A_closed, model) -> CheckResult:
+    """check_cross_term_bound at every vertex of the model's parameter box.
+
+    One cross_term_margins call audits all 2^d vertices. The result is the
+    first worst vertex's, with that vertex as the witness p.
+    """
+    vertices = np.array(list(model.vertices()))
+    worst, result = _worst_cross_term(P, epsilon, A_closed, model.matrix_at(vertices))
+    return replace(
+        result,
+        witness={**result.witness, "p": [float(v) for v in vertices[worst]]},
+        note=result.note + "; worst over box vertices",
     )
 
 
@@ -264,9 +359,50 @@ def check_dissipation(
     )
 
 
-def _random_spd(rng, n: int) -> np.ndarray:
-    g = rng.normal(size=(n, n))
-    return 0.5 * (g @ g.T + g.T @ g) / n + 0.1 * np.eye(n)
+def _campaign_draws(samples, seed, max_dim, loop_terms: bool):
+    """Draw the campaign samples one by one and stack them by dimension.
+
+    Sample i draws from its own generator, SeedSequence(seed).spawn(samples)[i],
+    in this order: its dimension n in 1..max_dim, a Gaussian factor g of
+    P = (g g' + g' g) / (2 n) + 0.1 I, the place of epsilon inside the
+    design window and, with loop_terms, a closed-loop matrix and a scaled
+    perturbation. Only the draws are made per sample; the arithmetic on
+    them runs on each dimension's stack. Returns the dimension of every
+    sample and, per dimension in increasing order, the sample indices, the
+    stacks of P and epsilon and, with loop_terms, of the two loop matrices.
+    """
+    try:
+        samples = operator.index(samples)
+        max_dim = operator.index(max_dim)
+    except TypeError:
+        raise ValueError(
+            f"samples and max_dim must be integers, got {samples!r} and {max_dim!r}"
+        ) from None
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be at least 1, got {max_dim}")
+    by_dim = {}
+    for index, ss in enumerate(np.random.SeedSequence(seed).spawn(samples)):
+        rng = np.random.default_rng(ss)
+        n = int(rng.integers(1, max_dim + 1))
+        draw = [index, rng.normal(size=(n, n)), rng.uniform(0.1, 3.0)]
+        if loop_terms:
+            draw += [rng.normal(size=(n, n)), rng.uniform(0.0, 1.0), rng.normal(size=(n, n))]
+        by_dim.setdefault(n, []).append(draw)
+    dims = np.zeros(samples, dtype=int)
+    groups = []
+    for n, draws in sorted(by_dim.items()):
+        index, g, place, *loop = (np.array(column) for column in zip(*draws))
+        dims[index] = n
+        g_t = np.swapaxes(g, 1, 2)
+        P = 0.5 * (g @ g_t + g_t @ g) / n + 0.1 * np.eye(n)
+        epsilon = 1.0 / (np.linalg.eigvalsh(P)[:, -1] * (1.0 + place))
+        if loop_terms:
+            closed, scale, direction = loop
+            loop = [closed / np.sqrt(n), scale[:, None, None] * direction / np.sqrt(n)]
+        groups.append((index, P, epsilon, *loop))
+    return dims, groups
 
 
 def identity_campaign(samples: int = 1000, seed: int = 0, max_dim: int = 5) -> CheckResult:
@@ -274,31 +410,31 @@ def identity_campaign(samples: int = 1000, seed: int = 0, max_dim: int = 5) -> C
 
     Draws symmetric positive definite P of dimension 1 to max_dim with an
     epsilon placed strictly inside the design window, using per-sample seeds
-    derived from the root seed. Margin is the worst scaled residual seen.
+    derived from the root seed. The samples are audited by dimension, one
+    inversion_identity_margins call per dimension over the same per-sample
+    draws. Margin is the worst scaled residual seen; the witness is its
+    first sample.
     """
-    seeds = np.random.SeedSequence(seed).spawn(samples)
-    failures = 0
+    dims, groups = _campaign_draws(samples, seed, max_dim, loop_terms=False)
+    scaled = np.zeros(dims.size)
+    holds = np.ones(dims.size, dtype=bool)
+    for index, P, epsilon in groups:
+        residual, _, holds_here = inversion_identity_margins(P, epsilon)
+        scaled[index] = residual / np.maximum(1.0, spectral_norm_stack(P))
+        holds[index] = holds_here
     worst = 0.0
     witness = {}
-    for index, ss in enumerate(seeds):
-        rng = np.random.default_rng(ss)
-        n = int(rng.integers(1, max_dim + 1))
-        P = _random_spd(rng, n)
-        lam_max = float(np.linalg.eigvalsh(P)[-1])
-        epsilon = 1.0 / (lam_max * (1.0 + rng.uniform(0.1, 3.0)))
-        result = check_inversion_identity(P, epsilon)
-        scaled = result.margin / max(1.0, spectral_norm(P))
-        if scaled > worst:
-            worst = scaled
-            witness = {"sample": index, "dimension": n}
-        if not result.holds:
-            failures += 1
+    if dims.size and scaled.max() > worst:
+        index = int(np.argmax(scaled))
+        worst = float(scaled[index])
+        witness = {"sample": index, "dimension": int(dims[index])}
+    failures = int(np.count_nonzero(~holds))
     return CheckResult(
         name="inversion_identity_campaign",
         holds=failures == 0,
         margin=worst,
         witness=witness,
-        note=f"{samples} samples, {failures} failures; margin is the worst scaled residual",
+        note=f"{dims.size} samples, {failures} failures; margin is the worst scaled residual",
     )
 
 
@@ -306,33 +442,30 @@ def cross_term_campaign(samples: int = 1000, seed: int = 0, max_dim: int = 5) ->
     """Random-instance campaign for the completion-of-squares bound.
 
     Each sample draws P, a closed-loop matrix, and a perturbation, with
-    epsilon inside the design window. Margin is the worst slack eigenvalue
-    scaled by the magnitude of the dominating side; it must not fall below
-    -CHECK_TOL for the campaign to hold.
+    epsilon inside the design window. The samples are audited by dimension,
+    one cross_term_margins call per dimension over the same per-sample
+    draws. Margin is the worst slack eigenvalue scaled by the magnitude of
+    the dominating side, and the witness is its first sample; it must not
+    fall below -CHECK_TOL for the campaign to hold.
     """
-    seeds = np.random.SeedSequence(seed).spawn(samples)
-    failures = 0
+    dims, groups = _campaign_draws(samples, seed, max_dim, loop_terms=True)
+    scaled = np.full(dims.size, np.inf)
+    holds = np.ones(dims.size, dtype=bool)
+    for index, P, epsilon, A_closed, dA in groups:
+        margin, tol, holds_here = cross_term_margins(P, epsilon, A_closed, dA)
+        scaled[index] = margin / tol * CHECK_TOL
+        holds[index] = holds_here
     worst = np.inf
     witness = {}
-    for index, ss in enumerate(seeds):
-        rng = np.random.default_rng(ss)
-        n = int(rng.integers(1, max_dim + 1))
-        P = _random_spd(rng, n)
-        lam_max = float(np.linalg.eigvalsh(P)[-1])
-        epsilon = 1.0 / (lam_max * (1.0 + rng.uniform(0.1, 3.0)))
-        A_closed = rng.normal(size=(n, n)) / np.sqrt(n)
-        dA = rng.uniform(0.0, 1.0) * rng.normal(size=(n, n)) / np.sqrt(n)
-        result = check_cross_term_bound(P, epsilon, A_closed, dA)
-        scaled = result.margin / result.witness["tolerance"] * CHECK_TOL
-        if scaled < worst:
-            worst = scaled
-            witness = {"sample": index, "dimension": n}
-        if not result.holds:
-            failures += 1
+    if dims.size and scaled.min() < worst:
+        index = int(np.argmin(scaled))
+        worst = float(scaled[index])
+        witness = {"sample": index, "dimension": int(dims[index])}
+    failures = int(np.count_nonzero(~holds))
     return CheckResult(
         name="cross_term_bound_campaign",
         holds=failures == 0,
         margin=worst,
         witness=witness,
-        note=f"{samples} samples, {failures} failures; margin is the worst scaled slack eigenvalue",
+        note=f"{dims.size} samples, {failures} failures; margin is the worst scaled slack eigenvalue",
     )

@@ -6,7 +6,9 @@ eigenvectors of the symplectic matrix, the LQR oracle from plain value
 iteration on the textbook recursion, and the residual and trigger
 coefficient evaluators use explicit matrix inverses instead of the
 solver's factored updates, and the closed-loop trace comes from a plain
-per-step loop that forms the plant matrix afresh at every step.
+per-step loop that forms the plant matrix afresh at every step. The
+campaign oracle is the one exception: it is the per-sample loop that the
+batched campaigns replace, so it calls the public single-instance checks.
 """
 
 import numpy as np
@@ -217,3 +219,56 @@ def simulate_stepwise(A, B, basis, K, mu, p_rows, x0, P, divergence_norm: float 
         x = (A + dA) @ x + B @ u
         diverged = not (np.all(np.isfinite(x)) and np.linalg.norm(x) <= divergence_norm)
     return {name: np.array(values) for name, values in columns.items()}, diverged
+
+
+def campaign_stepwise(kind: str, samples: int, seed: int, max_dim: int):
+    """A random audit campaign by a plain per-sample loop.
+
+    kind is "identity" (the window inversion identity) or "cross_term" (the
+    completion-of-squares bound). Sample i draws from its own generator,
+    SeedSequence(seed).spawn(samples)[i]: a dimension n in 1..max_dim,
+    P = (g g' + g' g) / (2 n) + 0.1 I from a Gaussian g, epsilon =
+    1 / (lambda_max(P) (1 + u)) with u uniform in [0.1, 3], and for
+    "cross_term" a closed-loop matrix and a perturbation. Each sample goes
+    through check_inversion_identity or check_cross_term_bound on its own;
+    the worst scaled margin is tracked by a strict comparison in sample
+    order, so the witness is its first sample.
+    """
+    from etcontrol import CheckResult, check_cross_term_bound, check_inversion_identity
+    from etcontrol.verification import CHECK_TOL
+
+    worst = 0.0 if kind == "identity" else np.inf
+    witness = {}
+    failures = 0
+    for index, ss in enumerate(np.random.SeedSequence(seed).spawn(samples)):
+        rng = np.random.default_rng(ss)
+        n = int(rng.integers(1, max_dim + 1))
+        g = rng.normal(size=(n, n))
+        P = 0.5 * (g @ g.T + g.T @ g) / n + 0.1 * np.eye(n)
+        lam_max = float(np.linalg.eigvalsh(P)[-1])
+        epsilon = 1.0 / (lam_max * (1.0 + rng.uniform(0.1, 3.0)))
+        if kind == "identity":
+            result = check_inversion_identity(P, epsilon)
+            scaled = result.margin / max(1.0, float(np.linalg.norm(P, 2)))
+            worse = scaled > worst
+        else:
+            A_closed = rng.normal(size=(n, n)) / np.sqrt(n)
+            dA = rng.uniform(0.0, 1.0) * rng.normal(size=(n, n)) / np.sqrt(n)
+            result = check_cross_term_bound(P, epsilon, A_closed, dA)
+            scaled = result.margin / result.witness["tolerance"] * CHECK_TOL
+            worse = scaled < worst
+        if worse:
+            worst = scaled
+            witness = {"sample": index, "dimension": n}
+        failures += not result.holds
+    if kind == "identity":
+        name, what = "inversion_identity_campaign", "worst scaled residual"
+    else:
+        name, what = "cross_term_bound_campaign", "worst scaled slack eigenvalue"
+    return CheckResult(
+        name=name,
+        holds=failures == 0,
+        margin=worst,
+        witness=witness,
+        note=f"{samples} samples, {failures} failures; margin is the {what}",
+    )

@@ -12,15 +12,21 @@ from hypothesis import strategies as st
 
 from etcontrol.errors import RankDeficiencyError, SingularMatrixError
 from etcontrol.linalg import (
+    DEFINITENESS_TOL,
     as_matrix,
     inverse,
+    inverse_stack,
     is_positive_definite,
     is_positive_semidefinite,
+    positive_definite_stack,
     pseudo_inverse,
     require_square,
+    require_square_stack,
     spectral_norm,
+    spectral_norm_stack,
     sym_eigvals,
     symmetrize,
+    symmetrize_stack,
 )
 
 dims = st.integers(min_value=1, max_value=6)
@@ -115,6 +121,58 @@ def test_inverse_involution(n, seed):
     m = _random_spd(seed, n)
     again = inverse(inverse(m))
     assert np.allclose(again, m, atol=1e-8 * max(1.0, spectral_norm(m)))
+
+
+@given(dims, seeds)
+@settings(max_examples=40, deadline=None)
+def test_stack_forms_match_single_matrix_forms(n, seed):
+    """Each slice of a stacked result equals the single-matrix result bit for bit."""
+    rng = np.random.default_rng(seed)
+    spd = np.array([_random_spd(seed + i, n) for i in range(5)])
+    general = rng.normal(size=(5, n, n)) + n * np.eye(n)
+    mixed = np.array([_random_symmetric(seed + i, n) for i in range(5)])
+    assert np.array_equal(symmetrize_stack(spd), [symmetrize(m) for m in spd])
+    assert np.array_equal(inverse_stack(general), [inverse(m) for m in general])
+    assert np.array_equal(spectral_norm_stack(general), [spectral_norm(m) for m in general])
+    assert np.array_equal(
+        positive_definite_stack(mixed), [is_positive_definite(m) for m in mixed]
+    )
+    # The single-matrix forms run the stack forms on a stack of one; they
+    # still give the plain numpy results bit for bit.
+    wide = rng.normal(size=(n, n + 2))
+    for m in general:
+        assert np.array_equal(inverse(m), np.linalg.solve(m, np.eye(n)))
+    for m in (*general, wide):
+        assert spectral_norm(m) == float(np.linalg.norm(m, 2))
+    for m in mixed:
+        assert np.array_equal(symmetrize(m), 0.5 * (m + m.T))
+        scale = DEFINITENESS_TOL * max(1.0, float(np.max(np.abs(m))))
+        assert is_positive_definite(m) == bool(np.linalg.eigvalsh(m)[0] > scale)
+
+
+def test_stack_forms_keep_messages():
+    """A bad slice raises what the single-matrix form raises on it."""
+    good = np.eye(2)
+    for bad, stacked, single, error in (
+        ([[0.0, 1.0], [0.0, 0.0]], symmetrize_stack, symmetrize, ValueError),
+        (np.ones((2, 2)), inverse_stack, inverse, SingularMatrixError),
+        ([[1.0, 0.0], [0.0, 1e-15]], inverse_stack, inverse, SingularMatrixError),
+    ):
+        with pytest.raises(error) as single_info:
+            single(bad, "M")
+        with pytest.raises(error) as stacked_info:
+            stacked(np.array([good, bad, good]), "M")
+        assert str(stacked_info.value) == str(single_info.value)
+    with pytest.raises(ValueError, match=r"M is not symmetric \(defect 1\.000e\+00\)$"):
+        symmetrize([[0.0, 1.0], [0.0, 0.0]], "M")
+    with pytest.raises(SingularMatrixError, match=r"working precision \(rcond 0\.00e\+00\)$"):
+        inverse(np.zeros((2, 2)), "M")
+    with pytest.raises(ValueError, match=r"M must be a \(k, m, n\) stack"):
+        require_square_stack(good, "M")
+    with pytest.raises(ValueError, match="M must be a stack of square matrices"):
+        require_square_stack(np.ones((3, 2, 4)), "M")
+    with pytest.raises(ValueError, match="M contains non-finite entries"):
+        require_square_stack([[[1.0, np.inf], [0.0, 1.0]]], "M")
 
 
 def test_pseudo_inverse_tall_column():

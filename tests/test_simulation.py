@@ -121,6 +121,23 @@ def test_random_trajectory_seeded(reference_system):
     assert np.all(rows_a >= 0.0) and np.all(rows_a <= 0.8)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda bad: ParamTrajectory.constant([bad]), "value"),
+        (lambda bad: ParamTrajectory.ramp([bad], [0.0]), "start"),
+        (lambda bad: ParamTrajectory.ramp([0.0], [bad]), "end"),
+        (lambda bad: ParamTrajectory.sequence([[0.1], [bad]]), "values"),
+    ],
+    ids=["constant", "ramp-start", "ramp-end", "sequence"],
+)
+def test_trajectory_rejects_non_finite_entries(make, name, bad):
+    """A NaN used to pass np.clip and be reported as a clamped row."""
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        make(bad)
+
+
 # ---------------------------------------------------------------------------
 # trigger rule
 

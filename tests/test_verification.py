@@ -1,11 +1,16 @@
 """Numerical audit tests: identities, bounds, dissipation, campaigns."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from conftest import CONFIG_DIR
 from etcontrol import (
     FeasibilityError,
     ParamTrajectory,
+    SingularMatrixError,
     TriggerPolicy,
     check_cross_term_bound,
     check_dissipation,
@@ -13,9 +18,17 @@ from etcontrol import (
     check_loop_energy_bound,
     cross_term_campaign,
     identity_campaign,
+    load_config,
     simulate,
     synthesize,
 )
+from etcontrol.cli import main
+from etcontrol.verification import (
+    check_cross_term_bound_at_vertices,
+    cross_term_margins,
+    inversion_identity_margins,
+)
+from oracles import campaign_stepwise
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +227,148 @@ def test_campaigns_deterministic():
     b = identity_campaign(samples=50, seed=9)
     assert a.margin == b.margin
     assert a.witness == b.witness
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["identity", "cross_term"])
+def test_campaigns_match_stepwise_oracle(kind, seed):
+    """Batching by dimension keeps every draw, margin, witness and count."""
+    campaign = identity_campaign if kind == "identity" else cross_term_campaign
+    for samples in (0, 1, 7, 200, 1000):
+        for max_dim in (1, 5, 8):
+            expected = campaign_stepwise(kind, samples, seed, max_dim)
+            assert campaign(samples=samples, seed=seed, max_dim=max_dim) == expected
+
+
+def test_empty_campaigns():
+    empty = identity_campaign(samples=0)
+    assert (empty.holds, empty.margin, empty.witness) == (True, 0.0, {})
+    empty = cross_term_campaign(samples=0)
+    assert (empty.holds, empty.margin, empty.witness) == (True, np.inf, {})
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"samples": -1}, {"samples": 2.5}, {"samples": "10"}, {"max_dim": 0}, {"max_dim": 2.5}],
+    ids=["negative-samples", "fractional-samples", "string-samples", "zero-dim", "fractional-dim"],
+)
+@pytest.mark.parametrize("campaign", [identity_campaign, cross_term_campaign])
+def test_campaigns_reject_bad_sizes(campaign, kwargs):
+    with pytest.raises(ValueError, match="samples|max_dim"):
+        campaign(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels
+
+
+def test_single_checks_keep_their_exceptions():
+    """The stack-of-one wrappers raise what the per-instance checks raised."""
+    loop = np.array([[0.1, 0.3], [0.0, 0.2]])
+    for check in (
+        check_inversion_identity,
+        lambda P, eps: check_cross_term_bound(P, eps, loop, 0.1 * loop),
+    ):
+        with pytest.raises(ValueError, match="P is not symmetric"):
+            check([[1.0, 0.5], [0.0, 1.0]], 0.1)
+        with pytest.raises(ValueError, match="P must be 2-D"):
+            check([1.0, 2.0], 0.1)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            check(np.eye(2), 0.0)
+    with pytest.raises(ValueError, match="P must be positive definite"):
+        check_inversion_identity(np.diag([1.0, -1.0]), 0.1)
+    with pytest.raises(SingularMatrixError, match="inner window gap is singular"):
+        check_inversion_identity(np.diag([1.0, 2.0]), 0.5)
+    with pytest.raises(FeasibilityError) as excinfo:
+        check_cross_term_bound(np.diag([1.0, 2.0]), 1.0, loop, 0.1 * loop)
+    assert excinfo.value.condition == "epsilon_window"
+
+
+def _stack(matrix, bad, at=2, k=4):
+    stack = np.repeat(np.asarray(matrix, dtype=float)[None], k, axis=0)
+    stack[at] = bad
+    return stack
+
+
+def test_kernels_validate_every_instance():
+    """A bad matrix anywhere in a stack raises, not only in the first slot."""
+    P = np.diag([1.0, 2.0])
+    eps = np.full(4, 0.1)
+    loop = np.repeat(np.array([[[0.1, 0.3], [0.0, 0.2]]]), 4, axis=0)
+    asymmetric = [[1.0, 0.5], [0.0, 2.0]]
+    with pytest.raises(ValueError, match=r"P is not symmetric \(defect 5\.000e-01\)"):
+        inversion_identity_margins(_stack(P, asymmetric), eps)
+    with pytest.raises(ValueError, match=r"P is not symmetric \(defect 5\.000e-01\)"):
+        cross_term_margins(_stack(P, asymmetric), eps, loop, loop)
+    with pytest.raises(ValueError, match="P must be positive definite"):
+        inversion_identity_margins(_stack(P, np.diag([1.0, -1.0])), eps)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        inversion_identity_margins(_stack(P, P), [0.1, 0.1, -0.1, 0.1])
+    with pytest.raises(SingularMatrixError, match="inner window gap"):
+        inversion_identity_margins(_stack(P, np.diag([1.0, 10.0])), eps)
+    with pytest.raises(FeasibilityError):
+        cross_term_margins(_stack(P, np.diag([1.0, 20.0])), eps, loop, loop)
+    with pytest.raises(ValueError, match="A_closed contains non-finite entries"):
+        cross_term_margins(_stack(P, P), eps, _stack(loop[0], np.nan), loop)
+
+
+def test_kernels_reject_mismatched_stacks():
+    """Each argument must cover the k instances of P; nothing broadcasts."""
+    P = np.repeat(np.diag([1.0, 2.0])[None], 4, axis=0)
+    eps = np.full(4, 0.1)
+    loop = np.repeat(np.array([[[0.1, 0.3], [0.0, 0.2]]]), 4, axis=0)
+    for bad_eps in (0.1, [0.1], np.full(3, 0.1), np.full((4, 1), 0.1)):
+        with pytest.raises(ValueError, match=r"epsilon must have shape \(4,\)"):
+            inversion_identity_margins(P, bad_eps)
+        with pytest.raises(ValueError, match=r"epsilon must have shape \(4,\)"):
+            cross_term_margins(P, bad_eps, loop, loop)
+    for bad_loop in (loop[:1], loop[:3], np.zeros((4, 3, 3))):
+        with pytest.raises(ValueError, match="A_closed must have the shape of P"):
+            cross_term_margins(P, eps, bad_loop, loop)
+        with pytest.raises(ValueError, match="dA must have the shape of P"):
+            cross_term_margins(P, eps, loop, bad_loop)
+    with pytest.raises(ValueError, match=r"dA must be a \(k, m, n\) stack"):
+        cross_term_margins(P, eps, loop, loop[0])
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_verify_cross_term_entry_matches_vertex_loop(tmp_path, d):
+    """verify's one kernel call over the 2^d vertices equals a loop of single checks."""
+    data = json.loads((CONFIG_DIR / "feasible_demo.json").read_text(encoding="utf-8"))
+    rng = np.random.default_rng(40 + d)
+    data["uncertainty"]["basis"] = (0.1 * rng.normal(size=(d, 2, 2))).tolist()
+    data["uncertainty"]["p_lo"] = (-rng.uniform(0.1, 0.5, size=d)).tolist()
+    data["uncertainty"]["p_hi"] = rng.uniform(0.1, 0.5, size=d).tolist()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+    payload = json.loads((tmp_path / "out" / "verification.json").read_text(encoding="utf-8"))
+    (entry,) = [check for check in payload["checks"] if check["name"] == "cross_term_bound"]
+
+    config = load_config(path)
+    out = synthesize(config.A, config.B, config.model, config.params)
+    worst = worst_p = None
+    for p in config.model.vertices():
+        result = check_cross_term_bound(
+            out.P, config.params.epsilon, out.A_closed, config.model.matrix_at(p)
+        )
+        if worst is None or result.margin < worst.margin:
+            worst, worst_p = result, p
+    assert check_cross_term_bound_at_vertices(
+        out.P, config.params.epsilon, out.A_closed, config.model
+    ) == dataclasses.replace(
+        worst,
+        witness={**worst.witness, "p": [float(v) for v in worst_p]},
+        note=worst.note + "; worst over box vertices",
+    )
+    rounded = lambda value: float(f"{value:.12g}")  # noqa: E731
+    assert entry == {
+        "name": "cross_term_bound",
+        "holds": worst.holds,
+        "margin": rounded(worst.margin),
+        "witness": {
+            "p": [rounded(v) for v in worst_p],
+            "tolerance": rounded(worst.witness["tolerance"]),
+        },
+        "note": worst.note + "; worst over box vertices",
+    }
