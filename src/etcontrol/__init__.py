@@ -59,6 +59,7 @@ from .verification import (
     CheckResult,
     check_cross_term_bound,
     check_dissipation,
+    check_epsilon_interval,
     check_inversion_identity,
     check_loop_energy_bound,
     cross_term_campaign,
@@ -91,6 +92,7 @@ __all__ = [
     "as_matched_model",
     "check_cross_term_bound",
     "check_dissipation",
+    "check_epsilon_interval",
     "check_inversion_identity",
     "check_loop_energy_bound",
     "compare_policies",

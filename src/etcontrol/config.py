@@ -79,6 +79,13 @@ def _as_int(value, path):
     return int(value)
 
 
+def _as_seed(value, path):
+    seed = _as_int(value, path)
+    if seed < 0:
+        raise ConfigError(f"{path}: must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def _as_vector(value, path):
     try:
         v = np.asarray(value, dtype=float)
@@ -120,7 +127,7 @@ def _parse_trajectory(data, path, default_seed):
         return ParamTrajectory.sequence(_as_matrix(data["values"], f"{path}.values"))
     if kind == TRAJ_RANDOM:
         _require_block(data, path, required=("kind",), optional=("seed",))
-        seed = _as_int(data["seed"], f"{path}.seed") if "seed" in data else default_seed
+        seed = _as_seed(data["seed"], f"{path}.seed") if "seed" in data else default_seed
         return ParamTrajectory.random(seed)
     raise ConfigError(
         f"{path}.kind: unknown trajectory kind {kind!r} "
@@ -220,7 +227,7 @@ def config_from_dict(data) -> ExperimentConfig:
             raise ConfigError("simulation.mu: must be positive")
         if policy != POLICY_EVENT:
             raise ConfigError("simulation.mu: only valid for the event policy")
-    seed = _as_int(sim.get("seed", 0), "simulation.seed")
+    seed = _as_seed(sim.get("seed", 0), "simulation.seed")
     trajectory = _parse_trajectory(sim["trajectory"], "simulation.trajectory", seed)
     if trajectory.kind == TRAJ_CONSTANT and trajectory.value.shape != (model.dimension,):
         raise ConfigError(

@@ -13,6 +13,7 @@ plant.
 from __future__ import annotations
 
 import functools
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -73,9 +74,9 @@ class ParamTrajectory:
     kind is one of "constant", "ramp", "sequence", or "random". constant
     holds value; ramp interpolates linearly from start to end across the
     horizon; sequence plays back given rows; random draws each step
-    uniformly from the parameter box using the given seed. Every given
-    value must be finite; values outside the box are clamped with a
-    warning when realized.
+    uniformly from the parameter box using the given seed, a nonnegative
+    integer. Every given value must be finite; values outside the box are
+    clamped with a warning when realized.
     """
 
     kind: str
@@ -100,7 +101,13 @@ class ParamTrajectory:
                 if not np.all(np.isfinite(v)):
                     raise ValueError(f"{name} must be finite")
                 object.__setattr__(self, name, v)
-        object.__setattr__(self, "seed", int(self.seed))
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {seed}")
+        object.__setattr__(self, "seed", seed)
         if self.kind == TRAJ_CONSTANT and self.value is None:
             raise ValueError("constant trajectory requires a value")
         if self.kind == TRAJ_RAMP and (self.start is None or self.end is None):

@@ -5,16 +5,21 @@ and reports a CheckResult instead of asserting, so the command line can
 collect verdicts across checks. Margins follow one convention per check
 kind: identity checks report the worst absolute residual (small is good),
 bound checks report the smallest slack eigenvalue (nonnegative is good).
-The random campaigns stress the two results that hold unconditionally
-under their stated preconditions.
+check_epsilon_interval certifies the design's epsilon: the exact interval
+of 1/epsilon on which every design condition holds.
 
-Each of those two identities has one stacked kernel over (k, n, n)
-stacks, inversion_identity_margins and cross_term_margins, which runs
-every validation on every matrix of the stack. The single checks are the
-kernel on a stack of one, and the campaigns draw their samples one by one,
-exactly as a per-sample loop would, then audit them by dimension with one
-kernel call per dimension. numpy's stacked LAPACK and BLAS calls work
-slice by slice, so every margin equals the per-sample one bit for bit.
+The inversion identity and the cross-term bound hold unconditionally
+under their stated preconditions. Each has one stacked kernel over
+(k, n, n) stacks, inversion_identity_margins and cross_term_margins, which
+runs every validation on every matrix of the stack. The single checks are
+the kernel on a stack of one. The random campaigns, identity_campaign and
+cross_term_campaign, stress the two on matrices that do not depend on any
+design, so they measure round-off only; they are library functions that
+the acceptance suite runs (criterion 08), and the verify command does not
+call them. They draw their samples one by one, exactly as a per-sample
+loop would, then audit them by dimension with one kernel call per
+dimension. numpy's stacked LAPACK and BLAS calls work slice by slice, so
+every margin equals the per-sample one bit for bit.
 """
 
 from __future__ import annotations
@@ -39,13 +44,26 @@ from .linalg import (
     symmetrize_stack,
 )
 from .synthesis import (
+    COND_DECAY_PSD,
     COND_EPS_WINDOW,
+    COND_PERIODIC_DECAY,
+    COND_UNC_SCALED,
+    COND_UNC_WEIGHTED,
+    COND_WEIGHT_PD,
     SynthesisParams,
     _input_weight,
+    _require_state_dim,
     error_weight,
 )
 
 CHECK_TOL = 1e-8
+
+# The epsilon interval search covers s - s0 from 2^-40 to 2^40 times
+# lambda_max(P), where s = 1/epsilon and s0 is the lower end of the domain.
+SEARCH_OCTAVES = 40.0
+KSECTION_POINTS = 65
+END_RTOL = 1e-12  # interval ends, relative
+MAX_TOL = 1e-10  # brackets of a maximum, in octaves
 
 
 @dataclass(frozen=True)
@@ -356,6 +374,220 @@ def check_dissipation(
         margin=float(worst),
         witness=witness,
         note=f"{audited} steps audited, {skipped} skipped",
+    )
+
+
+def _maximize(f, a: float, b: float, stop=None):
+    """Maximize a quasi-concave function on [a, b] by stacked k-section.
+
+    Each round evaluates f at KSECTION_POINTS points spanning the bracket
+    and keeps the two neighbours of the best one, which enclose the
+    maximum, until the bracket is narrower than MAX_TOL or stop holds for
+    the best value. Returns the last round's points and values.
+    """
+    while True:
+        x = np.linspace(a, b, KSECTION_POINTS)
+        values = f(x)
+        best = int(np.argmax(values))
+        if b - a <= MAX_TOL or (stop is not None and stop(values[best])):
+            return x, values
+        a, b = x[max(best - 1, 0)], x[min(best + 1, x.size - 1)]
+
+
+def _boundary(margin, s_out: float, s_in: float) -> float:
+    """The end of a hold interval between a failing s_out and a holding s_in.
+
+    Stacked k-section: each round evaluates the margin at KSECTION_POINTS
+    points across the bracket and keeps the two neighbours where it turns
+    nonnegative, until the bracket is within END_RTOL of s_in. The holds
+    form a suffix of every bracket, since the hold set is an interval.
+    Returns the holding side, so the margin is nonnegative at the end.
+    """
+    while abs(s_in - s_out) > END_RTOL * abs(s_in):
+        s = np.linspace(s_out, s_in, KSECTION_POINTS)[1:-1]
+        holds = margin(s) >= 0.0
+        first = int(np.argmax(holds)) if holds.any() else s.size
+        if first > 0:
+            s_out = float(s[first - 1])
+        if first < s.size:
+            s_in = float(s[first])
+    return s_in
+
+
+def _hold_interval(margin, s0: float, scale: float):
+    """The interval of s > s0 on which a quasi-concave margin is nonnegative.
+
+    The search runs over s = s0 + scale 2^t for t in
+    [-SEARCH_OCTAVES, SEARCH_OCTAVES] (quasi-concavity survives the
+    monotone change of variable): k-section for the maximum until a point
+    holds, then k-section for each end between the holding points and
+    their failing neighbours. Only the first round's end points can hold,
+    since every later bracket lies between failing points. Returns None
+    when the margin is negative everywhere, else (lo, hi): lo is s0 when
+    the margin holds at the bottom of the search, and hi is None when it
+    holds at the top.
+    """
+
+    def at(t):
+        return s0 + scale * np.exp2(t)
+
+    t, values = _maximize(
+        lambda t: margin(at(t)), -SEARCH_OCTAVES, SEARCH_OCTAVES, stop=lambda v: v >= 0.0
+    )
+    holds = values >= 0.0
+    if not holds.any():
+        return None
+    first = int(np.argmax(holds))
+    last = t.size - 1 - int(np.argmax(holds[::-1]))
+    lo = s0 if first == 0 else _boundary(margin, at(t[first - 1]), at(t[first]))
+    hi = None if last == t.size - 1 else _boundary(margin, at(t[last + 1]), at(t[last]))
+    return lo, hi
+
+
+def _lambda_min_weighted(C, M, w) -> np.ndarray:
+    """lambda_min(C - M' diag(w_k) M) for each row w_k of the (k, n) weights.
+
+    M is a (v, n, n) stack; the minimum runs over it as well, so a stack of
+    box vertices gives the worst vertex at every weight.
+    """
+    weighted = (np.swapaxes(M, 1, 2)[None] * w[:, None, None, :]) @ M
+    return np.linalg.eigvalsh(C - weighted)[..., 0].min(axis=1)
+
+
+def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> CheckResult:
+    """Certify the interval of 1/epsilon on which every design condition holds.
+
+    P, K and L do not depend on epsilon, so every mismatched condition of
+    the feasibility report is a function of s = 1/epsilon alone. In P's
+    eigenbasis, P = V diag(lam) V', the error weight is
+    Z(s) = V diag(s + lam^2 / (s - lam)) V' and the inner window matrix
+    s P (s I - P)^-1 = V diag(s lam / (s - lam)) V'. Both are
+    matrix-convex in s on the window s > lambda_max(P), so the margins of
+    the scaled bound (for every s > 0), the periodic decay, the weighted
+    bound and the decay matrix (inside the window) are concave in s, and
+    each condition holds on one interval. Its ends are found by stacked
+    k-section to END_RTOL; their intersection with the window is the set of
+    admissible 1/epsilon. The error weight Z(s) is positive definite on the
+    whole window.
+
+    The check holds when the configured 1/epsilon lies in the intersection;
+    margin is its distance to the nearer end (-inf when the intersection is
+    empty). The witness gives the ends (None when unbounded or empty), the
+    conditions that set them, each condition's own interval (None when it
+    holds nowhere, an upper end None when unbounded), and the epsilon in
+    the intersection that maximizes the trigger coefficient
+    mu(s) = sigma lambda_min(Q1(s)) / ||K' B' Z(s) B K||. On the
+    intersection mu is a nonnegative concave function over a positive
+    convex one, hence quasi-concave, and stacked k-section finds its
+    maximum as it does the ends.
+    """
+    A = require_square(A, "A")
+    n = A.shape[0]
+    B, K, L = as_matrix(B, "B"), as_matrix(K, "K"), as_matrix(L, "L")
+    P = symmetrize(P, "P")
+    m = B.shape[1]
+    for name, M, shape in (("B", B, (n, m)), ("K", K, (m, n)), ("L", L, (n, n)), ("P", P, (n, n))):
+        if M.shape != shape:
+            raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
+    _require_state_dim(model, A)
+    lam, V = np.linalg.eigh(P)
+    if lam[0] <= 0.0:
+        raise ValueError("P must be positive definite")
+    lam_max = float(lam[-1])
+
+    F = model.F
+    C = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K + L.T @ params.R2 @ L
+    C = 0.5 * (C + C.T)
+    dA = model.matrix_at(np.array(list(model.vertices())))
+    gram = np.swapaxes(dA, 1, 2) @ dA
+    dA_e = V.T @ dA
+    A_fb_e = (V.T @ (A + B @ K))[None]
+    BK_e = V.T @ B @ K
+
+    def z(s):
+        return s[:, None] + lam**2 / (s[:, None] - lam)
+
+    def scaled(s):
+        return np.linalg.eigvalsh(F - s[:, None, None, None] * gram)[..., 0].min(axis=1)
+
+    def periodic(s):
+        return _lambda_min_weighted(C, A_fb_e, s[:, None] * lam / (s[:, None] - lam))
+
+    def weighted(s):
+        return _lambda_min_weighted(F, dA_e, z(s))
+
+    def decay(s):
+        return _lambda_min_weighted(C, A_fb_e, z(s))
+
+    def mu(s):
+        error_gain = (BK_e.T[None] * z(s)[:, None, :]) @ BK_e
+        return params.sigma * decay(s) / np.linalg.eigvalsh(error_gain)[:, -1]
+
+    # Every eigenvalue s + lam^2 / (s - lam) of Z(s) is positive on the window.
+    intervals = {COND_EPS_WINDOW: (lam_max, None), COND_WEIGHT_PD: (lam_max, None)}
+    for condition, s0, margin in (
+        (COND_UNC_SCALED, 0.0, scaled),
+        (COND_PERIODIC_DECAY, lam_max, periodic),
+        (COND_UNC_WEIGHTED, lam_max, weighted),
+        (COND_DECAY_PSD, lam_max, decay),
+    ):
+        intervals[condition] = _hold_interval(margin, s0, lam_max)
+
+    inv_eps = 1.0 / params.epsilon
+    witness = {
+        "inv_eps": inv_eps,
+        "inv_eps_lo": None,
+        "inv_eps_hi": None,
+        "binding_lo": None,
+        "binding_hi": None,
+        "intervals": {c: None if ends is None else list(ends) for c, ends in intervals.items()},
+        "epsilon_best": None,
+        "mu_best": None,
+    }
+
+    def result(margin, note):
+        return CheckResult(
+            name="epsilon_interval",
+            holds=margin >= 0.0 and inv_eps > lam_max,
+            margin=float(margin),
+            witness=witness,
+            note=note,
+        )
+
+    nowhere = [c for c, ends in intervals.items() if ends is None]
+    if nowhere:
+        return result(
+            -np.inf, "no epsilon: " + ", ".join(nowhere) + " hold for no 1/epsilon in the window"
+        )
+    binding_lo = max(intervals, key=lambda c: intervals[c][0])
+    bounded = [c for c in intervals if intervals[c][1] is not None]
+    binding_hi = min(bounded, key=lambda c: intervals[c][1]) if bounded else None
+    lo = intervals[binding_lo][0]
+    hi = None if binding_hi is None else intervals[binding_hi][1]
+    witness.update(binding_lo=binding_lo, binding_hi=binding_hi)
+    if hi is not None and lo >= hi:
+        return result(
+            -np.inf,
+            f"no epsilon: {binding_lo} needs 1/epsilon >= {lo:.6g}, "
+            f"{binding_hi} needs 1/epsilon <= {hi:.6g}",
+        )
+    t, values = _maximize(
+        lambda t: mu(lam_max + lam_max * np.exp2(t)),
+        np.log2(lo / lam_max - 1.0) if lo > lam_max else -SEARCH_OCTAVES,
+        np.log2(hi / lam_max - 1.0) if hi is not None else SEARCH_OCTAVES,
+    )
+    t_best, mu_best = t[np.argmax(values)], float(np.max(values))
+    witness.update(
+        inv_eps_lo=lo,
+        inv_eps_hi=hi,
+        epsilon_best=1.0 / (lam_max + lam_max * np.exp2(t_best)),
+        mu_best=mu_best if np.isfinite(mu_best) else None,
+    )
+    upper = "inf" if hi is None else f"{hi:.6g}"
+    return result(
+        min(inv_eps - lo, np.inf if hi is None else hi - inv_eps),
+        f"every design condition holds for 1/epsilon in [{lo:.6g}, {upper}]; "
+        "margin is the distance of 1/epsilon to the nearer end",
     )
 
 

@@ -7,6 +7,8 @@ iteration on the textbook recursion, and the residual and trigger
 coefficient evaluators use explicit matrix inverses instead of the
 solver's factored updates, and the closed-loop trace comes from a plain
 per-step loop that forms the plant matrix afresh at every step. The
+epsilon scan evaluates the design conditions on a dense grid of
+1/epsilon with explicit inverses, not in the eigenbasis of P. The
 campaign oracle is the one exception: it is the per-sample loop that the
 batched campaigns replace, so it calls the public single-instance checks.
 """
@@ -56,8 +58,8 @@ def riccati_residual_explicit(A, B, P, Q, R1, R2, alpha, beta, F) -> float:
 
     Evaluates A' (P^-1 + W)^-1 A - P + Q + F + beta^2 I directly, where
     W = B R1^-1 B' + alpha^2 Pi R2^-1 Pi' and Pi is the orthogonal projector
-    onto the complement of the range of B (computed here from the SVD-based
-    numpy pseudo-inverse, not the package's normal-equations route).
+    onto the complement of the range of B (computed here from numpy's
+    pseudo-inverse, not the package's).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -272,3 +274,65 @@ def campaign_stepwise(kind: str, samples: int, seed: int, max_dim: int):
         witness=witness,
         note=f"{samples} samples, {failures} failures; margin is the {what}",
     )
+
+
+def epsilon_margins(A, B, model, params, P, K, L, s):
+    """The documented design margins at each 1/epsilon in the array s.
+
+    Returns a dict from condition name to an array of margins (smallest
+    slack eigenvalues, the worst box vertex for box conditions) and the
+    array of mu = sigma lambda_min(Q1) / ||K' B' Z B K||. With eps = 1/s:
+    the window gap (1/eps) I - P; the scaled bound F - (1/eps) dA' dA; the
+    periodic decay beta^2 I + K' R1 K + L' R2 L - Ac' P (I - eps P)^-1 Ac;
+    Z = (1/eps) I + P ((1/eps) I - P)^-1 P; the weighted bound F - dA' Z dA;
+    and Q1 = beta^2 I + K' R1 K + L' R2 L - Ac' Z Ac, where Ac = A + B K.
+    Every inverse is np.linalg.inv on the stack over s.
+    """
+    A, B, P, K, L = (np.asarray(v, dtype=float) for v in (A, B, P, K, L))
+    s = np.asarray(s, dtype=float)
+    n = A.shape[0]
+    eye = np.eye(n)
+    F = np.asarray(model.F, dtype=float)
+    A_fb = A + B @ K
+    C = params.beta**2 * eye + K.T @ params.R1 @ K + L.T @ params.R2 @ L
+    gap = s[:, None, None] * eye - P
+    inner = P @ np.linalg.inv(eye - P / s[:, None, None])
+    Z = s[:, None, None] * eye + P @ np.linalg.inv(gap) @ P
+    Q1 = C - A_fb.T @ Z @ A_fb
+    scaled, weighted = [], []
+    for vertex in model.vertices():
+        dA = np.zeros((n, n))
+        for c, E in zip(vertex, model.basis):
+            dA = dA + c * np.asarray(E, dtype=float)
+        scaled.append(_lambda_min(F - s[:, None, None] * (dA.T @ dA)))
+        weighted.append(_lambda_min(F - dA.T @ Z @ dA))
+    error_gain = K.T @ B.T @ Z @ B @ K
+    margins = {
+        "epsilon_window": _lambda_min(gap),
+        "uncertainty_bound_scaled": np.min(scaled, axis=0),
+        "periodic_decay": _lambda_min(C - A_fb.T @ inner @ A_fb),
+        "error_weight_pd": _lambda_min(Z),
+        "uncertainty_bound_weighted": np.min(weighted, axis=0),
+        "decay_matrix_psd": _lambda_min(Q1),
+    }
+    return margins, params.sigma * margins["decay_matrix_psd"] / np.linalg.norm(
+        error_gain, 2, axis=(1, 2)
+    )
+
+
+def epsilon_scan(A, B, model, params, P, K, L, points: int = 4000, decades: float = 6.0):
+    """Dense geometric scan of the design margins over the design window.
+
+    The grid is s_j = lambda_max(P) r^j for j = 1..points, with the ratio
+    r chosen so the last point is 10^decades lambda_max(P): every point
+    lies in the window s > lambda_max(P), and neighbours differ by the
+    factor r. Returns the grid, then the margins and mu of epsilon_margins
+    on it.
+    """
+    lam_max = float(np.linalg.eigvalsh(np.asarray(P, dtype=float))[-1])
+    s = lam_max * np.logspace(decades / points, decades, points)
+    return (s, *epsilon_margins(A, B, model, params, P, K, L, s))
+
+
+def _lambda_min(stack):
+    return np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2)))[..., 0]

@@ -112,6 +112,16 @@ def test_huge_integer_in_array_rejected(path):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("path", ["simulation.seed", "simulation.trajectory.seed"])
+def test_negative_seed_rejected(path):
+    with open(DEMO_CONFIG, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    block = data["simulation"] if path == "simulation.seed" else data["simulation"]["trajectory"]
+    block["seed"] = -3
+    with pytest.raises(ConfigError, match=rf"{re.escape(path)}: must be a nonnegative integer"):
+        config_from_dict(data)
+
+
 def test_unknown_trajectory_kind_rejected():
     data = _reference_dict()
     data["simulation"]["trajectory"] = {"kind": "sinusoid"}
@@ -210,6 +220,15 @@ def test_cli_seed_override(tmp_path):
     assert (seeded / "trace.csv").read_bytes() == (seeded_again / "trace.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "verify"])
+def test_cli_negative_seed_rejected(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(DEMO_CONFIG), "--out", str(tmp_path), "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_cli_compare(tmp_path):
     code = main(["compare", "--config", str(REFERENCE_CONFIG), "--out", str(tmp_path)])
     assert code == 0
@@ -225,12 +244,26 @@ def test_cli_verify_exit_codes(tmp_path):
     assert main(["verify", "--config", str(DEMO_CONFIG), "--out", str(tmp_path / "demo")]) == 0
     assert main(["verify", "--config", str(REFERENCE_CONFIG), "--out", str(tmp_path / "ref")]) == 4
     with open(tmp_path / "ref" / "verification.json", "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        payload = json.load(handle, parse_constant=_reject_constant)
     assert payload["all_hold"] is False
     by_name = {c["name"]: c for c in payload["checks"]}
     assert by_name["cross_term_bound"]["holds"] is False
     assert by_name["dissipation"]["holds"] is False
-    assert by_name["inversion_identity_campaign"]["holds"] is True
+    assert not [name for name in by_name if name.endswith("_campaign")]
+    interval = by_name["epsilon_interval"]
+    assert interval["holds"] is False
+    window_lo = interval["witness"]["intervals"]["epsilon_window"][0]
+    scaled_hi = interval["witness"]["intervals"]["uncertainty_bound_scaled"][1]
+    assert window_lo > scaled_hi
+
+    text = (tmp_path / "demo" / "verification.json").read_text(encoding="utf-8")
+    demo = {c["name"]: c for c in json.loads(text, parse_constant=_reject_constant)["checks"]}
+    assert not [name for name in demo if name.endswith("_campaign")]
+    assert demo["epsilon_interval"]["holds"] is True
+
+
+def _reject_constant(name):
+    raise AssertionError(f"verification.json holds the non-JSON constant {name}")
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etcontrol.errors import RankDeficiencyError, SingularMatrixError
@@ -182,6 +182,7 @@ def test_pseudo_inverse_tall_column():
 
 
 @given(dims, seeds)
+@example(n=4, seed=92178528)  # condition number 4.4e4: the normal equations miss by 2.2e-8
 @settings(max_examples=40, deadline=None)
 def test_pseudo_inverse_penrose_identities(n, seed):
     rng = np.random.default_rng(seed)

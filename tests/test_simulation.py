@@ -121,6 +121,13 @@ def test_random_trajectory_seeded(reference_system):
     assert np.all(rows_a >= 0.0) and np.all(rows_a <= 0.8)
 
 
+@pytest.mark.parametrize("seed", [-3, 2.5, "7"])
+def test_random_trajectory_rejects_bad_seed(seed):
+    """A seed numpy would refuse at realize time is refused at construction."""
+    with pytest.raises(ValueError, match="seed must be"):
+        ParamTrajectory.random(seed)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "make, name",

@@ -11,16 +11,25 @@ from etcontrol import (
     FeasibilityError,
     ParamTrajectory,
     SingularMatrixError,
+    SynthesisParams,
     TriggerPolicy,
+    UncertaintyModel,
     check_cross_term_bound,
     check_dissipation,
+    check_epsilon_interval,
     check_inversion_identity,
     check_loop_energy_bound,
     cross_term_campaign,
+    decay_matrix,
+    error_weight,
+    feasibility_report,
+    feedback_gain,
     identity_campaign,
     load_config,
     simulate,
+    solve_modified_dare,
     synthesize,
+    virtual_gain,
 )
 from etcontrol.cli import main
 from etcontrol.verification import (
@@ -28,7 +37,7 @@ from etcontrol.verification import (
     cross_term_margins,
     inversion_identity_margins,
 )
-from oracles import campaign_stepwise
+from oracles import campaign_stepwise, epsilon_margins, epsilon_scan
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +132,157 @@ def test_loop_energy_bound_zero_dynamics(demo_system):
     result = check_loop_energy_bound(A, B, P, params, K, L)
     assert result.holds
     assert abs(result.margin) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# epsilon interval
+
+
+def _design_gains(A, B, model, params):
+    P = solve_modified_dare(A, B, params, model.F)
+    return P, feedback_gain(A, B, P, params), virtual_gain(A, B, P, params)
+
+
+def _random_design(seed):
+    """A random mismatched design near the demo's scales, with d = seed % 4 box axes."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 4)), seed % 4
+    A = rng.normal(size=(n, n))
+    A *= rng.uniform(0.1, 0.6) / max(abs(np.linalg.eigvals(A)))
+    B = rng.normal(size=(n, 1))
+    G = rng.normal(size=(n, n))
+    model = UncertaintyModel(
+        basis=tuple(rng.uniform(0.02, 0.1) * rng.normal(size=(n, n)) for _ in range(d)),
+        p_lo=-rng.uniform(0.1, 0.5, size=d),
+        p_hi=rng.uniform(0.1, 0.5, size=d),
+        F=0.01 * np.eye(n) + 0.01 * G @ G.T / n,
+    )
+    params = SynthesisParams(
+        Q=0.01 * np.eye(n),
+        R1=[[rng.uniform(0.005, 0.05)]],
+        R2=np.eye(n),
+        alpha=rng.uniform(0.0, 1.5),
+        beta=rng.uniform(0.1, 0.3),
+        epsilon=rng.uniform(2.0, 15.0),
+        sigma=0.5,
+    )
+    return A, B, model, params
+
+
+def _inside(s, ends):
+    if ends is None:
+        return np.zeros(s.size, dtype=bool)
+    lo, hi = ends
+    return (s >= lo) & (s <= (np.inf if hi is None else hi))
+
+
+def _near_end(s, ends, rtol=1e-9):
+    if ends is None:
+        return np.zeros(s.size, dtype=bool)
+    return np.any([np.abs(s - end) <= rtol * end for end in ends if end is not None], axis=0)
+
+
+def _assert_interval_matches_scan(A, B, model, params):
+    """check_epsilon_interval against the dense explicit-inverse scan.
+
+    Every scan point farther than 1e-9 relative from an end is inside a
+    reported interval exactly when the scan finds the condition holding
+    there, so each end lies within one scan spacing of the scan's. The
+    report holds just inside the intersection, some margin is negative
+    just outside it, and no scanned mu beats mu_best.
+    """
+    P, K, L = _design_gains(A, B, model, params)
+    result = check_epsilon_interval(A, B, model, params, P, K, L)
+    witness = result.witness
+    s, margins, mu = epsilon_scan(A, B, model, params, P, K, L)
+    for condition, margin in margins.items():
+        ends = witness["intervals"][condition]
+        far = ~_near_end(s, ends)
+        assert np.array_equal(_inside(s, ends)[far], (margin >= 0.0)[far]), condition
+
+    all_hold = np.all([margin >= 0.0 for margin in margins.values()], axis=0)
+    lo, hi = witness["inv_eps_lo"], witness["inv_eps_hi"]
+    ends = None if lo is None else (lo, hi)
+    far = ~_near_end(s, ends)
+    assert np.array_equal(_inside(s, ends)[far], all_hold[far])
+    inv_eps = 1.0 / params.epsilon
+    if ends is None:
+        assert not result.holds and result.margin == -np.inf
+        assert witness["epsilon_best"] is None and witness["mu_best"] is None
+        return witness
+
+    top = hi if hi is not None else 10.0 * lo
+    s_best = 1.0 / witness["epsilon_best"]
+    assert lo <= s_best <= top or hi is None
+    for s_in in (lo * (1.0 + 1e-9), top * (1.0 - 1e-9), np.sqrt(lo * top), s_best):
+        params_in = dataclasses.replace(params, epsilon=1.0 / s_in)
+        Z = error_weight(P, 1.0 / s_in, require_window=False)
+        Q1 = decay_matrix(A, B, K, L, Z, params_in)
+        assert feasibility_report(A, B, model, params_in, P, K, L, Z, Q1).all_hold, s_in
+    outside = [lo * (1.0 - 1e-6)] + ([hi * (1.0 + 1e-6)] if hi is not None else [])
+    margins_out, _ = epsilon_margins(A, B, model, params, P, K, L, outside)
+    assert np.all(np.min(list(margins_out.values()), axis=0) < 0.0)
+    assert witness["mu_best"] >= np.max(mu[all_hold], initial=0.0) * (1.0 - 1e-6)
+    expected_margin = min(inv_eps - lo, np.inf if hi is None else hi - inv_eps)
+    assert result.margin == expected_margin
+    assert result.holds == (expected_margin >= 0.0)
+    return witness
+
+
+def test_epsilon_interval_demo(demo_system):
+    A, B, model, params = demo_system
+    witness = _assert_interval_matches_scan(A, B, model, params)
+    assert witness["inv_eps_lo"] == pytest.approx(0.08455, abs=1e-4)
+    assert witness["inv_eps_hi"] == pytest.approx(0.43506, abs=1e-4)
+    assert witness["binding_lo"] == witness["binding_hi"] == "decay_matrix_psd"
+    assert witness["intervals"]["periodic_decay"][0] == pytest.approx(0.08405, abs=1e-4)
+    assert witness["mu_best"] == pytest.approx(0.6624, abs=1e-4)
+    assert 1.0 / witness["epsilon_best"] == pytest.approx(0.1472, abs=1e-3)
+
+
+def test_epsilon_interval_holding_system(holding_system):
+    A, B, model, params = holding_system
+    witness = _assert_interval_matches_scan(A, B, model, params)
+    assert witness["inv_eps_lo"] <= 1.0 / params.epsilon <= witness["inv_eps_hi"]
+
+
+def test_epsilon_interval_reference_is_empty(reference_system):
+    """No epsilon repairs the reference design: the window and the scaled bound never meet."""
+    A, B, model, params = reference_system
+    witness = _assert_interval_matches_scan(A, B, model, params)
+    window_lo = witness["intervals"]["epsilon_window"][0]
+    scaled_lo, scaled_hi = witness["intervals"]["uncertainty_bound_scaled"]
+    assert window_lo == pytest.approx(38.688, abs=1e-3)
+    # F - s dA' dA = (6.09 - 0.64 s) 11' at the vertex p = 0.8
+    assert scaled_lo == 0.0 and scaled_hi == pytest.approx(6.09 / 0.64, rel=1e-12)
+    assert window_lo > scaled_hi
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_epsilon_interval_random_designs(seed):
+    A, B, model, params = _random_design(seed)
+    _assert_interval_matches_scan(A, B, model, params)
+
+
+def test_epsilon_interval_random_designs_cover_both_outcomes():
+    """The random designs above include nonempty and empty intersections at every d."""
+    found = set()
+    for seed in range(24):
+        A, B, model, params = _random_design(seed)
+        P, K, L = _design_gains(A, B, model, params)
+        witness = check_epsilon_interval(A, B, model, params, P, K, L).witness
+        found.add((model.dimension, witness["inv_eps_lo"] is None))
+    assert len({d for d, _ in found}) == 4
+    assert {empty for _, empty in found} == {True, False}
+
+
+def test_epsilon_interval_validates_design(demo_system):
+    A, B, model, params = demo_system
+    P, K, L = _design_gains(A, B, model, params)
+    with pytest.raises(ValueError, match=r"K has shape \(2, 2\), expected \(1, 2\)"):
+        check_epsilon_interval(A, B, model, params, P, np.vstack([K, K]), L)
+    with pytest.raises(ValueError, match="P must be positive definite"):
+        check_epsilon_interval(A, B, model, params, -P, K, L)
 
 
 # ---------------------------------------------------------------------------
