@@ -7,9 +7,10 @@ the configured design: its identities and bounds, the dissipation of one
 event-triggered run, and the exact interval of 1/epsilon on which every
 design condition holds), and scaffold (write a template configuration).
 --seed overrides the seed of a random parameter trajectory; nothing else
-is random. All file outputs are deterministic: floats are rounded to
-12 significant digits, JSON keys are sorted, and no timestamps are
-recorded, so identical inputs produce byte-identical outputs.
+is random, so a command that has no such trajectory says on stderr that
+the seed has no effect. All file outputs are deterministic: floats are
+rounded to 12 significant digits, JSON keys are sorted, and no timestamps
+are recorded, so identical inputs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 verification found failing checks.
@@ -142,14 +143,23 @@ def _print_report(report) -> None:
         print(f"  [{check.verdict:>8s}] {check.condition} (margin {margin})")
 
 
-def _resolve_trajectory(config, seed_override):
+def _note_unused_seed(args, reason: str) -> None:
+    """Say on stderr that a given --seed cannot change what the command writes."""
+    if args.seed is not None:
+        print(f"note: --seed has no effect on {args.command}: {reason}", file=sys.stderr)
+
+
+def _resolve_trajectory(config, args):
     trajectory = config.simulation.trajectory
-    if seed_override is not None and trajectory.kind == TRAJ_RANDOM:
-        return ParamTrajectory.random(seed_override)
+    if trajectory.kind != TRAJ_RANDOM:
+        _note_unused_seed(args, f"the configured trajectory is {trajectory.kind}, not random")
+    elif args.seed is not None:
+        return ParamTrajectory.random(args.seed)
     return trajectory
 
 
 def cmd_synth(args) -> int:
+    _note_unused_seed(args, "the design draws nothing at random")
     config = load_config(args.config)
     outcome = synthesize(config.A, config.B, config.model, config.params)
     os.makedirs(args.out, exist_ok=True)
@@ -175,7 +185,7 @@ def cmd_simulate(args) -> int:
         policy = TriggerPolicy.event(mu)
     else:
         policy = TriggerPolicy.periodic()
-    trajectory = _resolve_trajectory(config, args.seed)
+    trajectory = _resolve_trajectory(config, args)
     trace = simulate(
         config.A,
         config.B,
@@ -208,7 +218,7 @@ def cmd_compare(args) -> int:
     outcome = synthesize(config.A, config.B, config.model, config.params)
     settings = config.simulation
     mu = settings.mu if settings.mu is not None else outcome.mu
-    trajectory = _resolve_trajectory(config, args.seed)
+    trajectory = _resolve_trajectory(config, args)
     comparison = compare_policies(
         config.A,
         config.B,
@@ -284,7 +294,7 @@ def cmd_verify(args) -> int:
 
     settings = config.simulation
     mu = settings.mu if settings.mu is not None else outcome.mu
-    trajectory = _resolve_trajectory(config, args.seed)
+    trajectory = _resolve_trajectory(config, args)
     trace = simulate(
         config.A,
         config.B,
@@ -344,6 +354,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scaffold(args) -> int:
+    _note_unused_seed(args, "the template is fixed")
     config = scaffold_config()
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "experiment.json")

@@ -12,7 +12,7 @@ plant.
 
 from __future__ import annotations
 
-import functools
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -175,6 +175,13 @@ class ParamTrajectory:
         return clipped, clamped
 
 
+def _transmits(e_sq: float, x_sq: float, mu: float) -> bool:
+    """The event rule on squared norms: e_sq >= mu x_sq, except at rest at the origin."""
+    if e_sq == 0.0 and x_sq == 0.0:
+        return False
+    return e_sq >= mu * x_sq
+
+
 def should_trigger(x, x_held, mu: float) -> bool:
     """Relative threshold rule: transmit when ||x_held - x||^2 >= mu ||x||^2.
 
@@ -184,11 +191,7 @@ def should_trigger(x, x_held, mu: float) -> bool:
     """
     x = np.asarray(x, dtype=float)
     e = np.asarray(x_held, dtype=float) - x
-    e_sq = float(e @ e)
-    x_sq = float(x @ x)
-    if e_sq == 0.0 and x_sq == 0.0:
-        return False
-    return e_sq >= float(mu) * x_sq
+    return _transmits(float(e @ e), float(x @ x), float(mu))
 
 
 @dataclass
@@ -276,33 +279,46 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     """Step x(k+1) = plant[k] x(k) + B u(k) through a realized plant stack.
 
     The loop carries only the state, the held state and the input, and
-    records states, inputs and decisions; the other columns are derived
-    from those once it ends.
+    records states, inputs and decisions. It forms x'x once per row and
+    uses it for the trigger rule, the divergence test (the norm is its
+    square root, as np.linalg.norm computes it) and the threshold column;
+    B u is formed only when a transmission changes u. The other columns
+    are derived from the recorded rows once the loop ends.
     """
     n_steps = plant.shape[0]
-    if policy.kind == POLICY_PERIODIC:
-        transmits = lambda x, held: True  # noqa: E731
-    else:
-        transmits = functools.partial(should_trigger, mu=policy.mu)
+    event, mu = policy.kind == POLICY_EVENT, policy.mu
     states = np.zeros((n_steps + 1, x0.size))
     inputs = np.zeros((n_steps + 1, B.shape[1]))
     triggered = np.zeros(n_steps + 1, dtype=bool)
+    thresholds = np.zeros(n_steps + 1)
     states[0] = x0
-    held = u = None
+    x = states[0]
+    x_sq = float(x @ x)
+    held = u = Bu = None
     last, diverged = n_steps, False
     for k in range(n_steps):
-        x = states[k]
-        if k == 0 or transmits(x, held):
+        fire = True
+        if event:
+            thresholds[k] = mu * x_sq
+            if k:
+                e = held - x
+                fire = _transmits(float(e @ e), x_sq, mu)
+        if fire:
             held = x
             u = K @ held
+            Bu = B @ u
             triggered[k] = True
         inputs[k] = u
-        states[k + 1] = plant[k] @ x + B @ u
+        states[k + 1] = plant[k] @ x + Bu
+        x = states[k + 1]
+        x_sq = float(x @ x)
         # A non-finite state fails this comparison too.
-        if not float(np.linalg.norm(states[k + 1])) <= DIVERGENCE_NORM:
+        if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
             last, diverged = k + 1, True
             break
     inputs[last] = u
+    if event:
+        thresholds[last] = mu * x_sq
 
     end = last + 1
     states, inputs, triggered = states[:end], inputs[:end], triggered[:end]
@@ -310,16 +326,12 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     # the one it held while deciding (row 0 compares the state with itself).
     held_after = np.maximum.accumulate(np.where(triggered, np.arange(end), 0))
     held_before = np.concatenate(([0], held_after[:-1]))
-    if policy.kind == POLICY_PERIODIC:
-        thresholds = np.zeros(end)
-    else:
-        thresholds = np.array([policy.mu * float(x @ x) for x in states])
     return SimTrace(
         states=states,
         inputs=inputs,
         errors=states[held_after] - states,
         monitored_sq=np.array([float(e @ e) for e in states[held_before] - states]),
-        thresholds=thresholds,
+        thresholds=thresholds[:end],
         triggered=triggered,
         p=p_rows[:end].copy(),
         V=np.array([float(x @ P @ x) for x in states]),

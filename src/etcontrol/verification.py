@@ -39,7 +39,6 @@ from .linalg import (
     require_square,
     spectral_norm,
     spectral_norm_stack,
-    sym_eigvals,
     symmetrize,
     symmetrize_stack,
 )
@@ -269,6 +268,9 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
     )
 
 
+_DISSIPATION_BOUNDS = ("raw", "rate", "sandwich")
+
+
 def check_dissipation(
     trace,
     P,
@@ -293,6 +295,13 @@ def check_dissipation(
     sampled perturbation violates the weighted uncertainty bound are
     skipped; the theory promises nothing there. Margin is the worst slack
     across all audited inequalities.
+
+    The slacks of the whole trace are formed at once, one row per step in
+    the bound order above. The audit stops at the first violating step that
+    the gate keeps, and counts and margin cover the steps up to it; the
+    witness is the first worst slack in (step, bound) order. A slack that
+    is not finite (a NaN or infinite trace row) violates its step and
+    counts as -inf.
     """
     P = symmetrize(P, "P")
     Q1 = symmetrize(Q1, "Q1")
@@ -302,64 +311,40 @@ def check_dissipation(
     sigma = float(sigma)
     error_gain = K.T @ B.T @ Z @ B @ K
     error_gain = 0.5 * (error_gain + error_gain.T)
-    p_eigs = sym_eigvals(P, "P")
-    q_min = float(sym_eigvals(Q1, "Q1")[0])
+    p_eigs = np.linalg.eigvalsh(P)
+    q_min = float(np.linalg.eigvalsh(Q1)[0])
     denom = spectral_norm(error_gain)
     mu_derived = sigma * q_min / denom if (q_min > 0.0 and denom > 0.0) else None
 
-    worst = np.inf
-    witness = {}
-    skipped = 0
-    audited = 0
-    gated = np.zeros(trace.n_steps, dtype=bool)
+    n = trace.n_steps
+    gated = np.zeros(n, dtype=bool)
     if model is not None and F is not None:
-        dA = model.matrix_at(trace.p[: trace.n_steps])
-        slack = np.linalg.eigvalsh(F - np.swapaxes(dA, 1, 2) @ Z @ dA)[:, 0]
-        gated = slack < -CHECK_TOL * max(1.0, spectral_norm(F))
+        dA = model.matrix_at(trace.p[:n])
+        gate = np.linalg.eigvalsh(F - np.swapaxes(dA, 1, 2) @ Z @ dA)[:, 0]
+        gated = gate < -CHECK_TOL * max(1.0, spectral_norm(F))
 
-    for k in range(trace.n_steps):
-        if gated[k]:
-            skipped += 1
-            continue
-        audited += 1
-        x = trace.states[k]
-        e = trace.errors[k]
-        x_sq = float(x @ x)
-        dV = trace.V[k + 1] - trace.V[k]
-        tol_k = CHECK_TOL * (1.0 + abs(float(trace.V[k])))
+    x, e, V = trace.states[:n], trace.errors[:n], trace.V[:n]
+    x_sq = np.einsum("ki,ki->k", x, x)
+    dV = trace.V[1 : n + 1] - V
+    tol = CHECK_TOL * (1.0 + np.abs(V))
+    raw = (-np.einsum("ki,ki->k", x @ Q1, x) + np.einsum("ki,ki->k", e @ error_gain, e)) - dV
+    rate = (-(1.0 - sigma) * q_min * x_sq) - dV
+    if mu_derived is None:
+        rate_applies = np.zeros(n, dtype=bool)
+    else:
+        rate_applies = np.einsum("ki,ki->k", e, e) <= mu_derived * x_sq + tol
+    sandwich = np.minimum(V - p_eigs[0] * x_sq, p_eigs[-1] * x_sq - V)
+    slack = np.stack([raw, np.where(rate_applies, rate, np.inf), sandwich], axis=1)
+    not_finite = ~np.isfinite(slack)
+    not_finite[:, 1] &= rate_applies
+    slack[not_finite] = -np.inf
+    violated = ~gated & np.any(not_finite | (slack < -tol[:, None]), axis=1)
 
-        raw_slack = (-(x @ Q1 @ x) + e @ error_gain @ e) - dV
-        if raw_slack < worst:
-            worst = raw_slack
-            witness = {"step": k, "bound": "raw", "dV": float(dV)}
-        raw_ok = raw_slack >= -tol_k
-
-        rate_ok = True
-        if mu_derived is not None and float(e @ e) <= mu_derived * x_sq + tol_k:
-            rate_slack = (-(1.0 - sigma) * q_min * x_sq) - dV
-            if rate_slack < worst:
-                worst = rate_slack
-                witness = {"step": k, "bound": "rate", "dV": float(dV)}
-            rate_ok = rate_slack >= -tol_k
-
-        v_lo_slack = float(trace.V[k]) - p_eigs[0] * x_sq
-        v_hi_slack = p_eigs[-1] * x_sq - float(trace.V[k])
-        sandwich = min(v_lo_slack, v_hi_slack)
-        if sandwich < worst:
-            worst = sandwich
-            witness = {"step": k, "bound": "sandwich", "dV": float(dV)}
-        sandwich_ok = sandwich >= -tol_k
-
-        if not (raw_ok and rate_ok and sandwich_ok):
-            return CheckResult(
-                name="dissipation",
-                holds=False,
-                margin=float(worst),
-                witness=witness,
-                note=f"violated at step {k} "
-                f"({audited} steps audited, {skipped} skipped)",
-            )
-
+    failed = bool(violated.any())
+    stop = int(np.argmax(violated)) if failed else n - 1
+    kept = np.flatnonzero(~gated[: stop + 1])
+    audited = kept.size
+    skipped = stop + 1 - audited
     if audited == 0:
         return CheckResult(
             name="dissipation",
@@ -368,10 +353,22 @@ def check_dissipation(
             witness={},
             note=f"no eligible steps ({skipped} skipped by the uncertainty gate)",
         )
+    row, bound = divmod(int(np.argmin(slack[kept])), 3)
+    step = int(kept[row])
+    margin = float(slack[step, bound])
+    witness = {"step": step, "bound": _DISSIPATION_BOUNDS[bound], "dV": float(dV[step])}
+    if failed:
+        return CheckResult(
+            name="dissipation",
+            holds=False,
+            margin=margin,
+            witness=witness,
+            note=f"violated at step {stop} ({audited} steps audited, {skipped} skipped)",
+        )
     return CheckResult(
         name="dissipation",
         holds=True,
-        margin=float(worst),
+        margin=margin,
         witness=witness,
         note=f"{audited} steps audited, {skipped} skipped",
     )

@@ -11,6 +11,8 @@ epsilon scan evaluates the design conditions on a dense grid of
 1/epsilon with explicit inverses, not in the eigenbasis of P. The
 campaign oracle is the one exception: it is the per-sample loop that the
 batched campaigns replace, so it calls the public single-instance checks.
+The dissipation oracle is the per-step loop that the audit's array pass
+replaces, with the gate's perturbations formed afresh at every step.
 """
 
 import numpy as np
@@ -273,6 +275,107 @@ def campaign_stepwise(kind: str, samples: int, seed: int, max_dim: int):
         margin=worst,
         witness=witness,
         note=f"{samples} samples, {failures} failures; margin is the {what}",
+    )
+
+
+def dissipation_stepwise(trace, P, Q1, K, B, Z, sigma, model=None, F=None):
+    """The dissipation audit of a trace by a plain per-step loop.
+
+    This is the loop that check_dissipation's array pass replaces, with
+    plain numpy in place of the package's validating helpers. Step k is
+    skipped when the gate (model and F given) finds F - dA(p_k)' Z dA(p_k)
+    not positive semidefinite, dA formed afresh as sum_i p_i E_i. Otherwise
+    the raw bound, the rate bound (where the monitored error is within the
+    derived threshold) and the sandwich bound are checked in that order;
+    the worst slack is tracked by a strict comparison, so the witness is its
+    first occurrence in (step, bound) order, and the loop stops at the first
+    violating step. A NaN slack fails its step here without becoming the
+    margin, so compare with check_dissipation on finite traces only.
+    """
+    from etcontrol import CheckResult
+    from etcontrol.verification import CHECK_TOL
+
+    P, Q1, Z, K, B = (np.asarray(v, dtype=float) for v in (P, Q1, Z, K, B))
+    P, Q1, Z = (0.5 * (m + m.T) for m in (P, Q1, Z))
+    sigma = float(sigma)
+    error_gain = K.T @ B.T @ Z @ B @ K
+    error_gain = 0.5 * (error_gain + error_gain.T)
+    p_eigs = np.linalg.eigvalsh(P)
+    q_min = float(np.linalg.eigvalsh(Q1)[0])
+    denom = float(np.linalg.norm(error_gain, 2))
+    mu_derived = sigma * q_min / denom if (q_min > 0.0 and denom > 0.0) else None
+
+    worst = np.inf
+    witness = {}
+    skipped = 0
+    audited = 0
+    gated = np.zeros(trace.n_steps, dtype=bool)
+    if model is not None and F is not None:
+        F = np.asarray(F, dtype=float)
+        gate_tol = CHECK_TOL * max(1.0, float(np.linalg.norm(F, 2)))
+        for k in range(trace.n_steps):
+            dA = np.zeros_like(P)
+            for coeff, E in zip(trace.p[k], model.basis):
+                dA += coeff * np.asarray(E, dtype=float)
+            gated[k] = np.linalg.eigvalsh(F - dA.T @ Z @ dA)[0] < -gate_tol
+
+    for k in range(trace.n_steps):
+        if gated[k]:
+            skipped += 1
+            continue
+        audited += 1
+        x = trace.states[k]
+        e = trace.errors[k]
+        x_sq = float(x @ x)
+        dV = trace.V[k + 1] - trace.V[k]
+        tol_k = CHECK_TOL * (1.0 + abs(float(trace.V[k])))
+
+        raw_slack = (-(x @ Q1 @ x) + e @ error_gain @ e) - dV
+        if raw_slack < worst:
+            worst = raw_slack
+            witness = {"step": k, "bound": "raw", "dV": float(dV)}
+        raw_ok = raw_slack >= -tol_k
+
+        rate_ok = True
+        if mu_derived is not None and float(e @ e) <= mu_derived * x_sq + tol_k:
+            rate_slack = (-(1.0 - sigma) * q_min * x_sq) - dV
+            if rate_slack < worst:
+                worst = rate_slack
+                witness = {"step": k, "bound": "rate", "dV": float(dV)}
+            rate_ok = rate_slack >= -tol_k
+
+        v_lo_slack = float(trace.V[k]) - p_eigs[0] * x_sq
+        v_hi_slack = p_eigs[-1] * x_sq - float(trace.V[k])
+        sandwich = min(v_lo_slack, v_hi_slack)
+        if sandwich < worst:
+            worst = sandwich
+            witness = {"step": k, "bound": "sandwich", "dV": float(dV)}
+        sandwich_ok = sandwich >= -tol_k
+
+        if not (raw_ok and rate_ok and sandwich_ok):
+            return CheckResult(
+                name="dissipation",
+                holds=False,
+                margin=float(worst),
+                witness=witness,
+                note=f"violated at step {k} "
+                f"({audited} steps audited, {skipped} skipped)",
+            )
+
+    if audited == 0:
+        return CheckResult(
+            name="dissipation",
+            holds=True,
+            margin=0.0,
+            witness={},
+            note=f"no eligible steps ({skipped} skipped by the uncertainty gate)",
+        )
+    return CheckResult(
+        name="dissipation",
+        holds=True,
+        margin=float(worst),
+        witness=witness,
+        note=f"{audited} steps audited, {skipped} skipped",
     )
 
 

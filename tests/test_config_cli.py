@@ -220,6 +220,38 @@ def test_cli_seed_override(tmp_path):
     assert (seeded / "trace.csv").read_bytes() == (seeded_again / "trace.csv").read_bytes()
 
 
+_SEEDLESS_RUNS = [
+    ("synth", DEMO_CONFIG, "synthesis.json", "the design draws nothing at random"),
+    ("scaffold", None, "experiment.json", "the template is fixed"),
+] + [
+    (command, REFERENCE_CONFIG, artifact, "the configured trajectory is constant, not random")
+    for command, artifact in (
+        ("simulate", "trace.csv"), ("compare", "comparison.json"), ("verify", "verification.json")
+    )
+]
+
+
+@pytest.mark.parametrize("command, config, artifact, reason", _SEEDLESS_RUNS)
+def test_cli_says_when_seed_has_no_effect(tmp_path, capsys, command, config, artifact, reason):
+    """A --seed the command cannot use changes no byte or exit code, and says so."""
+    argv = [command] + ([] if config is None else ["--config", str(config)])
+    plain = main(argv + ["--out", str(tmp_path / "plain")])
+    assert "--seed" not in capsys.readouterr().err
+    seeded = main(argv + ["--out", str(tmp_path / "seeded"), "--seed", "5"])
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"note: --seed has no effect on {command}: {reason}"]
+    assert seeded == plain
+    assert (tmp_path / "seeded" / artifact).read_bytes() == (
+        tmp_path / "plain" / artifact
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "verify"])
+def test_cli_seed_of_random_trajectory_is_silent(tmp_path, capsys, command):
+    main([command, "--config", str(DEMO_CONFIG), "--out", str(tmp_path), "--seed", "5"])
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare", "verify"])
 def test_cli_negative_seed_rejected(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:

@@ -37,7 +37,7 @@ from etcontrol.verification import (
     cross_term_margins,
     inversion_identity_margins,
 )
-from oracles import campaign_stepwise, epsilon_margins, epsilon_scan
+from oracles import campaign_stepwise, dissipation_stepwise, epsilon_margins, epsilon_scan
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +363,119 @@ def test_dissipation_without_gate(demo_system):
     result = check_dissipation(trace, out.P, out.Q1, out.K, B, out.Z, params.sigma)
     assert result.holds
     assert "0 skipped" in result.note
+
+
+# The audited runs: fixture, parameter path and threshold (None: the
+# design's own mu). The reference run violates its bounds at step 0.
+_AUDITED_RUNS = {
+    "demo": ("demo_system", ParamTrajectory.random(7), None),
+    "reference": ("reference_system", ParamTrajectory.constant([0.8]), 0.29),
+    "holding": ("holding_system", ParamTrajectory.random(3), None),
+}
+
+
+def _audited_run(request, run):
+    """The event trace of one audited run and check_dissipation's arguments."""
+    fixture, trajectory, mu = _AUDITED_RUNS[run]
+    A, B, model, params = request.getfixturevalue(fixture)
+    out = synthesize(A, B, model, params)
+    trace = simulate(
+        A, B, model, out.K,
+        TriggerPolicy.event(out.mu if mu is None else mu),
+        trajectory, [1.0, -1.0], 30, out.P,
+    )
+    return trace, [out.P, out.Q1, out.K, B, out.Z, params.sigma], model
+
+
+def _break_bound(trace, args, bound, where):
+    """A copy of trace whose V breaks one bound at one step, and that step.
+
+    raw and rate raise V(k+1) just past the bound's right-hand side (a
+    broken rate bound breaks the tighter raw bound too); sandwich lowers
+    V(k) just under lambda_min(P) ||x(k)||^2.
+    """
+    P, Q1, K, B, Z, sigma = args
+    k = {"first": 0, "middle": trace.n_steps // 2, "last": trace.n_steps - 1}[where]
+    x, e, V = trace.states[k], trace.errors[k], trace.V.copy()
+    push = 1e-3 * (1.0 + abs(V[k]))
+    if bound == "raw":
+        V[k + 1] = V[k] - x @ Q1 @ x + e @ (K.T @ B.T @ Z @ B @ K) @ e + push
+    elif bound == "rate":
+        V[k + 1] = V[k] - (1.0 - sigma) * np.linalg.eigvalsh(Q1)[0] * (x @ x) + push
+    else:
+        V[k] = np.linalg.eigvalsh(P)[0] * (x @ x) - push
+    return dataclasses.replace(trace, V=V), k
+
+
+_DISSIPATION_CASES = [
+    (run, gate, None) for run in _AUDITED_RUNS for gate in ("gate", "no gate", "all gated")
+] + [
+    ("demo", "gate", "Q1 indefinite"),
+    ("holding", "no gate", "Q1 indefinite"),
+] + [
+    ("demo", "gate", (bound, where))
+    for bound in ("raw", "rate", "sandwich")
+    for where in ("first", "middle", "last")
+]
+
+
+@pytest.mark.parametrize("run, gate, edit", _DISSIPATION_CASES)
+def test_dissipation_matches_stepwise_oracle(request, run, gate, edit):
+    """The array audit agrees with the per-step loop on verdict, note and witness."""
+    trace, args, model = _audited_run(request, run)
+    # F = -1000 I fails the gate's test F - dA' Z dA >= 0 at every step of
+    # every run, the reference's too, whose Z is negative definite.
+    kwargs = {
+        "gate": {"model": model, "F": model.F},
+        "no gate": {},
+        "all gated": {"model": model, "F": -1e3 * np.eye(2)},
+    }[gate]
+    step = None
+    if edit == "Q1 indefinite":
+        Q1 = args[1]
+        args[1] = Q1 - 2.0 * np.linalg.eigvalsh(Q1)[-1] * np.eye(2)
+    elif edit is not None:
+        trace, step = _break_bound(trace, args, *edit)
+    result = check_dissipation(trace, *args, **kwargs)
+    expected = dissipation_stepwise(trace, *args, **kwargs)
+    assert (result.holds, result.note, result.witness) == (
+        expected.holds, expected.note, expected.witness
+    )
+    assert result.margin == pytest.approx(expected.margin, rel=1e-12, abs=0.0)
+    if gate == "all gated":
+        assert result.holds and "no eligible steps" in result.note
+    elif run == "reference":
+        assert result.note.startswith("violated at step 0 (")
+    if step is not None:
+        assert result.note.startswith(f"violated at step {step} (")
+        assert result.witness["step"] == step and result.margin < 0.0
+
+
+def test_dissipation_non_finite_slack_is_minus_inf(demo_system):
+    """An overflowing run fails the audit with margin -inf at the step it breaks.
+
+    The second row is [inf, -inf], so V there is NaN and so are the raw and
+    rate slacks of step 0; the sandwich slack of step 0 stays finite and
+    positive and must not become the margin.
+    """
+    A, B, model, params = demo_system
+    out = synthesize(A, B, model, params)
+    K = np.zeros((1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = simulate(
+            np.diag([1e300, -1e300]), B, model, K,
+            TriggerPolicy.event(out.mu), ParamTrajectory.random(7), [1e10, 1e10], 30, out.P,
+        )
+    assert trace.diverged and np.isnan(trace.V[-1])
+    assert np.array_equal(trace.states[-1], [np.inf, -np.inf])
+    result = check_dissipation(
+        trace, out.P, out.Q1, K, B, out.Z, params.sigma, model=model, F=model.F
+    )
+    assert not result.holds
+    assert result.margin == -np.inf
+    assert result.witness["step"] == 0 and result.witness["bound"] == "raw"
+    assert np.isnan(result.witness["dV"])
+    assert result.note == "violated at step 0 (1 steps audited, 0 skipped)"
 
 
 # ---------------------------------------------------------------------------
