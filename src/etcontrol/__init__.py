@@ -49,7 +49,6 @@ from .synthesis import (
     feasibility_report,
     projector_complement,
     solve_modified_dare,
-    sweep_epsilon,
     synthesize,
     synthesize_matched,
     trigger_coefficient,
@@ -111,7 +110,6 @@ __all__ = [
     "should_trigger",
     "simulate",
     "solve_modified_dare",
-    "sweep_epsilon",
     "synthesize",
     "synthesize_matched",
     "trigger_coefficient",

@@ -9,8 +9,9 @@ design condition holds), and scaffold (write a template configuration).
 --seed overrides the seed of a random parameter trajectory; nothing else
 is random, so a command that has no such trajectory says on stderr that
 the seed has no effect. All file outputs are deterministic: floats are
-rounded to 12 significant digits, JSON keys are sorted, and no timestamps
-are recorded, so identical inputs produce byte-identical outputs.
+rounded to 12 significant digits (inf and NaN become null in JSON), JSON
+keys are sorted, and no timestamps are recorded, so identical inputs
+produce byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 verification found failing checks.
@@ -52,10 +53,13 @@ CAMPAIGN_SAMPLES = 0
 
 
 def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, np.floating):
-        return float(f"{float(obj):.12g}")
+    """Round floats to 12 significant digits; a non-finite float becomes None.
+
+    JSON has no token for inf or NaN, so they are written as null.
+    """
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return float(f"{obj:.12g}") if np.isfinite(obj) else None
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -333,8 +337,8 @@ def cmd_verify(args) -> int:
             {
                 "name": result.name,
                 "holds": result.holds,
-                "margin": None if not np.isfinite(result.margin) else result.margin,
-                "witness": _round_floats(result.witness),
+                "margin": result.margin,
+                "witness": result.witness,
                 "note": result.note,
             }
             for result in results

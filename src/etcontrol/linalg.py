@@ -41,14 +41,14 @@ def require_square(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def symmetrize(values, name: str = "matrix", tol: float = SYMMETRY_TOL) -> np.ndarray:
+def symmetrize(values, name: str = "matrix") -> np.ndarray:
     """Validate near-symmetry and return the exactly symmetric part.
 
-    The symmetry defect is measured entrywise relative to nothing; the
-    default tolerance is loose enough for accumulated round-off from a few
+    The symmetry defect is measured entrywise against SYMMETRY_TOL times
+    max(1, max|m|): loose enough for accumulated round-off from a few
     chained products but tight enough to flag transposition mistakes.
     """
-    return symmetrize_stack(require_square(values, name)[None], name, tol)[0]
+    return symmetrize_stack(require_square(values, name)[None], name)[0]
 
 
 def sym_eigvals(values, name: str = "matrix") -> np.ndarray:
@@ -56,15 +56,15 @@ def sym_eigvals(values, name: str = "matrix") -> np.ndarray:
     return np.linalg.eigvalsh(symmetrize(values, name))
 
 
-def is_positive_definite(values, tol: float = DEFINITENESS_TOL) -> bool:
-    """True when every eigenvalue exceeds tol (scaled by the matrix magnitude)."""
-    return bool(positive_definite_stack(require_square(values)[None], tol)[0])
+def is_positive_definite(values) -> bool:
+    """True when every eigenvalue exceeds the definiteness threshold."""
+    return bool(positive_definite_stack(require_square(values)[None])[0])
 
 
-def is_positive_semidefinite(values, tol: float = DEFINITENESS_TOL) -> bool:
-    """True when no eigenvalue falls below -tol (scaled by the matrix magnitude)."""
-    m = symmetrize(values)
-    return bool(sym_eigvals(m)[0] >= -tol * max(1.0, float(np.max(np.abs(m)))))
+def is_positive_semidefinite(values) -> bool:
+    """True when no eigenvalue falls below minus the definiteness threshold."""
+    smallest, threshold = _smallest_eigenvalues(require_square(values)[None])
+    return bool(smallest[0] >= -threshold[0])
 
 
 def inverse(values, name: str = "matrix") -> np.ndarray:
@@ -76,7 +76,7 @@ def inverse(values, name: str = "matrix") -> np.ndarray:
     return inverse_stack(require_square(values, name)[None], name)[0]
 
 
-def pseudo_inverse(values, name: str = "matrix", rank_tol: float = RANK_TOL) -> np.ndarray:
+def pseudo_inverse(values, name: str = "matrix") -> np.ndarray:
     """Left pseudo-inverse of a full-column-rank matrix.
 
     Computed from the thin SVD M = U S V' that the rank test takes, as
@@ -87,7 +87,7 @@ def pseudo_inverse(values, name: str = "matrix", rank_tol: float = RANK_TOL) -> 
     m = as_matrix(values, name)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     smin = float(s[-1]) if s.size else 0.0
-    if smin <= rank_tol:
+    if smin <= RANK_TOL:
         raise RankDeficiencyError(
             f"{name} has deficient column rank (smallest singular value {smin:.2e}); "
             "the input-channel projector cannot be formed reliably"
@@ -117,21 +117,32 @@ def require_square_stack(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def symmetrize_stack(values, name: str = "matrix", tol: float = SYMMETRY_TOL) -> np.ndarray:
+def symmetrize_stack(values, name: str = "matrix") -> np.ndarray:
     """symmetrize for each matrix of a stack; the message gives the first defect."""
     m = require_square_stack(values, name)
     mt = m.transpose(0, 2, 1)
     defect = abs(m - mt).max(axis=(1, 2))
-    bad = defect > tol * np.maximum(1.0, abs(m).max(axis=(1, 2)))
+    bad = defect > SYMMETRY_TOL * np.maximum(1.0, abs(m).max(axis=(1, 2)))
     if bad.any():
         raise ValueError(f"{name} is not symmetric (defect {defect[bad.argmax()]:.3e})")
     return 0.5 * (m + mt)
 
 
-def positive_definite_stack(values, tol: float = DEFINITENESS_TOL) -> np.ndarray:
-    """is_positive_definite for each matrix of a stack, as a boolean array."""
+def _smallest_eigenvalues(values):
+    """Smallest eigenvalue and definiteness threshold of each matrix of a stack.
+
+    The threshold is DEFINITENESS_TOL times max(1, max|m|), the one scale of
+    both definiteness tests.
+    """
     m = symmetrize_stack(values)
-    return np.linalg.eigvalsh(m)[:, 0] > tol * np.maximum(1.0, abs(m).max(axis=(1, 2)))
+    threshold = DEFINITENESS_TOL * np.maximum(1.0, abs(m).max(axis=(1, 2)))
+    return np.linalg.eigvalsh(m)[:, 0], threshold
+
+
+def positive_definite_stack(values) -> np.ndarray:
+    """is_positive_definite for each matrix of a stack, as a boolean array."""
+    smallest, threshold = _smallest_eigenvalues(values)
+    return smallest > threshold
 
 
 def inverse_stack(values, name: str = "matrix") -> np.ndarray:

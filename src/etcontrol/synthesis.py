@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    FeasibilityError,
     NumericalError,
     RiccatiConvergenceError,
     TriggerUndefinedError,
@@ -172,10 +171,13 @@ class UncertaintyModel:
             out += p[..., i, None, None] * e
         return out
 
-    def vertices(self):
-        """Iterate over the corners of the parameter box (one when d = 0)."""
-        for combo in itertools.product(*zip(self.p_lo, self.p_hi)):
-            yield np.asarray(combo, dtype=float)
+    def vertices(self) -> np.ndarray:
+        """The corners of the parameter box as the rows of a (2^d, d) array.
+
+        The last parameter varies fastest (itertools.product order); when
+        d = 0 the one corner is the empty row, shape (1, 0).
+        """
+        return np.array(list(itertools.product(*zip(self.p_lo, self.p_hi))), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -185,11 +187,12 @@ class ConditionCheck:
     margin is the smallest eigenvalue of the slack matrix (nonnegative means
     the condition holds); witness_p is the worst parameter vector for
     box conditions and None otherwise. margin is None when the condition
-    could not be evaluated or certified; its verdict is then FAILS.
+    could not be evaluated or certified; its verdict is then FAILS, and
+    witness_p is the first vertex whose slack was not finite, if any.
     points_evaluated counts the box points whose slack was evaluated (2^d
-    for box conditions, 0 for matrix conditions and uncertified ones), and
-    margin_exact says whether margin is the exact minimum over the box, a
-    certificate rather than a sample.
+    for box conditions, 0 for matrix conditions and for box conditions
+    left unevaluated), and margin_exact says whether margin is the exact
+    minimum over the box, a certificate rather than a sample.
     """
 
     condition: str
@@ -374,14 +377,15 @@ def virtual_gain(A, B, P, params: SynthesisParams) -> np.ndarray:
     return -params.alpha * np.linalg.solve(params.R2, Pi @ S_inv @ A)
 
 
-def error_weight(P, epsilon: float, require_window: bool = True) -> np.ndarray:
+def error_weight(P, epsilon: float) -> np.ndarray:
     """Error weighting matrix of the trigger analysis.
 
     Z = (1/epsilon) I + P ((1/epsilon) I - P)^-1 P. The derivation is valid
     only inside the design window where (1/epsilon) I - P is positive
-    definite. With require_window=False the matrix is still computed when
-    the gap matrix is merely invertible, so that audit paths can report the
-    window violation instead of dying on it.
+    definite, and there Z is positive definite too. Z is computed whenever
+    the gap matrix is invertible (SingularMatrixError otherwise), inside
+    the window or not: the feasibility report gives the verdicts on the
+    window (epsilon_window) and on Z (error_weight_pd).
     """
     P = symmetrize(P, "P")
     epsilon = float(epsilon)
@@ -390,20 +394,8 @@ def error_weight(P, epsilon: float, require_window: bool = True) -> np.ndarray:
     n = P.shape[0]
     eye = np.eye(n)
     gap = (1.0 / epsilon) * eye - P
-    if require_window and not is_positive_definite(gap):
-        raise FeasibilityError(
-            "design window violated: (1/epsilon) I - P is not positive definite "
-            f"(smallest eigenvalue {sym_eigvals(gap)[0]:.6g})",
-            condition=COND_EPS_WINDOW,
-        )
     Z = (1.0 / epsilon) * eye + P @ inverse(gap, "design window gap") @ P
-    Z = 0.5 * (Z + Z.T)
-    if require_window and not is_positive_definite(Z):
-        raise FeasibilityError(
-            "error weighting matrix is not positive definite",
-            condition=COND_WEIGHT_PD,
-        )
-    return Z
+    return 0.5 * (Z + Z.T)
 
 
 def decay_matrix(A, B, K, L, Z, params: SynthesisParams) -> np.ndarray:
@@ -467,27 +459,37 @@ def _verdict(margin: float, scale: float, band: float) -> str:
 def _box_check(condition, description, model, slack_of_dA, band_scale):
     """Smallest slack eigenvalue over the vertices of the parameter box.
 
-    slack_of_dA maps the perturbation dA to a slack F - dA' W dA with W
-    positive semidefinite (c I or Z). Because dA(p) is affine in p, the
-    slack is matrix-concave in p, lambda_min of it is concave, and its
-    minimum over the box lies at a vertex: the margin is a certificate for
-    the whole box, not a sample (multi-convexity; Boyd et al., LMIs in
-    System and Control Theory, 1994).
+    slack_of_dA maps the (2^d, n, n) stack of vertex perturbations dA to the
+    stack of slacks F - dA' W dA with W positive semidefinite (c I or Z).
+    Because dA(p) is affine in p, the slack is matrix-concave in p,
+    lambda_min of it is concave, and its minimum over the box lies at a
+    vertex: the margin is a certificate for the whole box, not a sample
+    (multi-convexity; Boyd et al., LMIs in System and Control Theory, 1994).
+    One stacked eigvalsh covers every vertex, and the witness is the first
+    vertex attaining the minimum. A slack that is not finite (dA' W dA
+    overflowed) leaves the box uncertified: the condition fails with margin
+    None and the first such vertex as its witness.
     """
-    margin, witness, points = np.inf, None, 0
-    for p in model.vertices():
-        value = float(np.linalg.eigvalsh(slack_of_dA(model.matrix_at(p)))[0])
-        points += 1
-        if value < margin:
-            margin, witness = value, p
+    vertices = model.vertices()
+    slack = slack_of_dA(model.matrix_at(vertices))
+    margins = np.linalg.eigvalsh(slack)[:, 0]
+    # LAPACK can return finite eigenvalues for a matrix holding NaN.
+    margins[~np.isfinite(slack).all(axis=(1, 2))] = np.nan
+    not_finite = ~np.isfinite(margins)
+    if not_finite.any():
+        worst, margin, verdict = int(np.argmax(not_finite)), None, FAILS
+    else:
+        worst = int(np.argmin(margins))
+        margin = float(margins[worst])
+        verdict = _verdict(margin, band_scale, MARGINAL_BAND * band_scale)
     return ConditionCheck(
         condition=condition,
-        verdict=_verdict(margin, band_scale, MARGINAL_BAND * band_scale),
+        verdict=verdict,
         margin=margin,
-        witness_p=tuple(float(v) for v in witness),
+        witness_p=tuple(float(v) for v in vertices[worst]),
         description=description,
-        points_evaluated=points,
-        margin_exact=True,
+        points_evaluated=len(vertices),
+        margin_exact=margin is not None,
     )
 
 
@@ -578,7 +580,7 @@ def feasibility_report(
             COND_UNC_SCALED,
             "scaled uncertainty bound: (1/epsilon) dA' dA <= F over the box",
             model,
-            lambda dA: F - inv_eps * (dA.T @ dA),
+            lambda dA: F - inv_eps * (np.swapaxes(dA, 1, 2) @ dA),
             F_scale,
         )
     )
@@ -625,7 +627,7 @@ def feasibility_report(
                 COND_UNC_WEIGHTED,
                 weighted_description,
                 model,
-                lambda dA: F - dA.T @ Z @ dA,
+                lambda dA: F - np.swapaxes(dA, 1, 2) @ Z @ dA,
                 F_scale,
             )
         )
@@ -671,7 +673,7 @@ def synthesize(A, B, model: UncertaintyModel, params: SynthesisParams) -> Synthe
     P, iterations, residual = _validated_riccati(A, B, params, model.F)
     K = feedback_gain(A, B, P, params)
     L = virtual_gain(A, B, P, params)
-    Z = error_weight(P, params.epsilon, require_window=False)
+    Z = error_weight(P, params.epsilon)
     Q1 = decay_matrix(A, B, K, L, Z, params)
     report = feasibility_report(A, B, model, params, P, K, L, Z, Q1)
     mu = trigger_coefficient(K, B, Z, Q1, params.sigma)
@@ -730,7 +732,7 @@ def _matched_feasibility_report(A, B, model, params, P, K):
                 "matched uncertainty bound: (2/epsilon) phi' B' B phi = "
                 "(2/epsilon) dA' dA <= F over the box",
                 model,
-                lambda dA: F - (2.0 * inv_eps) * (dA.T @ dA),
+                lambda dA: F - (2.0 * inv_eps) * (np.swapaxes(dA, 1, 2) @ dA),
                 max(1.0, spectral_norm(F)),
             ),
             _matrix_check(
@@ -766,7 +768,7 @@ def synthesize_matched(
     P, iterations, residual = _validated_riccati(A, B, params0, model.F)
     K = feedback_gain(A, B, P, params0)
     L = np.zeros((n, n))
-    Z = error_weight(P, params0.epsilon, require_window=False)
+    Z = error_weight(P, params0.epsilon)
     report = _matched_feasibility_report(A, B, model, params0, P, K)
 
     Q_eff = symmetrize(
@@ -800,35 +802,3 @@ def synthesize_matched(
         iterations=iterations,
         residual=residual,
     )
-
-
-def sweep_epsilon(A, B, model: UncertaintyModel, params: SynthesisParams, epsilons) -> list:
-    """Feasibility report for each candidate epsilon.
-
-    The Riccati solution does not depend on epsilon, so it is solved once;
-    only the window-dependent quantities are recomputed per candidate.
-    Returns a list of (epsilon, FeasibilityReport) pairs. Candidates whose
-    window gap is exactly singular get a report whose window check carries
-    margin None.
-    """
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
-    P, _, _ = _validated_riccati(A, B, params, model.F)
-    K = feedback_gain(A, B, P, params)
-    L = virtual_gain(A, B, P, params)
-    results = []
-    for eps in epsilons:
-        eps = float(eps)
-        params_eps = dataclasses.replace(params, epsilon=eps)
-        try:
-            Z = error_weight(P, eps, require_window=False)
-            Q1 = decay_matrix(A, B, K, L, Z, params_eps)
-            report = feasibility_report(A, B, model, params_eps, P, K, L, Z, Q1)
-        except NumericalError:
-            report = FeasibilityReport(
-                checks=(
-                    _uncertified(COND_EPS_WINDOW, "design window gap is singular at this epsilon"),
-                )
-            )
-        results.append((eps, report))
-    return results

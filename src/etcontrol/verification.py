@@ -153,7 +153,8 @@ def cross_term_margins(P, epsilon, A_closed, dA):
     claimed there. Returns per-instance arrays (margins, tolerances,
     holds): the smallest slack eigenvalue, CHECK_TOL relative to the
     magnitude of the dominating side, and whether the margin stays above
-    minus that tolerance.
+    minus that tolerance. An instance whose slack is not finite (the
+    products overflowed) fails, with margin -inf and tolerance inf.
     """
     P = symmetrize_stack(P, "P")
     A_closed = _like_P(A_closed, P, "A_closed")
@@ -175,9 +176,13 @@ def cross_term_margins(P, epsilon, A_closed, dA):
     )
     difference = dominating - cross
     slack = 0.5 * (difference + np.swapaxes(difference, 1, 2))
-    margin = np.linalg.eigvalsh(slack)[:, 0]
-    tol = CHECK_TOL * np.maximum(1.0, spectral_norm_stack(dominating))
-    return margin, tol, margin >= -tol
+    # A finite slack implies a finite dominating side.
+    finite = np.isfinite(slack).all(axis=(1, 2))
+    margin = np.full(len(slack), -np.inf)
+    tol = np.full(len(slack), np.inf)
+    margin[finite] = np.linalg.eigvalsh(slack[finite])[:, 0]
+    tol[finite] = CHECK_TOL * np.maximum(1.0, spectral_norm_stack(dominating[finite]))
+    return margin, tol, finite & (margin >= -tol)
 
 
 def _worst_cross_term(P, epsilon: float, A_closed, dA) -> tuple[int, CheckResult]:
@@ -224,7 +229,7 @@ def check_cross_term_bound_at_vertices(P, epsilon: float, A_closed, model) -> Ch
     One cross_term_margins call audits all 2^d vertices. The result is the
     first worst vertex's, with that vertex as the witness p.
     """
-    vertices = np.array(list(model.vertices()))
+    vertices = model.vertices()
     worst, result = _worst_cross_term(P, epsilon, A_closed, model.matrix_at(vertices))
     return replace(
         result,
@@ -251,7 +256,7 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
     eye = np.eye(n)
     W = _input_weight(B, params)
     S_inv = np.linalg.solve(eye + P @ W, P)
-    Z = error_weight(P, params.epsilon, require_window=False)
+    Z = error_weight(P, params.epsilon)
     inner = P @ inverse(eye - params.epsilon * P, "inner window gap")
     A_fb = A + B @ K
     lhs = A_fb.T @ Z @ A_fb - A.T @ S_inv @ A
@@ -495,7 +500,7 @@ def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> Che
     F = model.F
     C = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K + L.T @ params.R2 @ L
     C = 0.5 * (C + C.T)
-    dA = model.matrix_at(np.array(list(model.vertices())))
+    dA = model.matrix_at(model.vertices())
     gram = np.swapaxes(dA, 1, 2) @ dA
     dA_e = V.T @ dA
     A_fb_e = (V.T @ (A + B @ K))[None]

@@ -298,6 +298,29 @@ def _reject_constant(name):
     raise AssertionError(f"verification.json holds the non-JSON constant {name}")
 
 
+def test_cli_overflowing_box_fails_its_checks(tmp_path):
+    """dA' dA overflows at both vertices: synth reports, verify fails, no NaN written."""
+    data = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    data["uncertainty"]["basis"] = [[[1e300, 0.0], [0.0, -1e300]]]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path)]) == 4
+    synthesis, verification = (
+        json.loads((tmp_path / name).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        for name in ("synthesis.json", "verification.json")
+    )
+    box = {c["condition"]: c for c in synthesis["feasibility"]["checks"]}
+    for condition in ("uncertainty_bound_scaled", "uncertainty_bound_weighted"):
+        check = box[condition]
+        assert check["verdict"] == "fails" and check["margin"] is None
+        assert check["margin_exact"] is False and check["witness_p"] == [-0.3]
+    (cross,) = [c for c in verification["checks"] if c["name"] == "cross_term_bound"]
+    assert cross["holds"] is False and cross["margin"] is None
+    assert cross["witness"] == {"p": [-0.3], "tolerance": None}
+
+
 def test_cli_config_error_exit_code(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["synth", "--config", str(missing), "--out", str(tmp_path)]) == 2

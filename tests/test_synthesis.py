@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from etcontrol import (
-    FeasibilityError,
     RankDeficiencyError,
     RiccatiConvergenceError,
     SynthesisParams,
@@ -21,7 +20,6 @@ from etcontrol import (
     feasibility_report,
     projector_complement,
     solve_modified_dare,
-    sweep_epsilon,
     synthesize,
     synthesize_matched,
     trigger_coefficient,
@@ -40,6 +38,7 @@ from etcontrol.synthesis import (
     HOLDS,
     MARGINAL,
     RICCATI_MAX_ITER,
+    _box_check,
     _validated_riccati,
 )
 
@@ -250,21 +249,15 @@ def test_error_weight_scalar_examples():
     assert np.allclose(error_weight([[3.0]], 0.1), [[10.0 + 9.0 / 7.0]])
 
 
-def test_error_weight_window_violation():
-    with pytest.raises(FeasibilityError) as exc_info:
-        error_weight([[2.0]], 1.0)
-    assert exc_info.value.condition == COND_EPS_WINDOW
-
-
 def test_error_weight_relaxed_outside_window():
-    assert np.allclose(error_weight([[2.0]], 1.0, require_window=False), [[-3.0]])
+    assert np.allclose(error_weight([[2.0]], 1.0), [[-3.0]])
 
 
 def test_error_weight_singular_gap_raises():
     from etcontrol.errors import SingularMatrixError
 
     with pytest.raises(SingularMatrixError):
-        error_weight(np.diag([0.5, 0.25]), 2.0, require_window=False)
+        error_weight(np.diag([0.5, 0.25]), 2.0)
 
 
 def test_error_weight_alternative_evaluation():
@@ -389,6 +382,13 @@ def test_feasibility_report_standalone(demo_system):
     out = synthesize(A, B, model, params)
     report = feasibility_report(A, B, model, params, out.P, out.K, out.L, out.Z, out.Q1)
     assert report.all_hold
+    # P, K and L do not depend on epsilon; at epsilon = 100 they leave the window.
+    narrow = dataclasses.replace(params, epsilon=100.0)
+    Z = error_weight(out.P, narrow.epsilon)
+    Q1 = decay_matrix(A, B, out.K, out.L, Z, narrow)
+    report = feasibility_report(A, B, model, narrow, out.P, out.K, out.L, Z, Q1)
+    assert not report.all_hold
+    assert report.get(COND_EPS_WINDOW).verdict == FAILS
 
 
 def test_feasibility_report_accepts_nested_lists(scalar_system):
@@ -471,6 +471,76 @@ def test_box_margins_are_vertex_minima(d, points):
         assert dense_min >= check.margin - tol
         assert check.points_evaluated == 2**d
         assert check.margin_exact
+    # The per-vertex loop that the stacked check replaced gives the same bits.
+    loop_slacks = {
+        COND_UNC_SCALED: lambda dA: F - (1.0 / params.epsilon) * (dA.T @ dA),
+        COND_UNC_WEIGHTED: lambda dA: F - dA.T @ Z @ dA,
+    }
+    for condition, loop_slack in loop_slacks.items():
+        margins = [float(np.linalg.eigvalsh(loop_slack(model.matrix_at(v)))[0]) for v in vertices]
+        check = report.get(condition)
+        assert check.margin == min(margins)
+        assert check.witness_p == tuple(vertices[int(np.argmin(margins))])
+
+
+def test_vertices_are_rows_in_product_order():
+    empty = UncertaintyModel(basis=(), p_lo=[], p_hi=[], F=np.eye(2))
+    assert empty.vertices().shape == (1, 0)
+    lo, hi = [-1.0, -2.0, -3.0], [1.0, 2.0, 3.5]
+    box = UncertaintyModel(basis=(np.eye(2),) * 3, p_lo=lo, p_hi=hi, F=np.eye(2))
+    vertices = box.vertices()
+    assert vertices.shape == (8, 3) and vertices.dtype == float
+    assert np.array_equal(vertices, list(itertools.product(*zip(lo, hi))))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_box_witness_is_first_of_tied_vertices(d):
+    """Slacks even in p_1 tie at every vertex; the witness is the first one."""
+    model = UncertaintyModel(
+        basis=([[1.0]],) + ([[0.0]],) * (d - 1), p_lo=[-1.0] * d, p_hi=[1.0] * d, F=[[1.0]]
+    )
+    params = SynthesisParams(
+        Q=[[1.0]], R1=[[1.0]], R2=[[1.0]], alpha=1.0, beta=0.5, epsilon=2.0, sigma=0.5
+    )
+    one = np.ones((1, 1))
+    report = feasibility_report(
+        0.5 * one, one, model, params, 0.1 * one, 0.1 * one, 0 * one, 3.0 * one, one
+    )
+    # F - p_1^2 / epsilon = 1 - 0.5 and F - 3 p_1^2 = 1 - 3 at every vertex.
+    for condition, margin in ((COND_UNC_SCALED, 0.5), (COND_UNC_WEIGHTED, -2.0)):
+        check = report.get(condition)
+        assert check.margin == margin
+        assert check.witness_p == (-1.0,) * d
+        assert check.points_evaluated == 2**d
+
+
+def test_box_check_non_finite_slack_fails_at_first_such_vertex(demo_system):
+    """dA' W dA overflows where p_1 != 0: the box is not certified, no NaN margin."""
+    A, B, model, params = demo_system
+    huge = UncertaintyModel(
+        basis=(np.diag([1e300, -1e300]), model.basis[0]),
+        p_lo=[0.0, -0.3],
+        p_hi=[0.3, 0.3],
+        F=model.F,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = synthesize(A, B, huge, params)
+    for condition in (COND_UNC_SCALED, COND_UNC_WEIGHTED):
+        check = out.report.get(condition)
+        assert check.verdict == FAILS
+        assert check.margin is None and not check.margin_exact
+        assert check.witness_p == (0.3, -0.3)
+        assert check.points_evaluated == 4
+    assert out.report.get(COND_EPS_WINDOW).verdict == HOLDS
+
+
+def test_box_check_reads_finiteness_from_the_slack():
+    """LAPACK can return finite eigenvalues for a NaN matrix; a NaN slack still fails."""
+    model = UncertaintyModel(basis=(np.eye(2),), p_lo=[-1.0], p_hi=[1.0], F=np.eye(2))
+    slack = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]])
+    check = _box_check(COND_UNC_SCALED, "", model, lambda dA: slack, 1.0)
+    assert check.verdict == FAILS and check.margin is None
+    assert check.witness_p == (1.0,)
 
 
 def test_weighted_bound_not_certified_for_indefinite_weight():
@@ -594,18 +664,3 @@ def test_matched_equals_mismatched_without_virtual_channel():
     assert np.max(np.abs(out_matched.P - P0)) <= 1e-12
     assert np.max(np.abs(out_matched.K - K0)) <= 1e-12
 
-
-# ---------------------------------------------------------------------------
-# epsilon sweep
-
-
-def test_sweep_epsilon_demo(demo_system):
-    A, B, model, params = demo_system
-    results = sweep_epsilon(A, B, model, params, [10.0, 100.0])
-    assert len(results) == 2
-    eps_first, report_first = results[0]
-    eps_second, report_second = results[1]
-    assert eps_first == 10.0
-    assert report_first.all_hold
-    assert not report_second.all_hold
-    assert report_second.get(COND_EPS_WINDOW).verdict == FAILS

@@ -216,7 +216,7 @@ def _assert_interval_matches_scan(A, B, model, params):
     assert lo <= s_best <= top or hi is None
     for s_in in (lo * (1.0 + 1e-9), top * (1.0 - 1e-9), np.sqrt(lo * top), s_best):
         params_in = dataclasses.replace(params, epsilon=1.0 / s_in)
-        Z = error_weight(P, 1.0 / s_in, require_window=False)
+        Z = error_weight(P, 1.0 / s_in)
         Q1 = decay_matrix(A, B, K, L, Z, params_in)
         assert feasibility_report(A, B, model, params_in, P, K, L, Z, Q1).all_hold, s_in
     outside = [lo * (1.0 - 1e-6)] + ([hi * (1.0 + 1e-6)] if hi is not None else [])
@@ -602,6 +602,19 @@ def test_kernels_reject_mismatched_stacks():
             cross_term_margins(P, eps, loop, bad_loop)
     with pytest.raises(ValueError, match=r"dA must be a \(k, m, n\) stack"):
         cross_term_margins(P, eps, loop, loop[0])
+
+
+def test_cross_term_margins_non_finite_slack_fails():
+    """An instance whose products overflow fails with margin -inf; the others keep their bits."""
+    P = np.array([0.5 * np.eye(2)] * 2)
+    eps = np.full(2, 0.5)
+    loop = np.array([[[0.2, 0.1], [0.0, 0.3]]] * 2)
+    dA = np.array([0.1 * np.eye(2), np.diag([1e300, -1e300])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin, tol, holds = cross_term_margins(P, eps, loop, dA)
+    alone = cross_term_margins(P[:1], eps[:1], loop[:1], dA[:1])
+    assert (margin[0], tol[0], holds[0]) == (alone[0][0], alone[1][0], True)
+    assert (margin[1], tol[1], holds[1]) == (-np.inf, np.inf, False)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3])
