@@ -1,9 +1,11 @@
 """Dense symmetric linear algebra helpers used throughout the toolkit.
 
-All routines operate on plain float64 numpy arrays and validate their
-inputs: shapes, finiteness, and (where required) symmetry. They are thin
-wrappers over LAPACK via numpy, with the tolerance conventions
-of the rest of the package baked in so callers do not re-derive them.
+All routines operate on plain float64 numpy arrays and are thin wrappers
+over LAPACK via numpy, with the tolerance conventions of the rest of the
+package baked in so callers do not re-derive them. Constructors and public
+functions validate their inputs (shapes, finiteness, symmetry) once;
+kernels trust theirs. Every routine here validates except the kernel
+``smallest_eigenvalues``, which takes an already symmetric stack.
 
 The ``*_stack`` forms hold the tests, tolerances and messages, and apply
 them to each matrix of a (k, n, n) stack in one LAPACK call per routine.
@@ -58,12 +60,13 @@ def sym_eigvals(values, name: str = "matrix") -> np.ndarray:
 
 def is_positive_definite(values) -> bool:
     """True when every eigenvalue exceeds the definiteness threshold."""
-    return bool(positive_definite_stack(require_square(values)[None])[0])
+    smallest, threshold = smallest_eigenvalues(symmetrize(values)[None])
+    return bool(smallest[0] > threshold[0])
 
 
 def is_positive_semidefinite(values) -> bool:
     """True when no eigenvalue falls below minus the definiteness threshold."""
-    smallest, threshold = _smallest_eigenvalues(require_square(values)[None])
+    smallest, threshold = smallest_eigenvalues(symmetrize(values)[None])
     return bool(smallest[0] >= -threshold[0])
 
 
@@ -128,20 +131,20 @@ def symmetrize_stack(values, name: str = "matrix") -> np.ndarray:
     return 0.5 * (m + mt)
 
 
-def _smallest_eigenvalues(values):
+def smallest_eigenvalues(m):
     """Smallest eigenvalue and definiteness threshold of each matrix of a stack.
 
-    The threshold is DEFINITENESS_TOL times max(1, max|m|), the one scale of
-    both definiteness tests.
+    The threshold DEFINITENESS_TOL * max(1, max|m|) is the one scale of
+    both definiteness tests. m is not validated: it must be an exactly
+    symmetric (k, n, n) float64 stack, such as symmetrize_stack returns.
     """
-    m = symmetrize_stack(values)
     threshold = DEFINITENESS_TOL * np.maximum(1.0, abs(m).max(axis=(1, 2)))
     return np.linalg.eigvalsh(m)[:, 0], threshold
 
 
 def positive_definite_stack(values) -> np.ndarray:
     """is_positive_definite for each matrix of a stack, as a boolean array."""
-    smallest, threshold = _smallest_eigenvalues(values)
+    smallest, threshold = smallest_eigenvalues(symmetrize_stack(values))
     return smallest > threshold
 
 

@@ -13,11 +13,15 @@ must respect two induced bounds on dA. ``synthesize`` never hides
 infeasibility. It completes whenever the quantities are computable and
 attaches a FeasibilityReport listing each design condition with a verdict,
 a margin, and (for parameter-dependent conditions) a worst-case witness.
+
+Inputs are validated once, at the boundary: the constructors check their
+matrices and keep read-only copies, and each public function checks its
+arguments, then calls a private kernel that trusts its arrays. The
+pipelines chain the same kernels, computing each shared factor once.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -31,10 +35,9 @@ from .errors import (
 from .linalg import (
     as_matrix,
     inverse,
-    is_positive_definite,
-    is_positive_semidefinite,
     pseudo_inverse,
     require_square,
+    smallest_eigenvalues,
     spectral_norm,
     sym_eigvals,
     symmetrize,
@@ -63,6 +66,19 @@ COND_UNC_MATCHED = "uncertainty_bound_matched"
 COND_MATCHED_DECAY = "matched_decay"
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """Mark an array that nothing else holds as read-only and return it."""
+    m.setflags(write=False)
+    return m
+
+
+def _require_definite(m: np.ndarray, name: str, strict: bool) -> None:
+    """Raise ValueError unless the exactly symmetric m is positive (semi)definite."""
+    smallest, threshold = smallest_eigenvalues(m[None])
+    if not (smallest[0] > threshold[0] if strict else smallest[0] >= -threshold[0]):
+        raise ValueError(f"{name} must be positive {'definite' if strict else 'semidefinite'}")
+
+
 @dataclass(frozen=True)
 class SynthesisParams:
     """Design weights and scalars for one synthesis run.
@@ -82,19 +98,13 @@ class SynthesisParams:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", symmetrize(self.Q, "Q"))
-        object.__setattr__(self, "R1", symmetrize(self.R1, "R1"))
-        object.__setattr__(self, "R2", symmetrize(self.R2, "R2"))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "sigma", float(self.sigma))
-        if not is_positive_semidefinite(self.Q):
-            raise ValueError("Q must be positive semidefinite")
-        if not is_positive_definite(self.R1):
-            raise ValueError("R1 must be positive definite")
-        if not is_positive_definite(self.R2):
-            raise ValueError("R2 must be positive definite")
+        for name in ("Q", "R1", "R2"):
+            object.__setattr__(self, name, _read_only(symmetrize(getattr(self, name), name)))
+        for name in ("alpha", "beta", "epsilon", "sigma"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        _require_definite(self.Q, "Q", strict=False)
+        _require_definite(self.R1, "R1", strict=True)
+        _require_definite(self.R2, "R2", strict=True)
         for name in ("alpha", "beta", "epsilon"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -114,7 +124,7 @@ class UncertaintyModel:
 
     F is a symmetric positive semidefinite matrix bounding the uncertainty
     inside the Riccati equation; the feasibility report checks whether the
-    box actually respects that bound.
+    box actually respects that bound. The box bounds must be finite.
     """
 
     basis: tuple
@@ -123,15 +133,19 @@ class UncertaintyModel:
     F: np.ndarray
 
     def __post_init__(self):
-        basis = tuple(require_square(e, f"basis[{i}]") for i, e in enumerate(self.basis))
+        basis = tuple(
+            _read_only(require_square(e, f"basis[{i}]").copy()) for i, e in enumerate(self.basis)
+        )
         object.__setattr__(self, "basis", basis)
-        lo = np.atleast_1d(np.asarray(self.p_lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.p_hi, dtype=float))
+        lo = _read_only(np.atleast_1d(np.array(self.p_lo, dtype=float)))
+        hi = _read_only(np.atleast_1d(np.array(self.p_hi, dtype=float)))
         object.__setattr__(self, "p_lo", lo)
         object.__setattr__(self, "p_hi", hi)
-        object.__setattr__(self, "F", symmetrize(self.F, "F"))
+        object.__setattr__(self, "F", _read_only(symmetrize(self.F, "F")))
         if lo.ndim != 1 or hi.ndim != 1:
             raise ValueError("p_lo and p_hi must be 1-D")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("p_lo and p_hi must be finite")
         if len(basis) != lo.size or lo.size != hi.size:
             raise ValueError(
                 f"dimension mismatch: {len(basis)} basis directions, "
@@ -143,8 +157,7 @@ class UncertaintyModel:
         for i, e in enumerate(basis):
             if e.shape != (n, n):
                 raise ValueError(f"basis[{i}] has shape {e.shape}, expected {(n, n)}")
-        if not is_positive_semidefinite(self.F):
-            raise ValueError("F must be positive semidefinite")
+        _require_definite(self.F, "F", strict=False)
 
     @property
     def dimension(self) -> int:
@@ -256,32 +269,53 @@ def projector_complement(B) -> np.ndarray:
     return np.eye(B.shape[0]) - B @ pseudo_inverse(B, "B")
 
 
-def _input_weight(B: np.ndarray, params: SynthesisParams) -> np.ndarray:
-    """The combined input weighting W = B R1^-1 B' + alpha^2 Pi R2^-1 Pi'."""
+def _plant(A, B, model: UncertaintyModel | None = None):
+    """Validate A (square), then B, then the model's state dimension, then B's rows."""
+    A = require_square(A, "A")
+    B = as_matrix(B, "B")
+    if model is not None:
+        _require_state_dim(model, A)
+    if B.shape[0] != A.shape[0]:
+        raise ValueError(f"B has {B.shape[0]} rows but A is {A.shape[0]} x {A.shape[0]}")
+    return A, B
+
+
+def _channel_weights(B, params: SynthesisParams, alpha: float):
+    """W = B R1^-1 B' + alpha^2 Pi R2^-1 Pi' and Pi (None when alpha is 0)."""
     W = B @ np.linalg.solve(params.R1, B.T)
-    if params.alpha != 0.0:
+    Pi = None
+    if alpha != 0.0:
         Pi = projector_complement(B)
-        W = W + params.alpha**2 * (Pi @ np.linalg.solve(params.R2, Pi.T))
-    return 0.5 * (W + W.T)
+        W = W + alpha**2 * (Pi @ np.linalg.solve(params.R2, Pi.T))
+    return 0.5 * (W + W.T), Pi
 
 
-def _riccati_iteration(A, B, params, F):
-    """Structure-preserving doubling for P = A' (I + P W)^-1 P A + Q + F + beta^2 I.
+def _effective_weight(params: SynthesisParams, F: np.ndarray) -> np.ndarray:
+    """Q + F + beta^2 I, exactly symmetric; ValueError if the sum overflows."""
+    return as_matrix(params.Q + F + params.beta**2 * np.eye(len(F)), "effective state weight")
 
-    Starting from A_0 = A, G_0 = W and H_0 = Q + F + beta^2 I, each step
-    solves (I + G_k H_k) [X_A, X_G] = [A_k, G_k] once and sets
+
+def _s_inv(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """S^-1 = (P^-1 + W)^-1, computed as (I + P W)^-1 P."""
+    return np.linalg.solve(np.eye(len(P)) + P @ W, P)
+
+
+def _riccati(A, W, Qbar):
+    """Structure-preserving doubling for P = A' (I + P W)^-1 P A + Qbar.
+
+    Starting from A_0 = A, G_0 = W and H_0 = Qbar = Q + F + beta^2 I, each
+    step solves (I + G_k H_k) [X_A, X_G] = [A_k, G_k] once and sets
     H_{k+1} = H_k + A_k' H_k X_A, G_{k+1} = G_k + A_k X_G A_k' and
     A_{k+1} = A_k X_A. H_k is the fixed-point iterate after 2^k steps from
     P = 0, so it converges quadratically to the stabilizing solution
     (Anderson, 1978; Chu, Fan and Lin, 2005). G_k and H_k stay positive
     semidefinite, so I + G_k H_k is always invertible. The loop stops once a
     step changes H by at most RICCATI_STEP_TOL relative to max(1, max|H|).
-    Returns the solution together with the doubling-step count and the
-    residual of the original equation.
+    Returns the solution P (exactly symmetric and positive definite), the
+    doubling-step count, the residual of the original equation and
+    S_inv = (I + P W)^-1 P, which the residual and the gains share.
     """
     n = A.shape[0]
-    W = _input_weight(B, params)
-    Qbar = symmetrize(params.Q + F + params.beta**2 * np.eye(n), "effective state weight")
     eye = np.eye(n)
     A_k, G, H = A, W, Qbar
     for iteration in range(1, RICCATI_MAX_ITER + 1):
@@ -304,35 +338,35 @@ def _riccati_iteration(A, B, params, F):
             )
         H = H_next
         if step <= RICCATI_STEP_TOL:
-            X = np.linalg.solve(eye + H @ W, H)
-            residual = float(np.max(np.abs(A.T @ X @ A + Qbar - H)))
-            return H, iteration, residual
-    raise RiccatiConvergenceError(
-        f"no convergence within {RICCATI_MAX_ITER} doubling steps ({context})",
-        iterations=RICCATI_MAX_ITER,
-        last_step=step,
-    )
-
-
-def _validated_riccati(A, B, params, F):
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
-    if B.shape[0] != A.shape[0]:
-        raise ValueError(f"B has {B.shape[0]} rows but A is {A.shape[0]} x {A.shape[0]}")
-    F = symmetrize(F, "F")
-    if F.shape != A.shape:
-        raise ValueError(f"F has shape {F.shape}, expected {A.shape}")
-    if not is_positive_semidefinite(F):
-        raise ValueError("F must be positive semidefinite")
-    P, iterations, residual = _riccati_iteration(A, B, params, F)
+            break
+    else:
+        raise RiccatiConvergenceError(
+            f"no convergence within {RICCATI_MAX_ITER} doubling steps ({context})",
+            iterations=RICCATI_MAX_ITER,
+            last_step=step,
+        )
+    S_inv = _s_inv(H, W)
+    residual = float(np.max(np.abs(A.T @ S_inv @ A + Qbar - H)))
     if residual > RICCATI_RESIDUAL_TOL:
         raise RiccatiConvergenceError(
             f"converged point has residual {residual:.3e} above tolerance "
             f"{RICCATI_RESIDUAL_TOL:.1e}",
-            iterations=iterations,
+            iterations=iteration,
         )
-    if not is_positive_definite(P):
+    smallest, threshold = smallest_eigenvalues(H[None])
+    if not smallest[0] > threshold[0]:
         raise NumericalError("Riccati solution is not positive definite")
+    return H, iteration, residual, S_inv
+
+
+def _validated_riccati(A, B, params, F):
+    A, B = _plant(A, B)
+    F = symmetrize(F, "F")
+    if F.shape != A.shape:
+        raise ValueError(f"F has shape {F.shape}, expected {A.shape}")
+    _require_definite(F, "F", strict=False)
+    W, _ = _channel_weights(B, params, params.alpha)
+    P, iterations, residual, _ = _riccati(A, W, _effective_weight(params, F))
     return P, iterations, residual
 
 
@@ -353,11 +387,12 @@ def solve_modified_dare(A, B, params: SynthesisParams, F) -> np.ndarray:
 
 def feedback_gain(A, B, P, params: SynthesisParams) -> np.ndarray:
     """State-feedback gain K = -R1^-1 B' (P^-1 + W)^-1 A."""
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
-    P = symmetrize(P, "P")
-    W = _input_weight(B, params)
-    S_inv = np.linalg.solve(np.eye(A.shape[0]) + P @ W, P)
+    A, B, P = require_square(A, "A"), as_matrix(B, "B"), symmetrize(P, "P")
+    W, _ = _channel_weights(B, params, params.alpha)
+    return _feedback_gain(A, B, _s_inv(P, W), params)
+
+
+def _feedback_gain(A, B, S_inv, params):
     return -np.linalg.solve(params.R1, B.T @ S_inv @ A)
 
 
@@ -366,14 +401,16 @@ def virtual_gain(A, B, P, params: SynthesisParams) -> np.ndarray:
 
     L = -alpha R2^-1 Pi (P^-1 + W)^-1 A, identically zero when alpha is 0.
     """
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
-    P = symmetrize(P, "P")
+    A, B, P = require_square(A, "A"), as_matrix(B, "B"), symmetrize(P, "P")
     if params.alpha == 0.0:
+        return _virtual_gain(A, None, None, params)
+    W, Pi = _channel_weights(B, params, params.alpha)
+    return _virtual_gain(A, Pi, _s_inv(P, W), params)
+
+
+def _virtual_gain(A, Pi, S_inv, params):
+    if Pi is None:
         return np.zeros((A.shape[0], A.shape[0]))
-    Pi = projector_complement(B)
-    W = _input_weight(B, params)
-    S_inv = np.linalg.solve(np.eye(A.shape[0]) + P @ W, P)
     return -params.alpha * np.linalg.solve(params.R2, Pi @ S_inv @ A)
 
 
@@ -391,11 +428,19 @@ def error_weight(P, epsilon: float) -> np.ndarray:
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    n = P.shape[0]
-    eye = np.eye(n)
+    return _error_weight(P, epsilon)
+
+
+def _error_weight(P, epsilon):
+    eye = np.eye(P.shape[0])
     gap = (1.0 / epsilon) * eye - P
     Z = (1.0 / epsilon) * eye + P @ inverse(gap, "design window gap") @ P
     return 0.5 * (Z + Z.T)
+
+
+def _inner_weight(P, epsilon):
+    """The inner window matrix (P^-1 - epsilon I)^-1 = P (I - epsilon P)^-1."""
+    return P @ inverse(np.eye(len(P)) - epsilon * P, "inner window gap")
 
 
 def decay_matrix(A, B, K, L, Z, params: SynthesisParams) -> np.ndarray:
@@ -403,15 +448,15 @@ def decay_matrix(A, B, K, L, Z, params: SynthesisParams) -> np.ndarray:
 
     Q1 = beta^2 I + K' R1 K + L' R2 L - (A + B K)' Z (A + B K).
     """
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
-    K = as_matrix(K, "K")
-    L = as_matrix(L, "L")
-    Z = symmetrize(Z, "Z")
-    n = A.shape[0]
-    A_fb = A + B @ K
+    A, B = require_square(A, "A"), as_matrix(B, "B")
+    K, L, Z = as_matrix(K, "K"), as_matrix(L, "L"), symmetrize(Z, "Z")
+    return _decay_matrix(A + B @ K, K, L, Z, params)
+
+
+def _decay_matrix(A_fb, K, L, Z, params):
+    """Q1 of the loop A_fb = A + B K; with Z the inner window matrix, the periodic slack."""
     Q1 = (
-        params.beta**2 * np.eye(n)
+        params.beta**2 * np.eye(len(A_fb))
         + K.T @ params.R1 @ K
         + L.T @ params.R2 @ L
         - A_fb.T @ Z @ A_fb
@@ -429,22 +474,23 @@ def trigger_coefficient(K, B, Z, Q1, sigma: float) -> float:
     sigma = float(sigma)
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie strictly between 0 and 1")
-    K = as_matrix(K, "K")
-    B = as_matrix(B, "B")
-    Z = symmetrize(Z, "Z")
-    eigs = sym_eigvals(Q1, "Q1")
-    if eigs[0] <= 0.0:
+    K, B, Z = as_matrix(K, "K"), as_matrix(B, "B"), symmetrize(Z, "Z")
+    return _trigger_coefficient(K, B, Z, sym_eigvals(Q1, "Q1")[0], sigma)
+
+
+def _trigger_coefficient(K, B, Z, decay_margin, sigma, names=("decay matrix", "error weight")):
+    """mu = sigma * decay_margin / ||K' B' Z B K||; names are Q1's and Z's in messages."""
+    if decay_margin <= 0.0:
         raise TriggerUndefinedError(
-            "decay matrix is not positive definite "
-            f"(smallest eigenvalue {eigs[0]:.6g}); the trigger threshold is undefined"
+            f"{names[0]} is not positive definite "
+            f"(smallest eigenvalue {decay_margin:.6g}); the trigger threshold is undefined"
         )
     denom = spectral_norm(K.T @ B.T @ Z @ B @ K)
     if denom == 0.0:
         raise TriggerUndefinedError(
-            "error weight vanishes on the feedback channel; "
-            "every step would transmit"
+            f"{names[1]} vanishes on the feedback channel; every step would transmit"
         )
-    return float(sigma * eigs[0] / denom)
+    return float(sigma * decay_margin / denom)
 
 
 def _verdict(margin: float, scale: float, band: float) -> str:
@@ -493,8 +539,13 @@ def _box_check(condition, description, model, slack_of_dA, band_scale):
     )
 
 
-def _matrix_check(condition, description, slack, scale):
-    margin = float(sym_eigvals(slack, condition)[0])
+def _matrix_check(condition, description, margin, scale):
+    """A matrix condition whose margin is the smallest slack eigenvalue.
+
+    A slack formed here from products goes through as_matrix first, so one
+    that overflowed raises ValueError naming the condition.
+    """
+    margin = float(margin)
     band = MARGINAL_BAND * max(1.0, scale)
     return ConditionCheck(
         condition=condition,
@@ -524,21 +575,13 @@ def _window_check(P, inv_eps):
     return _matrix_check(
         COND_EPS_WINDOW,
         "design window: (1/epsilon) I - P is positive definite",
-        inv_eps * np.eye(len(P)) - P,
+        np.linalg.eigvalsh(as_matrix(inv_eps * np.eye(len(P)) - P, COND_EPS_WINDOW))[0],
         max(1.0, inv_eps),
     )
 
 
 def feasibility_report(
-    A,
-    B,
-    model: UncertaintyModel,
-    params: SynthesisParams,
-    P,
-    K,
-    L,
-    Z,
-    Q1,
+    A, B, model: UncertaintyModel, params: SynthesisParams, P, K, L, Z, Q1
 ) -> FeasibilityReport:
     """Evaluate every design condition for a mismatched synthesis.
 
@@ -554,22 +597,11 @@ def feasibility_report(
     inputs of ``synthesize``: a wrong shape raises ValueError naming the
     argument.
     """
-    A = require_square(A, "A")
-    _require_state_dim(model, A)
-    B, K, L = as_matrix(B, "B"), as_matrix(K, "K"), as_matrix(L, "L")
-    P, Z, Q1 = symmetrize(P, "P"), symmetrize(Z, "Z"), symmetrize(Q1, "Q1")
-    n, m = A.shape[0], B.shape[1]
-    for name, M, shape in (
-        ("B", B, (n, m)),
-        ("K", K, (m, n)),
-        ("L", L, (n, n)),
-        ("P", P, (n, n)),
-        ("Z", Z, (n, n)),
-        ("Q1", Q1, (n, n)),
-    ):
-        if M.shape != shape:
-            raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
-    eye = np.eye(n)
+    A, B, K, L, P, Z, Q1 = _validated_design(A, B, model, K, L, P=P, Z=Z, Q1=Q1)
+    return _feasibility_report(A + B @ K, model, params, P, K, L, Z, Q1)
+
+
+def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1):
     inv_eps = 1.0 / params.epsilon
     F = model.F
     F_scale = max(1.0, spectral_norm(F))
@@ -585,21 +617,14 @@ def feasibility_report(
         )
     )
 
-    A_fb = A + B @ K
     decay_description = "periodic transmission decay margin is nonnegative"
     try:
-        inner = P @ inverse(eye - params.epsilon * P, "inner window gap")
-        slack = (
-            params.beta**2 * eye
-            + K.T @ params.R1 @ K
-            + L.T @ params.R2 @ L
-            - A_fb.T @ inner @ A_fb
-        )
+        slack = _decay_matrix(A_fb, K, L, _inner_weight(P, params.epsilon), params)
         checks.append(
             _matrix_check(
                 COND_PERIODIC_DECAY,
                 decay_description,
-                0.5 * (slack + slack.T),
+                np.linalg.eigvalsh(as_matrix(slack, COND_PERIODIC_DECAY))[0],
                 max(1.0, spectral_norm(P)),
             )
         )
@@ -611,17 +636,18 @@ def feasibility_report(
             )
         )
 
+    z_min, z_threshold = smallest_eigenvalues(Z[None])
     checks.append(
         _matrix_check(
             COND_WEIGHT_PD,
             "trigger error weight is positive definite",
-            Z,
+            z_min[0],
             max(1.0, inv_eps),
         )
     )
 
     weighted_description = "weighted uncertainty bound: dA' Z dA <= F over the box"
-    if is_positive_semidefinite(Z):
+    if z_min[0] >= -z_threshold[0]:
         checks.append(
             _box_check(
                 COND_UNC_WEIGHTED,
@@ -643,7 +669,7 @@ def feasibility_report(
         _matrix_check(
             COND_DECAY_PSD,
             "guaranteed-decay matrix is positive semidefinite",
-            Q1,
+            np.linalg.eigvalsh(Q1)[0],
             max(1.0, spectral_norm(Q1)),
         )
     )
@@ -659,24 +685,39 @@ def _require_state_dim(model: UncertaintyModel, A: np.ndarray) -> None:
         )
 
 
+def _validated_design(A, B, model: UncertaintyModel, K, L, **symmetric):
+    """Validate A, B, K, L and the named symmetric n x n matrices of a design."""
+    A = require_square(A, "A")
+    _require_state_dim(model, A)
+    B, K, L = as_matrix(B, "B"), as_matrix(K, "K"), as_matrix(L, "L")
+    sym = [symmetrize(M, name) for name, M in symmetric.items()]
+    n, m = A.shape[0], B.shape[1]
+    expected = [("B", (n, m)), ("K", (m, n)), ("L", (n, n))] + [(s, (n, n)) for s in symmetric]
+    for (name, shape), M in zip(expected, [B, K, L, *sym]):
+        if M.shape != shape:
+            raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
+    return (A, B, K, L, *sym)
+
+
 def synthesize(A, B, model: UncertaintyModel, params: SynthesisParams) -> SynthesisOutcome:
     """Full mismatched synthesis: Riccati solve, gains, trigger, report.
 
     Completes whenever every quantity is computable, even if design
     conditions fail; consult outcome.report before trusting the trigger.
     Raises TriggerUndefinedError when the decay matrix is not positive
-    definite, and RiccatiConvergenceError when no solution exists.
+    definite (the report's decay_matrix_psd margin is not positive), and
+    RiccatiConvergenceError when no solution exists.
     """
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
-    _require_state_dim(model, A)
-    P, iterations, residual = _validated_riccati(A, B, params, model.F)
-    K = feedback_gain(A, B, P, params)
-    L = virtual_gain(A, B, P, params)
-    Z = error_weight(P, params.epsilon)
-    Q1 = decay_matrix(A, B, K, L, Z, params)
-    report = feasibility_report(A, B, model, params, P, K, L, Z, Q1)
-    mu = trigger_coefficient(K, B, Z, Q1, params.sigma)
+    A, B = _plant(A, B, model)
+    W, Pi = _channel_weights(B, params, params.alpha)
+    P, iterations, residual, S_inv = _riccati(A, W, _effective_weight(params, model.F))
+    K = _feedback_gain(A, B, S_inv, params)
+    L = _virtual_gain(A, Pi, S_inv, params)
+    Z = _error_weight(P, params.epsilon)
+    A_fb = A + B @ K
+    Q1 = _decay_matrix(A_fb, K, L, Z, params)
+    report = _feasibility_report(A_fb, model, params, P, K, L, Z, Q1)
+    mu = _trigger_coefficient(K, B, Z, report.get(COND_DECAY_PSD).margin, params.sigma)
     return SynthesisOutcome(
         P=P,
         K=K,
@@ -684,7 +725,7 @@ def synthesize(A, B, model: UncertaintyModel, params: SynthesisParams) -> Synthe
         Z=Z,
         Q1=Q1,
         mu=mu,
-        A_closed=A + B @ K,
+        A_closed=A_fb,
         report=report,
         mode="mismatched",
         iterations=iterations,
@@ -718,12 +759,12 @@ def as_matched_model(B, model: UncertaintyModel) -> UncertaintyModel:
     return model
 
 
-def _matched_feasibility_report(A, B, model, params, P, K):
-    n = A.shape[0]
+def _matched_feasibility_report(A_fb, model, params, P, K):
+    n = A_fb.shape[0]
     inv_eps = 1.0 / params.epsilon
     F = model.F
-    A_fb = A + B @ K
     slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K - (2.0 * inv_eps) * (A_fb.T @ A_fb)
+    slack = as_matrix(0.5 * (slack + slack.T), COND_MATCHED_DECAY)
     return FeasibilityReport(
         checks=(
             _window_check(P, inv_eps),
@@ -738,7 +779,7 @@ def _matched_feasibility_report(A, B, model, params, P, K):
             _matrix_check(
                 COND_MATCHED_DECAY,
                 "matched decay condition on the nominal closed loop",
-                0.5 * (slack + slack.T),
+                np.linalg.eigvalsh(slack)[0],
                 max(1.0, spectral_norm(A_fb) ** 2 * 2.0 * inv_eps),
             ),
         )
@@ -759,44 +800,28 @@ def synthesize_matched(
     (2/epsilon) dA' dA <= F at the vertices of the box, as in
     ``feasibility_report``.
     """
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
+    A, B = require_square(A, "A"), as_matrix(B, "B")
     _require_state_dim(model, A)
     as_matched_model(B, model)
-    params0 = dataclasses.replace(params, alpha=0.0)
     n = A.shape[0]
-    P, iterations, residual = _validated_riccati(A, B, params0, model.F)
-    K = feedback_gain(A, B, P, params0)
-    L = np.zeros((n, n))
-    Z = error_weight(P, params0.epsilon)
-    report = _matched_feasibility_report(A, B, model, params0, P, K)
-
-    Q_eff = symmetrize(
-        params0.Q + model.F + params0.beta**2 * np.eye(n), "effective state weight"
-    )
-    eigs = sym_eigvals(Q_eff, "effective state weight")
-    if eigs[0] <= 0.0:
-        raise TriggerUndefinedError(
-            "effective state weight is not positive definite "
-            f"(smallest eigenvalue {eigs[0]:.6g}); the trigger threshold is undefined"
-        )
-    inner = P @ inverse(np.eye(n) - params0.epsilon * P, "inner window gap")
-    denom = spectral_norm(K.T @ B.T @ inner @ B @ K)
-    if denom == 0.0:
-        raise TriggerUndefinedError(
-            "inner window weight vanishes on the feedback channel; "
-            "every step would transmit"
-        )
-    mu = float(params0.sigma * eigs[0] / denom)
-
+    W, _ = _channel_weights(B, params, 0.0)
+    Q_eff = _effective_weight(params, model.F)
+    P, iterations, residual, S_inv = _riccati(A, W, Q_eff)
+    K = _feedback_gain(A, B, S_inv, params)
+    Z = _error_weight(P, params.epsilon)
+    A_fb = A + B @ K
+    report = _matched_feasibility_report(A_fb, model, params, P, K)
+    inner = _inner_weight(P, params.epsilon)
+    names = ("effective state weight", "inner window weight")
+    mu = _trigger_coefficient(K, B, inner, np.linalg.eigvalsh(Q_eff)[0], params.sigma, names)
     return SynthesisOutcome(
         P=P,
         K=K,
-        L=L,
+        L=np.zeros((n, n)),
         Z=Z,
         Q1=Q_eff,
         mu=mu,
-        A_closed=A + B @ K,
+        A_closed=A_fb,
         report=report,
         mode="matched",
         iterations=iterations,

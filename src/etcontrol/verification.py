@@ -33,7 +33,6 @@ from .errors import FeasibilityError
 from .linalg import (
     as_matrix,
     as_stack,
-    inverse,
     inverse_stack,
     positive_definite_stack,
     require_square,
@@ -50,9 +49,11 @@ from .synthesis import (
     COND_UNC_WEIGHTED,
     COND_WEIGHT_PD,
     SynthesisParams,
-    _input_weight,
-    _require_state_dim,
-    error_weight,
+    _channel_weights,
+    _error_weight,
+    _inner_weight,
+    _s_inv,
+    _validated_design,
 )
 
 CHECK_TOL = 1e-8
@@ -247,17 +248,12 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
     where Ac = A + B K. Evaluated wherever both window matrices are
     invertible; margin is the smallest slack eigenvalue.
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    P = symmetrize(P, "P")
-    K = as_matrix(K, "K")
-    L = as_matrix(L, "L")
-    n = A.shape[0]
-    eye = np.eye(n)
-    W = _input_weight(B, params)
-    S_inv = np.linalg.solve(eye + P @ W, P)
-    Z = error_weight(P, params.epsilon)
-    inner = P @ inverse(eye - params.epsilon * P, "inner window gap")
+    A, B, P = as_matrix(A, "A"), as_matrix(B, "B"), symmetrize(P, "P")
+    K, L = as_matrix(K, "K"), as_matrix(L, "L")
+    W, _ = _channel_weights(B, params, params.alpha)
+    S_inv = _s_inv(P, W)
+    Z = _error_weight(P, params.epsilon)
+    inner = _inner_weight(P, params.epsilon)
     A_fb = A + B @ K
     lhs = A_fb.T @ Z @ A_fb - A.T @ S_inv @ A
     rhs = A_fb.T @ inner @ A_fb - K.T @ params.R1 @ K - L.T @ params.R2 @ L
@@ -483,15 +479,8 @@ def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> Che
     convex one, hence quasi-concave, and stacked k-section finds its
     maximum as it does the ends.
     """
-    A = require_square(A, "A")
+    A, B, K, L, P = _validated_design(A, B, model, K, L, P=P)
     n = A.shape[0]
-    B, K, L = as_matrix(B, "B"), as_matrix(K, "K"), as_matrix(L, "L")
-    P = symmetrize(P, "P")
-    m = B.shape[1]
-    for name, M, shape in (("B", B, (n, m)), ("K", K, (m, n)), ("L", L, (n, n)), ("P", P, (n, n))):
-        if M.shape != shape:
-            raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
-    _require_state_dim(model, A)
     lam, V = np.linalg.eigh(P)
     if lam[0] <= 0.0:
         raise ValueError("P must be positive definite")

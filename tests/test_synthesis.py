@@ -25,6 +25,8 @@ from etcontrol import (
     trigger_coefficient,
     virtual_gain,
 )
+from etcontrol.errors import SingularMatrixError
+from etcontrol.linalg import inverse, spectral_norm, sym_eigvals
 from etcontrol.synthesis import (
     COND_DECAY_PSD,
     COND_EPS_WINDOW,
@@ -97,6 +99,26 @@ def test_params_reject_non_finite_scalars(name, value):
     scalars = {"alpha": 0.0, "beta": 0.0, "epsilon": 1.0, "sigma": 0.5, name: value}
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         SynthesisParams(Q=[[1.0]], R1=[[1.0]], R2=[[1.0]], **scalars)
+
+
+@pytest.mark.parametrize(
+    "p_lo, p_hi", [([np.nan], [np.inf]), ([-np.inf], [1.0]), ([0.0], [np.nan])]
+)
+def test_model_rejects_non_finite_box_bounds(p_lo, p_hi):
+    with pytest.raises(ValueError, match="^p_lo and p_hi must be finite$"):
+        UncertaintyModel(basis=(np.eye(2),), p_lo=p_lo, p_hi=p_hi, F=np.eye(2))
+
+
+def test_constructors_own_read_only_arrays(demo_system):
+    _, _, model, params = demo_system
+    for array in (params.Q, params.R1, params.R2, model.F, model.basis[0], model.p_lo, model.p_hi):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1.0
+    # The model keeps copies: the caller's arrays stay its own.
+    basis, p_lo, F = np.eye(2), np.array([-0.5]), np.eye(2)
+    owned = UncertaintyModel(basis=(basis,), p_lo=p_lo, p_hi=[0.5], F=F)
+    basis[0, 0], p_lo[0], F[0, 0] = 7.0, -7.0, 7.0
+    assert owned.basis[0][0, 0] == 1.0 and owned.p_lo[0] == -0.5 and owned.F[0, 0] == 1.0
 
 
 def test_golden_ratio_scalar():
@@ -594,6 +616,164 @@ def test_synthesize_dimension_mismatch(demo_system):
     A, B, model, params = demo_system
     with pytest.raises(ValueError, match="state dimension"):
         synthesize(np.eye(3), np.ones((3, 1)), model, params)
+
+
+def _random_design(seed, d, alpha):
+    """A seeded random design whose trigger coefficient is defined.
+
+    Draws until some epsilon inside the design window gives a positive
+    definite decay matrix; the same seed gives the same design.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = 3, 1 + seed % 2
+    while True:
+        A = rng.normal(size=(n, n))
+        A *= rng.uniform(0.3, 0.9) / max(abs(np.linalg.eigvals(A)))
+        B = rng.normal(size=(n, m))
+        model = UncertaintyModel(
+            basis=tuple(0.05 * rng.normal(size=(n, n)) for _ in range(d)),
+            p_lo=-np.ones(d),
+            p_hi=np.ones(d),
+            F=0.02 * np.eye(n),
+        )
+        params = SynthesisParams(
+            Q=0.01 * np.eye(n),
+            R1=10.0 ** rng.uniform(-2.0, 0.0) * np.eye(m),
+            R2=np.eye(n),
+            alpha=alpha,
+            beta=0.5,
+            epsilon=1.0,
+            sigma=0.5,
+        )
+        lam_max = float(np.linalg.eigvalsh(solve_modified_dare(A, B, params, model.F))[-1])
+        for factor in (1.2, 1.5, 2.0, 3.0):
+            params = dataclasses.replace(params, epsilon=1.0 / (factor * lam_max))
+            try:
+                synthesize(A, B, model, params)
+            except TriggerUndefinedError:
+                continue
+            return A, B, model, params
+
+
+def _public_chain(A, B, model, params):
+    """The design by the public stage functions, one after another."""
+    P = solve_modified_dare(A, B, params, model.F)
+    K = feedback_gain(A, B, P, params)
+    L = virtual_gain(A, B, P, params)
+    Z = error_weight(P, params.epsilon)
+    Q1 = decay_matrix(A, B, K, L, Z, params)
+    report = feasibility_report(A, B, model, params, P, K, L, Z, Q1)
+    mu = trigger_coefficient(K, B, Z, Q1, params.sigma)
+    return {"P": P, "K": K, "L": L, "Z": Z, "Q1": Q1, "A_closed": A + B @ K}, mu, report
+
+
+def _assert_same_bits(out, matrices, mu):
+    for name, expected in matrices.items():
+        got = getattr(out, name)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+    assert out.mu == mu
+
+
+RANDOM_DESIGNS = [
+    (seed, d, alpha) for d in range(4) for alpha in (0.0, 0.8) for seed in range(3)
+]
+
+
+@pytest.mark.parametrize(
+    "instance",
+    ["demo_system", "reference_system", "holding_system"]
+    + [f"random-{seed}-{d}-{alpha}" for seed, d, alpha in RANDOM_DESIGNS],
+)
+def test_synthesize_equals_public_stage_chain(request, instance):
+    """synthesize runs the kernels behind the public stages: same bits, same report."""
+    if instance.startswith("random"):
+        _, seed, d, alpha = instance.split("-")
+        A, B, model, params = _random_design(int(seed), int(d), float(alpha))
+    else:
+        A, B, model, params = request.getfixturevalue(instance)
+    out = synthesize(A, B, model, params)
+    matrices, mu, report = _public_chain(A, B, model, params)
+    _assert_same_bits(out, matrices, mu)
+    assert out.report.checks == report.checks
+    _, iterations, residual = _validated_riccati(A, B, params, model.F)
+    assert (out.iterations, out.residual) == (iterations, residual)
+
+
+def test_synthesize_matched_equals_public_stage_chain():
+    A, B, model, params = _matched_demo()
+    out = synthesize_matched(A, B, as_matched_model(B, model), params)
+    params0 = dataclasses.replace(params, alpha=0.0)
+    matrices, _, _ = _public_chain(A, B, model, params0)
+    del matrices["Q1"]
+    P, K = matrices["P"], matrices["K"]
+    Q_eff = params.Q + model.F + params.beta**2 * np.eye(2)
+    inner = P @ inverse(np.eye(2) - params.epsilon * P)
+    mu = float(params.sigma * sym_eigvals(Q_eff)[0] / spectral_norm(K.T @ B.T @ inner @ B @ K))
+    _assert_same_bits(out, {**matrices, "Q1": Q_eff}, mu)
+
+
+@pytest.mark.parametrize(
+    "epsilon, error, message",
+    [
+        (13.1578947368, TriggerUndefinedError, "decay matrix is not positive definite"),
+        (None, SingularMatrixError, "design window gap is singular"),
+    ],
+)
+def test_synthesize_fails_like_public_stage_chain(demo_system, epsilon, error, message):
+    A, B, model, params = demo_system
+    if epsilon is None:  # the window gap (1/epsilon) I - P is singular
+        epsilon = 1.0 / float(np.linalg.eigvalsh(synthesize(A, B, model, params).P)[-1])
+    params = dataclasses.replace(params, epsilon=epsilon)
+    with pytest.raises(error, match=message) as from_pipeline:
+        synthesize(A, B, model, params)
+    with pytest.raises(error) as from_chain:
+        _public_chain(A, B, model, params)
+    assert str(from_pipeline.value) == str(from_chain.value)
+
+
+# Each public stage function with the names of its arguments.
+STAGES = {
+    "feedback_gain": (feedback_gain, "A B P params"),
+    "error_weight": (error_weight, "P epsilon"),
+    "decay_matrix": (decay_matrix, "A B K L Z params"),
+    "trigger_coefficient": (trigger_coefficient, "K B Z Q1 sigma"),
+}
+
+
+def _stage_call(demo_system, stage):
+    """The stage's function, its demo arguments, and their names."""
+    A, B, model, params = demo_system
+    out = synthesize(A, B, model, params)
+    values = dict(A=A, B=B, P=out.P, K=out.K, L=out.L, Z=out.Z, Q1=out.Q1, params=params)
+    values.update(epsilon=params.epsilon, sigma=params.sigma)
+    function, names = STAGES[stage]
+    return function, [values[name] for name in names.split()], names.split()
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_stage_accepts_nested_lists(demo_system, stage):
+    function, args, _ = _stage_call(demo_system, stage)
+    lists = [a.tolist() if isinstance(a, np.ndarray) else a for a in args]
+    expected = function(*args)
+    assert np.asarray(function(*lists)).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+@pytest.mark.parametrize(
+    "fault, message",
+    [("1-D", "must be 2-D"), ("not square", "must be square"), ("not symmetric", "is not symmetric")],
+)
+def test_stage_rejects_bad_matrix_naming_it(demo_system, stage, fault, message):
+    """A 1-D first argument, or a non-square or non-symmetric P or Z."""
+    function, args, names = _stage_call(demo_system, stage)
+    index = 0 if fault == "1-D" else names.index("Z" if "Z" in names else "P")
+    args[index] = {
+        "1-D": np.ones(2),
+        "not square": np.ones((2, 3)),
+        "not symmetric": args[index] + np.array([[0.0, 1.0], [0.0, 0.0]]),
+    }[fault]
+    with pytest.raises(ValueError, match=f"^{names[index]} {message}"):
+        function(*args)
 
 
 # ---------------------------------------------------------------------------
