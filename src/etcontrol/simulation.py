@@ -275,15 +275,28 @@ def _realized_plant(A, model, trajectory, n_steps):
     return A + model.matrix_at(p_rows[:n_steps]), p_rows, clamped
 
 
+def _quadratic_rows(S, M=None):
+    """S_k' M S_k for each row S_k of S (S_k' S_k when M is None).
+
+    Stacked np.matmul makes, for each row, the same BLAS call as the 1-D
+    float(x @ M @ x), so the column equals that per-row loop bit for bit;
+    einsum and sum reductions accumulate in another order and do not.
+    """
+    left = S[:, None, :] if M is None else np.matmul(S[:, None, :], M)
+    return np.matmul(left, S[:, :, None])[:, 0, 0]
+
+
 def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     """Step x(k+1) = plant[k] x(k) + B u(k) through a realized plant stack.
 
     The loop carries only the state, the held state and the input, and
-    records states, inputs and decisions. It forms x'x once per row and
-    uses it for the trigger rule, the divergence test (the norm is its
-    square root, as np.linalg.norm computes it) and the threshold column;
-    B u is formed only when a transmission changes u. The other columns
-    are derived from the recorded rows once the loop ends.
+    writes each new state into its row of states. Its products use
+    ndarray.dot, the BLAS call of @ without the ufunc dispatch. It forms
+    x'x once per row for the trigger rule, the divergence test (the norm
+    is its square root, as np.linalg.norm computes it) and the threshold
+    column; B u is formed only when a transmission changes u. The other
+    columns come from the recorded rows after the loop, V and monitored_sq
+    by stacked matmuls (_quadratic_rows), bit for bit the per-row dots.
     """
     n_steps = plant.shape[0]
     event, mu = policy.kind == POLICY_EVENT, policy.mu
@@ -291,27 +304,28 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     inputs = np.zeros((n_steps + 1, B.shape[1]))
     triggered = np.zeros(n_steps + 1, dtype=bool)
     thresholds = np.zeros(n_steps + 1)
+    rows = list(states)
     states[0] = x0
-    x = states[0]
-    x_sq = float(x @ x)
+    x = rows[0]
+    x_sq = float(x.dot(x))
     held = u = Bu = None
     last, diverged = n_steps, False
-    for k in range(n_steps):
+    for k, plant_k in enumerate(plant):
         fire = True
         if event:
             thresholds[k] = mu * x_sq
             if k:
                 e = held - x
-                fire = _transmits(float(e @ e), x_sq, mu)
+                fire = _transmits(float(e.dot(e)), x_sq, mu)
         if fire:
             held = x
-            u = K @ held
-            Bu = B @ u
+            u = K.dot(held)
+            Bu = B.dot(u)
             triggered[k] = True
         inputs[k] = u
-        states[k + 1] = plant[k] @ x + Bu
-        x = states[k + 1]
-        x_sq = float(x @ x)
+        x = plant_k.dot(x, out=rows[k + 1])
+        x += Bu
+        x_sq = float(x.dot(x))
         # A non-finite state fails this comparison too.
         if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
             last, diverged = k + 1, True
@@ -330,11 +344,11 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
         states=states,
         inputs=inputs,
         errors=states[held_after] - states,
-        monitored_sq=np.array([float(e @ e) for e in states[held_before] - states]),
+        monitored_sq=_quadratic_rows(states[held_before] - states),
         thresholds=thresholds[:end],
         triggered=triggered,
         p=p_rows[:end].copy(),
-        V=np.array([float(x @ P @ x) for x in states]),
+        V=_quadratic_rows(states, P),
         diverged=diverged,
         clamped_steps=clamped_steps,
         policy=policy,

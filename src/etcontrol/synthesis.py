@@ -23,7 +23,7 @@ pipelines chain the same kernels, computing each shared factor once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,6 +72,11 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _reduce_through_constructor(self):
+    """pickle and copy rebuild through the constructor, so copies are validated and read-only."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 def _require_definite(m: np.ndarray, name: str, strict: bool) -> None:
     """Raise ValueError unless the exactly symmetric m is positive (semi)definite."""
     smallest, threshold = smallest_eigenvalues(m[None])
@@ -96,6 +101,7 @@ class SynthesisParams:
     beta: float
     epsilon: float
     sigma: float
+    __reduce__ = _reduce_through_constructor
 
     def __post_init__(self):
         for name in ("Q", "R1", "R2"):
@@ -131,6 +137,7 @@ class UncertaintyModel:
     p_lo: np.ndarray
     p_hi: np.ndarray
     F: np.ndarray
+    __reduce__ = _reduce_through_constructor
 
     def __post_init__(self):
         basis = tuple(

@@ -292,17 +292,19 @@ def check_dissipation(
     stronger rate bound V(k+1) - V(k) <= -(1 - sigma) lambda_min(Q1) ||x||^2
     as well, and the quadratic sandwich
     lambda_min(P) ||x||^2 <= V <= lambda_max(P) ||x||^2 is confirmed at
-    every recorded row. When model and F are both given, steps whose
-    sampled perturbation violates the weighted uncertainty bound are
-    skipped; the theory promises nothing there. Margin is the worst slack
-    across all audited inequalities.
+    every recorded row, the terminal row n included. When model and F are
+    both given, steps whose sampled perturbation violates the weighted
+    uncertainty bound are skipped; the theory promises nothing there. The
+    terminal row takes no step and is never skipped. Margin is the worst
+    slack across all audited inequalities.
 
-    The slacks of the whole trace are formed at once, one row per step in
-    the bound order above. The audit stops at the first violating step that
-    the gate keeps, and counts and margin cover the steps up to it; the
-    witness is the first worst slack in (step, bound) order. A slack that
-    is not finite (a NaN or infinite trace row) violates its step and
-    counts as -inf.
+    The slacks of the whole trace are formed at once, one row per trace
+    row in the bound order above. The audit stops at the first violating
+    row that the gate keeps, and counts (of steps) and margin cover the
+    rows up to it; the witness is the first worst slack in (row, bound)
+    order, with dV unless it is the terminal row. A slack that is not
+    finite (a NaN or infinite trace row) violates its row and counts as
+    -inf.
     """
     P = symmetrize(P, "P")
     Q1 = symmetrize(Q1, "Q1")
@@ -312,67 +314,59 @@ def check_dissipation(
     sigma = float(sigma)
     error_gain = K.T @ B.T @ Z @ B @ K
     error_gain = 0.5 * (error_gain + error_gain.T)
-    p_eigs = np.linalg.eigvalsh(P)
-    q_min = float(np.linalg.eigvalsh(Q1)[0])
-    denom = spectral_norm(error_gain)
-    mu_derived = sigma * q_min / denom if (q_min > 0.0 and denom > 0.0) else None
-
     n = trace.n_steps
-    gated = np.zeros(n, dtype=bool)
+    # One eigvalsh over P, Q1 and the gate matrices F - dA' Z dA, and one
+    # svd over error_gain and F: every slice is computed as on its own.
+    symmetric, normed = [P[None], Q1[None]], [error_gain]
     if model is not None and F is not None:
+        F = as_matrix(F, "F")
         dA = model.matrix_at(trace.p[:n])
-        gate = np.linalg.eigvalsh(F - np.swapaxes(dA, 1, 2) @ Z @ dA)[:, 0]
-        gated = gate < -CHECK_TOL * max(1.0, spectral_norm(F))
+        symmetric.append(F - np.swapaxes(dA, 1, 2) @ Z @ dA)
+        normed.append(F)
+    eigs = np.linalg.eigvalsh(np.concatenate(symmetric))
+    norms = np.linalg.svd(np.stack(normed), compute_uv=False)[:, 0]
+    p_eigs, q_min, denom = eigs[0], float(eigs[1, 0]), float(norms[0])
+    mu_derived = sigma * q_min / denom if (q_min > 0.0 and denom > 0.0) else None
+    # Row n, the terminal row, takes no step: the gate never skips it and
+    # only its sandwich bound is audited.
+    gated = np.zeros(n + 1, dtype=bool)
+    if len(normed) > 1:
+        gated[:n] = eigs[2:, 0] < -CHECK_TOL * max(1.0, float(norms[1]))
 
-    x, e, V = trace.states[:n], trace.errors[:n], trace.V[:n]
+    x, e, V = trace.states, trace.errors[:n], trace.V
     x_sq = np.einsum("ki,ki->k", x, x)
-    dV = trace.V[1 : n + 1] - V
+    dV = V[1:] - V[:-1]
     tol = CHECK_TOL * (1.0 + np.abs(V))
-    raw = (-np.einsum("ki,ki->k", x @ Q1, x) + np.einsum("ki,ki->k", e @ error_gain, e)) - dV
-    rate = (-(1.0 - sigma) * q_min * x_sq) - dV
-    if mu_derived is None:
-        rate_applies = np.zeros(n, dtype=bool)
-    else:
-        rate_applies = np.einsum("ki,ki->k", e, e) <= mu_derived * x_sq + tol
+    raw = (-np.einsum("ki,ki->k", x[:n] @ Q1, x[:n]) + np.einsum("ki,ki->k", e @ error_gain, e)) - dV
+    rate = (-(1.0 - sigma) * q_min * x_sq[:n]) - dV
+    applies = np.ones((n + 1, 3), dtype=bool)
+    applies[n, :2] = False
+    e_sq = np.einsum("ki,ki->k", e, e)
+    applies[:n, 1] = mu_derived is not None and e_sq <= mu_derived * x_sq[:n] + tol[:n]
     sandwich = np.minimum(V - p_eigs[0] * x_sq, p_eigs[-1] * x_sq - V)
-    slack = np.stack([raw, np.where(rate_applies, rate, np.inf), sandwich], axis=1)
-    not_finite = ~np.isfinite(slack)
-    not_finite[:, 1] &= rate_applies
+    slack = np.column_stack([np.append(raw, np.inf), np.append(rate, np.inf), sandwich])
+    not_finite = applies & ~np.isfinite(slack)
+    slack[~applies] = np.inf
     slack[not_finite] = -np.inf
     violated = ~gated & np.any(not_finite | (slack < -tol[:, None]), axis=1)
 
     failed = bool(violated.any())
-    stop = int(np.argmax(violated)) if failed else n - 1
+    stop = int(np.argmax(violated)) if failed else n
     kept = np.flatnonzero(~gated[: stop + 1])
-    audited = kept.size
-    skipped = stop + 1 - audited
-    if audited == 0:
-        return CheckResult(
-            name="dissipation",
-            holds=True,
-            margin=0.0,
-            witness={},
-            note=f"no eligible steps ({skipped} skipped by the uncertainty gate)",
-        )
+    skipped = stop + 1 - kept.size
+    audited = min(stop + 1, n) - skipped
     row, bound = divmod(int(np.argmin(slack[kept])), 3)
     step = int(kept[row])
-    margin = float(slack[step, bound])
-    witness = {"step": step, "bound": _DISSIPATION_BOUNDS[bound], "dV": float(dV[step])}
+    witness = {"step": step, "bound": _DISSIPATION_BOUNDS[bound]}
+    if step < n:
+        witness["dV"] = float(dV[step])
     if failed:
-        return CheckResult(
-            name="dissipation",
-            holds=False,
-            margin=margin,
-            witness=witness,
-            note=f"violated at step {stop} ({audited} steps audited, {skipped} skipped)",
-        )
-    return CheckResult(
-        name="dissipation",
-        holds=True,
-        margin=margin,
-        witness=witness,
-        note=f"{audited} steps audited, {skipped} skipped",
-    )
+        note = f"violated at step {stop} ({audited} steps audited, {skipped} skipped)"
+    elif audited == 0:
+        note = f"no eligible steps ({skipped} skipped by the uncertainty gate)"
+    else:
+        note = f"{audited} steps audited, {skipped} skipped"
+    return CheckResult("dissipation", not failed, float(slack[step, bound]), witness, note)
 
 
 def _maximize(f, a: float, b: float, stop=None):

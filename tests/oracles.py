@@ -289,8 +289,10 @@ def dissipation_stepwise(trace, P, Q1, K, B, Z, sigma, model=None, F=None):
     derived threshold) and the sandwich bound are checked in that order;
     the worst slack is tracked by a strict comparison, so the witness is its
     first occurrence in (step, bound) order, and the loop stops at the first
-    violating step. A NaN slack fails its step here without becoming the
-    margin, so compare with check_dissipation on finite traces only.
+    violating step. After the loop, the terminal row n gets the sandwich
+    bound alone, never gated, with no dV in its witness. A NaN slack fails
+    its step here without becoming the margin, so compare with
+    check_dissipation on finite traces only.
     """
     from etcontrol import CheckResult
     from etcontrol.verification import CHECK_TOL
@@ -362,20 +364,28 @@ def dissipation_stepwise(trace, P, Q1, K, B, Z, sigma, model=None, F=None):
                 f"({audited} steps audited, {skipped} skipped)",
             )
 
-    if audited == 0:
+    n = trace.n_steps
+    x = trace.states[n]
+    x_sq = float(x @ x)
+    sandwich = min(float(trace.V[n]) - p_eigs[0] * x_sq, p_eigs[-1] * x_sq - float(trace.V[n]))
+    if sandwich < worst:
+        worst = sandwich
+        witness = {"step": n, "bound": "sandwich"}
+    counts = f"{audited} steps audited, {skipped} skipped"
+    if not sandwich >= -CHECK_TOL * (1.0 + abs(float(trace.V[n]))):
         return CheckResult(
             name="dissipation",
-            holds=True,
-            margin=0.0,
-            witness={},
-            note=f"no eligible steps ({skipped} skipped by the uncertainty gate)",
+            holds=False,
+            margin=float(worst),
+            witness=witness,
+            note=f"violated at step {n} ({counts})",
         )
     return CheckResult(
         name="dissipation",
         holds=True,
         margin=float(worst),
         witness=witness,
-        note=f"{audited} steps audited, {skipped} skipped",
+        note=counts if audited else f"no eligible steps ({skipped} skipped by the uncertainty gate)",
     )
 
 

@@ -458,6 +458,40 @@ def test_diverging_and_resting_runs_match_stepwise_oracle(x0):
     assert comparison.periodic.diverged == comparison.event.diverged == any(x0)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_systems_match_stepwise_oracle(n):
+    """Every column of every run is the oracle's bit for bit, for m = 1..3 and d = 0..3.
+
+    V and monitored_sq come from stacked matmuls; this sweep pins that they
+    equal the per-row dot products at every state and input dimension. Each
+    n also gets a diverging run and a run from rest at the origin.
+    """
+    rng = np.random.default_rng(100 + n)
+    for m in range(1, 4):
+        for d in range(4):
+            A = rng.normal(size=(n, n))
+            A *= 0.95 / max(np.abs(np.linalg.eigvals(A)).max(), 1e-3)
+            B, K = rng.normal(size=(n, m)), 0.3 * rng.normal(size=(m, n))
+            G = rng.normal(size=(n, n))
+            model = UncertaintyModel(
+                basis=tuple(0.1 * rng.normal(size=(d, n, n))),
+                p_lo=-np.ones(d), p_hi=np.ones(d), F=np.eye(n),
+            )
+            _traces_against_oracle(
+                A, B, model, K, rng.uniform(0.05, 2.0), ParamTrajectory.random(n + m + d),
+                rng.normal(size=n), 30, G @ G.T + np.eye(n),
+            )
+    diverging = _traces_against_oracle(
+        3.0 * np.eye(n), B, model, np.zeros_like(K), 0.5, ParamTrajectory.random(1), np.ones(n),
+        40, np.eye(n),
+    )
+    assert diverging.periodic.diverged and diverging.event.diverged
+    resting = _traces_against_oracle(
+        A, B, model, K, 0.5, ParamTrajectory.random(2), np.zeros(n), 20, np.eye(n)
+    )
+    assert resting.event.transmissions == 1 and not resting.event.V.any()
+
+
 def test_tiny_threshold_matches_stepwise_oracle(reference_gain):
     A, B, model, out = reference_gain
     comparison = _traces_against_oracle(

@@ -1,7 +1,9 @@
 """Synthesis pipeline tests: solver, gains, trigger threshold, feasibility."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -119,6 +121,26 @@ def test_constructors_own_read_only_arrays(demo_system):
     owned = UncertaintyModel(basis=(basis,), p_lo=p_lo, p_hi=[0.5], F=F)
     basis[0, 0], p_lo[0], F[0, 0] = 7.0, -7.0, 7.0
     assert owned.basis[0][0, 0] == 1.0 and owned.p_lo[0] == -0.5 and owned.F[0, 0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_copies_are_rebuilt_read_only(demo_system, duplicate):
+    """pickle and copy go through the constructor: equal values, read-only arrays."""
+    _, _, model, params = demo_system
+    for original in (params, model):
+        clone = duplicate(original)
+        assert type(clone) is type(original) and clone is not original
+        for field in dataclasses.fields(original):
+            before, after = getattr(original, field.name), getattr(clone, field.name)
+            pairs = zip(before, after) if field.name == "basis" else [(before, after)]
+            for a, b in pairs:
+                assert np.array_equal(a, b), field.name
+                if isinstance(b, np.ndarray):
+                    assert not b.flags.writeable, field.name
 
 
 def test_golden_ratio_scalar():

@@ -392,10 +392,12 @@ def _break_bound(trace, args, bound, where):
 
     raw and rate raise V(k+1) just past the bound's right-hand side (a
     broken rate bound breaks the tighter raw bound too); sandwich lowers
-    V(k) just under lambda_min(P) ||x(k)||^2.
+    V(k) just under lambda_min(P) ||x(k)||^2. "terminal" is row n_steps,
+    which only the sandwich bound audits.
     """
     P, Q1, K, B, Z, sigma = args
-    k = {"first": 0, "middle": trace.n_steps // 2, "last": trace.n_steps - 1}[where]
+    n = trace.n_steps
+    k = {"first": 0, "middle": n // 2, "last": n - 1, "terminal": n}[where]
     x, e, V = trace.states[k], trace.errors[k], trace.V.copy()
     push = 1e-3 * (1.0 + abs(V[k]))
     if bound == "raw":
@@ -416,6 +418,8 @@ _DISSIPATION_CASES = [
     ("demo", "gate", (bound, where))
     for bound in ("raw", "rate", "sandwich")
     for where in ("first", "middle", "last")
+] + [
+    (run, gate, ("sandwich", "terminal")) for run in ("demo", "holding") for gate in ("gate", "no gate")
 ]
 
 
@@ -449,6 +453,22 @@ def test_dissipation_matches_stepwise_oracle(request, run, gate, edit):
     if step is not None:
         assert result.note.startswith(f"violated at step {step} (")
         assert result.witness["step"] == step and result.margin < 0.0
+
+
+@pytest.mark.parametrize("gate", [True, False], ids=["gate", "no gate"])
+def test_dissipation_audits_terminal_row(demo_system, gate):
+    """A terminal V of -1 breaks the sandwich at row n_steps, which takes no step."""
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
+    V = trace.V.copy()
+    V[-1] = -1.0
+    kwargs = {"model": model, "F": model.F} if gate else {}
+    result = check_dissipation(
+        dataclasses.replace(trace, V=V), out.P, out.Q1, out.K, B, out.Z, params.sigma, **kwargs
+    )
+    assert not result.holds
+    assert result.note == "violated at step 30 (30 steps audited, 0 skipped)"
+    assert result.witness == {"step": 30, "bound": "sandwich"}
+    assert result.margin <= -1.0
 
 
 def test_dissipation_non_finite_slack_is_minus_inf(demo_system):
