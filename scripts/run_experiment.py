@@ -11,6 +11,7 @@ visible to shell scripts without hiding the artifacts of earlier stages.
 import argparse
 import sys
 
+from etcontrol.cli import _seed
 from etcontrol.cli import main as etcontrol_main
 
 
@@ -18,7 +19,9 @@ def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", required=True, help="experiment configuration (JSON)")
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument(
+        "--seed", type=_seed, default=None, help="seed override (a nonnegative integer)"
+    )
     args = parser.parse_args(argv)
 
     common = ["--config", args.config, "--out", args.out]

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, require_square, symmetrize
-from .synthesis import UncertaintyModel, _require_state_dim
+from .synthesis import UncertaintyModel, _conform
 
 DIVERGENCE_NORM = 1e12
 
@@ -248,29 +247,21 @@ class PolicyComparison:
     max_gap: float | None
 
 
-def _validated_run(A, B, K, P, x0, n_steps):
-    """Coerce and shape-check the closed-loop inputs of one run."""
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
-    K = as_matrix(K, "K")
-    P = symmetrize(P, "P")
+def _validated_run(x0, n_steps, n):
+    """Coerce the initial state of one run to a finite (n,) row and check n_steps."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     n_steps = int(n_steps)
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
-    n, m = A.shape[0], B.shape[1]
-    shapes = {"B": (n, m), "K": (m, n), "P": (n, n), "x0": (n,)}
-    for (name, shape), value in zip(shapes.items(), (B, K, P, x0)):
-        if value.shape != shape:
-            raise ValueError(f"{name} has shape {value.shape}, expected {shape}")
+    if x0.shape != (n,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected {(n,)}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 contains non-finite entries")
-    return A, B, K, P, x0, n_steps
+    return x0, n_steps
 
 
 def _realized_plant(A, model, trajectory, n_steps):
     """The parameter rows of one run and the plant matrices A + dA(p_k) along it."""
-    _require_state_dim(model, A)
     p_rows, clamped = trajectory.realize(n_steps, model)
     return A + model.matrix_at(p_rows[:n_steps]), p_rows, clamped
 
@@ -372,7 +363,8 @@ def simulate(
     divergence limit, in which case the run stops early with the diverged
     flag set. P supplies the Lyapunov value column V = x' P x.
     """
-    A, B, K, P, x0, n_steps = _validated_run(A, B, K, P, x0, n_steps)
+    A, B, K, P = _conform(model, A=A, B=B, K=K, P=P)
+    x0, n_steps = _validated_run(x0, n_steps, len(A))
     plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
     return _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped)
 
@@ -395,7 +387,8 @@ def compare_policies(
     policy. savings_ratio is 1 - event transmissions / periodic
     transmissions.
     """
-    A, B, K, P, x0, n_steps = _validated_run(A, B, K, P, x0, n_steps)
+    A, B, K, P = _conform(model, A=A, B=B, K=K, P=P)
+    x0, n_steps = _validated_run(x0, n_steps, len(A))
     policies = (TriggerPolicy.periodic(), TriggerPolicy.event(mu))
     plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
     periodic, event = (

@@ -15,9 +15,10 @@ attaches a FeasibilityReport listing each design condition with a verdict,
 a margin, and (for parameter-dependent conditions) a worst-case witness.
 
 Inputs are validated once, at the boundary: the constructors check their
-matrices and keep read-only copies, and each public function checks its
-arguments, then calls a private kernel that trusts its arrays. The
-pipelines chain the same kernels, computing each shared factor once.
+matrices and keep read-only copies, and each public function here, in the
+simulation and in the audits checks its arrays against one input contract
+(_conform), then calls a private kernel that trusts them. The pipelines
+chain the same kernels, computing each shared factor once.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .linalg import (
     require_square,
     smallest_eigenvalues,
     spectral_norm,
-    sym_eigvals,
     symmetrize,
 )
 
@@ -51,6 +51,13 @@ DIVERGENCE_LIMIT = 1e14
 HOLD_TOL = 1e-9
 MARGINAL_BAND = 1e-6
 MATCHED_TOL = 1e-12
+
+# The epsilon interval search covers s - s0 from 2^-40 to 2^40 times
+# lambda_max(P), where s = 1/epsilon and s0 is the lower end of the domain.
+SEARCH_OCTAVES = 40.0
+KSECTION_POINTS = 65
+END_RTOL = 1e-12  # interval ends, relative
+MAX_TOL = 1e-10  # brackets of a maximum, in octaves
 
 HOLDS = "holds"
 MARGINAL = "marginal"
@@ -82,6 +89,54 @@ def _require_definite(m: np.ndarray, name: str, strict: bool) -> None:
     smallest, threshold = smallest_eigenvalues(m[None])
     if not (smallest[0] > threshold[0] if strict else smallest[0] >= -threshold[0]):
         raise ValueError(f"{name} must be positive {'definite' if strict else 'semidefinite'}")
+
+
+def _require_sigma(sigma) -> float:
+    """sigma as a float, ValueError unless it lies strictly between 0 and 1."""
+    sigma = float(sigma)
+    if not 0.0 < sigma < 1.0:
+        raise ValueError("sigma must lie strictly between 0 and 1")
+    return sigma
+
+
+# The shape of each array of a design in the state dimension n and the input
+# dimension m. The symmetric ones come back exactly symmetric.
+_SHAPES = {
+    "A": "nn", "B": "nm", "K": "mn", "L": "nn", "A_closed": "nn",
+    "P": "nn", "Z": "nn", "Q1": "nn", "F": "nn",
+}
+_SYMMETRIC = ("P", "Z", "Q1")
+
+
+def _conform(model=None, params=None, **arrays):
+    """The input contract of every public entry point.
+
+    Coerces each named array (None passes through) and checks its shape
+    against _SHAPES. n and m come from the first array that fixes them: name
+    a trusted one first, with n rows when model is given. model must be for
+    state dimension n; params must fit (Q and R2 n x n, R1 m x m). Returns
+    the arrays in order; a misfit raises ValueError naming it.
+    """
+    dims, out = {}, []
+    for name, M in arrays.items():
+        if M is not None:
+            M = symmetrize(M, name) if name in _SYMMETRIC else as_matrix(M, name)
+            rows, cols = _SHAPES[name]
+            expected = (dims.setdefault(rows, M.shape[0]), dims.setdefault(cols, M.shape[1]))
+            if M.shape != expected:
+                raise ValueError(f"{name} has shape {M.shape}, expected {expected}")
+        out.append(M)
+    if model is not None and model.state_dim != dims["n"]:
+        raise ValueError(
+            f"uncertainty model is for state dimension {model.state_dim}, "
+            f"but {next(iter(arrays))} has {dims['n']} rows"
+        )
+    if params is not None:
+        for name, d in (("Q", "n"), ("R1", "m"), ("R2", "n")):
+            shape = getattr(params, name).shape
+            if shape != (dims[d], dims[d]):
+                raise ValueError(f"{name} has shape {shape}, expected {(dims[d], dims[d])}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -120,8 +175,7 @@ class SynthesisParams:
             raise ValueError("beta must be nonnegative")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must lie strictly between 0 and 1")
+        _require_sigma(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -272,19 +326,8 @@ def projector_complement(B) -> np.ndarray:
     Requires B to have full column rank; the result is symmetric and
     idempotent, and annihilates every column of B.
     """
-    B = as_matrix(B, "B")
+    (B,) = _conform(B=B)
     return np.eye(B.shape[0]) - B @ pseudo_inverse(B, "B")
-
-
-def _plant(A, B, model: UncertaintyModel | None = None):
-    """Validate A (square), then B, then the model's state dimension, then B's rows."""
-    A = require_square(A, "A")
-    B = as_matrix(B, "B")
-    if model is not None:
-        _require_state_dim(model, A)
-    if B.shape[0] != A.shape[0]:
-        raise ValueError(f"B has {B.shape[0]} rows but A is {A.shape[0]} x {A.shape[0]}")
-    return A, B
 
 
 def _channel_weights(B, params: SynthesisParams, alpha: float):
@@ -305,6 +348,10 @@ def _effective_weight(params: SynthesisParams, F: np.ndarray) -> np.ndarray:
 def _s_inv(P: np.ndarray, W: np.ndarray) -> np.ndarray:
     """S^-1 = (P^-1 + W)^-1, computed as (I + P W)^-1 P."""
     return np.linalg.solve(np.eye(len(P)) + P @ W, P)
+
+
+def _step_context(step: float, scale: float) -> str:
+    return f"last relative step {step:.3e}, largest entry of H {scale:.3e}"
 
 
 def _riccati(A, W, Qbar):
@@ -335,10 +382,9 @@ def _riccati(A, W, Qbar):
         A_k = A_k @ X_A
         scale = float(np.max(np.abs(H_next)))
         step = float(np.max(np.abs(H_next - H))) / max(1.0, scale)
-        context = f"last relative step {step:.3e}, largest entry of H {scale:.3e}"
         if not np.isfinite(scale) or scale > DIVERGENCE_LIMIT:
             raise RiccatiConvergenceError(
-                f"doubling diverged at step {iteration} ({context}); "
+                f"doubling diverged at step {iteration} ({_step_context(step, scale)}); "
                 "the pair (A, B) may not admit a stabilizing solution",
                 iterations=iteration,
                 last_step=step,
@@ -348,7 +394,8 @@ def _riccati(A, W, Qbar):
             break
     else:
         raise RiccatiConvergenceError(
-            f"no convergence within {RICCATI_MAX_ITER} doubling steps ({context})",
+            f"no convergence within {RICCATI_MAX_ITER} doubling steps "
+            f"({_step_context(step, scale)})",
             iterations=RICCATI_MAX_ITER,
             last_step=step,
         )
@@ -357,20 +404,22 @@ def _riccati(A, W, Qbar):
     if residual > RICCATI_RESIDUAL_TOL:
         raise RiccatiConvergenceError(
             f"converged point has residual {residual:.3e} above tolerance "
-            f"{RICCATI_RESIDUAL_TOL:.1e}",
+            f"{RICCATI_RESIDUAL_TOL:.1e} after {iteration} doubling steps "
+            f"({_step_context(step, scale)})",
             iterations=iteration,
+            last_step=step,
         )
     smallest, threshold = smallest_eigenvalues(H[None])
     if not smallest[0] > threshold[0]:
-        raise NumericalError("Riccati solution is not positive definite")
+        raise NumericalError(
+            f"Riccati solution is not positive definite (smallest eigenvalue {smallest[0]:.3e})"
+        )
     return H, iteration, residual, S_inv
 
 
 def _validated_riccati(A, B, params, F):
-    A, B = _plant(A, B)
+    A, B, F = _conform(params=params, A=A, B=B, F=F)
     F = symmetrize(F, "F")
-    if F.shape != A.shape:
-        raise ValueError(f"F has shape {F.shape}, expected {A.shape}")
     _require_definite(F, "F", strict=False)
     W, _ = _channel_weights(B, params, params.alpha)
     P, iterations, residual, _ = _riccati(A, W, _effective_weight(params, F))
@@ -394,7 +443,7 @@ def solve_modified_dare(A, B, params: SynthesisParams, F) -> np.ndarray:
 
 def feedback_gain(A, B, P, params: SynthesisParams) -> np.ndarray:
     """State-feedback gain K = -R1^-1 B' (P^-1 + W)^-1 A."""
-    A, B, P = require_square(A, "A"), as_matrix(B, "B"), symmetrize(P, "P")
+    A, B, P = _conform(params=params, A=A, B=B, P=P)
     W, _ = _channel_weights(B, params, params.alpha)
     return _feedback_gain(A, B, _s_inv(P, W), params)
 
@@ -408,7 +457,7 @@ def virtual_gain(A, B, P, params: SynthesisParams) -> np.ndarray:
 
     L = -alpha R2^-1 Pi (P^-1 + W)^-1 A, identically zero when alpha is 0.
     """
-    A, B, P = require_square(A, "A"), as_matrix(B, "B"), symmetrize(P, "P")
+    A, B, P = _conform(params=params, A=A, B=B, P=P)
     if params.alpha == 0.0:
         return _virtual_gain(A, None, None, params)
     W, Pi = _channel_weights(B, params, params.alpha)
@@ -431,7 +480,7 @@ def error_weight(P, epsilon: float) -> np.ndarray:
     the window or not: the feasibility report gives the verdicts on the
     window (epsilon_window) and on Z (error_weight_pd).
     """
-    P = symmetrize(P, "P")
+    (P,) = _conform(P=P)
     epsilon = float(epsilon)
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -455,8 +504,7 @@ def decay_matrix(A, B, K, L, Z, params: SynthesisParams) -> np.ndarray:
 
     Q1 = beta^2 I + K' R1 K + L' R2 L - (A + B K)' Z (A + B K).
     """
-    A, B = require_square(A, "A"), as_matrix(B, "B")
-    K, L, Z = as_matrix(K, "K"), as_matrix(L, "L"), symmetrize(Z, "Z")
+    A, B, K, L, Z = _conform(params=params, A=A, B=B, K=K, L=L, Z=Z)
     return _decay_matrix(A + B @ K, K, L, Z, params)
 
 
@@ -478,11 +526,9 @@ def trigger_coefficient(K, B, Z, Q1, sigma: float) -> float:
     positive definite; a nonpositive smallest eigenvalue means the triggered
     loop has no guaranteed decay and the threshold is undefined.
     """
-    sigma = float(sigma)
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("sigma must lie strictly between 0 and 1")
-    K, B, Z = as_matrix(K, "K"), as_matrix(B, "B"), symmetrize(Z, "Z")
-    return _trigger_coefficient(K, B, Z, sym_eigvals(Q1, "Q1")[0], sigma)
+    sigma = _require_sigma(sigma)
+    K, B, Z, Q1 = _conform(K=K, B=B, Z=Z, Q1=Q1)
+    return _trigger_coefficient(K, B, Z, np.linalg.eigvalsh(Q1)[0], sigma)
 
 
 def _trigger_coefficient(K, B, Z, decay_margin, sigma, names=("decay matrix", "error weight")):
@@ -604,7 +650,7 @@ def feasibility_report(
     inputs of ``synthesize``: a wrong shape raises ValueError naming the
     argument.
     """
-    A, B, K, L, P, Z, Q1 = _validated_design(A, B, model, K, L, P=P, Z=Z, Q1=Q1)
+    A, B, K, L, P, Z, Q1 = _conform(model, params, A=A, B=B, K=K, L=L, P=P, Z=Z, Q1=Q1)
     return _feasibility_report(A + B @ K, model, params, P, K, L, Z, Q1)
 
 
@@ -684,28 +730,6 @@ def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1):
     return FeasibilityReport(checks=tuple(checks))
 
 
-def _require_state_dim(model: UncertaintyModel, A: np.ndarray) -> None:
-    if model.state_dim != A.shape[0]:
-        raise ValueError(
-            f"uncertainty model is for state dimension {model.state_dim}, "
-            f"but A is {A.shape[0]} x {A.shape[0]}"
-        )
-
-
-def _validated_design(A, B, model: UncertaintyModel, K, L, **symmetric):
-    """Validate A, B, K, L and the named symmetric n x n matrices of a design."""
-    A = require_square(A, "A")
-    _require_state_dim(model, A)
-    B, K, L = as_matrix(B, "B"), as_matrix(K, "K"), as_matrix(L, "L")
-    sym = [symmetrize(M, name) for name, M in symmetric.items()]
-    n, m = A.shape[0], B.shape[1]
-    expected = [("B", (n, m)), ("K", (m, n)), ("L", (n, n))] + [(s, (n, n)) for s in symmetric]
-    for (name, shape), M in zip(expected, [B, K, L, *sym]):
-        if M.shape != shape:
-            raise ValueError(f"{name} has shape {M.shape}, expected {shape}")
-    return (A, B, K, L, *sym)
-
-
 def synthesize(A, B, model: UncertaintyModel, params: SynthesisParams) -> SynthesisOutcome:
     """Full mismatched synthesis: Riccati solve, gains, trigger, report.
 
@@ -715,7 +739,7 @@ def synthesize(A, B, model: UncertaintyModel, params: SynthesisParams) -> Synthe
     definite (the report's decay_matrix_psd margin is not positive), and
     RiccatiConvergenceError when no solution exists.
     """
-    A, B = _plant(A, B, model)
+    A, B = _conform(model, params, A=A, B=B)
     W, Pi = _channel_weights(B, params, params.alpha)
     P, iterations, residual, S_inv = _riccati(A, W, _effective_weight(params, model.F))
     K = _feedback_gain(A, B, S_inv, params)
@@ -749,12 +773,7 @@ def as_matched_model(B, model: UncertaintyModel) -> UncertaintyModel:
     otherwise the model is genuinely mismatched and a ValueError explains
     which direction leaks outside the range of B.
     """
-    B = as_matrix(B, "B")
-    if B.shape[0] != model.state_dim:
-        raise ValueError(
-            f"B has {B.shape[0]} rows but the uncertainty model is for state "
-            f"dimension {model.state_dim}"
-        )
+    (B,) = _conform(model, B=B)
     B_pinv = pseudo_inverse(B, "B")
     for i, e in enumerate(model.basis):
         defect = float(np.max(np.abs(B @ (B_pinv @ e) - e)))
@@ -807,8 +826,7 @@ def synthesize_matched(
     (2/epsilon) dA' dA <= F at the vertices of the box, as in
     ``feasibility_report``.
     """
-    A, B = require_square(A, "A"), as_matrix(B, "B")
-    _require_state_dim(model, A)
+    A, B = _conform(model, params, A=A, B=B)
     as_matched_model(B, model)
     n = A.shape[0]
     W, _ = _channel_weights(B, params, 0.0)
@@ -834,3 +852,70 @@ def synthesize_matched(
         iterations=iterations,
         residual=residual,
     )
+
+
+def _maximize(f, a: float, b: float, stop=None):
+    """Maximize a quasi-concave function on [a, b] by stacked k-section.
+
+    Each round evaluates f at KSECTION_POINTS points spanning the bracket
+    and keeps the two neighbours of the best one, which enclose the
+    maximum, until the bracket is narrower than MAX_TOL or stop holds for
+    the best value. Returns the last round's points and values.
+    """
+    while True:
+        x = np.linspace(a, b, KSECTION_POINTS)
+        values = f(x)
+        best = int(np.argmax(values))
+        if b - a <= MAX_TOL or (stop is not None and stop(values[best])):
+            return x, values
+        a, b = x[max(best - 1, 0)], x[min(best + 1, x.size - 1)]
+
+
+def _boundary(margin, s_out: float, s_in: float) -> float:
+    """The end of a hold interval between a failing s_out and a holding s_in.
+
+    Stacked k-section: each round evaluates the margin at KSECTION_POINTS
+    points across the bracket and keeps the two neighbours where it turns
+    nonnegative, until the bracket is within END_RTOL of s_in. The holds
+    form a suffix of every bracket, since the hold set is an interval.
+    Returns the holding side, so the margin is nonnegative at the end.
+    """
+    while abs(s_in - s_out) > END_RTOL * abs(s_in):
+        s = np.linspace(s_out, s_in, KSECTION_POINTS)[1:-1]
+        holds = margin(s) >= 0.0
+        first = int(np.argmax(holds)) if holds.any() else s.size
+        if first > 0:
+            s_out = float(s[first - 1])
+        if first < s.size:
+            s_in = float(s[first])
+    return s_in
+
+
+def _hold_interval(margin, s0: float, scale: float):
+    """The interval of s > s0 on which a quasi-concave margin is nonnegative.
+
+    The search runs over s = s0 + scale 2^t for t in
+    [-SEARCH_OCTAVES, SEARCH_OCTAVES] (quasi-concavity survives the
+    monotone change of variable): k-section for the maximum until a point
+    holds, then k-section for each end between the holding points and
+    their failing neighbours. Only the first round's end points can hold,
+    since every later bracket lies between failing points. Returns None
+    when the margin is negative everywhere, else (lo, hi): lo is s0 when
+    the margin holds at the bottom of the search, and hi is None when it
+    holds at the top.
+    """
+
+    def at(t):
+        return s0 + scale * np.exp2(t)
+
+    t, values = _maximize(
+        lambda t: margin(at(t)), -SEARCH_OCTAVES, SEARCH_OCTAVES, stop=lambda v: v >= 0.0
+    )
+    holds = values >= 0.0
+    if not holds.any():
+        return None
+    first = int(np.argmax(holds))
+    last = t.size - 1 - int(np.argmax(holds[::-1]))
+    lo = s0 if first == 0 else _boundary(margin, at(t[first - 1]), at(t[first]))
+    hi = None if last == t.size - 1 else _boundary(margin, at(t[last + 1]), at(t[last]))
+    return lo, hi

@@ -35,10 +35,8 @@ from .linalg import (
     as_stack,
     inverse_stack,
     positive_definite_stack,
-    require_square,
     spectral_norm,
     spectral_norm_stack,
-    symmetrize,
     symmetrize_stack,
 )
 from .synthesis import (
@@ -48,22 +46,20 @@ from .synthesis import (
     COND_UNC_SCALED,
     COND_UNC_WEIGHTED,
     COND_WEIGHT_PD,
+    SEARCH_OCTAVES,
     SynthesisParams,
     _channel_weights,
+    _conform,
     _error_weight,
+    _hold_interval,
     _inner_weight,
+    _maximize,
+    _require_definite,
+    _require_sigma,
     _s_inv,
-    _validated_design,
 )
 
 CHECK_TOL = 1e-8
-
-# The epsilon interval search covers s - s0 from 2^-40 to 2^40 times
-# lambda_max(P), where s = 1/epsilon and s0 is the lower end of the domain.
-SEARCH_OCTAVES = 40.0
-KSECTION_POINTS = 65
-END_RTOL = 1e-12  # interval ends, relative
-MAX_TOL = 1e-10  # brackets of a maximum, in octaves
 
 
 @dataclass(frozen=True)
@@ -131,9 +127,8 @@ def check_inversion_identity(P, epsilon: float) -> CheckResult:
     sides, and the check holds when it stays below CHECK_TOL relative to
     the magnitude of P. This is inversion_identity_margins on a stack of one.
     """
-    residual, tol, holds = inversion_identity_margins(
-        require_square(P, "P")[None], [float(epsilon)]
-    )
+    (P,) = _conform(P=P)
+    residual, tol, holds = inversion_identity_margins(P[None], [float(epsilon)])
     return CheckResult(
         name="inversion_identity",
         holds=bool(holds[0]),
@@ -186,14 +181,13 @@ def cross_term_margins(P, epsilon, A_closed, dA):
     return margin, tol, finite & (margin >= -tol)
 
 
-def _worst_cross_term(P, epsilon: float, A_closed, dA) -> tuple[int, CheckResult]:
+def _worst_cross_term(P, epsilon: float, A_closed, dA, model=None) -> tuple[int, CheckResult]:
     """Audit one design against a (k, n, n) stack dA of perturbations.
 
     Returns the index of the first perturbation with the smallest margin
-    and its CheckResult.
+    and its CheckResult; model, when given, is the one dA came from.
     """
-    P = require_square(P, "P")
-    A_closed = as_matrix(A_closed, "A_closed")
+    P, A_closed = _conform(model, P=P, A_closed=A_closed)
     k = len(dA)
     margin, tol, holds = cross_term_margins(
         np.broadcast_to(P, (k,) + P.shape),
@@ -231,7 +225,7 @@ def check_cross_term_bound_at_vertices(P, epsilon: float, A_closed, model) -> Ch
     first worst vertex's, with that vertex as the witness p.
     """
     vertices = model.vertices()
-    worst, result = _worst_cross_term(P, epsilon, A_closed, model.matrix_at(vertices))
+    worst, result = _worst_cross_term(P, epsilon, A_closed, model.matrix_at(vertices), model)
     return replace(
         result,
         witness={**result.witness, "p": [float(v) for v in vertices[worst]]},
@@ -248,8 +242,7 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
     where Ac = A + B K. Evaluated wherever both window matrices are
     invertible; margin is the smallest slack eigenvalue.
     """
-    A, B, P = as_matrix(A, "A"), as_matrix(B, "B"), symmetrize(P, "P")
-    K, L = as_matrix(K, "K"), as_matrix(L, "L")
+    A, B, P, K, L = _conform(params=params, A=A, B=B, P=P, K=K, L=L)
     W, _ = _channel_weights(B, params, params.alpha)
     S_inv = _s_inv(P, W)
     Z = _error_weight(P, params.epsilon)
@@ -294,32 +287,30 @@ def check_dissipation(
     lambda_min(P) ||x||^2 <= V <= lambda_max(P) ||x||^2 is confirmed at
     every recorded row, the terminal row n included. When model and F are
     both given, steps whose sampled perturbation violates the weighted
-    uncertainty bound are skipped; the theory promises nothing there. The
-    terminal row takes no step and is never skipped. Margin is the worst
-    slack across all audited inequalities.
+    uncertainty bound are skipped: the theory promises no decrease there,
+    so their raw and rate bounds are not audited. The sandwich involves
+    only P and the trace and is audited at every row, skipped or not.
+    Margin is the worst slack across all audited inequalities.
 
     The slacks of the whole trace are formed at once, one row per trace
     row in the bound order above. The audit stops at the first violating
-    row that the gate keeps, and counts (of steps) and margin cover the
-    rows up to it; the witness is the first worst slack in (row, bound)
-    order, with dV unless it is the terminal row. A slack that is not
-    finite (a NaN or infinite trace row) violates its row and counts as
-    -inf.
+    row, and counts (of steps) and margin cover the rows up to it; the
+    witness is the first worst slack in (row, bound) order, with dV unless
+    it is the terminal row. A slack that is not finite (a NaN or infinite
+    trace row) violates its row and counts as -inf. The arrays follow the
+    input contract; sigma must lie strictly between 0 and 1.
     """
-    P = symmetrize(P, "P")
-    Q1 = symmetrize(Q1, "Q1")
-    Z = symmetrize(Z, "Z")
-    K = as_matrix(K, "K")
-    B = as_matrix(B, "B")
-    sigma = float(sigma)
+    sigma = _require_sigma(sigma)
+    B, K, P, Q1, Z, F = _conform(model, B=B, K=K, P=P, Q1=Q1, Z=Z, F=F)
+    n = trace.n_steps
+    if trace.states.shape[1:] != P.shape[1:]:
+        raise ValueError(f"trace.states has shape {trace.states.shape}, expected {(n + 1, len(P))}")
     error_gain = K.T @ B.T @ Z @ B @ K
     error_gain = 0.5 * (error_gain + error_gain.T)
-    n = trace.n_steps
     # One eigvalsh over P, Q1 and the gate matrices F - dA' Z dA, and one
     # svd over error_gain and F: every slice is computed as on its own.
     symmetric, normed = [P[None], Q1[None]], [error_gain]
     if model is not None and F is not None:
-        F = as_matrix(F, "F")
         dA = model.matrix_at(trace.p[:n])
         symmetric.append(F - np.swapaxes(dA, 1, 2) @ Z @ dA)
         normed.append(F)
@@ -327,8 +318,7 @@ def check_dissipation(
     norms = np.linalg.svd(np.stack(normed), compute_uv=False)[:, 0]
     p_eigs, q_min, denom = eigs[0], float(eigs[1, 0]), float(norms[0])
     mu_derived = sigma * q_min / denom if (q_min > 0.0 and denom > 0.0) else None
-    # Row n, the terminal row, takes no step: the gate never skips it and
-    # only its sandwich bound is audited.
+    # Row n, the terminal row, takes no step: the gate never skips it.
     gated = np.zeros(n + 1, dtype=bool)
     if len(normed) > 1:
         gated[:n] = eigs[2:, 0] < -CHECK_TOL * max(1.0, float(norms[1]))
@@ -343,20 +333,19 @@ def check_dissipation(
     applies[n, :2] = False
     e_sq = np.einsum("ki,ki->k", e, e)
     applies[:n, 1] = mu_derived is not None and e_sq <= mu_derived * x_sq[:n] + tol[:n]
+    applies[gated, :2] = False
     sandwich = np.minimum(V - p_eigs[0] * x_sq, p_eigs[-1] * x_sq - V)
     slack = np.column_stack([np.append(raw, np.inf), np.append(rate, np.inf), sandwich])
     not_finite = applies & ~np.isfinite(slack)
     slack[~applies] = np.inf
     slack[not_finite] = -np.inf
-    violated = ~gated & np.any(not_finite | (slack < -tol[:, None]), axis=1)
+    violated = np.any(not_finite | (slack < -tol[:, None]), axis=1)
 
     failed = bool(violated.any())
     stop = int(np.argmax(violated)) if failed else n
-    kept = np.flatnonzero(~gated[: stop + 1])
-    skipped = stop + 1 - kept.size
+    skipped = int(np.count_nonzero(gated[: stop + 1]))
     audited = min(stop + 1, n) - skipped
-    row, bound = divmod(int(np.argmin(slack[kept])), 3)
-    step = int(kept[row])
+    step, bound = divmod(int(np.argmin(slack[: stop + 1])), 3)
     witness = {"step": step, "bound": _DISSIPATION_BOUNDS[bound]}
     if step < n:
         witness["dV"] = float(dV[step])
@@ -367,73 +356,6 @@ def check_dissipation(
     else:
         note = f"{audited} steps audited, {skipped} skipped"
     return CheckResult("dissipation", not failed, float(slack[step, bound]), witness, note)
-
-
-def _maximize(f, a: float, b: float, stop=None):
-    """Maximize a quasi-concave function on [a, b] by stacked k-section.
-
-    Each round evaluates f at KSECTION_POINTS points spanning the bracket
-    and keeps the two neighbours of the best one, which enclose the
-    maximum, until the bracket is narrower than MAX_TOL or stop holds for
-    the best value. Returns the last round's points and values.
-    """
-    while True:
-        x = np.linspace(a, b, KSECTION_POINTS)
-        values = f(x)
-        best = int(np.argmax(values))
-        if b - a <= MAX_TOL or (stop is not None and stop(values[best])):
-            return x, values
-        a, b = x[max(best - 1, 0)], x[min(best + 1, x.size - 1)]
-
-
-def _boundary(margin, s_out: float, s_in: float) -> float:
-    """The end of a hold interval between a failing s_out and a holding s_in.
-
-    Stacked k-section: each round evaluates the margin at KSECTION_POINTS
-    points across the bracket and keeps the two neighbours where it turns
-    nonnegative, until the bracket is within END_RTOL of s_in. The holds
-    form a suffix of every bracket, since the hold set is an interval.
-    Returns the holding side, so the margin is nonnegative at the end.
-    """
-    while abs(s_in - s_out) > END_RTOL * abs(s_in):
-        s = np.linspace(s_out, s_in, KSECTION_POINTS)[1:-1]
-        holds = margin(s) >= 0.0
-        first = int(np.argmax(holds)) if holds.any() else s.size
-        if first > 0:
-            s_out = float(s[first - 1])
-        if first < s.size:
-            s_in = float(s[first])
-    return s_in
-
-
-def _hold_interval(margin, s0: float, scale: float):
-    """The interval of s > s0 on which a quasi-concave margin is nonnegative.
-
-    The search runs over s = s0 + scale 2^t for t in
-    [-SEARCH_OCTAVES, SEARCH_OCTAVES] (quasi-concavity survives the
-    monotone change of variable): k-section for the maximum until a point
-    holds, then k-section for each end between the holding points and
-    their failing neighbours. Only the first round's end points can hold,
-    since every later bracket lies between failing points. Returns None
-    when the margin is negative everywhere, else (lo, hi): lo is s0 when
-    the margin holds at the bottom of the search, and hi is None when it
-    holds at the top.
-    """
-
-    def at(t):
-        return s0 + scale * np.exp2(t)
-
-    t, values = _maximize(
-        lambda t: margin(at(t)), -SEARCH_OCTAVES, SEARCH_OCTAVES, stop=lambda v: v >= 0.0
-    )
-    holds = values >= 0.0
-    if not holds.any():
-        return None
-    first = int(np.argmax(holds))
-    last = t.size - 1 - int(np.argmax(holds[::-1]))
-    lo = s0 if first == 0 else _boundary(margin, at(t[first - 1]), at(t[first]))
-    hi = None if last == t.size - 1 else _boundary(margin, at(t[last + 1]), at(t[last]))
-    return lo, hi
 
 
 def _lambda_min_weighted(C, M, w) -> np.ndarray:
@@ -473,11 +395,10 @@ def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> Che
     convex one, hence quasi-concave, and stacked k-section finds its
     maximum as it does the ends.
     """
-    A, B, K, L, P = _validated_design(A, B, model, K, L, P=P)
+    A, B, K, L, P = _conform(model, params, A=A, B=B, K=K, L=L, P=P)
+    _require_definite(P, "P", strict=True)
     n = A.shape[0]
     lam, V = np.linalg.eigh(P)
-    if lam[0] <= 0.0:
-        raise ValueError("P must be positive definite")
     lam_max = float(lam[-1])
 
     F = model.F

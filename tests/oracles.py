@@ -284,7 +284,8 @@ def dissipation_stepwise(trace, P, Q1, K, B, Z, sigma, model=None, F=None):
     This is the loop that check_dissipation's array pass replaces, with
     plain numpy in place of the package's validating helpers. Step k is
     skipped when the gate (model and F given) finds F - dA(p_k)' Z dA(p_k)
-    not positive semidefinite, dA formed afresh as sum_i p_i E_i. Otherwise
+    not positive semidefinite, dA formed afresh as sum_i p_i E_i: its raw
+    and rate bounds are not checked, its sandwich bound still is. Otherwise
     the raw bound, the rate bound (where the monitored error is within the
     derived threshold) and the sandwich bound are checked in that order;
     the worst slack is tracked by a strict comparison, so the witness is its
@@ -322,29 +323,29 @@ def dissipation_stepwise(trace, P, Q1, K, B, Z, sigma, model=None, F=None):
             gated[k] = np.linalg.eigvalsh(F - dA.T @ Z @ dA)[0] < -gate_tol
 
     for k in range(trace.n_steps):
-        if gated[k]:
-            skipped += 1
-            continue
-        audited += 1
         x = trace.states[k]
         e = trace.errors[k]
         x_sq = float(x @ x)
         dV = trace.V[k + 1] - trace.V[k]
         tol_k = CHECK_TOL * (1.0 + abs(float(trace.V[k])))
 
-        raw_slack = (-(x @ Q1 @ x) + e @ error_gain @ e) - dV
-        if raw_slack < worst:
-            worst = raw_slack
-            witness = {"step": k, "bound": "raw", "dV": float(dV)}
-        raw_ok = raw_slack >= -tol_k
+        raw_ok = rate_ok = True
+        if gated[k]:
+            skipped += 1
+        else:
+            audited += 1
+            raw_slack = (-(x @ Q1 @ x) + e @ error_gain @ e) - dV
+            if raw_slack < worst:
+                worst = raw_slack
+                witness = {"step": k, "bound": "raw", "dV": float(dV)}
+            raw_ok = raw_slack >= -tol_k
 
-        rate_ok = True
-        if mu_derived is not None and float(e @ e) <= mu_derived * x_sq + tol_k:
-            rate_slack = (-(1.0 - sigma) * q_min * x_sq) - dV
-            if rate_slack < worst:
-                worst = rate_slack
-                witness = {"step": k, "bound": "rate", "dV": float(dV)}
-            rate_ok = rate_slack >= -tol_k
+            if mu_derived is not None and float(e @ e) <= mu_derived * x_sq + tol_k:
+                rate_slack = (-(1.0 - sigma) * q_min * x_sq) - dV
+                if rate_slack < worst:
+                    worst = rate_slack
+                    witness = {"step": k, "bound": "rate", "dV": float(dV)}
+                rate_ok = rate_slack >= -tol_k
 
         v_lo_slack = float(trace.V[k]) - p_eigs[0] * x_sq
         v_hi_slack = p_eigs[-1] * x_sq - float(trace.V[k])

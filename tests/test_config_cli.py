@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import importlib.util
 import json
 import re
 
@@ -141,6 +142,69 @@ def test_indefinite_design_weight_rejected():
     data["design"]["R1"] = [[-1.0]]
     with pytest.raises(ConfigError, match="design"):
         config_from_dict(data)
+
+
+def _demo_dict():
+    with open(DEMO_CONFIG, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _set(path, value):
+    """An edit of the demo config that sets the value at a dotted path."""
+
+    def edit(data):
+        *blocks, key = path.split(".")
+        for block in blocks:
+            data = data[block]
+        data[key] = value
+
+    return edit
+
+
+_CONFIG_ERRORS = {
+    "system.A": (_set("system.A", [[0.0, 0.3, 0.0], [0.3, 0.0, 0.0]]), "must be square"),
+    "system.B": (_set("system.B", [[0.0], [1.0], [0.0]]), "has 3 rows, expected 2"),
+    "uncertainty.basis": (_set("uncertainty.basis", {"E": [[0.1]]}), "expected a list"),
+    "uncertainty.basis[0]": (_set("uncertainty.basis", [[[0.1]]]), "has shape (1, 1)"),
+    "uncertainty.F": (_set("uncertainty.F", [[0.02]]), "has shape (1, 1), expected (2, 2)"),
+    "design.Q": (_set("design.Q", [[0.01]]), "has shape (1, 1), expected (2, 2)"),
+    "design.R1": (_set("design.R1", np.eye(2).tolist()), "has shape (2, 2), expected (1, 1)"),
+    "design.R2": (_set("design.R2", [[1.0]]), "has shape (1, 1), expected (2, 2)"),
+    "simulation.n_steps": (_set("simulation.n_steps", 0), "must be at least 1"),
+    "simulation.trajectory.value": (
+        _set("simulation.trajectory", {"kind": "constant", "value": [0.1, 0.2]}),
+        "has length 2, expected 1",
+    ),
+    "design": (_set("design", [1.0]), "expected an object, got list"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_CONFIG_ERRORS))
+def test_config_error_names_its_path(path):
+    edit, message = _CONFIG_ERRORS[path]
+    data = _demo_dict()
+    edit(data)
+    with pytest.raises(ConfigError) as info:
+        config_from_dict(data)
+    assert str(info.value).startswith(f"{path}: ")
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "trajectory",
+    [
+        {"kind": "constant", "value": [0.1]},
+        {"kind": "ramp", "start": [-0.2], "end": [0.3]},
+        {"kind": "sequence", "values": [[0.1], [-0.1], [0.25]]},
+    ],
+    ids=lambda trajectory: trajectory["kind"],
+)
+def test_trajectory_round_trips(trajectory):
+    data = _demo_dict()
+    data["simulation"]["trajectory"] = trajectory
+    saved = config_to_dict(config_from_dict(data))
+    assert saved["simulation"]["trajectory"] == trajectory
+    assert config_to_dict(config_from_dict(saved)) == saved
 
 
 def test_saved_config_round_trips(tmp_path):
@@ -346,3 +410,34 @@ def test_cli_scaffold_chain(tmp_path):
     written = tmp_path / "experiment.json"
     assert config_to_dict(load_config(written)) == config_to_dict(scaffold_config())
     assert main(["synth", "--config", str(written), "--out", str(tmp_path)]) == 0
+
+
+# ---------------------------------------------------------------------------
+# pipeline script
+
+
+def _run_experiment():
+    """The run() function of scripts/run_experiment.py."""
+    path = CONFIG_DIR.parent / "scripts" / "run_experiment.py"
+    spec = importlib.util.spec_from_file_location("run_experiment", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.run
+
+
+@pytest.mark.parametrize("config, code", [(DEMO_CONFIG, 0), (REFERENCE_CONFIG, 4)])
+def test_run_experiment_writes_every_artifact(tmp_path, capsys, config, code):
+    assert _run_experiment()(["--config", str(config), "--out", str(tmp_path)]) == code
+    for artifact in ("synthesis.json", "trace.csv", "comparison.json", "verification.json"):
+        assert (tmp_path / artifact).is_file()
+    assert capsys.readouterr().out.startswith("==> synth\n")
+
+
+def test_run_experiment_rejects_negative_seed(tmp_path, capsys):
+    run = _run_experiment()
+    with pytest.raises(SystemExit) as info:
+        run(["--config", str(DEMO_CONFIG), "--out", str(tmp_path), "--seed", "-1"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a nonnegative integer, got '-1'" in captured.err

@@ -1,0 +1,151 @@
+"""The input contract: every entry point names the argument that does not fit."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from etcontrol import (
+    ParamTrajectory,
+    TriggerPolicy,
+    UncertaintyModel,
+    as_matched_model,
+    check_dissipation,
+    check_epsilon_interval,
+    check_loop_energy_bound,
+    compare_policies,
+    decay_matrix,
+    feasibility_report,
+    feedback_gain,
+    simulate,
+    solve_modified_dare,
+    synthesize,
+    synthesize_matched,
+    trigger_coefficient,
+    virtual_gain,
+)
+from etcontrol.verification import check_cross_term_bound_at_vertices
+
+
+def _demo(demo_system):
+    """The demo's inputs, its design and its 30-step event trace at p = 0.3."""
+    A, B, model, params = demo_system
+    out = synthesize(A, B, model, params)
+    trace = simulate(
+        A, B, model, out.K,
+        TriggerPolicy.event(out.mu),
+        ParamTrajectory.constant([0.3]),
+        [1.0, -1.0], 30, out.P,
+    )
+    return dict(
+        A=A, B=B, model=model, params=params, P=out.P, K=out.K, L=out.L, Z=out.Z, Q1=out.Q1,
+        F=model.F, sigma=params.sigma, trace=trace,
+    )
+
+
+def _matched(v):
+    """The demo with its basis moved into the range of B, so the model is matched."""
+    E = v["B"] @ np.array([[0.1, 0.1]])
+    model = UncertaintyModel(basis=(E,), p_lo=[-0.3], p_hi=[0.3], F=v["F"])
+    return synthesize_matched(v["A"], v["B"], as_matched_model(v["B"], model), v["params"])
+
+
+def _dissipation(v):
+    return check_dissipation(
+        v["trace"], v["P"], v["Q1"], v["K"], v["B"], v["Z"], v["sigma"], model=v["model"], F=v["F"]
+    )
+
+
+# Each entry point, the argument made wrong, and how.
+_WRONG = {
+    "B 3x1": ("B", lambda v: np.ones((3, 1))),
+    "P 3x3": ("P", lambda v: np.eye(3)),
+    "A 2x3": ("A", lambda v: np.ones((2, 3))),
+    "K 2x2": ("K", lambda v: np.vstack([v["K"], v["K"]])),
+    "F 3x3": ("F", lambda v: np.eye(3)),
+    "R1 2x2": ("R1", lambda v: dataclasses.replace(v["params"], R1=np.eye(2))),
+    "trace 3 states": (
+        "trace.states",
+        lambda v: dataclasses.replace(
+            v["trace"], states=np.hstack([v["trace"].states, v["trace"].states[:, :1]])
+        ),
+    ),
+    "sigma 2.0": ("sigma", lambda v: 2.0),
+}
+_ENTRY_POINTS = {
+    "feedback_gain": lambda v: feedback_gain(v["A"], v["B"], v["P"], v["params"]),
+    "virtual_gain": lambda v: virtual_gain(v["A"], v["B"], v["P"], v["params"]),
+    "decay_matrix": lambda v: decay_matrix(v["A"], v["B"], v["K"], v["L"], v["Z"], v["params"]),
+    "trigger_coefficient": lambda v: trigger_coefficient(
+        v["K"], v["B"], v["Z"], v["Q1"], v["sigma"]
+    ),
+    "solve_modified_dare": lambda v: solve_modified_dare(v["A"], v["B"], v["params"], v["F"]),
+    "synthesize": lambda v: synthesize(v["A"], v["B"], v["model"], v["params"]),
+    "synthesize_matched": _matched,
+    "check_epsilon_interval": lambda v: check_epsilon_interval(
+        v["A"], v["B"], v["model"], v["params"], v["P"], v["K"], v["L"]
+    ),
+    "check_loop_energy_bound": lambda v: check_loop_energy_bound(
+        v["A"], v["B"], v["P"], v["params"], v["K"], v["L"]
+    ),
+    "check_dissipation": _dissipation,
+}
+_CASES = [
+    ("feedback_gain", "B 3x1"),
+    ("feedback_gain", "P 3x3"),
+    ("virtual_gain", "B 3x1"),
+    ("decay_matrix", "B 3x1"),
+    ("trigger_coefficient", "B 3x1"),
+    ("solve_modified_dare", "R1 2x2"),
+    ("synthesize", "R1 2x2"),
+    ("synthesize_matched", "R1 2x2"),
+    ("check_epsilon_interval", "R1 2x2"),
+    ("check_loop_energy_bound", "A 2x3"),
+    ("check_dissipation", "K 2x2"),
+    ("check_dissipation", "P 3x3"),
+    ("check_dissipation", "F 3x3"),
+    ("check_dissipation", "trace 3 states"),
+    ("check_dissipation", "sigma 2.0"),
+]
+
+
+@pytest.mark.parametrize("entry, wrong", _CASES, ids=[f"{e}-{w}" for e, w in _CASES])
+def test_entry_point_names_the_wrong_argument(demo_system, entry, wrong):
+    v = _demo(demo_system)
+    name, make = _WRONG[wrong]
+    v["params" if name == "R1" else name.split(".")[0]] = make(v)
+    message = "must lie strictly between 0 and 1" if name == "sigma" else "has shape"
+    with pytest.raises(ValueError, match=rf"^{name} {message}"):
+        _ENTRY_POINTS[entry](v)
+
+
+# Each entry point that takes an uncertainty model.
+_MODEL_ENTRY_POINTS = {
+    "synthesize": _ENTRY_POINTS["synthesize"],
+    "as_matched_model": lambda v: as_matched_model(v["B"], v["model"]),
+    "feasibility_report": lambda v: feasibility_report(
+        v["A"], v["B"], v["model"], v["params"], v["P"], v["K"], v["L"], v["Z"], v["Q1"]
+    ),
+    "simulate": lambda v: simulate(
+        v["A"], v["B"], v["model"], v["K"], TriggerPolicy.periodic(),
+        ParamTrajectory.constant([0.3]), [1.0, -1.0], 5, v["P"],
+    ),
+    "compare_policies": lambda v: compare_policies(
+        v["A"], v["B"], v["model"], v["K"], 0.3, ParamTrajectory.constant([0.3]),
+        [1.0, -1.0], 5, v["P"],
+    ),
+    "check_cross_term_bound_at_vertices": lambda v: check_cross_term_bound_at_vertices(
+        v["P"], 0.1, v["A"] + v["B"] @ v["K"], v["model"]
+    ),
+    "check_dissipation": _dissipation,
+    "check_epsilon_interval": _ENTRY_POINTS["check_epsilon_interval"],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MODEL_ENTRY_POINTS))
+def test_entry_point_rejects_a_model_of_another_state_dimension(demo_system, entry):
+    v = _demo(demo_system)
+    v["model"] = UncertaintyModel(basis=(np.eye(3),), p_lo=[0.0], p_hi=[0.3], F=np.eye(3))
+    v["F"] = None  # the gate needs F of the model's size, which the contract refuses
+    with pytest.raises(ValueError, match=r"^uncertainty model is for state dimension 3, but "):
+        _MODEL_ENTRY_POINTS[entry](v)

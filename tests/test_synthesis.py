@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from etcontrol import (
+    NumericalError,
     RankDeficiencyError,
     RiccatiConvergenceError,
     SynthesisParams,
@@ -208,6 +209,42 @@ def test_unstabilizable_pair_raises():
     message = str(err)
     assert f"step {err.iterations}" in message
     assert "last relative step" in message and "largest entry of H" in message
+
+
+def test_riccati_without_convergence_raises(monkeypatch, demo_system):
+    A, B, model, params = demo_system
+    monkeypatch.setattr("etcontrol.synthesis.RICCATI_MAX_ITER", 1)
+    with pytest.raises(RiccatiConvergenceError) as info:
+        solve_modified_dare(A, B, params, model.F)
+    err = info.value
+    assert err.iterations == 1 and err.last_step > 0.0
+    message = str(err)
+    assert message.startswith("no convergence within 1 doubling steps (last relative step ")
+    assert f"last relative step {err.last_step:.3e}, largest entry of H" in message
+
+
+def test_riccati_residual_above_tolerance_raises(monkeypatch, demo_system):
+    A, B, model, params = demo_system
+    iterations = synthesize(A, B, model, params).iterations
+    monkeypatch.setattr("etcontrol.synthesis.RICCATI_RESIDUAL_TOL", -1.0)
+    with pytest.raises(RiccatiConvergenceError) as info:
+        solve_modified_dare(A, B, params, model.F)
+    err = info.value
+    assert err.iterations == iterations and err.last_step is not None
+    message = str(err)
+    assert message.startswith("converged point has residual ")
+    assert f"after {iterations} doubling steps (last relative step " in message
+
+
+def test_riccati_solution_not_positive_definite_raises():
+    """With Q, F and beta all zero the doubling stays at P = 0."""
+    params = _nominal_params(np.zeros((2, 2)), [[1.0]], np.eye(2))
+    with pytest.raises(NumericalError) as info:
+        solve_modified_dare(np.diag([0.5, 0.2]), [[0.0], [1.0]], params, np.zeros((2, 2)))
+    assert not isinstance(info.value, RiccatiConvergenceError)
+    assert str(info.value) == (
+        "Riccati solution is not positive definite (smallest eigenvalue 0.000e+00)"
+    )
 
 
 _INTEGRATOR = np.array([[1.0, 0.1], [0.0, 1.0]])

@@ -341,6 +341,23 @@ def test_dissipation_gate_skips_unsupported_steps(demo_system):
     assert "no eligible steps" in result.note
 
 
+def test_dissipation_gate_keeps_the_sandwich_bound(demo_system):
+    """The gate skips the raw and rate bounds only: V(5) = -1 breaks the sandwich."""
+    A, B, model, params, out, trace = _demo_trace(
+        demo_system, ParamTrajectory.constant([0.3])
+    )
+    V = trace.V.copy()
+    V[5] = -1.0
+    result = check_dissipation(
+        dataclasses.replace(trace, V=V), out.P, out.Q1, out.K, B, out.Z, params.sigma,
+        model=model, F=1e-9 * np.eye(2),
+    )
+    assert not result.holds
+    assert result.note == "violated at step 5 (0 steps audited, 6 skipped)"
+    assert result.witness["step"] == 5 and result.witness["bound"] == "sandwich"
+    assert result.margin <= -1.0
+
+
 def test_dissipation_gate_skips_exactly_the_violating_steps(demo_system):
     """F is set so that the weighted bound F - dA' Z dA >= 0 holds only for |p| <= 0.15."""
     rows = np.where(np.arange(31) < 10, 0.3, 0.1)[:, None]
@@ -453,6 +470,23 @@ def test_dissipation_matches_stepwise_oracle(request, run, gate, edit):
     if step is not None:
         assert result.note.startswith(f"violated at step {step} (")
         assert result.witness["step"] == step and result.margin < 0.0
+
+
+@pytest.mark.parametrize("run", ["demo", "holding"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_dissipation_gated_sandwich_matches_stepwise_oracle(request, run, where):
+    """Every step gated, one sandwich broken: the audit and the loop fail alike."""
+    trace, args, model = _audited_run(request, run)
+    trace, step = _break_bound(trace, args, "sandwich", where)
+    kwargs = {"model": model, "F": -1e3 * np.eye(2)}
+    result = check_dissipation(trace, *args, **kwargs)
+    expected = dissipation_stepwise(trace, *args, **kwargs)
+    assert (result.holds, result.note, result.witness) == (
+        expected.holds, expected.note, expected.witness
+    )
+    assert result.margin == pytest.approx(expected.margin, rel=1e-12, abs=0.0)
+    assert result.note == f"violated at step {step} (0 steps audited, {step + 1} skipped)"
+    assert result.witness["step"] == step and result.witness["bound"] == "sandwich"
 
 
 @pytest.mark.parametrize("gate", [True, False], ids=["gate", "no gate"])
