@@ -180,27 +180,45 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
+def _closed_loop(args):
+    """The set-up that simulate, compare and verify share.
+
+    Loads the config and synthesizes it. Returns the config, the outcome,
+    the trigger coefficient of the run (the configured mu, else the
+    design's) and run(function, how): function is simulate or
+    compare_policies and how its policy or mu, on the configured plant,
+    initial state, length and parameter trajectory (--seed applies, or is
+    noted as unused, when run is called).
+    """
     config = load_config(args.config)
     outcome = synthesize(config.A, config.B, config.model, config.params)
     settings = config.simulation
-    if settings.policy == POLICY_EVENT:
-        mu = settings.mu if settings.mu is not None else outcome.mu
+    mu = settings.mu if settings.mu is not None else outcome.mu
+
+    def run(function, how):
+        trajectory = _resolve_trajectory(config, args)
+        return function(
+            config.A,
+            config.B,
+            config.model,
+            outcome.K,
+            how,
+            trajectory,
+            settings.x0,
+            settings.n_steps,
+            outcome.P,
+        )
+
+    return config, outcome, mu, run
+
+
+def cmd_simulate(args) -> int:
+    config, _, mu, run = _closed_loop(args)
+    if config.simulation.policy == POLICY_EVENT:
         policy = TriggerPolicy.event(mu)
     else:
         policy = TriggerPolicy.periodic()
-    trajectory = _resolve_trajectory(config, args)
-    trace = simulate(
-        config.A,
-        config.B,
-        config.model,
-        outcome.K,
-        policy,
-        trajectory,
-        settings.x0,
-        settings.n_steps,
-        outcome.P,
-    )
+    trace = run(simulate, policy)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "trace.csv")
     write_trace_csv(trace, out_path)
@@ -218,25 +236,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = load_config(args.config)
-    outcome = synthesize(config.A, config.B, config.model, config.params)
-    settings = config.simulation
-    mu = settings.mu if settings.mu is not None else outcome.mu
-    trajectory = _resolve_trajectory(config, args)
-    comparison = compare_policies(
-        config.A,
-        config.B,
-        config.model,
-        outcome.K,
-        mu,
-        trajectory,
-        settings.x0,
-        settings.n_steps,
-        outcome.P,
-    )
+    config, _, mu, run = _closed_loop(args)
+    comparison = run(compare_policies, mu)
     payload = {
         "mu": mu,
-        "n_steps": settings.n_steps,
+        "n_steps": config.simulation.n_steps,
         "periodic": {
             "transmissions": comparison.periodic.transmissions,
             "final_state_norm": float(np.linalg.norm(comparison.periodic.states[-1])),
@@ -267,8 +271,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = load_config(args.config)
-    outcome = synthesize(config.A, config.B, config.model, config.params)
+    config, outcome, mu, run = _closed_loop(args)
     results = []
 
     results.append(check_inversion_identity(outcome.P, config.params.epsilon))
@@ -296,20 +299,7 @@ def cmd_verify(args) -> int:
         )
     )
 
-    settings = config.simulation
-    mu = settings.mu if settings.mu is not None else outcome.mu
-    trajectory = _resolve_trajectory(config, args)
-    trace = simulate(
-        config.A,
-        config.B,
-        config.model,
-        outcome.K,
-        TriggerPolicy.event(mu),
-        trajectory,
-        settings.x0,
-        settings.n_steps,
-        outcome.P,
-    )
+    trace = run(simulate, TriggerPolicy.event(mu))
     results.append(
         check_dissipation(
             trace,

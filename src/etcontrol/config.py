@@ -46,7 +46,6 @@ class ExperimentConfig:
     model: UncertaintyModel
     params: SynthesisParams
     simulation: SimulationSettings
-    schema_version: int = SCHEMA_VERSION
 
 
 def _require_block(data, path, required, optional=()):
@@ -238,9 +237,7 @@ def config_from_dict(data) -> ExperimentConfig:
     settings = SimulationSettings(
         x0=x0, trajectory=trajectory, n_steps=n_steps, policy=policy, mu=mu, seed=seed
     )
-    return ExperimentConfig(
-        A=A, B=B, model=model, params=params, simulation=settings, schema_version=version
-    )
+    return ExperimentConfig(A=A, B=B, model=model, params=params, simulation=settings)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -273,7 +270,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     """Plain-data form of a configuration, suitable for JSON round-trips."""
     sim = config.simulation
     return {
-        "schema_version": config.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "system": {"A": config.A.tolist(), "B": config.B.tolist()},
         "uncertainty": {
             "basis": [e.tolist() for e in config.model.basis],

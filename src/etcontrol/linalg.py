@@ -4,14 +4,15 @@ All routines operate on plain float64 numpy arrays and are thin wrappers
 over LAPACK via numpy, with the tolerance conventions of the rest of the
 package baked in so callers do not re-derive them. Constructors and public
 functions validate their inputs (shapes, finiteness, symmetry) once;
-kernels trust theirs. Every routine here validates except the kernel
-``smallest_eigenvalues``, which takes an already symmetric stack.
+kernels trust theirs. as_matrix is the 2-D gate on outside input.
 
-The ``*_stack`` forms hold the tests, tolerances and messages, and apply
-them to each matrix of a (k, n, n) stack in one LAPACK call per routine.
-The single-matrix forms validate their 2-D input and run the stack form
-on a stack of one. numpy runs each routine slice by slice, so every slice
-of a stacked result equals the single-matrix result bit for bit.
+symmetrize, inverse, spectral_norm and smallest_eigenvalues each take an
+(n, n) matrix or a (k, n, n) stack, with one LAPACK call per routine; a
+test or a message on a stack is the one its first failing slice would
+give. numpy runs each routine slice by slice, so every slice of a stacked
+result equals the result on that slice alone bit for bit. Every routine
+here validates its input except smallest_eigenvalues, the one
+definiteness test, which takes exactly symmetric arrays.
 """
 
 from __future__ import annotations
@@ -36,11 +37,24 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def require_square(values, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(values, name)
-    if m.shape[0] != m.shape[1]:
+def _matrices(values, name: str) -> np.ndarray:
+    """Coerce to an (m, n) matrix or a (k, m, n) stack, rejecting non-finite entries."""
+    m = np.asarray(values, dtype=float)
+    if m.ndim not in (2, 3):
+        raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def _square(m: np.ndarray, name: str) -> np.ndarray:
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def require_square(values, name: str = "matrix") -> np.ndarray:
+    return _square(as_matrix(values, name), name)
 
 
 def symmetrize(values, name: str = "matrix") -> np.ndarray:
@@ -50,24 +64,25 @@ def symmetrize(values, name: str = "matrix") -> np.ndarray:
     max(1, max|m|): loose enough for accumulated round-off from a few
     chained products but tight enough to flag transposition mistakes.
     """
-    return symmetrize_stack(require_square(values, name)[None], name)[0]
+    m = _square(_matrices(values, name), name)
+    mt = np.swapaxes(m, -1, -2)
+    defect = abs(m - mt).max(axis=(-2, -1))
+    bad = defect > SYMMETRY_TOL * np.maximum(1.0, abs(m).max(axis=(-2, -1)))
+    if bad.any():
+        raise ValueError(f"{name} is not symmetric (defect {defect[bad][0]:.3e})")
+    return 0.5 * (m + mt)
 
 
-def sym_eigvals(values, name: str = "matrix") -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, ascending."""
-    return np.linalg.eigvalsh(symmetrize(values, name))
+def smallest_eigenvalues(m):
+    """Smallest eigenvalue and definiteness threshold of a matrix or of each of a stack.
 
-
-def is_positive_definite(values) -> bool:
-    """True when every eigenvalue exceeds the definiteness threshold."""
-    smallest, threshold = smallest_eigenvalues(symmetrize(values)[None])
-    return bool(smallest[0] > threshold[0])
-
-
-def is_positive_semidefinite(values) -> bool:
-    """True when no eigenvalue falls below minus the definiteness threshold."""
-    smallest, threshold = smallest_eigenvalues(symmetrize(values)[None])
-    return bool(smallest[0] >= -threshold[0])
+    The threshold DEFINITENESS_TOL * max(1, max|m|) is the one scale of
+    every definiteness test: positive definite when the smallest eigenvalue
+    exceeds it, positive semidefinite when it is at least its negative. m is
+    not validated: it must be exactly symmetric, such as symmetrize returns.
+    """
+    threshold = DEFINITENESS_TOL * np.maximum(1.0, abs(m).max(axis=(-2, -1)))
+    return np.linalg.eigvalsh(m)[..., 0], threshold
 
 
 def inverse(values, name: str = "matrix") -> np.ndarray:
@@ -76,7 +91,18 @@ def inverse(values, name: str = "matrix") -> np.ndarray:
     Raises SingularMatrixError when the reciprocal condition number falls
     below RCOND_LIMIT, instead of silently returning garbage.
     """
-    return inverse_stack(require_square(values, name)[None], name)[0]
+    m = _square(_matrices(values, name), name)
+    s = np.linalg.svd(m, compute_uv=False)
+    smax = s[..., 0]
+    rcond = s[..., -1] / np.where(smax > 0.0, smax, np.inf)
+    bad = rcond < RCOND_LIMIT
+    if bad.any():
+        raise SingularMatrixError(
+            f"{name} is singular to working precision (rcond {rcond[bad][0]:.2e})"
+        )
+    # An (n, n) or (1, n, n) identity: numpy before 2.0 reads a right-hand
+    # side with one dimension less than m as a stack of vectors.
+    return np.linalg.solve(m, np.eye(m.shape[-1])[(None,) * (m.ndim - 2)])
 
 
 def pseudo_inverse(values, name: str = "matrix") -> np.ndarray:
@@ -98,70 +124,8 @@ def pseudo_inverse(values, name: str = "matrix") -> np.ndarray:
     return (vt.T / s) @ u.T
 
 
-def spectral_norm(values) -> float:
-    """Largest singular value."""
-    return float(spectral_norm_stack(as_matrix(values)[None])[0])
-
-
-def as_stack(values, name: str = "matrix") -> np.ndarray:
-    """Coerce to a (k, m, n) float64 stack, rejecting non-finite entries."""
-    m = np.asarray(values, dtype=float)
-    if m.ndim != 3:
-        raise ValueError(f"{name} must be a (k, m, n) stack, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
-def require_square_stack(values, name: str = "matrix") -> np.ndarray:
-    m = as_stack(values, name)
-    if m.shape[1] != m.shape[2]:
-        raise ValueError(f"{name} must be a stack of square matrices, got shape {m.shape}")
-    return m
-
-
-def symmetrize_stack(values, name: str = "matrix") -> np.ndarray:
-    """symmetrize for each matrix of a stack; the message gives the first defect."""
-    m = require_square_stack(values, name)
-    mt = m.transpose(0, 2, 1)
-    defect = abs(m - mt).max(axis=(1, 2))
-    bad = defect > SYMMETRY_TOL * np.maximum(1.0, abs(m).max(axis=(1, 2)))
-    if bad.any():
-        raise ValueError(f"{name} is not symmetric (defect {defect[bad.argmax()]:.3e})")
-    return 0.5 * (m + mt)
-
-
-def smallest_eigenvalues(m):
-    """Smallest eigenvalue and definiteness threshold of each matrix of a stack.
-
-    The threshold DEFINITENESS_TOL * max(1, max|m|) is the one scale of
-    both definiteness tests. m is not validated: it must be an exactly
-    symmetric (k, n, n) float64 stack, such as symmetrize_stack returns.
-    """
-    threshold = DEFINITENESS_TOL * np.maximum(1.0, abs(m).max(axis=(1, 2)))
-    return np.linalg.eigvalsh(m)[:, 0], threshold
-
-
-def positive_definite_stack(values) -> np.ndarray:
-    """is_positive_definite for each matrix of a stack, as a boolean array."""
-    smallest, threshold = smallest_eigenvalues(symmetrize_stack(values))
-    return smallest > threshold
-
-
-def inverse_stack(values, name: str = "matrix") -> np.ndarray:
-    """inverse for each matrix of a stack; raises for the first ill-conditioned one."""
-    m = require_square_stack(values, name)
-    s = np.linalg.svd(m, compute_uv=False)
-    smax = s[:, 0]
-    rcond = s[:, -1] / np.where(smax > 0.0, smax, np.inf)
-    bad = rcond < RCOND_LIMIT
-    if bad.any():
-        raise SingularMatrixError(
-            f"{name} is singular to working precision (rcond {rcond[bad.argmax()]:.2e})"
-        )
-    return np.linalg.solve(m, np.eye(m.shape[1])[None])
-
-
-def spectral_norm_stack(values) -> np.ndarray:
-    """Largest singular value of each matrix of a stack."""
-    return np.linalg.svd(as_stack(values), compute_uv=False).max(axis=1)
+def spectral_norm(values):
+    """Largest singular value: a float for a matrix, an array for a stack."""
+    m = _matrices(values, "matrix")
+    norms = np.linalg.svd(m, compute_uv=False).max(axis=-1)
+    return float(norms) if m.ndim == 2 else norms

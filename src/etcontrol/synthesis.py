@@ -85,10 +85,18 @@ def _reduce_through_constructor(self):
 
 
 def _require_definite(m: np.ndarray, name: str, strict: bool) -> None:
-    """Raise ValueError unless the exactly symmetric m is positive (semi)definite."""
-    smallest, threshold = smallest_eigenvalues(m[None])
-    if not (smallest[0] > threshold[0] if strict else smallest[0] >= -threshold[0]):
+    """Raise ValueError unless the exactly symmetric matrix m is positive (semi)definite."""
+    smallest, threshold = smallest_eigenvalues(m)
+    if not (smallest > threshold if strict else smallest >= -threshold):
         raise ValueError(f"{name} must be positive {'definite' if strict else 'semidefinite'}")
+
+
+def _require_epsilon(epsilon) -> float:
+    """epsilon as a float, ValueError unless it is positive."""
+    epsilon = float(epsilon)
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must be positive")
+    return epsilon
 
 
 def _require_sigma(sigma) -> float:
@@ -99,13 +107,23 @@ def _require_sigma(sigma) -> float:
     return sigma
 
 
+def _symmetric(values, name: str) -> np.ndarray:
+    """An outside matrix, exactly symmetric; as_matrix refuses anything not 2-D."""
+    return symmetrize(values, name) if np.ndim(values) == 2 else as_matrix(values, name)
+
+
 # The shape of each array of a design in the state dimension n and the input
 # dimension m. The symmetric ones come back exactly symmetric.
 _SHAPES = {
     "A": "nn", "B": "nm", "K": "mn", "L": "nn", "A_closed": "nn",
-    "P": "nn", "Z": "nn", "Q1": "nn", "F": "nn",
+    "P": "nn", "Z": "nn", "Q1": "nn", "F": "nn", "dA": "nn",
 }
 _SYMMETRIC = ("P", "Z", "Q1")
+
+
+def _fixed_by(arrays, dim: str) -> str:
+    """The name of the first given array that has the dimension dim."""
+    return next(name for name, M in arrays.items() if M is not None and dim in _SHAPES[name])
 
 
 def _conform(model=None, params=None, **arrays):
@@ -115,16 +133,21 @@ def _conform(model=None, params=None, **arrays):
     against _SHAPES. n and m come from the first array that fixes them: name
     a trusted one first, with n rows when model is given. model must be for
     state dimension n; params must fit (Q and R2 n x n, R1 m x m). Returns
-    the arrays in order; a misfit raises ValueError naming it.
+    the arrays in order; a misfit raises ValueError naming it and the array
+    that fixed the dimension it misses.
     """
     dims, out = {}, []
     for name, M in arrays.items():
         if M is not None:
-            M = symmetrize(M, name) if name in _SYMMETRIC else as_matrix(M, name)
+            M = _symmetric(M, name) if name in _SYMMETRIC else as_matrix(M, name)
             rows, cols = _SHAPES[name]
             expected = (dims.setdefault(rows, M.shape[0]), dims.setdefault(cols, M.shape[1]))
             if M.shape != expected:
-                raise ValueError(f"{name} has shape {M.shape}, expected {expected}")
+                missed = dict.fromkeys(
+                    d for d, got, want in zip(_SHAPES[name], M.shape, expected) if got != want
+                )
+                origins = ", ".join(f"{d} from {_fixed_by(arrays, d)}" for d in missed)
+                raise ValueError(f"{name} has shape {M.shape}, expected {expected}, {origins}")
         out.append(M)
     if model is not None and model.state_dim != dims["n"]:
         raise ValueError(
@@ -135,7 +158,10 @@ def _conform(model=None, params=None, **arrays):
         for name, d in (("Q", "n"), ("R1", "m"), ("R2", "n")):
             shape = getattr(params, name).shape
             if shape != (dims[d], dims[d]):
-                raise ValueError(f"{name} has shape {shape}, expected {(dims[d], dims[d])}")
+                raise ValueError(
+                    f"{name} has shape {shape}, expected {(dims[d], dims[d])}, "
+                    f"{d} from {_fixed_by(arrays, d)}"
+                )
     return out
 
 
@@ -160,7 +186,7 @@ class SynthesisParams:
 
     def __post_init__(self):
         for name in ("Q", "R1", "R2"):
-            object.__setattr__(self, name, _read_only(symmetrize(getattr(self, name), name)))
+            object.__setattr__(self, name, _read_only(_symmetric(getattr(self, name), name)))
         for name in ("alpha", "beta", "epsilon", "sigma"):
             object.__setattr__(self, name, float(getattr(self, name)))
         _require_definite(self.Q, "Q", strict=False)
@@ -173,8 +199,7 @@ class SynthesisParams:
             raise ValueError("alpha must be nonnegative")
         if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        _require_epsilon(self.epsilon)
         _require_sigma(self.sigma)
 
 
@@ -202,7 +227,7 @@ class UncertaintyModel:
         hi = _read_only(np.atleast_1d(np.array(self.p_hi, dtype=float)))
         object.__setattr__(self, "p_lo", lo)
         object.__setattr__(self, "p_hi", hi)
-        object.__setattr__(self, "F", _read_only(symmetrize(self.F, "F")))
+        object.__setattr__(self, "F", _read_only(_symmetric(self.F, "F")))
         if lo.ndim != 1 or hi.ndim != 1:
             raise ValueError("p_lo and p_hi must be 1-D")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -409,10 +434,10 @@ def _riccati(A, W, Qbar):
             iterations=iteration,
             last_step=step,
         )
-    smallest, threshold = smallest_eigenvalues(H[None])
-    if not smallest[0] > threshold[0]:
+    smallest, threshold = smallest_eigenvalues(H)
+    if not smallest > threshold:
         raise NumericalError(
-            f"Riccati solution is not positive definite (smallest eigenvalue {smallest[0]:.3e})"
+            f"Riccati solution is not positive definite (smallest eigenvalue {smallest:.3e})"
         )
     return H, iteration, residual, S_inv
 
@@ -481,10 +506,7 @@ def error_weight(P, epsilon: float) -> np.ndarray:
     window (epsilon_window) and on Z (error_weight_pd).
     """
     (P,) = _conform(P=P)
-    epsilon = float(epsilon)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    return _error_weight(P, epsilon)
+    return _error_weight(P, _require_epsilon(epsilon))
 
 
 def _error_weight(P, epsilon):
@@ -689,18 +711,18 @@ def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1):
             )
         )
 
-    z_min, z_threshold = smallest_eigenvalues(Z[None])
+    z_min, z_threshold = smallest_eigenvalues(Z)
     checks.append(
         _matrix_check(
             COND_WEIGHT_PD,
             "trigger error weight is positive definite",
-            z_min[0],
+            z_min,
             max(1.0, inv_eps),
         )
     )
 
     weighted_description = "weighted uncertainty bound: dA' Z dA <= F over the box"
-    if z_min[0] >= -z_threshold[0]:
+    if z_min >= -z_threshold:
         checks.append(
             _box_check(
                 COND_UNC_WEIGHTED,

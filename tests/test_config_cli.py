@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import importlib.util
 import json
 import re
@@ -214,6 +215,9 @@ def test_saved_config_round_trips(tmp_path):
     path = tmp_path / "experiment.json"
     save_config(config, path)
     assert config_to_dict(load_config(path)) == config_to_dict(config)
+    # A config holds no version of its own, so none can disagree with the file format.
+    with pytest.raises(TypeError, match="schema_version"):
+        dataclasses.replace(config, schema_version=2)
 
 
 # ---------------------------------------------------------------------------

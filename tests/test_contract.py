@@ -106,7 +106,13 @@ _CASES = [
     ("check_dissipation", "F 3x3"),
     ("check_dissipation", "trace 3 states"),
     ("check_dissipation", "sigma 2.0"),
+    ("trigger_coefficient", "K 2x2"),
 ]
+# A wrong first argument fixes the dimensions, so the next one misfits; the
+# message names both.
+_FIXED_BY_THE_WRONG_ONE = {
+    ("trigger_coefficient", "K 2x2"): r"^B has shape \(2, 1\), expected \(2, 2\), m from K$",
+}
 
 
 @pytest.mark.parametrize("entry, wrong", _CASES, ids=[f"{e}-{w}" for e, w in _CASES])
@@ -115,7 +121,8 @@ def test_entry_point_names_the_wrong_argument(demo_system, entry, wrong):
     name, make = _WRONG[wrong]
     v["params" if name == "R1" else name.split(".")[0]] = make(v)
     message = "must lie strictly between 0 and 1" if name == "sigma" else "has shape"
-    with pytest.raises(ValueError, match=rf"^{name} {message}"):
+    pattern = _FIXED_BY_THE_WRONG_ONE.get((entry, wrong), rf"^{name} {message}")
+    with pytest.raises(ValueError, match=pattern):
         _ENTRY_POINTS[entry](v)
 
 

@@ -15,18 +15,11 @@ from etcontrol.linalg import (
     DEFINITENESS_TOL,
     as_matrix,
     inverse,
-    inverse_stack,
-    is_positive_definite,
-    is_positive_semidefinite,
-    positive_definite_stack,
     pseudo_inverse,
     require_square,
-    require_square_stack,
+    smallest_eigenvalues,
     spectral_norm,
-    spectral_norm_stack,
-    sym_eigvals,
     symmetrize,
-    symmetrize_stack,
 )
 
 dims = st.integers(min_value=1, max_value=6)
@@ -71,25 +64,18 @@ def test_symmetrize_cleans_roundoff():
     assert np.array_equal(out, out.T)
 
 
-def test_sym_eigvals_sorted():
-    vals = sym_eigvals(np.diag([3.0, -1.0, 2.0]))
-    assert np.allclose(vals, [-1.0, 2.0, 3.0])
-
-
-@given(dims, seeds)
-@settings(max_examples=60, deadline=None)
-def test_eigenvalue_sum_matches_trace(n, seed):
-    m = _random_symmetric(seed, n)
-    assert np.isclose(np.sum(sym_eigvals(m)), np.trace(m), atol=1e-9 * max(1.0, abs(np.trace(m))))
+def _definite(m):
+    """(positive definite, positive semidefinite) by the one definiteness test."""
+    smallest, threshold = smallest_eigenvalues(symmetrize(m))
+    return bool(smallest > threshold), bool(smallest >= -threshold)
 
 
 def test_definiteness_examples():
-    assert is_positive_definite(np.eye(3))
-    assert not is_positive_definite(-np.eye(2))
-    assert not is_positive_definite(np.diag([1.0, 0.0]))
-    assert is_positive_semidefinite(np.diag([1.0, 0.0]))
-    assert is_positive_semidefinite(np.ones((2, 2)))
-    assert not is_positive_semidefinite(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert _definite(np.eye(3)) == (True, True)
+    assert _definite(-np.eye(2)) == (False, False)
+    assert _definite(np.diag([1.0, 0.0])) == (False, True)
+    assert _definite(np.ones((2, 2))) == (False, True)
+    assert _definite(np.array([[1.0, 2.0], [2.0, 1.0]])) == (False, False)
 
 
 @given(dims, seeds)
@@ -99,9 +85,9 @@ def test_definiteness_agrees_with_eigenvalues(n, seed):
     eigs = np.linalg.eigvalsh(m)
     scale = max(1.0, float(np.max(np.abs(m))))
     if eigs[0] > 1e-6 * scale:
-        assert is_positive_definite(m)
+        assert _definite(m)[0]
     if eigs[0] < -1e-6 * scale:
-        assert not is_positive_semidefinite(m)
+        assert not _definite(m)[1]
 
 
 def test_inverse_golden():
@@ -126,53 +112,65 @@ def test_inverse_involution(n, seed):
 @given(dims, seeds)
 @settings(max_examples=40, deadline=None)
 def test_stack_forms_match_single_matrix_forms(n, seed):
-    """Each slice of a stacked result equals the single-matrix result bit for bit."""
+    """Each slice of a stacked call equals the 2-D call of the same function bit for bit."""
     rng = np.random.default_rng(seed)
     spd = np.array([_random_spd(seed + i, n) for i in range(5)])
     general = rng.normal(size=(5, n, n)) + n * np.eye(n)
+    wide = rng.normal(size=(5, n, n + 2))
     mixed = np.array([_random_symmetric(seed + i, n) for i in range(5)])
-    assert np.array_equal(symmetrize_stack(spd), [symmetrize(m) for m in spd])
-    assert np.array_equal(inverse_stack(general), [inverse(m) for m in general])
-    assert np.array_equal(spectral_norm_stack(general), [spectral_norm(m) for m in general])
-    assert np.array_equal(
-        positive_definite_stack(mixed), [is_positive_definite(m) for m in mixed]
-    )
-    # The single-matrix forms run the stack forms on a stack of one; they
-    # still give the plain numpy results bit for bit.
-    wide = rng.normal(size=(n, n + 2))
+    assert np.array_equal(symmetrize(spd), [symmetrize(m) for m in spd])
+    assert np.array_equal(inverse(general), [inverse(m) for m in general])
+    for stack in (general, wide):
+        assert np.array_equal(spectral_norm(stack), [spectral_norm(m) for m in stack])
+    smallest, threshold = smallest_eigenvalues(mixed)
+    assert [(s, t) for s, t in zip(smallest, threshold)] == [smallest_eigenvalues(m) for m in mixed]
+    # The 2-D calls give the plain numpy results bit for bit.
     for m in general:
         assert np.array_equal(inverse(m), np.linalg.solve(m, np.eye(n)))
-    for m in (*general, wide):
+    for m in (*general, *wide):
         assert spectral_norm(m) == float(np.linalg.norm(m, 2))
     for m in mixed:
         assert np.array_equal(symmetrize(m), 0.5 * (m + m.T))
         scale = DEFINITENESS_TOL * max(1.0, float(np.max(np.abs(m))))
-        assert is_positive_definite(m) == bool(np.linalg.eigvalsh(m)[0] > scale)
+        assert smallest_eigenvalues(m) == (np.linalg.eigvalsh(m)[0], scale)
 
 
 def test_stack_forms_keep_messages():
-    """A bad slice raises what the single-matrix form raises on it."""
+    """A bad slice anywhere in a stack raises what the 2-D call raises on it."""
     good = np.eye(2)
-    for bad, stacked, single, error in (
-        ([[0.0, 1.0], [0.0, 0.0]], symmetrize_stack, symmetrize, ValueError),
-        (np.ones((2, 2)), inverse_stack, inverse, SingularMatrixError),
-        ([[1.0, 0.0], [0.0, 1e-15]], inverse_stack, inverse, SingularMatrixError),
+    for bad, function, error in (
+        ([[0.0, 1.0], [0.0, 0.0]], symmetrize, ValueError),
+        ([[1.0, np.inf], [0.0, 1.0]], symmetrize, ValueError),
+        ([[1.0, np.nan], [0.0, 1.0]], inverse, ValueError),
+        (np.ones((2, 2)), inverse, SingularMatrixError),
+        ([[1.0, 0.0], [0.0, 1e-15]], inverse, SingularMatrixError),
     ):
-        with pytest.raises(error) as single_info:
-            single(bad, "M")
-        with pytest.raises(error) as stacked_info:
-            stacked(np.array([good, bad, good]), "M")
-        assert str(stacked_info.value) == str(single_info.value)
+        for at in range(3):
+            stack = np.array([good] * 3)
+            stack[at] = bad
+            with pytest.raises(error) as single_info:
+                function(bad, "M")
+            with pytest.raises(error) as stacked_info:
+                function(stack, "M")
+            assert str(stacked_info.value) == str(single_info.value)
+    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+        spectral_norm([[[1.0, np.inf]]])
+    # Of two bad slices, the first one speaks.
+    worse = [[0.0, 2.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"M is not symmetric \(defect 2\.000e\+00\)$"):
+        symmetrize(np.array([good, worse, [[0.0, 1.0], [0.0, 0.0]]]), "M")
     with pytest.raises(ValueError, match=r"M is not symmetric \(defect 1\.000e\+00\)$"):
         symmetrize([[0.0, 1.0], [0.0, 0.0]], "M")
     with pytest.raises(SingularMatrixError, match=r"working precision \(rcond 0\.00e\+00\)$"):
         inverse(np.zeros((2, 2)), "M")
-    with pytest.raises(ValueError, match=r"M must be a \(k, m, n\) stack"):
-        require_square_stack(good, "M")
-    with pytest.raises(ValueError, match="M must be a stack of square matrices"):
-        require_square_stack(np.ones((3, 2, 4)), "M")
-    with pytest.raises(ValueError, match="M contains non-finite entries"):
-        require_square_stack([[[1.0, np.inf], [0.0, 1.0]]], "M")
+    for function in (symmetrize, inverse):
+        with pytest.raises(ValueError, match=r"^M must be square, got shape \(2, 3\)$"):
+            function(np.ones((2, 3)), "M")
+        with pytest.raises(ValueError, match=r"^M must be square, got shape \(3, 2, 4\)$"):
+            function(np.ones((3, 2, 4)), "M")
+        for shape in ((2,), (1, 1, 2, 2)):
+            with pytest.raises(ValueError, match="^M must be a matrix or a stack of matrices"):
+                function(np.ones(shape), "M")
 
 
 def test_pseudo_inverse_tall_column():

@@ -33,9 +33,9 @@ from etcontrol import (
 )
 from etcontrol.cli import main
 from etcontrol.verification import (
+    _cross_term_margins,
+    _inversion_identity_margins,
     check_cross_term_bound_at_vertices,
-    cross_term_margins,
-    inversion_identity_margins,
 )
 from oracles import campaign_stepwise, dissipation_stepwise, epsilon_margins, epsilon_scan
 
@@ -618,44 +618,55 @@ def _stack(matrix, bad, at=2, k=4):
 
 
 def test_kernels_validate_every_instance():
-    """A bad matrix anywhere in a stack raises, not only in the first slot."""
+    """A slice that fails a kernel's test raises anywhere in the stack, not only first."""
     P = np.diag([1.0, 2.0])
     eps = np.full(4, 0.1)
     loop = np.repeat(np.array([[[0.1, 0.3], [0.0, 0.2]]]), 4, axis=0)
+    for at in range(4):
+        with pytest.raises(ValueError, match="^P must be positive definite$"):
+            _inversion_identity_margins(_stack(P, np.diag([1.0, -1.0]), at), eps)
+        with pytest.raises(SingularMatrixError, match="^inner window gap is singular"):
+            _inversion_identity_margins(_stack(P, np.diag([1.0, 10.0]), at), eps)
+        with pytest.raises(FeasibilityError) as excinfo:
+            _cross_term_margins(_stack(P, np.diag([1.0, 20.0]), at), eps, loop, loop)
+        assert excinfo.value.condition == "epsilon_window"
+    # A positive epsilon whose reciprocal overflows leaves a gap that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^design window gap contains non-finite entries$"):
+            _cross_term_margins(_stack(P, P), np.array([0.1, 0.1, 1e-310, 0.1]), loop, loop)
+
+
+def test_checks_reject_misfit_arguments(demo_system):
+    """The single checks refuse, by name, what their kernels would trust; the 2-state demo."""
+    A, B, model, params = demo_system
+    out = synthesize(A, B, model, params)
+    P, loop = out.P, out.A_closed
     asymmetric = [[1.0, 0.5], [0.0, 2.0]]
-    with pytest.raises(ValueError, match=r"P is not symmetric \(defect 5\.000e-01\)"):
-        inversion_identity_margins(_stack(P, asymmetric), eps)
-    with pytest.raises(ValueError, match=r"P is not symmetric \(defect 5\.000e-01\)"):
-        cross_term_margins(_stack(P, asymmetric), eps, loop, loop)
-    with pytest.raises(ValueError, match="P must be positive definite"):
-        inversion_identity_margins(_stack(P, np.diag([1.0, -1.0])), eps)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        inversion_identity_margins(_stack(P, P), [0.1, 0.1, -0.1, 0.1])
-    with pytest.raises(SingularMatrixError, match="inner window gap"):
-        inversion_identity_margins(_stack(P, np.diag([1.0, 10.0])), eps)
-    with pytest.raises(FeasibilityError):
-        cross_term_margins(_stack(P, np.diag([1.0, 20.0])), eps, loop, loop)
-    with pytest.raises(ValueError, match="A_closed contains non-finite entries"):
-        cross_term_margins(_stack(P, P), eps, _stack(loop[0], np.nan), loop)
+    not_finite = np.array([[0.1, np.nan], [0.0, 0.2]])
 
+    def cross_term(P=P, epsilon=params.epsilon, A_closed=loop, dA=0.1 * loop):
+        return check_cross_term_bound(P, epsilon, A_closed, dA)
 
-def test_kernels_reject_mismatched_stacks():
-    """Each argument must cover the k instances of P; nothing broadcasts."""
-    P = np.repeat(np.diag([1.0, 2.0])[None], 4, axis=0)
-    eps = np.full(4, 0.1)
-    loop = np.repeat(np.array([[[0.1, 0.3], [0.0, 0.2]]]), 4, axis=0)
-    for bad_eps in (0.1, [0.1], np.full(3, 0.1), np.full((4, 1), 0.1)):
-        with pytest.raises(ValueError, match=r"epsilon must have shape \(4,\)"):
-            inversion_identity_margins(P, bad_eps)
-        with pytest.raises(ValueError, match=r"epsilon must have shape \(4,\)"):
-            cross_term_margins(P, bad_eps, loop, loop)
-    for bad_loop in (loop[:1], loop[:3], np.zeros((4, 3, 3))):
-        with pytest.raises(ValueError, match="A_closed must have the shape of P"):
-            cross_term_margins(P, eps, bad_loop, loop)
-        with pytest.raises(ValueError, match="dA must have the shape of P"):
-            cross_term_margins(P, eps, loop, bad_loop)
-    with pytest.raises(ValueError, match=r"dA must be a \(k, m, n\) stack"):
-        cross_term_margins(P, eps, loop, loop[0])
+    for check in (check_inversion_identity, lambda P, epsilon: cross_term(P, epsilon)):
+        with pytest.raises(ValueError, match=r"^P is not symmetric \(defect 5\.000e-01\)$"):
+            check(asymmetric, 0.1)
+        with pytest.raises(ValueError, match=r"^P must be square, got shape \(2, 3\)$"):
+            check(np.ones((2, 3)), 0.1)
+        with pytest.raises(ValueError, match="^P must be 2-D"):
+            check(np.repeat(P[None], 4, axis=0), 0.1)
+        for bad_eps in (-0.1, 0.0, np.nan):
+            with pytest.raises(ValueError, match="^epsilon must be positive$"):
+                check(P, bad_eps)
+    for name in ("A_closed", "dA"):
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            cross_term(**{name: not_finite})
+        # Its own shape, not a stack's, and the array that fixed n.
+        with pytest.raises(
+            ValueError, match=rf"^{name} has shape \(3, 3\), expected \(2, 2\), n from P$"
+        ):
+            cross_term(**{name: np.zeros((3, 3))})
+        with pytest.raises(ValueError, match=f"^{name} must be 2-D"):
+            cross_term(**{name: np.repeat(loop[None], 4, axis=0)})
 
 
 def test_cross_term_margins_non_finite_slack_fails():
@@ -665,8 +676,8 @@ def test_cross_term_margins_non_finite_slack_fails():
     loop = np.array([[[0.2, 0.1], [0.0, 0.3]]] * 2)
     dA = np.array([0.1 * np.eye(2), np.diag([1e300, -1e300])])
     with np.errstate(over="ignore", invalid="ignore"):
-        margin, tol, holds = cross_term_margins(P, eps, loop, dA)
-    alone = cross_term_margins(P[:1], eps[:1], loop[:1], dA[:1])
+        margin, tol, holds = _cross_term_margins(P, eps, loop, dA)
+    alone = _cross_term_margins(P[:1], eps[:1], loop[:1], dA[:1])
     assert (margin[0], tol[0], holds[0]) == (alone[0][0], alone[1][0], True)
     assert (margin[1], tol[1], holds[1]) == (-np.inf, np.inf, False)
 
