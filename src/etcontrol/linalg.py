@@ -63,14 +63,21 @@ def symmetrize(values, name: str = "matrix") -> np.ndarray:
     The symmetry defect is measured entrywise against SYMMETRY_TOL times
     max(1, max|m|): loose enough for accumulated round-off from a few
     chained products but tight enough to flag transposition mistakes.
+    An input equal to its transpose bit for bit (signed zeros included) is
+    its own symmetric part and comes back as a fresh copy, without the
+    defect arithmetic. Any other comes back as 0.5 m + 0.5 m', which has
+    the bits of 0.5 (m + m') for normal floats and cannot overflow.
     """
     m = _square(_matrices(values, name), name)
+    bits = m.view(np.uint64)
+    if (bits == np.swapaxes(bits, -1, -2)).all():
+        return m.copy()
     mt = np.swapaxes(m, -1, -2)
     defect = abs(m - mt).max(axis=(-2, -1))
     bad = defect > SYMMETRY_TOL * np.maximum(1.0, abs(m).max(axis=(-2, -1)))
     if bad.any():
         raise ValueError(f"{name} is not symmetric (defect {defect[bad][0]:.3e})")
-    return 0.5 * (m + mt)
+    return 0.5 * m + 0.5 * mt
 
 
 def smallest_eigenvalues(m):

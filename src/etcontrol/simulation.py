@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,11 +174,12 @@ class ParamTrajectory:
         return clipped, clamped
 
 
-def _transmits(e_sq: float, x_sq: float, mu: float) -> bool:
-    """The event rule on squared norms: e_sq >= mu x_sq, except at rest at the origin."""
-    if e_sq == 0.0 and x_sq == 0.0:
-        return False
-    return e_sq >= mu * x_sq
+def _transmits(e_sq, x_sq, mu: float):
+    """The event rule on squared norms: e_sq >= mu x_sq, except at rest at the origin.
+
+    Takes floats, or arrays elementwise; a NaN operand declines.
+    """
+    return (e_sq >= mu * x_sq) & ((e_sq != 0.0) | (x_sq != 0.0))
 
 
 def should_trigger(x, x_held, mu: float) -> bool:
@@ -235,6 +236,11 @@ class SimTrace:
         return np.diff(self.trigger_indices)
 
 
+# The SimTrace columns an event run shares with a periodic run that it
+# repeats at every step.
+_SHARED_COLUMNS = ("states", "inputs", "errors", "monitored_sq", "triggered", "p", "V")
+
+
 @dataclass
 class PolicyComparison:
     """Paired periodic and event runs over one realized parameter path."""
@@ -277,7 +283,7 @@ def _quadratic_rows(S, M=None):
     return np.matmul(left, S[:, :, None])[:, 0, 0]
 
 
-def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
+def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps, resume=None):
     """Step x(k+1) = plant[k] x(k) + B u(k) through a realized plant stack.
 
     The loop carries only the state, the held state and the input, and
@@ -288,6 +294,12 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     column; B u is formed only when a transmission changes u. The other
     columns come from the recorded rows after the loop, V and monitored_sq
     by stacked matmuls (_quadratic_rows), bit for bit the per-row dots.
+
+    resume = (trace, start, x_sq) starts an event run at row start >= 1 of
+    a trace that transmitted at every step before start, with x_sq its
+    column of x'x: rows 0 .. start and the inputs before start are copied,
+    and the loop begins at row start holding row start - 1 and its input,
+    as a run from row 0 would have.
     """
     n_steps = plant.shape[0]
     event, mu = policy.kind == POLICY_EVENT, policy.mu
@@ -296,12 +308,22 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     triggered = np.zeros(n_steps + 1, dtype=bool)
     thresholds = np.zeros(n_steps + 1)
     rows = list(states)
-    states[0] = x0
-    x = rows[0]
+    if resume is None:
+        start, held, u, Bu = 0, None, None, None
+        states[0] = x0
+    else:
+        prefix, start, prefix_sq = resume
+        states[: start + 1] = prefix.states[: start + 1]
+        inputs[:start] = prefix.inputs[:start]
+        triggered[:start] = True
+        thresholds[:start] = mu * prefix_sq[:start]
+        held = rows[start - 1]
+        u = K.dot(held)
+        Bu = B.dot(u)
+    x = rows[start]
     x_sq = float(x.dot(x))
-    held = u = Bu = None
     last, diverged = n_steps, False
-    for k, plant_k in enumerate(plant):
+    for k, plant_k in enumerate(plant[start:], start):
         fire = True
         if event:
             thresholds[k] = mu * x_sq
@@ -386,14 +408,35 @@ def compare_policies(
     and reused, so the two traces differ only through the transmission
     policy. savings_ratio is 1 - event transmissions / periodic
     transmissions.
+
+    The periodic run goes first. Until the event rule first declines on
+    the periodic trace's own numbers (its monitored_sq and x'x columns,
+    the operands the event loop would form), the event run transmits at
+    every step and repeats the periodic run bit for bit; so it resumes at
+    that row, and when the rule never declines the event trace is the
+    periodic one with the event thresholds, a divergence included. Every
+    column equals that of simulate under the event policy.
     """
     A, B, K, P = _conform(model, A=A, B=B, K=K, P=P)
     x0, n_steps = _validated_run(x0, n_steps, len(A))
-    policies = (TriggerPolicy.periodic(), TriggerPolicy.event(mu))
+    event_policy = TriggerPolicy.event(mu)
+    mu = event_policy.mu
     plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
-    periodic, event = (
-        _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped) for policy in policies
-    )
+    periodic = _simulate_realized(plant, B, K, TriggerPolicy.periodic(), p_rows, x0, P, clamped)
+    x_sq = _quadratic_rows(periodic.states)
+    # The rule at the decision rows 1 .. n - 1 of the periodic run.
+    decided = slice(1, periodic.n_steps)
+    fires = _transmits(periodic.monitored_sq[decided], x_sq[decided], mu)
+    if fires.all():
+        event = replace(
+            periodic,
+            **{name: getattr(periodic, name).copy() for name in _SHARED_COLUMNS},
+            thresholds=mu * x_sq,
+            policy=event_policy,
+        )
+    else:
+        resume = (periodic, 1 + int(np.argmin(fires)), x_sq)
+        event = _simulate_realized(plant, B, K, event_policy, p_rows, x0, P, clamped, resume)
     savings = 1.0 - event.transmissions / periodic.transmissions
     gaps = event.inter_event_gaps
     stats = (float(gaps.min()), float(gaps.mean()), float(gaps.max())) if gaps.size else (None,) * 3

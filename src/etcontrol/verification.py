@@ -272,6 +272,12 @@ def check_dissipation(
     only P and the trace and is audited at every row, skipped or not.
     Margin is the worst slack across all audited inequalities.
 
+    The gate is certified at the 2^d vertices of the box: when Z is
+    positive semidefinite, every step's parameters lie in the box and no
+    vertex's gate slack F - dA' Z dA falls below half the gate tolerance,
+    the slack is matrix-concave in p and no step can be skipped, so none
+    is formed. Otherwise each step's gate matrix is formed and tested.
+
     The slacks of the whole trace are formed at once, one row per trace
     row in the bound order above. The audit stops at the first violating
     row, and counts (of steps) and margin cover the rows up to it; the
@@ -287,12 +293,14 @@ def check_dissipation(
         raise ValueError(f"trace.states has shape {trace.states.shape}, expected {(n + 1, len(P))}")
     error_gain = K.T @ B.T @ Z @ B @ K
     error_gain = 0.5 * (error_gain + error_gain.T)
-    # One eigvalsh over P, Q1 and the gate matrices F - dA' Z dA, and one
-    # svd over error_gain and F: every slice is computed as on its own.
+    # One eigvalsh over P, Q1 and, gated, Z and the vertex gate matrices
+    # F - dA' Z dA, and one svd over error_gain and F: every slice is
+    # computed as on its own.
+    gate = model is not None and F is not None
     symmetric, normed = [P[None], Q1[None]], [error_gain]
-    if model is not None and F is not None:
-        dA = model.matrix_at(trace.p[:n])
-        symmetric.append(F - np.swapaxes(dA, 1, 2) @ Z @ dA)
+    if gate:
+        dA = model.matrix_at(model.vertices())
+        symmetric += [Z[None], F - np.swapaxes(dA, 1, 2) @ Z @ dA]
         normed.append(F)
     eigs = np.linalg.eigvalsh(np.concatenate(symmetric))
     norms = np.linalg.svd(np.stack(normed), compute_uv=False)[:, 0]
@@ -300,8 +308,23 @@ def check_dissipation(
     mu_derived = sigma * q_min / denom if (q_min > 0.0 and denom > 0.0) else None
     # Row n, the terminal row, takes no step: the gate never skips it.
     gated = np.zeros(n + 1, dtype=bool)
-    if len(normed) > 1:
-        gated[:n] = eigs[2:, 0] < -CHECK_TOL * max(1.0, float(norms[1]))
+    if gate:
+        gate_tol = CHECK_TOL * max(1.0, float(norms[1]))
+        p = trace.p[:n]
+        # With Z positive semidefinite the gate slack is matrix-concave in p,
+        # so its vertices bound it on the box. Within tol / 2 of the gate,
+        # ||dA' Z dA|| <= ||F|| + tol in the box, and no step's rounding
+        # (about 1e-15 ||F||) can cross the other tol / 2: no step is gated.
+        # A NaN eigenvalue or row fails these comparisons.
+        certified = (
+            eigs[2, 0] >= 0.0
+            and eigs[3:, 0].min() >= -0.5 * gate_tol
+            and (p >= model.p_lo).all()
+            and (p <= model.p_hi).all()
+        )
+        if not certified:
+            dA = model.matrix_at(p)
+            gated[:n] = np.linalg.eigvalsh(F - np.swapaxes(dA, 1, 2) @ Z @ dA)[:, 0] < -gate_tol
 
     x, e, V = trace.states, trace.errors[:n], trace.V
     x_sq = np.einsum("ki,ki->k", x, x)

@@ -64,6 +64,43 @@ def test_symmetrize_cleans_roundoff():
     assert np.array_equal(out, out.T)
 
 
+def _bits(m):
+    return np.asarray(m, dtype=float).view(np.uint64)
+
+
+def test_symmetrize_keeps_entries_near_the_float_maximum():
+    """0.5 (m + m') overflows above about 9e307; the symmetric part does not."""
+    m = np.array([[1e308, 0.0], [0.0, 1.0]])
+    out = symmetrize(m)
+    assert np.array_equal(_bits(out), _bits(m))
+    # A fresh array: the constructors mark what symmetrize returns read-only.
+    assert not np.shares_memory(out, m)
+    near = np.array([[1.7e308, 1.6e308], [1.6e308 * (1.0 + 1e-12), -1.7e308]])
+    out = symmetrize(near)
+    assert np.isfinite(out).all() and np.array_equal(out, out.T)
+    assert np.array_equal(out, 0.5 * near + 0.5 * near.T)
+    assert out[0, 1] == pytest.approx(1.6e308, rel=1e-12)
+    stacked = symmetrize(np.array([m, near]))
+    assert np.array_equal(stacked, [symmetrize(m), symmetrize(near)])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[2.0, -0.0], [-0.0, 1.0]],
+        [[5e-324, 1e-310], [1e-310, -3.0]],
+        [[0.0, -0.0], [0.0, 1.0]],
+        [[1.0, 0.5 + 1e-14], [0.5, 2.0]],
+        [[1e-320, 3e-320], [2e-320, 1.0]],
+    ],
+    ids=["signed zeros", "subnormals", "mixed zeros", "round-off", "subnormal defect"],
+)
+def test_symmetrize_bits_of_the_mean(m):
+    """Both paths give the bits of 0.5 (m + m') wherever that does not overflow."""
+    m = np.array(m)
+    assert np.array_equal(_bits(symmetrize(m)), _bits(0.5 * (m + m.T)))
+
+
 def _definite(m):
     """(positive definite, positive semidefinite) by the one definiteness test."""
     smallest, threshold = smallest_eigenvalues(symmetrize(m))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CONFIG_DIR
 from etcontrol import (
     ParamTrajectory,
     SynthesisParams,
@@ -12,9 +13,16 @@ from etcontrol import (
     UncertaintyModel,
     check_dissipation,
     compare_policies,
+    load_config,
     should_trigger,
     simulate,
     synthesize,
+)
+from etcontrol.simulation import (
+    _quadratic_rows,
+    _realized_plant,
+    _simulate_realized,
+    _transmits,
 )
 from oracles import simulate_stepwise
 
@@ -501,7 +509,7 @@ def test_tiny_threshold_matches_stepwise_oracle(reference_gain):
 
 
 def test_plant_realized_once_per_run(holding_system, monkeypatch):
-    """compare_policies and the dissipation audit each build dA(p_k) in one call."""
+    """compare_policies builds dA(p_k) in one call; the audit builds dA at the box vertices."""
     A, B, model, params = holding_system
     out = synthesize(A, B, model, params)
     shapes = []
@@ -519,6 +527,176 @@ def test_plant_realized_once_per_run(holding_system, monkeypatch):
         comparison.event, out.P, out.Q1, out.K, B, out.Z, params.sigma, model=model, F=model.F
     )
     assert audit.holds
-    assert shapes == [(20, 1)] * 2
+    # The 2^d vertices certify the gate: no step's dA is formed.
+    assert shapes == [(20, 1), (2, 1)]
     simulate(A, B, model, out.K, TriggerPolicy.periodic(), trajectory, [1.0, -1.0], 20, out.P)
-    assert shapes == [(20, 1)] * 3
+    assert shapes == [(20, 1), (2, 1), (20, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the event run resumes from the periodic run
+
+_COLUMNS = ("states", "inputs", "errors", "monitored_sq", "thresholds", "triggered", "p", "V")
+
+
+def _config_run(name):
+    """The bundled config's plant, design and closed-loop settings."""
+    config = load_config(CONFIG_DIR / f"{name}.json")
+    out = synthesize(config.A, config.B, config.model, config.params)
+    sim = config.simulation
+    mu = out.mu if sim.mu is None else sim.mu
+    return config.A, config.B, config.model, out.K, mu, sim.trajectory, sim.x0, sim.n_steps, out.P
+
+
+def _first_decline(comparison):
+    """The first decision row at which the event run does not transmit (None: none)."""
+    held = np.flatnonzero(~comparison.event.triggered[1 : comparison.event.n_steps])
+    return int(held[0]) + 1 if held.size else None
+
+
+@pytest.mark.parametrize(
+    "name, decline", [("feasible_demo", None), ("reference_example", 2)], ids=["demo", "reference"]
+)
+def test_bundled_configs_share_the_prefix(name, decline):
+    """The demo's event run never declines at its formula mu; the reference's declines at row 2."""
+    args = _config_run(name)
+    comparison = _traces_against_oracle(*args)
+    assert _first_decline(comparison) == decline
+    assert comparison.savings_ratio == (0.0 if decline is None else 0.5)
+    rows = decline or comparison.event.n_steps + 1
+    for column in ("states", "inputs", "monitored_sq", "V"):
+        assert np.array_equal(
+            getattr(comparison.event, column)[:rows], getattr(comparison.periodic, column)[:rows]
+        ), column
+
+
+def test_event_trace_owns_its_columns():
+    """A fully shared prefix still gives the event trace arrays of its own."""
+    args = _config_run("feasible_demo")
+    comparison = compare_policies(*args)
+    assert _first_decline(comparison) is None
+    for column in _COLUMNS:
+        assert not np.shares_memory(
+            getattr(comparison.event, column), getattr(comparison.periodic, column)
+        ), column
+    assert comparison.event.policy == TriggerPolicy.event(args[4])
+
+
+def test_decline_at_step_one(holding_system):
+    A, B, model, params = holding_system
+    out = synthesize(A, B, model, params)
+    comparison = _traces_against_oracle(
+        A, B, model, out.K, 30.0, ParamTrajectory.random(5), [1.0, -1.0], 25, out.P
+    )
+    assert _first_decline(comparison) == 1
+
+
+@pytest.mark.parametrize("mu, decline", [(0.3, None), (0.5, 1)], ids=["in prefix", "after decline"])
+def test_divergence_and_the_prefix(mu, decline):
+    """x(k) = 3 x(k - 1): the rule sees e'e = (4/9) x'x at every decision row."""
+    model = UncertaintyModel(basis=(0.0 * np.eye(2),), p_lo=[-1.0], p_hi=[1.0], F=np.eye(2))
+    comparison = _traces_against_oracle(
+        3.0 * np.eye(2), [[0.0], [1.0]], model, np.zeros((1, 2)), mu,
+        ParamTrajectory.random(4), [1.0, 1.0], 60, np.eye(2),
+    )
+    assert comparison.periodic.diverged and comparison.event.diverged
+    assert _first_decline(comparison) == decline
+
+
+def test_origin_declines_at_step_one(reference_gain):
+    A, B, model, out = reference_gain
+    comparison = _traces_against_oracle(
+        A, B, model, out.K, 0.29, ParamTrajectory.constant([0.8]), [0.0, 0.0], 15, out.P
+    )
+    assert _first_decline(comparison) == 1
+    assert comparison.event.transmissions == 1
+
+
+@pytest.mark.parametrize("mu", [1e-9, 0.29, 30.0])
+def test_single_step_runs(reference_gain, mu):
+    """One step has no decision row: the event run is the periodic one."""
+    A, B, model, out = reference_gain
+    comparison = _traces_against_oracle(
+        A, B, model, out.K, mu, ParamTrajectory.constant([0.8]), [1.0, -1.0], 1, out.P
+    )
+    assert comparison.event.transmissions == comparison.periodic.transmissions == 1
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_prefix_sweep_over_parameter_dimensions(d):
+    """mu from 1e-9 to 5 on random loops: runs that never decline, decline at row 1 or later."""
+    rng = np.random.default_rng(300 + d)
+    declines = set()
+    for n in (1, 2, 3, 5):
+        A = rng.normal(size=(n, n))
+        A *= 0.9 / max(np.abs(np.linalg.eigvals(A)).max(), 1e-3)
+        B, K = rng.normal(size=(n, 2)), 0.3 * rng.normal(size=(2, n))
+        model = UncertaintyModel(
+            basis=tuple(0.1 * rng.normal(size=(d, n, n))),
+            p_lo=-np.ones(d), p_hi=np.ones(d), F=np.eye(n),
+        )
+        for mu in (1e-9, 0.05, 0.2, 0.5, 1.0, 2.0, 5.0):
+            comparison = _traces_against_oracle(
+                A, B, model, K, mu, ParamTrajectory.random(n + d), rng.normal(size=n), 30, np.eye(n)
+            )
+            declines.add(_first_decline(comparison))
+    assert None in declines and len(declines - {None, 1}) > 0
+
+
+def test_event_rule_on_arrays_is_the_rule_on_each_pair():
+    """The prefix scan applies _transmits to whole columns; each entry is the scalar rule."""
+    e_sq = np.array([0.0, 0.0, 1.0, 0.29, 0.28, np.nan, 1.0, np.inf, 0.0])
+    x_sq = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0, np.nan, 1.0, np.inf])
+    fires = _transmits(e_sq, x_sq, 0.29)
+    assert fires.tolist() == [_transmits(float(e), float(x), 0.29) for e, x in zip(e_sq, x_sq)]
+    assert fires.tolist() == [False, False, True, True, False, False, False, True, False]
+    assert _transmits(0.0, 0.0, 0.29) is False and _transmits(0.3, 1.0, 0.29) is True
+
+
+def test_overflow_inside_the_prefix(demo_system):
+    """A run that overflows at row 1 has no decision row: the event run is the periodic one."""
+    A, B, model, params = demo_system
+    out = synthesize(A, B, model, params)
+    args = (np.diag([1e300, -1e300]), B, model, np.zeros((1, 2)))
+    rest = (ParamTrajectory.random(7), [1e10, 1e10], 30, out.P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        comparison = compare_policies(*args, out.mu, *rest)
+        single = simulate(*args, TriggerPolicy.event(out.mu), *rest)
+    assert comparison.event.diverged and comparison.event.n_steps == 1
+    assert np.isinf(comparison.event.thresholds[-1])
+    for column in _COLUMNS:
+        assert np.array_equal(
+            getattr(comparison.event, column), getattr(single, column), equal_nan=True
+        ), column
+
+
+def test_resume_at_every_prefix_row(reference_gain):
+    """Resuming at any row up to the first decline reproduces the event run."""
+    A, B, model, out = reference_gain
+    mu = 0.29
+    plant, p_rows, clamped = _realized_plant(A, model, ParamTrajectory.random(8), 20)
+    x0 = np.array([1.0, -1.0])
+    run = (p_rows, x0, out.P, clamped)
+    periodic = _simulate_realized(plant, B, out.K, TriggerPolicy.periodic(), *run)
+    event = _simulate_realized(plant, B, out.K, TriggerPolicy.event(mu), *run)
+    decline = int(np.argmin(event.triggered[1:])) + 1
+    assert 1 < decline < event.n_steps
+    x_sq = _quadratic_rows(periodic.states)
+    for start in range(1, decline + 1):
+        resumed = _simulate_realized(
+            plant, B, out.K, TriggerPolicy.event(mu), *run, (periodic, start, x_sq)
+        )
+        for column in _COLUMNS:
+            assert np.array_equal(getattr(resumed, column), getattr(event, column)), (start, column)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_quadratic_rows_are_the_row_dots(n):
+    """The shared-prefix scan reads x'x and e'e from _quadratic_rows: the loop's own dots."""
+    rng = np.random.default_rng(n)
+    S = rng.normal(size=(41, n)) * np.exp2(rng.integers(-30, 30, size=(41, 1)))
+    S[3] = 0.0
+    expected = np.array([float(s.dot(s)) for s in S])
+    assert np.array_equal(_quadratic_rows(S), expected)
+    M = rng.normal(size=(n, n))
+    assert np.array_equal(_quadratic_rows(S, M), [float(s @ M @ s) for s in S])

@@ -489,6 +489,93 @@ def test_dissipation_gated_sandwich_matches_stepwise_oracle(request, run, where)
     assert result.witness["step"] == step and result.witness["bound"] == "sandwich"
 
 
+def _gate_case(demo_system, case):
+    """A demo event trace and the model, F and Z of one gate case.
+
+    "certified": the demo's own gate, which every vertex passes. "vertex
+    breaks": F admits only |p| <= 0.15 of the box [-0.3, 0.3], and the path
+    spends ten steps at 0.3. "vertex near the tolerance": F puts the
+    vertices' smallest gate eigenvalue at -0.75 times the gate tolerance,
+    inside it but beyond the half that certifies. "row below" and "row
+    above": F admits |p| <= 0.35, every vertex of the audited box
+    [-0.3, 0.3] passes, and the run draws p from [-1, 0.3] or [-0.3, 1].
+    "Z indefinite": on a d = 2 box,
+    dA = [[p1, 0], [p2, 0]] and Z = diag(1, -1) make the gate slack
+    diag(0.5 - p1^2 + p2^2, 0.5), which fails on the edge p = (1, 0), where
+    a periodic run spends every third step, but at no vertex.
+    """
+    A, B, model, params = demo_system
+    out = synthesize(A, B, model, params)
+    E, Z = model.basis[0], out.Z
+    F, run_model = model.F, model
+    rows = np.where(np.arange(31) < 10, 0.3, 0.1)[:, None]
+    trajectory, policy = ParamTrajectory.random(7), TriggerPolicy.event(out.mu)
+    if case == "vertex breaks":
+        F = 0.15**2 * np.linalg.eigvalsh(E.T @ Z @ E)[-1] * np.eye(2)
+        trajectory = ParamTrajectory.sequence(rows)
+    elif case == "vertex near the tolerance":
+        F = (0.3**2 * np.linalg.eigvalsh(E.T @ Z @ E)[-1] - 0.75e-8) * np.eye(2)
+        trajectory = ParamTrajectory.sequence(rows)
+    elif case in ("row below", "row above"):
+        F = 0.35**2 * np.linalg.eigvalsh(E.T @ Z @ E)[-1] * np.eye(2)
+        wide = {"row below": {"p_lo": [-1.0]}, "row above": {"p_hi": [1.0]}}[case]
+        run_model = dataclasses.replace(model, **wide)
+    elif case == "Z indefinite":
+        run_model = model = UncertaintyModel(
+            basis=([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]),
+            p_lo=[-1.0, -1.0], p_hi=[1.0, 1.0], F=0.5 * np.eye(2),
+        )
+        F, Z = model.F, np.diag([1.0, -1.0])
+        path = np.tile([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], (11, 1))[:31]
+        trajectory, policy = ParamTrajectory.sequence(path), TriggerPolicy.periodic()
+    trace = simulate(A, B, run_model, out.K, policy, trajectory, [1.0, -1.0], 30, out.P)
+    return trace, [out.P, out.Q1, out.K, B, Z, params.sigma], {"model": model, "F": F}
+
+
+@pytest.mark.parametrize(
+    "case, skipped",
+    [
+        ("certified", 0),
+        ("vertex breaks", 10),
+        ("vertex near the tolerance", 0),
+        ("row below", None),
+        ("row above", None),
+        ("Z indefinite", 10),
+    ],
+)
+def test_dissipation_gate_certified_at_vertices(demo_system, monkeypatch, case, skipped):
+    """The vertices decide the gate or the audit gates step by step, as the per-step loop does.
+
+    Only a certified gate skips forming the steps' dA; every case agrees
+    with the loop on verdict, note, witness and margin.
+    """
+    trace, args, kwargs = _gate_case(demo_system, case)
+    n, d = trace.n_steps, kwargs["model"].dimension
+    if case.startswith("row"):
+        assert (np.abs(trace.p[:n, 0]) > 0.35).any()
+    shapes = []
+    matrix_at = UncertaintyModel.matrix_at
+
+    def counting(self, p):
+        shapes.append(np.shape(p))
+        return matrix_at(self, p)
+
+    monkeypatch.setattr(UncertaintyModel, "matrix_at", counting)
+    result = check_dissipation(trace, *args, **kwargs)
+    monkeypatch.undo()
+    expected = dissipation_stepwise(trace, *args, **kwargs)
+    assert (result.holds, result.note, result.witness) == (
+        expected.holds, expected.note, expected.witness
+    )
+    assert result.margin == pytest.approx(expected.margin, rel=1e-12, abs=0.0)
+    steps = [(2**d, d)] + ([] if case == "certified" else [(n, d)])
+    assert shapes == steps
+    if skipped is not None:
+        assert f"{n - skipped} steps audited, {skipped} skipped" in result.note
+    else:
+        assert " 0 skipped" not in result.note
+
+
 @pytest.mark.parametrize("gate", [True, False], ids=["gate", "no gate"])
 def test_dissipation_audits_terminal_row(demo_system, gate):
     """A terminal V of -1 breaks the sandwich at row n_steps, which takes no step."""
