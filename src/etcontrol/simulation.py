@@ -283,7 +283,7 @@ def _quadratic_rows(S, M=None):
     return np.matmul(left, S[:, :, None])[:, 0, 0]
 
 
-def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps, resume=None):
+def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     """Step x(k+1) = plant[k] x(k) + B u(k) through a realized plant stack.
 
     The loop carries only the state, the held state and the input, and
@@ -294,12 +294,6 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps, resume
     column; B u is formed only when a transmission changes u. The other
     columns come from the recorded rows after the loop, V and monitored_sq
     by stacked matmuls (_quadratic_rows), bit for bit the per-row dots.
-
-    resume = (trace, start, x_sq) starts an event run at row start >= 1 of
-    a trace that transmitted at every step before start, with x_sq its
-    column of x'x: rows 0 .. start and the inputs before start are copied,
-    and the loop begins at row start holding row start - 1 and its input,
-    as a run from row 0 would have.
     """
     n_steps = plant.shape[0]
     event, mu = policy.kind == POLICY_EVENT, policy.mu
@@ -308,22 +302,12 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps, resume
     triggered = np.zeros(n_steps + 1, dtype=bool)
     thresholds = np.zeros(n_steps + 1)
     rows = list(states)
-    if resume is None:
-        start, held, u, Bu = 0, None, None, None
-        states[0] = x0
-    else:
-        prefix, start, prefix_sq = resume
-        states[: start + 1] = prefix.states[: start + 1]
-        inputs[:start] = prefix.inputs[:start]
-        triggered[:start] = True
-        thresholds[:start] = mu * prefix_sq[:start]
-        held = rows[start - 1]
-        u = K.dot(held)
-        Bu = B.dot(u)
-    x = rows[start]
+    states[0] = x0
+    x = rows[0]
     x_sq = float(x.dot(x))
+    held = u = Bu = None
     last, diverged = n_steps, False
-    for k, plant_k in enumerate(plant[start:], start):
+    for k, plant_k in enumerate(plant):
         fire = True
         if event:
             thresholds[k] = mu * x_sq
@@ -409,12 +393,12 @@ def compare_policies(
     policy. savings_ratio is 1 - event transmissions / periodic
     transmissions.
 
-    The periodic run goes first. Until the event rule first declines on
-    the periodic trace's own numbers (its monitored_sq and x'x columns,
-    the operands the event loop would form), the event run transmits at
-    every step and repeats the periodic run bit for bit; so it resumes at
-    that row, and when the rule never declines the event trace is the
-    periodic one with the event thresholds, a divergence included. Every
+    The periodic run goes first. When the event rule fires at every
+    decision row of the periodic trace's own numbers (its monitored_sq and
+    x'x columns, the operands the event loop would form), the event run
+    would repeat the periodic run bit for bit: the event trace is then the
+    periodic one with the event thresholds, a divergence included, and no
+    event loop runs. Otherwise the event loop runs from row 0. Every
     column equals that of simulate under the event policy.
     """
     A, B, K, P = _conform(model, A=A, B=B, K=K, P=P)
@@ -435,8 +419,7 @@ def compare_policies(
             policy=event_policy,
         )
     else:
-        resume = (periodic, 1 + int(np.argmin(fires)), x_sq)
-        event = _simulate_realized(plant, B, K, event_policy, p_rows, x0, P, clamped, resume)
+        event = _simulate_realized(plant, B, K, event_policy, p_rows, x0, P, clamped)
     savings = 1.0 - event.transmissions / periodic.transmissions
     gaps = event.inter_event_gaps
     stats = (float(gaps.min()), float(gaps.mean()), float(gaps.max())) if gaps.size else (None,) * 3

@@ -272,11 +272,13 @@ def check_dissipation(
     only P and the trace and is audited at every row, skipped or not.
     Margin is the worst slack across all audited inequalities.
 
-    The gate is certified at the 2^d vertices of the box: when Z is
-    positive semidefinite, every step's parameters lie in the box and no
+    The gate is certified at the 2^d vertices of the box: when every
+    step's parameters lie in the box, Z is positive semidefinite and no
     vertex's gate slack F - dA' Z dA falls below half the gate tolerance,
     the slack is matrix-concave in p and no step can be skipped, so none
-    is formed. Otherwise each step's gate matrix is formed and tested.
+    is formed. Otherwise each step's gate matrix is formed and tested; the
+    vertex matrices are formed only for a trace inside the box. trace.p
+    must have one column per model parameter.
 
     The slacks of the whole trace are formed at once, one row per trace
     row in the bound order above. The audit stops at the first violating
@@ -299,8 +301,15 @@ def check_dissipation(
     gate = model is not None and F is not None
     symmetric, normed = [P[None], Q1[None]], [error_gain]
     if gate:
-        dA = model.matrix_at(model.vertices())
-        symmetric += [Z[None], F - np.swapaxes(dA, 1, 2) @ Z @ dA]
+        p = trace.p[:n]
+        if p.shape != (n, model.dimension):
+            raise ValueError(f"trace.p has shape {trace.p.shape}, expected {(n + 1, model.dimension)}")
+        # Only a trace inside the box can be certified at the box's vertices
+        # (a NaN row is outside).
+        in_box = bool((p >= model.p_lo).all() and (p <= model.p_hi).all())
+        if in_box:
+            dA = model.matrix_at(model.vertices())
+            symmetric += [Z[None], F - np.swapaxes(dA, 1, 2) @ Z @ dA]
         normed.append(F)
     eigs = np.linalg.eigvalsh(np.concatenate(symmetric))
     norms = np.linalg.svd(np.stack(normed), compute_uv=False)[:, 0]
@@ -310,18 +319,12 @@ def check_dissipation(
     gated = np.zeros(n + 1, dtype=bool)
     if gate:
         gate_tol = CHECK_TOL * max(1.0, float(norms[1]))
-        p = trace.p[:n]
         # With Z positive semidefinite the gate slack is matrix-concave in p,
         # so its vertices bound it on the box. Within tol / 2 of the gate,
         # ||dA' Z dA|| <= ||F|| + tol in the box, and no step's rounding
         # (about 1e-15 ||F||) can cross the other tol / 2: no step is gated.
-        # A NaN eigenvalue or row fails these comparisons.
-        certified = (
-            eigs[2, 0] >= 0.0
-            and eigs[3:, 0].min() >= -0.5 * gate_tol
-            and (p >= model.p_lo).all()
-            and (p <= model.p_hi).all()
-        )
+        # A NaN eigenvalue fails these comparisons.
+        certified = in_box and eigs[2, 0] >= 0.0 and eigs[3:, 0].min() >= -0.5 * gate_tol
         if not certified:
             dA = model.matrix_at(p)
             gated[:n] = np.linalg.eigvalsh(F - np.swapaxes(dA, 1, 2) @ Z @ dA)[:, 0] < -gate_tol

@@ -18,12 +18,7 @@ from etcontrol import (
     simulate,
     synthesize,
 )
-from etcontrol.simulation import (
-    _quadratic_rows,
-    _realized_plant,
-    _simulate_realized,
-    _transmits,
-)
+from etcontrol.simulation import _quadratic_rows, _transmits
 from oracles import simulate_stepwise
 
 
@@ -534,7 +529,7 @@ def test_plant_realized_once_per_run(holding_system, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the event run resumes from the periodic run
+# the event run shares the periodic run's prefix
 
 _COLUMNS = ("states", "inputs", "errors", "monitored_sq", "thresholds", "triggered", "p", "V")
 
@@ -668,26 +663,6 @@ def test_overflow_inside_the_prefix(demo_system):
         assert np.array_equal(
             getattr(comparison.event, column), getattr(single, column), equal_nan=True
         ), column
-
-
-def test_resume_at_every_prefix_row(reference_gain):
-    """Resuming at any row up to the first decline reproduces the event run."""
-    A, B, model, out = reference_gain
-    mu = 0.29
-    plant, p_rows, clamped = _realized_plant(A, model, ParamTrajectory.random(8), 20)
-    x0 = np.array([1.0, -1.0])
-    run = (p_rows, x0, out.P, clamped)
-    periodic = _simulate_realized(plant, B, out.K, TriggerPolicy.periodic(), *run)
-    event = _simulate_realized(plant, B, out.K, TriggerPolicy.event(mu), *run)
-    decline = int(np.argmin(event.triggered[1:])) + 1
-    assert 1 < decline < event.n_steps
-    x_sq = _quadratic_rows(periodic.states)
-    for start in range(1, decline + 1):
-        resumed = _simulate_realized(
-            plant, B, out.K, TriggerPolicy.event(mu), *run, (periodic, start, x_sq)
-        )
-        for column in _COLUMNS:
-            assert np.array_equal(getattr(resumed, column), getattr(event, column)), (start, column)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

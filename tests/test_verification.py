@@ -568,12 +568,26 @@ def test_dissipation_gate_certified_at_vertices(demo_system, monkeypatch, case, 
         expected.holds, expected.note, expected.witness
     )
     assert result.margin == pytest.approx(expected.margin, rel=1e-12, abs=0.0)
-    steps = [(2**d, d)] + ([] if case == "certified" else [(n, d)])
-    assert shapes == steps
+    # A trace outside the box is gated step by step without the vertex stack.
+    vertices = [] if case.startswith("row") else [(2**d, d)]
+    assert shapes == vertices + ([] if case == "certified" else [(n, d)])
     if skipped is not None:
         assert f"{n - skipped} steps audited, {skipped} skipped" in result.note
     else:
         assert " 0 skipped" not in result.note
+
+
+@pytest.mark.parametrize("d", [0, 2])
+def test_dissipation_rejects_trace_of_another_parameter_width(demo_system, d):
+    """A gated audit needs one trace.p column per parameter, even where the box would broadcast."""
+    trace, args, kwargs = _gate_case(demo_system, "certified")
+    demo_model = kwargs["model"]
+    model = UncertaintyModel(
+        basis=demo_model.basis * d, p_lo=[-0.3] * d, p_hi=[0.3] * d, F=demo_model.F
+    )
+    assert trace.p.shape == (31, 1)
+    with pytest.raises(ValueError, match=r"p has shape \(\d+, 1\), expected"):
+        check_dissipation(trace, *args, model=model, F=kwargs["F"])
 
 
 @pytest.mark.parametrize("gate", [True, False], ids=["gate", "no gate"])
