@@ -14,7 +14,9 @@ keys are sorted, and no timestamps are recorded, so identical inputs
 produce byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 verification found failing checks.
+4 verification found failing checks. A numerical failure writes no file;
+when the trigger coefficient is undefined, the feasibility report that
+shows why is printed on stdout before the message on stderr.
 """
 
 from __future__ import annotations
@@ -411,6 +413,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ToolkitError as exc:
+        # An undefined trigger coefficient comes with the report that explains it.
+        if getattr(exc, "report", None) is not None:
+            _print_report(exc.report)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

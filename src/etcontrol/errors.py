@@ -52,4 +52,12 @@ class FeasibilityError(ToolkitError):
 
 
 class TriggerUndefinedError(ToolkitError):
-    """The event-trigger coefficient is undefined for this synthesis."""
+    """The event-trigger coefficient is undefined for this synthesis.
+
+    report is the feasibility report of the synthesis that raised it, or
+    None when the coefficient was asked for without one.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report

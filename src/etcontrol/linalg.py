@@ -9,7 +9,8 @@ kernels trust theirs. as_matrix is the 2-D gate on outside input.
 symmetrize, inverse, spectral_norm and smallest_eigenvalues each take an
 (n, n) matrix or a (k, n, n) stack, with one LAPACK call per routine; a
 test or a message on a stack is the one its first failing slice would
-give. numpy runs each routine slice by slice, so every slice of a stacked
+give, and inverse takes one name per slice, so that message names the
+slice. numpy runs each routine slice by slice, so every slice of a stacked
 result equals the result on that slice alone bit for bit. Every routine
 here validates its input except smallest_eigenvalues, the one
 definiteness test, which takes exactly symmetric arrays.
@@ -37,13 +38,19 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _matrices(values, name: str) -> np.ndarray:
+def _first(name, bad) -> str:
+    """name, or of one name per slice the name of the first slice flagged in bad."""
+    return name if isinstance(name, str) else name[int(np.argmax(bad))]
+
+
+def _matrices(values, name) -> np.ndarray:
     """Coerce to an (m, n) matrix or a (k, m, n) stack, rejecting non-finite entries."""
     m = np.asarray(values, dtype=float)
     if m.ndim not in (2, 3):
         raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        bad = ~np.isfinite(m).all(axis=(-2, -1))
+        raise ValueError(f"{_first(name, bad)} contains non-finite entries")
     return m
 
 
@@ -92,11 +99,13 @@ def smallest_eigenvalues(m):
     return np.linalg.eigvalsh(m)[..., 0], threshold
 
 
-def inverse(values, name: str = "matrix") -> np.ndarray:
+def inverse(values, name="matrix") -> np.ndarray:
     """Matrix inverse with an explicit conditioning guard.
 
     Raises SingularMatrixError when the reciprocal condition number falls
-    below RCOND_LIMIT, instead of silently returning garbage.
+    below RCOND_LIMIT, instead of silently returning garbage. name is one
+    name, or for a stack a sequence of one name per slice; a message names
+    the first failing slice.
     """
     m = _square(_matrices(values, name), name)
     s = np.linalg.svd(m, compute_uv=False)
@@ -105,7 +114,7 @@ def inverse(values, name: str = "matrix") -> np.ndarray:
     bad = rcond < RCOND_LIMIT
     if bad.any():
         raise SingularMatrixError(
-            f"{name} is singular to working precision (rcond {rcond[bad][0]:.2e})"
+            f"{_first(name, bad)} is singular to working precision (rcond {rcond[bad][0]:.2e})"
         )
     # An (n, n) or (1, n, n) identity: numpy before 2.0 reads a right-hand
     # side with one dimension less than m as a stack of vectors.

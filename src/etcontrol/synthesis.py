@@ -18,12 +18,17 @@ Inputs are validated once, at the boundary: the constructors check their
 matrices and keep read-only copies, and each public function here, in the
 simulation and in the audits checks its arrays against one input contract
 (_conform), then calls a private kernel that trusts them. The pipelines
-chain the same kernels, computing each shared factor once.
+chain the same kernels, computing each shared factor once, and each stage
+makes one stacked LAPACK call per kind of work: one inverse for both window
+gaps, and in the report one eigvalsh for every slack and one svd for every
+scale. numpy runs a stack slice by slice, so each result has the bits of
+the call on that matrix alone.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -396,18 +401,20 @@ def _riccati(A, W, Qbar):
     """
     n = A.shape[0]
     eye = np.eye(n)
+    rhs = np.empty((n, 2 * n))
     A_k, G, H = A, W, Qbar
     for iteration in range(1, RICCATI_MAX_ITER + 1):
-        X = np.linalg.solve(eye + G @ H, np.hstack([A_k, G]))
+        rhs[:, :n], rhs[:, n:] = A_k, G
+        X = np.linalg.solve(eye + G @ H, rhs)
         X_A, X_G = X[:, :n], X[:, n:]
         H_next = H + A_k.T @ H @ X_A
         H_next = 0.5 * (H_next + H_next.T)
         G = G + A_k @ X_G @ A_k.T
         G = 0.5 * (G + G.T)
         A_k = A_k @ X_A
-        scale = float(np.max(np.abs(H_next)))
-        step = float(np.max(np.abs(H_next - H))) / max(1.0, scale)
-        if not np.isfinite(scale) or scale > DIVERGENCE_LIMIT:
+        scale = float(abs(H_next).max())
+        step = float(abs(H_next - H).max()) / max(1.0, scale)
+        if not math.isfinite(scale) or scale > DIVERGENCE_LIMIT:
             raise RiccatiConvergenceError(
                 f"doubling diverged at step {iteration} ({_step_context(step, scale)}); "
                 "the pair (A, B) may not admit a stabilizing solution",
@@ -425,7 +432,7 @@ def _riccati(A, W, Qbar):
             last_step=step,
         )
     S_inv = _s_inv(H, W)
-    residual = float(np.max(np.abs(A.T @ S_inv @ A + Qbar - H)))
+    residual = float(abs(A.T @ S_inv @ A + Qbar - H).max())
     if residual > RICCATI_RESIDUAL_TOL:
         raise RiccatiConvergenceError(
             f"converged point has residual {residual:.3e} above tolerance "
@@ -501,24 +508,26 @@ def error_weight(P, epsilon: float) -> np.ndarray:
     Z = (1/epsilon) I + P ((1/epsilon) I - P)^-1 P. The derivation is valid
     only inside the design window where (1/epsilon) I - P is positive
     definite, and there Z is positive definite too. Z is computed whenever
-    the gap matrix is invertible (SingularMatrixError otherwise), inside
-    the window or not: the feasibility report gives the verdicts on the
-    window (epsilon_window) and on Z (error_weight_pd).
+    both window gaps, equal up to the factor epsilon, are invertible
+    (SingularMatrixError otherwise), inside the window or not: the report
+    gives the verdicts on the window (epsilon_window) and on Z.
     """
     (P,) = _conform(P=P)
-    return _error_weight(P, _require_epsilon(epsilon))
+    return _window_weights(P, _require_epsilon(epsilon))[0]
 
 
-def _error_weight(P, epsilon):
-    eye = np.eye(P.shape[0])
-    gap = (1.0 / epsilon) * eye - P
-    Z = (1.0 / epsilon) * eye + P @ inverse(gap, "design window gap") @ P
-    return 0.5 * (Z + Z.T)
+def _window_weights(P, epsilon):
+    """Z and the inner window matrix (P^-1 - epsilon I)^-1 = P (I - epsilon P)^-1.
 
-
-def _inner_weight(P, epsilon):
-    """The inner window matrix (P^-1 - epsilon I)^-1 = P (I - epsilon P)^-1."""
-    return P @ inverse(np.eye(len(P)) - epsilon * P, "inner window gap")
+    One stacked inverse takes the design window gap (1/epsilon) I - P and
+    the inner gap I - epsilon P, in that order, so a singular design gap
+    raises first.
+    """
+    eye = np.eye(len(P))
+    gaps = np.array([(1.0 / epsilon) * eye - P, eye - epsilon * P])
+    design, inner = inverse(gaps, ("design window gap", "inner window gap"))
+    Z = (1.0 / epsilon) * eye + P @ design @ P
+    return 0.5 * (Z + Z.T), P @ inner
 
 
 def decay_matrix(A, B, K, L, Z, params: SynthesisParams) -> np.ndarray:
@@ -553,17 +562,20 @@ def trigger_coefficient(K, B, Z, Q1, sigma: float) -> float:
     return _trigger_coefficient(K, B, Z, np.linalg.eigvalsh(Q1)[0], sigma)
 
 
-def _trigger_coefficient(K, B, Z, decay_margin, sigma, names=("decay matrix", "error weight")):
+def _trigger_coefficient(
+    K, B, Z, decay_margin, sigma, report=None, names=("decay matrix", "error weight")
+):
     """mu = sigma * decay_margin / ||K' B' Z B K||; names are Q1's and Z's in messages."""
     if decay_margin <= 0.0:
         raise TriggerUndefinedError(
             f"{names[0]} is not positive definite "
-            f"(smallest eigenvalue {decay_margin:.6g}); the trigger threshold is undefined"
+            f"(smallest eigenvalue {decay_margin:.6g}); the trigger threshold is undefined",
+            report,
         )
     denom = spectral_norm(K.T @ B.T @ Z @ B @ K)
     if denom == 0.0:
         raise TriggerUndefinedError(
-            f"{names[1]} vanishes on the feedback channel; every step would transmit"
+            f"{names[1]} vanishes on the feedback channel; every step would transmit", report
         )
     return float(sigma * decay_margin / denom)
 
@@ -577,25 +589,34 @@ def _verdict(margin: float, scale: float, band: float) -> str:
     return FAILS
 
 
-def _box_check(condition, description, model, slack_of_dA, band_scale):
+def _slack_margins(slacks):
+    """Smallest eigenvalues and definiteness thresholds of a (k, n, n) stack, one eigvalsh.
+
+    A slack that is not finite (a product overflowed) gets margin NaN and
+    stays out of LAPACK, which can return finite eigenvalues for a matrix
+    holding NaN or fail on it, and so the whole stack.
+    """
+    finite = np.isfinite(slacks).all(axis=(1, 2))
+    if not finite.all():
+        slacks = np.where(finite[:, None, None], slacks, 0.0)
+    margins, thresholds = smallest_eigenvalues(slacks)
+    margins[~finite] = np.nan
+    return margins, thresholds
+
+
+def _box_check(condition, description, vertices, margins, band_scale):
     """Smallest slack eigenvalue over the vertices of the parameter box.
 
-    slack_of_dA maps the (2^d, n, n) stack of vertex perturbations dA to the
-    stack of slacks F - dA' W dA with W positive semidefinite (c I or Z).
-    Because dA(p) is affine in p, the slack is matrix-concave in p,
-    lambda_min of it is concave, and its minimum over the box lies at a
-    vertex: the margin is a certificate for the whole box, not a sample
+    margins holds, from _slack_margins, lambda_min of the slack
+    F - dA' W dA at each row of vertices, with W positive semidefinite
+    (c I or Z). Because dA(p) is affine in p, the slack is matrix-concave
+    in p, lambda_min of it is concave, and its minimum over the box lies at
+    a vertex: the margin is a certificate for the whole box, not a sample
     (multi-convexity; Boyd et al., LMIs in System and Control Theory, 1994).
-    One stacked eigvalsh covers every vertex, and the witness is the first
-    vertex attaining the minimum. A slack that is not finite (dA' W dA
-    overflowed) leaves the box uncertified: the condition fails with margin
-    None and the first such vertex as its witness.
+    The witness is the first vertex attaining the minimum. A slack that is
+    not finite (margin NaN) leaves the box uncertified: the condition fails
+    with margin None and the first such vertex as its witness.
     """
-    vertices = model.vertices()
-    slack = slack_of_dA(model.matrix_at(vertices))
-    margins = np.linalg.eigvalsh(slack)[:, 0]
-    # LAPACK can return finite eigenvalues for a matrix holding NaN.
-    margins[~np.isfinite(slack).all(axis=(1, 2))] = np.nan
     not_finite = ~np.isfinite(margins)
     if not_finite.any():
         worst, margin, verdict = int(np.argmax(not_finite)), None, FAILS
@@ -646,13 +667,7 @@ def _uncertified(condition, description):
     )
 
 
-def _window_check(P, inv_eps):
-    return _matrix_check(
-        COND_EPS_WINDOW,
-        "design window: (1/epsilon) I - P is positive definite",
-        np.linalg.eigvalsh(as_matrix(inv_eps * np.eye(len(P)) - P, COND_EPS_WINDOW))[0],
-        max(1.0, inv_eps),
-    )
+_WINDOW_DESCRIPTION = "design window: (1/epsilon) I - P is positive definite"
 
 
 def feasibility_report(
@@ -667,89 +682,65 @@ def feasibility_report(
     attaining it. The weighted slack is concave only when Z is positive
     semidefinite, which holds inside the design window; otherwise the
     weighted condition fails as not certified, with margin and witness None.
-    Verdicts use a relative hold tolerance and a marginal band proportional
-    to the scale of the condition. The matrices are validated like the
-    inputs of ``synthesize``: a wrong shape raises ValueError naming the
-    argument.
+    When a window gap is singular the periodic decay is not evaluable and
+    fails. Verdicts use a relative hold tolerance and a marginal band
+    proportional to the scale of the condition. The matrices are validated
+    like the inputs of ``synthesize``: a wrong shape raises ValueError
+    naming the argument.
     """
     A, B, K, L, P, Z, Q1 = _conform(model, params, A=A, B=B, K=K, L=L, P=P, Z=Z, Q1=Q1)
-    return _feasibility_report(A + B @ K, model, params, P, K, L, Z, Q1)
+    try:
+        inner = _window_weights(P, params.epsilon)[1]
+    except NumericalError:
+        inner = None
+    return _feasibility_report(A + B @ K, model, params, P, K, L, Z, Q1, inner)
 
 
-def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1):
+def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner):
+    """The mismatched report; inner is the inner window matrix, None if a gap is singular.
+
+    The slacks formed here pass as_matrix in report order, then every slack
+    goes into one eigvalsh call and the scales of F, P and Q1 into one svd.
+    """
     inv_eps = 1.0 / params.epsilon
     F = model.F
-    F_scale = max(1.0, spectral_norm(F))
-    checks = [_window_check(P, inv_eps)]
-
-    checks.append(
-        _box_check(
-            COND_UNC_SCALED,
-            "scaled uncertainty bound: (1/epsilon) dA' dA <= F over the box",
-            model,
-            lambda dA: F - inv_eps * (np.swapaxes(dA, 1, 2) @ dA),
-            F_scale,
-        )
+    matrices = [as_matrix(inv_eps * np.eye(len(P)) - P, COND_EPS_WINDOW), Z, Q1]
+    if inner is not None:
+        slack = _decay_matrix(A_fb, K, L, inner, params)
+        matrices.append(as_matrix(slack, COND_PERIODIC_DECAY))
+    vertices = model.vertices()
+    v = len(vertices)
+    dA = model.matrix_at(vertices)
+    dA_t = np.swapaxes(dA, 1, 2)
+    margins, thresholds = _slack_margins(
+        np.concatenate([F - inv_eps * (dA_t @ dA), F - dA_t @ Z @ dA, matrices])
     )
-
-    decay_description = "periodic transmission decay margin is nonnegative"
-    try:
-        slack = _decay_matrix(A_fb, K, L, _inner_weight(P, params.epsilon), params)
-        checks.append(
+    window_min, z_min, q1_min, *decay_min = margins[2 * v :]
+    F_scale, P_scale, Q1_scale = (max(1.0, s) for s in spectral_norm(np.array([F, P, Q1])).tolist())
+    scaled = "scaled uncertainty bound: (1/epsilon) dA' dA <= F over the box"
+    decay = "periodic transmission decay margin is nonnegative"
+    unevaluable = f"{decay} (not evaluable: inner window gap is singular)"
+    weighted = "weighted uncertainty bound: dA' Z dA <= F over the box"
+    uncertified = f"{weighted} (not certified: Z is not positive semidefinite)"
+    window_scale = max(1.0, inv_eps)
+    return FeasibilityReport(
+        checks=(
+            _matrix_check(COND_EPS_WINDOW, _WINDOW_DESCRIPTION, window_min, window_scale),
+            _box_check(COND_UNC_SCALED, scaled, vertices, margins[:v], F_scale),
+            _matrix_check(COND_PERIODIC_DECAY, decay, decay_min[0], P_scale)
+            if decay_min
+            else _uncertified(COND_PERIODIC_DECAY, unevaluable),
             _matrix_check(
-                COND_PERIODIC_DECAY,
-                decay_description,
-                np.linalg.eigvalsh(as_matrix(slack, COND_PERIODIC_DECAY))[0],
-                max(1.0, spectral_norm(P)),
-            )
-        )
-    except NumericalError:
-        checks.append(
-            _uncertified(
-                COND_PERIODIC_DECAY,
-                decay_description + " (not evaluable: inner window gap is singular)",
-            )
-        )
-
-    z_min, z_threshold = smallest_eigenvalues(Z)
-    checks.append(
-        _matrix_check(
-            COND_WEIGHT_PD,
-            "trigger error weight is positive definite",
-            z_min,
-            max(1.0, inv_eps),
+                COND_WEIGHT_PD, "trigger error weight is positive definite", z_min, window_scale
+            ),
+            _box_check(COND_UNC_WEIGHTED, weighted, vertices, margins[v : 2 * v], F_scale)
+            if z_min >= -thresholds[2 * v + 1]
+            else _uncertified(COND_UNC_WEIGHTED, uncertified),
+            _matrix_check(
+                COND_DECAY_PSD, "guaranteed-decay matrix is positive semidefinite", q1_min, Q1_scale
+            ),
         )
     )
-
-    weighted_description = "weighted uncertainty bound: dA' Z dA <= F over the box"
-    if z_min >= -z_threshold:
-        checks.append(
-            _box_check(
-                COND_UNC_WEIGHTED,
-                weighted_description,
-                model,
-                lambda dA: F - np.swapaxes(dA, 1, 2) @ Z @ dA,
-                F_scale,
-            )
-        )
-    else:
-        checks.append(
-            _uncertified(
-                COND_UNC_WEIGHTED,
-                weighted_description + " (not certified: Z is not positive semidefinite)",
-            )
-        )
-
-    checks.append(
-        _matrix_check(
-            COND_DECAY_PSD,
-            "guaranteed-decay matrix is positive semidefinite",
-            np.linalg.eigvalsh(Q1)[0],
-            max(1.0, spectral_norm(Q1)),
-        )
-    )
-
-    return FeasibilityReport(checks=tuple(checks))
 
 
 def synthesize(A, B, model: UncertaintyModel, params: SynthesisParams) -> SynthesisOutcome:
@@ -758,19 +749,19 @@ def synthesize(A, B, model: UncertaintyModel, params: SynthesisParams) -> Synthe
     Completes whenever every quantity is computable, even if design
     conditions fail; consult outcome.report before trusting the trigger.
     Raises TriggerUndefinedError when the decay matrix is not positive
-    definite (the report's decay_matrix_psd margin is not positive), and
-    RiccatiConvergenceError when no solution exists.
+    definite (the report's decay_matrix_psd margin is not positive; the
+    error carries the report), and RiccatiConvergenceError when no solution.
     """
     A, B = _conform(model, params, A=A, B=B)
     W, Pi = _channel_weights(B, params, params.alpha)
     P, iterations, residual, S_inv = _riccati(A, W, _effective_weight(params, model.F))
     K = _feedback_gain(A, B, S_inv, params)
     L = _virtual_gain(A, Pi, S_inv, params)
-    Z = _error_weight(P, params.epsilon)
+    Z, inner = _window_weights(P, params.epsilon)
     A_fb = A + B @ K
     Q1 = _decay_matrix(A_fb, K, L, Z, params)
-    report = _feasibility_report(A_fb, model, params, P, K, L, Z, Q1)
-    mu = _trigger_coefficient(K, B, Z, report.get(COND_DECAY_PSD).margin, params.sigma)
+    report = _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner)
+    mu = _trigger_coefficient(K, B, Z, report.get(COND_DECAY_PSD).margin, params.sigma, report)
     return SynthesisOutcome(
         P=P,
         K=K,
@@ -808,27 +799,35 @@ def as_matched_model(B, model: UncertaintyModel) -> UncertaintyModel:
 
 
 def _matched_feasibility_report(A_fb, model, params, P, K):
+    """The matched report: one eigvalsh for its slacks, one svd for the scales of F and A_fb."""
     n = A_fb.shape[0]
     inv_eps = 1.0 / params.epsilon
     F = model.F
     slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K - (2.0 * inv_eps) * (A_fb.T @ A_fb)
     slack = as_matrix(0.5 * (slack + slack.T), COND_MATCHED_DECAY)
+    window = as_matrix(inv_eps * np.eye(n) - P, COND_EPS_WINDOW)
+    vertices = model.vertices()
+    dA = model.matrix_at(vertices)
+    margins, _ = _slack_margins(
+        np.concatenate([F - (2.0 * inv_eps) * (np.swapaxes(dA, 1, 2) @ dA), [window, slack]])
+    )
+    F_norm, A_fb_norm = spectral_norm(np.array([F, A_fb])).tolist()
     return FeasibilityReport(
         checks=(
-            _window_check(P, inv_eps),
+            _matrix_check(COND_EPS_WINDOW, _WINDOW_DESCRIPTION, margins[-2], max(1.0, inv_eps)),
             _box_check(
                 COND_UNC_MATCHED,
                 "matched uncertainty bound: (2/epsilon) phi' B' B phi = "
                 "(2/epsilon) dA' dA <= F over the box",
-                model,
-                lambda dA: F - (2.0 * inv_eps) * (np.swapaxes(dA, 1, 2) @ dA),
-                max(1.0, spectral_norm(F)),
+                vertices,
+                margins[:-2],
+                max(1.0, F_norm),
             ),
             _matrix_check(
                 COND_MATCHED_DECAY,
                 "matched decay condition on the nominal closed loop",
-                np.linalg.eigvalsh(slack)[0],
-                max(1.0, spectral_norm(A_fb) ** 2 * 2.0 * inv_eps),
+                margins[-1],
+                max(1.0, A_fb_norm**2 * 2.0 * inv_eps),
             ),
         )
     )
@@ -846,7 +845,8 @@ def synthesize_matched(
     together with the inner window matrix (P^-1 - epsilon I)^-1 instead of
     the mismatched pair (Q1, Z). The report certifies the matched bound
     (2/epsilon) dA' dA <= F at the vertices of the box, as in
-    ``feasibility_report``.
+    ``feasibility_report``. A TriggerUndefinedError carries the report as
+    its report attribute.
     """
     A, B = _conform(model, params, A=A, B=B)
     as_matched_model(B, model)
@@ -855,12 +855,12 @@ def synthesize_matched(
     Q_eff = _effective_weight(params, model.F)
     P, iterations, residual, S_inv = _riccati(A, W, Q_eff)
     K = _feedback_gain(A, B, S_inv, params)
-    Z = _error_weight(P, params.epsilon)
+    Z, inner = _window_weights(P, params.epsilon)
     A_fb = A + B @ K
     report = _matched_feasibility_report(A_fb, model, params, P, K)
-    inner = _inner_weight(P, params.epsilon)
     names = ("effective state weight", "inner window weight")
-    mu = _trigger_coefficient(K, B, inner, np.linalg.eigvalsh(Q_eff)[0], params.sigma, names)
+    decay_margin = np.linalg.eigvalsh(Q_eff)[0]
+    mu = _trigger_coefficient(K, B, inner, decay_margin, params.sigma, report, names)
     return SynthesisOutcome(
         P=P,
         K=K,

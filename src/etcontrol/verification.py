@@ -47,14 +47,13 @@ from .synthesis import (
     SynthesisParams,
     _channel_weights,
     _conform,
-    _error_weight,
     _hold_interval,
-    _inner_weight,
     _maximize,
     _require_definite,
     _require_epsilon,
     _require_sigma,
     _s_inv,
+    _window_weights,
 )
 
 CHECK_TOL = 1e-8
@@ -225,8 +224,7 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
     A, B, P, K, L = _conform(params=params, A=A, B=B, P=P, K=K, L=L)
     W, _ = _channel_weights(B, params, params.alpha)
     S_inv = _s_inv(P, W)
-    Z = _error_weight(P, params.epsilon)
-    inner = _inner_weight(P, params.epsilon)
+    Z, inner = _window_weights(P, params.epsilon)
     A_fb = A + B @ K
     lhs = A_fb.T @ Z @ A_fb - A.T @ S_inv @ A
     rhs = A_fb.T @ inner @ A_fb - K.T @ params.R1 @ K - L.T @ params.R2 @ L

@@ -12,10 +12,28 @@ epsilon scan evaluates the design conditions on a dense grid of
 campaign oracle is the one exception: it is the per-sample loop that the
 batched campaigns replace, so it calls the public single-instance checks.
 The dissipation oracle is the per-step loop that the audit's array pass
-replaces, with the gate's perturbations formed afresh at every step.
+replaces, with the gate's perturbations formed afresh at every step. The
+per-call synthesis oracles are the doubling loop and the feasibility report
+with one LAPACK call per condition, scale and window gap, which the
+package's stacked calls replace; they share its check types and tolerances.
 """
 
 import numpy as np
+
+from etcontrol.errors import NumericalError, RiccatiConvergenceError, SingularMatrixError
+from etcontrol.linalg import DEFINITENESS_TOL, RCOND_LIMIT
+from etcontrol.synthesis import (
+    DIVERGENCE_LIMIT,
+    FAILS,
+    HOLD_TOL,
+    HOLDS,
+    MARGINAL,
+    MARGINAL_BAND,
+    RICCATI_MAX_ITER,
+    RICCATI_RESIDUAL_TOL,
+    RICCATI_STEP_TOL,
+    ConditionCheck,
+)
 
 
 def scalar_riccati_root(a: float, w: float, q_bar: float) -> float:
@@ -450,3 +468,222 @@ def epsilon_scan(A, B, model, params, P, K, L, points: int = 4000, decades: floa
 
 def _lambda_min(stack):
     return np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2)))[..., 0]
+
+
+# ---------------------------------------------------------------------------
+# Synthesis one LAPACK call at a time: the doubling loop that stacks its
+# right-hand side with hstack, each window gap inverted on its own, and the
+# feasibility report with one eigvalsh per condition and one svd per scale,
+# each box condition forming its own vertex perturbations. The package
+# stacks these calls; numpy runs a stack slice by slice, so both give the
+# same bits.
+
+
+def _finite(m, name):
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def _norm(m):
+    return float(np.linalg.svd(_finite(m, "matrix"), compute_uv=False).max())
+
+
+def _guarded_inverse(m, name):
+    """The inverse of one matrix behind the rcond guard of linalg.inverse."""
+    s = np.linalg.svd(_finite(m, name), compute_uv=False)
+    rcond = s[-1] / (s[0] if s[0] > 0.0 else np.inf)
+    if rcond < RCOND_LIMIT:
+        raise SingularMatrixError(f"{name} is singular to working precision (rcond {rcond:.2e})")
+    return np.linalg.solve(m, np.eye(len(m)))
+
+
+def window_weights_separate(P, epsilon):
+    """Z and the inner window matrix P (I - epsilon P)^-1, one inverse each, Z first."""
+    eye = np.eye(len(P))
+    gap = (1.0 / epsilon) * eye - P
+    Z = (1.0 / epsilon) * eye + P @ _guarded_inverse(gap, "design window gap") @ P
+    return 0.5 * (Z + Z.T), P @ _guarded_inverse(eye - epsilon * P, "inner window gap")
+
+
+def riccati_hstack(A, W, Qbar):
+    """The doubling loop with np.hstack and np.max; returns (P, steps, residual, S_inv).
+
+    Raises what synthesis._riccati raises, with the same messages.
+    """
+    n = A.shape[0]
+    eye = np.eye(n)
+
+    def context(step, scale):
+        return f"last relative step {step:.3e}, largest entry of H {scale:.3e}"
+
+    A_k, G, H = A, W, Qbar
+    for iteration in range(1, RICCATI_MAX_ITER + 1):
+        X = np.linalg.solve(eye + G @ H, np.hstack([A_k, G]))
+        X_A, X_G = X[:, :n], X[:, n:]
+        H_next = H + A_k.T @ H @ X_A
+        H_next = 0.5 * (H_next + H_next.T)
+        G = G + A_k @ X_G @ A_k.T
+        G = 0.5 * (G + G.T)
+        A_k = A_k @ X_A
+        scale = float(np.max(np.abs(H_next)))
+        step = float(np.max(np.abs(H_next - H))) / max(1.0, scale)
+        if not np.isfinite(scale) or scale > DIVERGENCE_LIMIT:
+            raise RiccatiConvergenceError(
+                f"doubling diverged at step {iteration} ({context(step, scale)}); "
+                "the pair (A, B) may not admit a stabilizing solution",
+                iterations=iteration,
+                last_step=step,
+            )
+        H = H_next
+        if step <= RICCATI_STEP_TOL:
+            break
+    else:
+        raise RiccatiConvergenceError(
+            f"no convergence within {RICCATI_MAX_ITER} doubling steps ({context(step, scale)})",
+            iterations=RICCATI_MAX_ITER,
+            last_step=step,
+        )
+    S_inv = np.linalg.solve(eye + H @ W, H)
+    residual = float(np.max(np.abs(A.T @ S_inv @ A + Qbar - H)))
+    if residual > RICCATI_RESIDUAL_TOL:
+        raise RiccatiConvergenceError(
+            f"converged point has residual {residual:.3e} above tolerance "
+            f"{RICCATI_RESIDUAL_TOL:.1e} after {iteration} doubling steps ({context(step, scale)})",
+            iterations=iteration,
+            last_step=step,
+        )
+    smallest = np.linalg.eigvalsh(H)[0]
+    if not smallest > DEFINITENESS_TOL * max(1.0, float(np.max(np.abs(H)))):
+        raise NumericalError(
+            f"Riccati solution is not positive definite (smallest eigenvalue {smallest:.3e})"
+        )
+    return H, iteration, residual, S_inv
+
+
+def _check(condition, verdict, margin, witness, description, points, exact):
+    return ConditionCheck(condition, verdict, margin, witness, description, points, exact)
+
+
+def _failed(condition, description):
+    return _check(condition, FAILS, None, None, description, 0, False)
+
+
+def _verdict(margin, scale, band):
+    if margin >= -HOLD_TOL * max(1.0, scale):
+        return HOLDS
+    return MARGINAL if margin >= -band else FAILS
+
+
+def _matrix(condition, description, margin, scale):
+    margin = float(margin)
+    verdict = _verdict(margin, scale, MARGINAL_BAND * max(1.0, scale))
+    return _check(condition, verdict, margin, None, description, 0, True)
+
+
+def _box(condition, description, model, slack_of_dA, band_scale):
+    vertices = model.vertices()
+    slack = slack_of_dA(model.matrix_at(vertices))
+    margins = np.linalg.eigvalsh(slack)[:, 0]
+    margins[~np.isfinite(slack).all(axis=(1, 2))] = np.nan
+    not_finite = ~np.isfinite(margins)
+    if not_finite.any():
+        worst, margin, verdict = int(np.argmax(not_finite)), None, FAILS
+    else:
+        worst = int(np.argmin(margins))
+        margin = float(margins[worst])
+        verdict = _verdict(margin, band_scale, MARGINAL_BAND * band_scale)
+    witness = tuple(float(v) for v in vertices[worst])
+    points = len(vertices)
+    return _check(condition, verdict, margin, witness, description, points, margin is not None)
+
+
+def _window(P, inv_eps):
+    gap = _finite(inv_eps * np.eye(len(P)) - P, "epsilon_window")
+    margin = np.linalg.eigvalsh(gap)[0]
+    description = "design window: (1/epsilon) I - P is positive definite"
+    return _matrix("epsilon_window", description, margin, max(1.0, inv_eps))
+
+
+def feasibility_report_per_condition(mode, A_fb, model, params, P, K, L, Z, Q1):
+    """The checks of either pipeline's report, one LAPACK call per condition and scale.
+
+    mode is "mismatched" or "matched"; the matched report reads neither L,
+    Z nor Q1. Returns the tuple of ConditionCheck.
+    """
+    inv_eps = 1.0 / params.epsilon
+    F = model.F
+    n = len(P)
+    if mode == "matched":
+        slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K
+        slack = slack - (2.0 * inv_eps) * (A_fb.T @ A_fb)
+        slack = _finite(0.5 * (slack + slack.T), "matched_decay")
+        return (
+            _window(P, inv_eps),
+            _box(
+                "uncertainty_bound_matched",
+                "matched uncertainty bound: (2/epsilon) phi' B' B phi = "
+                "(2/epsilon) dA' dA <= F over the box",
+                model,
+                lambda dA: F - (2.0 * inv_eps) * (np.swapaxes(dA, 1, 2) @ dA),
+                max(1.0, _norm(F)),
+            ),
+            _matrix(
+                "matched_decay",
+                "matched decay condition on the nominal closed loop",
+                np.linalg.eigvalsh(slack)[0],
+                max(1.0, _norm(A_fb) ** 2 * 2.0 * inv_eps),
+            ),
+        )
+    F_scale = max(1.0, _norm(F))
+    checks = [_window(P, inv_eps)]
+    checks.append(
+        _box(
+            "uncertainty_bound_scaled",
+            "scaled uncertainty bound: (1/epsilon) dA' dA <= F over the box",
+            model,
+            lambda dA: F - inv_eps * (np.swapaxes(dA, 1, 2) @ dA),
+            F_scale,
+        )
+    )
+    decay_description = "periodic transmission decay margin is nonnegative"
+    try:
+        inner = P @ _guarded_inverse(np.eye(n) - params.epsilon * P, "inner window gap")
+    except NumericalError:
+        description = decay_description + " (not evaluable: inner window gap is singular)"
+        checks.append(_failed("periodic_decay", description))
+    else:
+        A_inner = A_fb.T @ inner @ A_fb
+        slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K + L.T @ params.R2 @ L - A_inner
+        slack = _finite(0.5 * (slack + slack.T), "periodic_decay")
+        margin = np.linalg.eigvalsh(slack)[0]
+        checks.append(_matrix("periodic_decay", decay_description, margin, max(1.0, _norm(P))))
+    z_min = np.linalg.eigvalsh(Z)[0]
+    checks.append(
+        _matrix(
+            "error_weight_pd", "trigger error weight is positive definite", z_min, max(1.0, inv_eps)
+        )
+    )
+    weighted_description = "weighted uncertainty bound: dA' Z dA <= F over the box"
+    if z_min >= -DEFINITENESS_TOL * max(1.0, float(np.max(np.abs(Z)))):
+        checks.append(
+            _box(
+                "uncertainty_bound_weighted",
+                weighted_description,
+                model,
+                lambda dA: F - np.swapaxes(dA, 1, 2) @ Z @ dA,
+                F_scale,
+            )
+        )
+    else:
+        description = weighted_description + " (not certified: Z is not positive semidefinite)"
+        checks.append(_failed("uncertainty_bound_weighted", description))
+    checks.append(
+        _matrix(
+            "decay_matrix_psd",
+            "guaranteed-decay matrix is positive semidefinite",
+            np.linalg.eigvalsh(Q1)[0],
+            max(1.0, _norm(Q1)),
+        )
+    )
+    return tuple(checks)

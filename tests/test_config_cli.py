@@ -409,6 +409,26 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     assert main(["synth", "--config", str(config_path), "--out", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("command", ["synth", "verify"])
+def test_cli_undefined_trigger_prints_report(tmp_path, capsys, command):
+    """The demo at epsilon 2.0: exit 3, no file, and the report that says why on stdout."""
+    data = _demo_dict()
+    data["design"]["epsilon"] = 2.0
+    config_path = tmp_path / "epsilon2.json"
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 6 and "[   fails] decay_matrix_psd (margin -0.00565756)" in lines[-1]
+    assert all("[   holds]" in line for line in lines[:-1])
+    assert captured.err == (
+        "numerical failure: decay matrix is not positive definite "
+        "(smallest eigenvalue -0.00565756); the trigger threshold is undefined\n"
+    )
+
+
 def test_cli_scaffold_chain(tmp_path):
     assert main(["scaffold", "--out", str(tmp_path)]) == 0
     written = tmp_path / "experiment.json"

@@ -210,6 +210,23 @@ def test_stack_forms_keep_messages():
                 function(np.ones(shape), "M")
 
 
+def test_inverse_names_each_slice():
+    """With one name per slice, a message names the first failing slice, with its rcond."""
+    good, tiny, zero = np.eye(2), np.diag([1.0, 1e-15]), np.zeros((2, 2))
+    names = ("a", "b", "c")
+    for stack, bad, name in (((good, tiny, zero), tiny, "b"), ((zero, good, tiny), zero, "a")):
+        with pytest.raises(SingularMatrixError) as single_info:
+            inverse(bad, name)
+        with pytest.raises(SingularMatrixError) as stacked_info:
+            inverse(np.array(stack), names)
+        assert str(stacked_info.value) == str(single_info.value)
+    assert str(single_info.value) == "a is singular to working precision (rcond 0.00e+00)"
+    not_finite = [[1.0, np.nan], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="^c contains non-finite entries$"):
+        inverse(np.array([good, tiny, not_finite]), names)
+    assert np.array_equal(inverse(np.array([good, 2.0 * good]), names[:2]), [good, 0.5 * good])
+
+
 def test_pseudo_inverse_tall_column():
     b = np.array([[0.0], [1.0]])
     bp = pseudo_inverse(b)

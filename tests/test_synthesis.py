@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import CONFIG_DIR
 from etcontrol import (
     NumericalError,
     RankDeficiencyError,
@@ -28,8 +29,9 @@ from etcontrol import (
     trigger_coefficient,
     virtual_gain,
 )
+from etcontrol.config import load_config
 from etcontrol.errors import SingularMatrixError
-from etcontrol.linalg import inverse, spectral_norm
+from etcontrol.linalg import inverse, smallest_eigenvalues, spectral_norm
 from etcontrol.synthesis import (
     COND_DECAY_PSD,
     COND_EPS_WINDOW,
@@ -44,7 +46,15 @@ from etcontrol.synthesis import (
     MARGINAL,
     RICCATI_MAX_ITER,
     _box_check,
+    _channel_weights,
+    _decay_matrix,
+    _effective_weight,
+    _feedback_gain,
+    _riccati,
+    _slack_margins,
+    _trigger_coefficient,
     _validated_riccati,
+    _virtual_gain,
 )
 
 # Frozen regression values for the benchmark fixtures.
@@ -619,9 +629,27 @@ def test_box_check_reads_finiteness_from_the_slack():
     """LAPACK can return finite eigenvalues for a NaN matrix; a NaN slack still fails."""
     model = UncertaintyModel(basis=(np.eye(2),), p_lo=[-1.0], p_hi=[1.0], F=np.eye(2))
     slack = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]])
-    check = _box_check(COND_UNC_SCALED, "", model, lambda dA: slack, 1.0)
+    margins, _ = _slack_margins(slack)
+    check = _box_check(COND_UNC_SCALED, "", model.vertices(), margins, 1.0)
     assert check.verdict == FAILS and check.margin is None
     assert check.witness_p == (1.0,)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_slack_margins_beside_a_non_finite_slack(bad):
+    """A NaN or inf slack gets margin NaN; every other slack keeps the bits of its 2-D call.
+
+    A raw stacked eigvalsh can fail on such a slice ("Eigenvalues did not
+    converge") and so lose the whole stack: the kernel keeps it out of LAPACK.
+    """
+    rng = np.random.default_rng(8)
+    stack = np.array([g + g.T for g in rng.normal(size=(4, 3, 3))])
+    stack[2, 0, 1] = stack[2, 1, 0] = bad
+    margins, thresholds = _slack_margins(stack)
+    assert np.isnan(margins[2])
+    for i in (0, 1, 3):
+        assert (margins[i], thresholds[i]) == smallest_eigenvalues(stack[i])
+        assert margins[i].tobytes() == np.linalg.eigvalsh(stack[i])[0].tobytes()
 
 
 def test_weighted_bound_not_certified_for_indefinite_weight():
@@ -669,6 +697,28 @@ def test_synthesize_rejects_indefinite_decay(demo_system):
     tight = dataclasses.replace(params, epsilon=13.1578947368)
     with pytest.raises(TriggerUndefinedError):
         synthesize(A, B, model, tight)
+
+
+def test_undefined_trigger_carries_the_report(demo_system):
+    """Both pipelines attach the report they computed before mu to the error."""
+    A, B, model, params = demo_system
+    params = dataclasses.replace(params, epsilon=2.0)
+    with pytest.raises(TriggerUndefinedError) as info:
+        synthesize(A, B, model, params)
+    report = info.value.report
+    assert [c.condition for c in report.failed()] == [COND_DECAY_PSD]
+    assert report.get(COND_DECAY_PSD).margin == pytest.approx(-0.00565756, abs=1e-8)
+    A, B, model, params = _matched_demo()
+    with pytest.raises(TriggerUndefinedError, match="inner window weight vanishes") as info:
+        synthesize_matched(np.zeros((2, 2)), B, model, params)
+    assert [c.condition for c in info.value.report.checks] == [
+        COND_EPS_WINDOW,
+        COND_UNC_MATCHED,
+        COND_MATCHED_DECAY,
+    ]
+    with pytest.raises(TriggerUndefinedError) as info:
+        trigger_coefficient(np.zeros((1, 2)), B, np.eye(2), np.eye(2), 0.5)
+    assert info.value.report is None
 
 
 def test_synthesize_dimension_mismatch(demo_system):
@@ -903,3 +953,156 @@ def test_matched_equals_mismatched_without_virtual_channel():
     assert np.max(np.abs(out_matched.P - P0)) <= 1e-12
     assert np.max(np.abs(out_matched.K - K0)) <= 1e-12
 
+
+# ---------------------------------------------------------------------------
+# stacked LAPACK calls against the per-call oracles
+
+
+def _per_call_synthesis(A, B, model, params, matched=False):
+    """Either pipeline by the per-call oracles: the hstack doubling loop, one
+    inverse per window gap and one LAPACK call per report condition and scale.
+
+    Returns the outcome's matrices, mu, the step count, the residual and
+    the report's checks.
+    """
+    W, Pi = _channel_weights(B, params, 0.0 if matched else params.alpha)
+    Qbar = _effective_weight(params, model.F)
+    P, iterations, residual, S_inv = oracles.riccati_hstack(A, W, Qbar)
+    K = _feedback_gain(A, B, S_inv, params)
+    L = np.zeros_like(P) if matched else _virtual_gain(A, Pi, S_inv, params)
+    Z, inner = oracles.window_weights_separate(P, params.epsilon)
+    A_fb = A + B @ K
+    Q1 = Qbar if matched else _decay_matrix(A_fb, K, L, Z, params)
+    mode = "matched" if matched else "mismatched"
+    checks = oracles.feasibility_report_per_condition(mode, A_fb, model, params, P, K, L, Z, Q1)
+    if matched:
+        names = ("effective state weight", "inner window weight")
+        mu = _trigger_coefficient(K, B, inner, np.linalg.eigvalsh(Q1)[0], params.sigma, None, names)
+    else:
+        margin = {c.condition: c for c in checks}[COND_DECAY_PSD].margin
+        mu = _trigger_coefficient(K, B, Z, margin, params.sigma)
+    matrices = {"P": P, "K": K, "L": L, "Z": Z, "Q1": Q1, "A_closed": A_fb}
+    return matrices, mu, iterations, residual, checks
+
+
+def _assert_equals_per_call(out, per_call):
+    matrices, mu, iterations, residual, checks = per_call
+    _assert_same_bits(out, matrices, mu)
+    assert (out.iterations, out.residual) == (iterations, residual)
+    assert out.report.checks == checks
+
+
+@pytest.mark.parametrize(
+    "instance",
+    ["feasible_demo", "reference_example"]
+    + [f"random-{seed}-{d}-{alpha}" for seed, d, alpha in RANDOM_DESIGNS],
+)
+def test_synthesize_equals_per_call_oracles(instance):
+    """The stacked calls give the bits and checks of one call per condition, d = 0..3."""
+    if instance.startswith("random"):
+        _, seed, d, alpha = instance.split("-")
+        A, B, model, params = _random_design(int(seed), int(d), float(alpha))
+    else:
+        config = load_config(CONFIG_DIR / f"{instance}.json")
+        A, B, model, params = config.A, config.B, config.model, config.params
+    out = synthesize(A, B, model, params)
+    _assert_equals_per_call(out, _per_call_synthesis(A, B, model, params))
+    assert out.report.get(COND_UNC_SCALED).points_evaluated == 2**model.dimension
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_synthesize_matched_equals_per_call_oracles(d):
+    A, B, model, params = _matched_demo()
+    directions = (model.basis[0], B @ np.array([[0.0, 0.2]]))
+    box = UncertaintyModel(basis=directions[:d], p_lo=[-0.3] * d, p_hi=[0.3] * d, F=model.F)
+    out = synthesize_matched(A, B, box, params)
+    _assert_equals_per_call(out, _per_call_synthesis(A, B, box, params, matched=True))
+    assert out.report.get(COND_UNC_MATCHED).points_evaluated == 2**d
+
+
+def test_overflowing_basis_equals_per_call_oracles(demo_system):
+    """Overflowing vertex slacks: margin None, witness at the first non-finite vertex."""
+    A, B, model, params = demo_system
+    huge = UncertaintyModel(
+        basis=(np.diag([1e300, -1e300]), model.basis[0]),
+        p_lo=[0.0, -0.3],
+        p_hi=[0.3, 0.3],
+        F=model.F,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = synthesize(A, B, huge, params)
+        per_call = _per_call_synthesis(A, B, huge, params)
+    _assert_equals_per_call(out, per_call)
+    for condition in (COND_UNC_SCALED, COND_UNC_WEIGHTED):
+        check = out.report.get(condition)
+        assert check.margin is None and check.witness_p == (0.3, -0.3)
+
+
+def test_overflowing_slack_stays_out_of_lapack():
+    """A NaN pair off the diagonal of a 3 x 3 vertex slack fails its box, not the report.
+
+    Given such a slice, eigvalsh raises "Eigenvalues did not converge" for
+    the whole stack; the report keeps it out of the call.
+    """
+    A, B, model, params = _random_design(0, 1, 0.8)
+    E = np.zeros((3, 3))
+    E[0, 0] = E[0, 1] = E[1, 0] = 1e300
+    E[1, 1] = -1e300
+    huge = UncertaintyModel(basis=(E,), p_lo=[-0.3], p_hi=[0.3], F=model.F)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = synthesize(A, B, huge, params)
+    for condition in (COND_UNC_SCALED, COND_UNC_WEIGHTED):
+        check = out.report.get(condition)
+        assert (check.verdict, check.margin, check.witness_p) == (FAILS, None, (-0.3,))
+    assert out.report.checks[2:4] == synthesize(A, B, model, params).report.checks[2:4]
+
+
+def test_report_without_psd_weight_equals_per_call_oracle():
+    """Z not positive semidefinite: the weighted bound is not certified."""
+    model = UncertaintyModel(basis=([[1.0]],), p_lo=[-1.0], p_hi=[1.0], F=[[1.0]])
+    params = SynthesisParams(
+        Q=[[1.0]], R1=[[1.0]], R2=[[1.0]], alpha=1.0, beta=0.5, epsilon=2.0, sigma=0.5
+    )
+    one = np.ones((1, 1))
+    A, B, P, K, L, Z, Q1 = 0.5 * one, one, 0.1 * one, 0.1 * one, 0 * one, -one, one
+    report = feasibility_report(A, B, model, params, P, K, L, Z, Q1)
+    assert report.get(COND_UNC_WEIGHTED).margin is None
+    expected = oracles.feasibility_report_per_condition(
+        "mismatched", A + B @ K, model, params, P, K, L, Z, Q1
+    )
+    assert report.checks == expected
+
+
+def test_report_with_singular_window_gap_equals_per_call_oracle(demo_system):
+    """Both window gaps singular: the periodic decay is not evaluable and fails."""
+    A, B, model, params = demo_system
+    out = synthesize(A, B, model, params)
+    P, params = np.diag([0.5, 0.25]), dataclasses.replace(params, epsilon=2.0)
+    report = feasibility_report(A, B, model, params, P, out.K, out.L, out.Z, out.Q1)
+    check = report.get(COND_PERIODIC_DECAY)
+    assert (check.verdict, check.margin, check.margin_exact) == (FAILS, None, False)
+    assert "not evaluable" in check.description
+    expected = oracles.feasibility_report_per_condition(
+        "mismatched", A + B @ out.K, model, params, P, out.K, out.L, out.Z, out.Q1
+    )
+    assert report.checks == expected
+    with pytest.raises(SingularMatrixError, match="^design window gap is singular"):
+        error_weight(P, params.epsilon)
+
+
+def test_riccati_failures_equal_hstack_loop():
+    """A divergent plant stops where, and with the message, the hstack loop stops."""
+    A = np.diag([1.2, 0.5])
+    params = SynthesisParams(
+        Q=np.eye(2), R1=[[1.0]], R2=np.eye(2), alpha=0.0, beta=0.0, epsilon=0.1, sigma=0.5
+    )
+    W, _ = _channel_weights(np.array([[0.0], [1.0]]), params, 0.0)
+    with pytest.raises(RiccatiConvergenceError) as stacked:
+        _riccati(A, W, np.eye(2))
+    with pytest.raises(RiccatiConvergenceError) as per_call:
+        oracles.riccati_hstack(A, W, np.eye(2))
+    assert str(stacked.value) == str(per_call.value)
+    assert (stacked.value.iterations, stacked.value.last_step) == (
+        per_call.value.iterations,
+        per_call.value.last_step,
+    )
