@@ -72,14 +72,14 @@ def symmetrize(values, name: str = "matrix") -> np.ndarray:
     chained products but tight enough to flag transposition mistakes.
     An input equal to its transpose bit for bit (signed zeros included) is
     its own symmetric part and comes back as a fresh copy, without the
-    defect arithmetic. Any other comes back as 0.5 m + 0.5 m', which has
-    the bits of 0.5 (m + m') for normal floats and cannot overflow.
+    defect arithmetic; the test compares the two arrays' bytes in C order.
+    Any other comes back as 0.5 m + 0.5 m', which has the bits of
+    0.5 (m + m') for normal floats and cannot overflow.
     """
     m = _square(_matrices(values, name), name)
-    bits = m.view(np.uint64)
-    if (bits == np.swapaxes(bits, -1, -2)).all():
+    mt = m.swapaxes(-1, -2)
+    if m.tobytes() == mt.tobytes():
         return m.copy()
-    mt = np.swapaxes(m, -1, -2)
     defect = abs(m - mt).max(axis=(-2, -1))
     bad = defect > SYMMETRY_TOL * np.maximum(1.0, abs(m).max(axis=(-2, -1)))
     if bad.any():

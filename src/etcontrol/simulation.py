@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class TriggerPolicy:
             if self.mu is None:
                 raise ValueError("event policy requires a threshold coefficient mu")
             object.__setattr__(self, "mu", float(self.mu))
-            if not np.isfinite(self.mu):
+            if not math.isfinite(self.mu):
                 raise ValueError("mu must be finite")
             if self.mu <= 0.0:
                 raise ValueError("mu must be positive")
@@ -134,7 +134,9 @@ class ParamTrajectory:
         """Materialize n_steps + 1 parameter rows, clamped into the box.
 
         Returns (rows, clamped_count) where clamped_count is the number of
-        rows that had to be clipped; a warning is emitted when nonzero.
+        rows that had to be clipped; a warning is emitted when nonzero. A
+        random trajectory on a box whose width p_hi - p_lo overflows raises
+        OverflowError, as Generator.uniform does.
         """
         d = model.dimension
         rows = None
@@ -162,10 +164,16 @@ class ParamTrajectory:
                 )
             rows = self.values[: n_steps + 1].copy()
         elif self.kind == TRAJ_RANDOM:
-            rng = np.random.default_rng(self.seed)
-            rows = rng.uniform(model.p_lo, model.p_hi, size=(n_steps + 1, d))
-        clipped = np.clip(rows, model.p_lo, model.p_hi)
-        clamped = int(np.sum(np.any(clipped != rows, axis=1)))
+            # Generator.uniform(p_lo, p_hi, size) with its overflow check: it
+            # draws p_lo + (p_hi - p_lo) * random() in the same order, bit for
+            # bit, but its array-bound path takes about twice as long.
+            span = model.p_hi - model.p_lo
+            if not np.isfinite(span).all():
+                raise OverflowError("Range exceeds valid bounds")
+            rows = model.p_lo + span * np.random.default_rng(self.seed).random((n_steps + 1, d))
+        # np.clip's arithmetic without its dispatch.
+        clipped = np.minimum(np.maximum(rows, model.p_lo), model.p_hi)
+        clamped = int(np.count_nonzero((clipped != rows).any(axis=1)))
         if clamped:
             warnings.warn(
                 f"{clamped} parameter rows fell outside the box and were clamped",
@@ -225,7 +233,7 @@ class SimTrace:
 
     @property
     def transmissions(self) -> int:
-        return int(self.triggered.sum())
+        return int(np.count_nonzero(self.triggered))
 
     @property
     def trigger_indices(self) -> np.ndarray:
@@ -233,12 +241,16 @@ class SimTrace:
 
     @property
     def inter_event_gaps(self) -> np.ndarray:
-        return np.diff(self.trigger_indices)
+        indices = self.trigger_indices
+        return indices[1:] - indices[:-1]
 
 
 # The SimTrace columns an event run shares with a periodic run that it
 # repeats at every step.
 _SHARED_COLUMNS = ("states", "inputs", "errors", "monitored_sq", "triggered", "p", "V")
+
+# TriggerPolicy is frozen, so every periodic run of compare_policies shares one.
+_PERIODIC = TriggerPolicy.periodic()
 
 
 @dataclass
@@ -261,7 +273,7 @@ def _validated_run(x0, n_steps, n):
         raise ValueError("n_steps must be at least 1")
     if x0.shape != (n,):
         raise ValueError(f"x0 has shape {x0.shape}, expected {(n,)}")
-    if not np.all(np.isfinite(x0)):
+    if not np.isfinite(x0).all():
         raise ValueError("x0 contains non-finite entries")
     return x0, n_steps
 
@@ -286,14 +298,16 @@ def _quadratic_rows(S, M=None):
 def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     """Step x(k+1) = plant[k] x(k) + B u(k) through a realized plant stack.
 
-    The loop carries only the state, the held state and the input, and
-    writes each new state into its row of states. Its products use
-    ndarray.dot, the BLAS call of @ without the ufunc dispatch. It forms
-    x'x once per row for the trigger rule, the divergence test (the norm
-    is its square root, as np.linalg.norm computes it) and the threshold
-    column; B u is formed only when a transmission changes u. The other
-    columns come from the recorded rows after the loop, V and monitored_sq
-    by stacked matmuls (_quadratic_rows), bit for bit the per-row dots.
+    The loop carries only the state, the held state and the input. It
+    writes each new state into its row of states and, on a transmitting
+    step, K x into its row of inputs, with ndarray.dot and out=: the BLAS
+    call of @ without the ufunc dispatch or a copy. It forms x'x once per
+    row for the trigger rule, the divergence test (the norm is its square
+    root, as np.linalg.norm computes it) and the threshold column; B u is
+    formed only when a transmission changes u. The other columns come from
+    the recorded rows after the loop: every row's input is gathered from
+    the row that last transmitted, and V and monitored_sq come from
+    stacked matmuls (_quadratic_rows), bit for bit the per-row dots.
     """
     n_steps = plant.shape[0]
     event, mu = policy.kind == POLICY_EVENT, policy.mu
@@ -301,13 +315,12 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     inputs = np.zeros((n_steps + 1, B.shape[1]))
     triggered = np.zeros(n_steps + 1, dtype=bool)
     thresholds = np.zeros(n_steps + 1)
-    rows = list(states)
     states[0] = x0
-    x = rows[0]
+    x = states[0]
     x_sq = float(x.dot(x))
     held = u = Bu = None
     last, diverged = n_steps, False
-    for k, plant_k in enumerate(plant):
+    for k, (plant_k, x_next, u_k) in enumerate(zip(plant, states[1:], inputs)):
         fire = True
         if event:
             thresholds[k] = mu * x_sq
@@ -316,30 +329,28 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
                 fire = _transmits(float(e.dot(e)), x_sq, mu)
         if fire:
             held = x
-            u = K.dot(held)
+            u = K.dot(held, out=u_k)
             Bu = B.dot(u)
             triggered[k] = True
-        inputs[k] = u
-        x = plant_k.dot(x, out=rows[k + 1])
+        x = plant_k.dot(x, out=x_next)
         x += Bu
         x_sq = float(x.dot(x))
         # A non-finite state fails this comparison too.
         if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
             last, diverged = k + 1, True
             break
-    inputs[last] = u
     if event:
         thresholds[last] = mu * x_sq
 
     end = last + 1
-    states, inputs, triggered = states[:end], inputs[:end], triggered[:end]
+    states, triggered = states[:end], triggered[:end]
     # The row whose state the controller holds after the decision at k, and
     # the one it held while deciding (row 0 compares the state with itself).
     held_after = np.maximum.accumulate(np.where(triggered, np.arange(end), 0))
     held_before = np.concatenate(([0], held_after[:-1]))
     return SimTrace(
         states=states,
-        inputs=inputs,
+        inputs=inputs[held_after],
         errors=states[held_after] - states,
         monitored_sq=_quadratic_rows(states[held_before] - states),
         thresholds=thresholds[:end],
@@ -396,31 +407,40 @@ def compare_policies(
     The periodic run goes first. When the event rule fires at every
     decision row of the periodic trace's own numbers (its monitored_sq and
     x'x columns, the operands the event loop would form), the event run
-    would repeat the periodic run bit for bit: the event trace is then the
-    periodic one with the event thresholds, a divergence included, and no
-    event loop runs. Otherwise the event loop runs from row 0. Every
-    column equals that of simulate under the event policy.
+    would repeat the periodic run bit for bit: the event trace is then a
+    SimTrace of copies of the periodic columns with the event thresholds,
+    a divergence included, and no event loop runs. Otherwise the event
+    loop runs from row 0. Both runs go through _simulate_realized, and
+    every column equals that of simulate under the same policy. The mean
+    inter-event gap is the exact integer sum over the count, the bits of
+    gaps.mean().
     """
     A, B, K, P = _conform(model, A=A, B=B, K=K, P=P)
     x0, n_steps = _validated_run(x0, n_steps, len(A))
     event_policy = TriggerPolicy.event(mu)
     mu = event_policy.mu
     plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
-    periodic = _simulate_realized(plant, B, K, TriggerPolicy.periodic(), p_rows, x0, P, clamped)
+    periodic = _simulate_realized(plant, B, K, _PERIODIC, p_rows, x0, P, clamped)
     x_sq = _quadratic_rows(periodic.states)
     # The rule at the decision rows 1 .. n - 1 of the periodic run.
     decided = slice(1, periodic.n_steps)
     fires = _transmits(periodic.monitored_sq[decided], x_sq[decided], mu)
     if fires.all():
-        event = replace(
-            periodic,
+        event = SimTrace(
             **{name: getattr(periodic, name).copy() for name in _SHARED_COLUMNS},
             thresholds=mu * x_sq,
+            diverged=periodic.diverged,
+            clamped_steps=clamped,
             policy=event_policy,
         )
     else:
         event = _simulate_realized(plant, B, K, event_policy, p_rows, x0, P, clamped)
     savings = 1.0 - event.transmissions / periodic.transmissions
     gaps = event.inter_event_gaps
-    stats = (float(gaps.min()), float(gaps.mean()), float(gaps.max())) if gaps.size else (None,) * 3
+    # The sum of integer gaps is exact, so this is gaps.mean() bit for bit.
+    stats = (
+        (float(gaps.min()), float(gaps.sum() / gaps.size), float(gaps.max()))
+        if gaps.size
+        else (None,) * 3
+    )
     return PolicyComparison(periodic, event, float(savings), *stats)

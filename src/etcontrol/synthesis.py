@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -282,6 +283,17 @@ class UncertaintyModel:
         d = 0 the one corner is the empty row, shape (1, 0).
         """
         return np.array(list(itertools.product(*zip(self.p_lo, self.p_hi))), dtype=float)
+
+    @cached_property
+    def vertex_stack(self) -> np.ndarray:
+        """matrix_at(vertices()): the read-only (2^d, n, n) stack of dA at the box corners.
+
+        Formed on first use and kept. The model is frozen and its arrays are
+        read-only, so the stack cannot go stale; the feasibility reports, the
+        epsilon interval, the cross-term vertex scan and the dissipation gate
+        all read this one.
+        """
+        return _read_only(self.matrix_at(self.vertices()))
 
 
 @dataclass(frozen=True)
@@ -589,16 +601,25 @@ def _verdict(margin: float, scale: float, band: float) -> str:
     return FAILS
 
 
+def _finite_slices(stack):
+    """The (k, n, n) stack with every slice that is not finite zeroed, and the finite mask.
+
+    A slack that is not finite (a product overflowed) must stay out of
+    LAPACK, which can return finite eigenvalues for a matrix holding NaN or
+    fail on it, and so the whole stack.
+    """
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        stack = np.where(finite[:, None, None], stack, 0.0)
+    return stack, finite
+
+
 def _slack_margins(slacks):
     """Smallest eigenvalues and definiteness thresholds of a (k, n, n) stack, one eigvalsh.
 
-    A slack that is not finite (a product overflowed) gets margin NaN and
-    stays out of LAPACK, which can return finite eigenvalues for a matrix
-    holding NaN or fail on it, and so the whole stack.
+    A slack that is not finite gets margin NaN (_finite_slices).
     """
-    finite = np.isfinite(slacks).all(axis=(1, 2))
-    if not finite.all():
-        slacks = np.where(finite[:, None, None], slacks, 0.0)
+    slacks, finite = _finite_slices(slacks)
     margins, thresholds = smallest_eigenvalues(slacks)
     margins[~finite] = np.nan
     return margins, thresholds
@@ -708,9 +729,8 @@ def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner):
     if inner is not None:
         slack = _decay_matrix(A_fb, K, L, inner, params)
         matrices.append(as_matrix(slack, COND_PERIODIC_DECAY))
-    vertices = model.vertices()
+    vertices, dA = model.vertices(), model.vertex_stack
     v = len(vertices)
-    dA = model.matrix_at(vertices)
     dA_t = np.swapaxes(dA, 1, 2)
     margins, thresholds = _slack_margins(
         np.concatenate([F - inv_eps * (dA_t @ dA), F - dA_t @ Z @ dA, matrices])
@@ -806,8 +826,7 @@ def _matched_feasibility_report(A_fb, model, params, P, K):
     slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K - (2.0 * inv_eps) * (A_fb.T @ A_fb)
     slack = as_matrix(0.5 * (slack + slack.T), COND_MATCHED_DECAY)
     window = as_matrix(inv_eps * np.eye(n) - P, COND_EPS_WINDOW)
-    vertices = model.vertices()
-    dA = model.matrix_at(vertices)
+    vertices, dA = model.vertices(), model.vertex_stack
     margins, _ = _slack_margins(
         np.concatenate([F - (2.0 * inv_eps) * (np.swapaxes(dA, 1, 2) @ dA), [window, slack]])
     )

@@ -47,12 +47,14 @@ from .synthesis import (
     SynthesisParams,
     _channel_weights,
     _conform,
+    _finite_slices,
     _hold_interval,
     _maximize,
     _require_definite,
     _require_epsilon,
     _require_sigma,
     _s_inv,
+    _slack_margins,
     _window_weights,
 )
 
@@ -204,7 +206,7 @@ def check_cross_term_bound_at_vertices(P, epsilon: float, A_closed, model) -> Ch
     """
     P, A_closed = _conform(model, P=P, A_closed=A_closed)
     vertices = model.vertices()
-    worst, result = _worst_cross_term(P, epsilon, A_closed, model.matrix_at(vertices))
+    worst, result = _worst_cross_term(P, epsilon, A_closed, model.vertex_stack)
     return replace(
         result,
         witness={**result.witness, "p": [float(v) for v in vertices[worst]]},
@@ -274,17 +276,22 @@ def check_dissipation(
     step's parameters lie in the box, Z is positive semidefinite and no
     vertex's gate slack F - dA' Z dA falls below half the gate tolerance,
     the slack is matrix-concave in p and no step can be skipped, so none
-    is formed. Otherwise each step's gate matrix is formed and tested; the
-    vertex matrices are formed only for a trace inside the box. trace.p
-    must have one column per model parameter.
+    is formed. Otherwise each step's gate matrix is formed and tested. The
+    vertex matrices dA come from the model's vertex_stack, formed once per
+    model, and their gate slacks are formed only for a trace inside the
+    box. A gate slack that is not finite (dA' Z dA overflowed) stays out of
+    eigvalsh: at a vertex it certifies nothing, and a step with one is not
+    gated, since nothing shows that it breaks the bound. trace.p must have
+    one column per model parameter.
 
-    The slacks of the whole trace are formed at once, one row per trace
-    row in the bound order above. The audit stops at the first violating
-    row, and counts (of steps) and margin cover the rows up to it; the
-    witness is the first worst slack in (row, bound) order, with dV unless
-    it is the terminal row. A slack that is not finite (a NaN or infinite
-    trace row) violates its row and counts as -inf. The arrays follow the
-    input contract; sigma must lie strictly between 0 and 1.
+    The slacks of the whole trace are formed at once into one
+    (n + 1, 3) array, one row per trace row in the bound order above. The
+    audit stops at the first violating row, and counts (of steps) and
+    margin cover the rows up to it; the witness is the first worst slack in
+    (row, bound) order, with dV unless it is the terminal row. A slack that
+    is not finite (a NaN or infinite trace row) violates its row and counts
+    as -inf. The arrays follow the input contract; sigma must lie strictly
+    between 0 and 1.
     """
     sigma = _require_sigma(sigma)
     B, K, P, Q1, Z, F = _conform(model, B=B, K=K, P=P, Q1=Q1, Z=Z, F=F)
@@ -298,6 +305,7 @@ def check_dissipation(
     # computed as on its own.
     gate = model is not None and F is not None
     symmetric, normed = [P[None], Q1[None]], [error_gain]
+    vertices_finite = False
     if gate:
         p = trace.p[:n]
         if p.shape != (n, model.dimension):
@@ -306,11 +314,13 @@ def check_dissipation(
         # (a NaN row is outside).
         in_box = bool((p >= model.p_lo).all() and (p <= model.p_hi).all())
         if in_box:
-            dA = model.matrix_at(model.vertices())
-            symmetric += [Z[None], F - np.swapaxes(dA, 1, 2) @ Z @ dA]
+            dA = model.vertex_stack
+            vertex_slacks, finite = _finite_slices(F - np.swapaxes(dA, 1, 2) @ Z @ dA)
+            vertices_finite = bool(finite.all())
+            symmetric += [Z[None], vertex_slacks]
         normed.append(F)
     eigs = np.linalg.eigvalsh(np.concatenate(symmetric))
-    norms = np.linalg.svd(np.stack(normed), compute_uv=False)[:, 0]
+    norms = np.linalg.svd(np.array(normed), compute_uv=False)[:, 0]
     p_eigs, q_min, denom = eigs[0], float(eigs[1, 0]), float(norms[0])
     mu_derived = sigma * q_min / denom if (q_min > 0.0 and denom > 0.0) else None
     # Row n, the terminal row, takes no step: the gate never skips it.
@@ -321,29 +331,44 @@ def check_dissipation(
         # so its vertices bound it on the box. Within tol / 2 of the gate,
         # ||dA' Z dA|| <= ||F|| + tol in the box, and no step's rounding
         # (about 1e-15 ||F||) can cross the other tol / 2: no step is gated.
-        # A NaN eigenvalue fails these comparisons.
-        certified = in_box and eigs[2, 0] >= 0.0 and eigs[3:, 0].min() >= -0.5 * gate_tol
+        # A vertex slack that is not finite certifies nothing, and a NaN
+        # eigenvalue fails these comparisons.
+        certified = (
+            vertices_finite and eigs[2, 0] >= 0.0 and eigs[3:, 0].min() >= -0.5 * gate_tol
+        )
         if not certified:
+            # A step whose slack is not finite has margin NaN: nothing shows
+            # that it breaks the bound, so it is not gated.
             dA = model.matrix_at(p)
-            gated[:n] = np.linalg.eigvalsh(F - np.swapaxes(dA, 1, 2) @ Z @ dA)[:, 0] < -gate_tol
+            margins, _ = _slack_margins(F - np.swapaxes(dA, 1, 2) @ Z @ dA)
+            gated[:n] = margins < -gate_tol
 
     x, e, V = trace.states, trace.errors[:n], trace.V
     x_sq = np.einsum("ki,ki->k", x, x)
     dV = V[1:] - V[:-1]
     tol = CHECK_TOL * (1.0 + np.abs(V))
-    raw = (-np.einsum("ki,ki->k", x[:n] @ Q1, x[:n]) + np.einsum("ki,ki->k", e @ error_gain, e)) - dV
-    rate = (-(1.0 - sigma) * q_min * x_sq[:n]) - dV
+    # One row per trace row, in the bound order raw, rate, sandwich; the
+    # terminal row takes no step and has the sandwich alone.
+    slack = np.empty((n + 1, 3))
+    np.subtract(
+        -np.einsum("ki,ki->k", x[:n] @ Q1, x[:n]) + np.einsum("ki,ki->k", e @ error_gain, e),
+        dV,
+        out=slack[:n, 0],
+    )
+    np.subtract(-(1.0 - sigma) * q_min * x_sq[:n], dV, out=slack[:n, 1])
+    np.minimum(V - p_eigs[0] * x_sq, p_eigs[-1] * x_sq - V, out=slack[:, 2])
     applies = np.ones((n + 1, 3), dtype=bool)
     applies[n, :2] = False
-    e_sq = np.einsum("ki,ki->k", e, e)
-    applies[:n, 1] = mu_derived is not None and e_sq <= mu_derived * x_sq[:n] + tol[:n]
+    if mu_derived is None:
+        applies[:n, 1] = False
+    else:
+        e_sq = np.einsum("ki,ki->k", e, e)
+        applies[:n, 1] = e_sq <= mu_derived * x_sq[:n] + tol[:n]
     applies[gated, :2] = False
-    sandwich = np.minimum(V - p_eigs[0] * x_sq, p_eigs[-1] * x_sq - V)
-    slack = np.column_stack([np.append(raw, np.inf), np.append(rate, np.inf), sandwich])
     not_finite = applies & ~np.isfinite(slack)
     slack[~applies] = np.inf
     slack[not_finite] = -np.inf
-    violated = np.any(not_finite | (slack < -tol[:, None]), axis=1)
+    violated = (not_finite | (slack < -tol[:, None])).any(axis=1)
 
     failed = bool(violated.any())
     stop = int(np.argmax(violated)) if failed else n
@@ -408,7 +433,7 @@ def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> Che
     F = model.F
     C = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K + L.T @ params.R2 @ L
     C = 0.5 * (C + C.T)
-    dA = model.matrix_at(model.vertices())
+    dA = model.vertex_stack
     gram = np.swapaxes(dA, 1, 2) @ dA
     dA_e = V.T @ dA
     A_fb_e = (V.T @ (A + B @ K))[None]

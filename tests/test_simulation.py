@@ -124,6 +124,38 @@ def test_random_trajectory_seeded(reference_system):
     assert np.all(rows_a >= 0.0) and np.all(rows_a <= 0.8)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_random_trajectory_is_generator_uniform(d):
+    """realize draws the bits of Generator.uniform(p_lo, p_hi, size), a degenerate box too."""
+    rng = np.random.default_rng(40 + d)
+    for box in range(6):
+        lo = rng.uniform(-2.0, 1.0, size=d)
+        hi = lo + rng.uniform(0.0, 3.0, size=d) * (rng.random(d) < 0.8)
+        if box == 0:
+            hi = lo.copy()
+        model = UncertaintyModel(
+            basis=tuple(np.eye(2) for _ in range(d)), p_lo=lo, p_hi=hi, F=np.eye(2)
+        )
+        for seed in range(40):
+            rows, clamped = ParamTrajectory.random(seed).realize(30, model)
+            expected = np.random.default_rng(seed).uniform(lo, hi, size=(31, d))
+            assert rows.tobytes() == expected.tobytes(), (box, seed)
+            assert clamped == 0
+        if box == 0:
+            assert np.array_equal(rows, np.tile(lo, (31, 1)))
+
+
+def test_random_trajectory_overflowing_range():
+    """A finite box whose width overflows raises OverflowError, as Generator.uniform does."""
+    lo, hi = np.array([-1e308]), np.array([1e308])
+    model = UncertaintyModel(basis=(np.eye(2),), p_lo=lo, p_hi=hi, F=np.eye(2))
+    with np.errstate(over="ignore"):
+        with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+            np.random.default_rng(0).uniform(lo, hi, size=(3, 1))
+        with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
+            ParamTrajectory.random(0).realize(2, model)
+
+
 @pytest.mark.parametrize("seed", [-3, 2.5, "7"])
 def test_random_trajectory_rejects_bad_seed(seed):
     """A seed numpy would refuse at realize time is refused at construction."""
@@ -495,6 +527,54 @@ def test_random_systems_match_stepwise_oracle(n):
     assert resting.event.transmissions == 1 and not resting.event.V.any()
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("branch", ["copied", "event loop", "diverging copied", "diverging event loop"])
+def test_compare_policies_branches_are_simulate(n, branch):
+    """Both branches of compare_policies give simulate's traces, column by column, bit for bit.
+
+    mu = 1e-9 never declines, so the event trace is the copied periodic one;
+    mu = 30 declines, so the event loop runs. The loop writes K x straight
+    into the input row of a transmitting step, and a held step's row is
+    gathered from the last transmitting one; m = n / 2 inputs.
+    """
+    rng = np.random.default_rng(500 + n)
+    m = n // 2
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / max(np.abs(np.linalg.eigvals(A)).max(), 1e-3)
+    if branch.startswith("diverging"):
+        A = 3.0 * np.eye(n) + 0.1 * A
+    B, K = rng.normal(size=(n, m)), 0.2 * rng.normal(size=(m, n))
+    model = UncertaintyModel(
+        basis=tuple(0.1 * rng.normal(size=(2, n, n))), p_lo=-np.ones(2), p_hi=np.ones(2),
+        F=np.eye(n),
+    )
+    G = rng.normal(size=(n, n))
+    mu = 1e-9 if branch.endswith("copied") else 30.0
+    args = (A, B, model, K, mu, ParamTrajectory.random(n), rng.normal(size=n), 40, G @ G.T)
+    comparison = compare_policies(*args)
+    assert (_first_decline(comparison) is None) == branch.endswith("copied")
+    assert comparison.event.diverged == branch.startswith("diverging")
+    for policy, trace in (
+        (TriggerPolicy.periodic(), comparison.periodic),
+        (TriggerPolicy.event(mu), comparison.event),
+    ):
+        single = simulate(*args[:4], policy, *args[5:])
+        for name in _COLUMNS:
+            column = getattr(trace, name)
+            assert column.tobytes() == getattr(single, name).tobytes(), (policy.kind, name)
+            assert column.shape == getattr(single, name).shape, (policy.kind, name)
+        assert (trace.diverged, trace.clamped_steps, trace.policy) == (
+            single.diverged, single.clamped_steps, single.policy
+        )
+    if branch == "event loop":
+        held = ~comparison.event.triggered[:-1]
+        assert held.any()
+        # A held step copies the input applied at the last transmission.
+        rows = comparison.event.inputs
+        last_sent = np.maximum.accumulate(np.where(~held, np.arange(held.size), 0))
+        assert np.array_equal(rows[:-1], rows[last_sent])
+
+
 def test_tiny_threshold_matches_stepwise_oracle(reference_gain):
     A, B, model, out = reference_gain
     comparison = _traces_against_oracle(
@@ -504,9 +584,12 @@ def test_tiny_threshold_matches_stepwise_oracle(reference_gain):
 
 
 def test_plant_realized_once_per_run(holding_system, monkeypatch):
-    """compare_policies builds dA(p_k) in one call; the audit builds dA at the box vertices."""
+    """compare_policies builds dA(p_k) in one call; the model builds dA at the box vertices once.
+
+    The feasibility report forms the model's vertex stack; the audit reads
+    it, and its 2^d vertices certify the gate, so no step's dA is formed.
+    """
     A, B, model, params = holding_system
-    out = synthesize(A, B, model, params)
     shapes = []
     matrix_at = UncertaintyModel.matrix_at
 
@@ -515,17 +598,18 @@ def test_plant_realized_once_per_run(holding_system, monkeypatch):
         return matrix_at(self, p)
 
     monkeypatch.setattr(UncertaintyModel, "matrix_at", counting)
+    out = synthesize(A, B, model, params)
+    assert shapes == [(2, 1)]
     trajectory = ParamTrajectory.random(1)
     comparison = compare_policies(A, B, model, out.K, out.mu, trajectory, [1.0, -1.0], 20, out.P)
-    assert shapes == [(20, 1)]
+    assert shapes == [(2, 1), (20, 1)]
     audit = check_dissipation(
         comparison.event, out.P, out.Q1, out.K, B, out.Z, params.sigma, model=model, F=model.F
     )
     assert audit.holds
-    # The 2^d vertices certify the gate: no step's dA is formed.
-    assert shapes == [(20, 1), (2, 1)]
+    assert shapes == [(2, 1), (20, 1)]
     simulate(A, B, model, out.K, TriggerPolicy.periodic(), trajectory, [1.0, -1.0], 20, out.P)
-    assert shapes == [(20, 1), (2, 1), (20, 1)]
+    assert shapes == [(2, 1), (20, 1), (20, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import CONFIG_DIR
 from etcontrol import (
+    CheckResult,
     FeasibilityError,
     ParamTrajectory,
     SingularMatrixError,
@@ -38,6 +39,7 @@ from etcontrol.verification import (
     check_cross_term_bound_at_vertices,
 )
 from oracles import campaign_stepwise, dissipation_stepwise, epsilon_margins, epsilon_scan
+from test_synthesis import _random_design as _synthesis_design
 
 
 # ---------------------------------------------------------------------------
@@ -547,9 +549,13 @@ def test_dissipation_gate_certified_at_vertices(demo_system, monkeypatch, case, 
     """The vertices decide the gate or the audit gates step by step, as the per-step loop does.
 
     Only a certified gate skips forming the steps' dA; every case agrees
-    with the loop on verdict, note, witness and margin.
+    with the loop on verdict, note, witness and margin. The model's vertex
+    stack is formed once, by the first audit of a fresh model, and a second
+    audit reads it.
     """
     trace, args, kwargs = _gate_case(demo_system, case)
+    # A fresh copy: synthesize formed the demo model's vertex stack already.
+    kwargs["model"] = dataclasses.replace(kwargs["model"])
     n, d = trace.n_steps, kwargs["model"].dimension
     if case.startswith("row"):
         assert (np.abs(trace.p[:n, 0]) > 0.35).any()
@@ -562,19 +568,54 @@ def test_dissipation_gate_certified_at_vertices(demo_system, monkeypatch, case, 
 
     monkeypatch.setattr(UncertaintyModel, "matrix_at", counting)
     result = check_dissipation(trace, *args, **kwargs)
+    # A trace outside the box is gated step by step without the vertex stack.
+    vertices = [] if case.startswith("row") else [(2**d, d)]
+    steps = [] if case == "certified" else [(n, d)]
+    assert shapes == vertices + steps
+    assert check_dissipation(trace, *args, **kwargs) == result
+    assert shapes == vertices + steps + steps
     monkeypatch.undo()
     expected = dissipation_stepwise(trace, *args, **kwargs)
     assert (result.holds, result.note, result.witness) == (
         expected.holds, expected.note, expected.witness
     )
     assert result.margin == pytest.approx(expected.margin, rel=1e-12, abs=0.0)
-    # A trace outside the box is gated step by step without the vertex stack.
-    vertices = [] if case.startswith("row") else [(2**d, d)]
-    assert shapes == vertices + ([] if case == "certified" else [(n, d)])
     if skipped is not None:
         assert f"{n - skipped} steps audited, {skipped} skipped" in result.note
     else:
         assert " 0 skipped" not in result.note
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5], ids=["inside the box", "outside the box"])
+def test_dissipation_gate_slacks_that_are_not_finite(p):
+    """An overflowing basis makes the gate slacks F - dA' Z dA not finite; the audit still reports.
+
+    They stay out of eigvalsh, which fails on them ("Eigenvalues did not
+    converge"). At p = 0.3 the trace lies in the box [-0.3, 0.3]: the vertex
+    slacks certify nothing and every step's slack is formed; at p = 0.5 it
+    lies outside and only the steps' slacks are formed. A step whose slack
+    is not finite is not gated, so its raw bound, which overflowed, fails.
+    """
+    A, B, model, params = _synthesis_design(0, 1, 0.8)
+    out = synthesize(A, B, model, params)
+    E = np.zeros((3, 3))
+    E[0, 0] = E[0, 1] = E[1, 0] = 1e300
+    E[1, 1] = -1e300
+    huge = UncertaintyModel(basis=(E,), p_lo=[-0.3], p_hi=[0.3], F=model.F)
+    run_model = dataclasses.replace(huge, p_lo=[-1.0], p_hi=[1.0])
+    args = (out.P, out.Q1, out.K, B, out.Z, params.sigma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = simulate(
+            A, B, run_model, out.K, TriggerPolicy.event(out.mu), ParamTrajectory.constant([p]),
+            np.ones(3), 10, out.P,
+        )
+        assert trace.diverged and trace.n_steps == 1
+        assert not np.isfinite(model.F - huge.vertex_stack[0].T @ out.Z @ huge.vertex_stack[0]).all()
+        result = check_dissipation(trace, *args, model=huge, F=huge.F)
+    assert isinstance(result, CheckResult)
+    assert (result.holds, result.margin) == (False, -np.inf)
+    assert result.note == "violated at step 0 (1 steps audited, 0 skipped)"
+    assert result.witness == {"step": 0, "bound": "raw", "dV": np.inf}
 
 
 @pytest.mark.parametrize("d", [0, 2])
