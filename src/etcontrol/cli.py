@@ -26,6 +26,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -115,32 +116,11 @@ def write_trace_csv(trace, path) -> None:
 
 
 def _outcome_payload(outcome) -> dict:
-    checks = []
-    for check in outcome.report.checks:
-        checks.append(
-            {
-                "condition": check.condition,
-                "verdict": check.verdict,
-                "margin": check.margin,
-                "witness_p": list(check.witness_p) if check.witness_p is not None else None,
-                "description": check.description,
-                "points_evaluated": check.points_evaluated,
-                "margin_exact": check.margin_exact,
-            }
-        )
-    return {
-        "mode": outcome.mode,
-        "P": outcome.P,
-        "K": outcome.K,
-        "L": outcome.L,
-        "Z": outcome.Z,
-        "Q1": outcome.Q1,
-        "mu": outcome.mu,
-        "A_closed": outcome.A_closed,
-        "iterations": outcome.iterations,
-        "residual": outcome.residual,
-        "feasibility": {"all_hold": outcome.report.all_hold, "checks": checks},
-    }
+    payload = {f.name: getattr(outcome, f.name) for f in fields(outcome)}
+    report = payload.pop("report")
+    checks = [asdict(check) for check in report.checks]
+    payload["feasibility"] = {"all_hold": report.all_hold, "checks": checks}
+    return payload
 
 
 def _print_report(report) -> None:
@@ -325,16 +305,7 @@ def cmd_verify(args) -> int:
     all_hold = all(result.holds for result in results)
     payload = {
         "all_hold": all_hold,
-        "checks": [
-            {
-                "name": result.name,
-                "holds": result.holds,
-                "margin": result.margin,
-                "witness": result.witness,
-                "note": result.note,
-            }
-            for result in results
-        ],
+        "checks": [asdict(result) for result in results],
     }
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "verification.json")

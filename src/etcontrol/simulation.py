@@ -134,9 +134,7 @@ class ParamTrajectory:
         """Materialize n_steps + 1 parameter rows, clamped into the box.
 
         Returns (rows, clamped_count) where clamped_count is the number of
-        rows that had to be clipped; a warning is emitted when nonzero. A
-        random trajectory on a box whose width p_hi - p_lo overflows raises
-        OverflowError, as Generator.uniform does.
+        rows that had to be clipped; a warning is emitted when nonzero.
         """
         d = model.dimension
         rows = None
@@ -164,12 +162,11 @@ class ParamTrajectory:
                 )
             rows = self.values[: n_steps + 1].copy()
         elif self.kind == TRAJ_RANDOM:
-            # Generator.uniform(p_lo, p_hi, size) with its overflow check: it
-            # draws p_lo + (p_hi - p_lo) * random() in the same order, bit for
-            # bit, but its array-bound path takes about twice as long.
+            # Generator.uniform(p_lo, p_hi, size): it draws
+            # p_lo + (p_hi - p_lo) * random() in the same order, bit for bit,
+            # but its array-bound path takes about twice as long. The model
+            # guarantees a finite width, so uniform's overflow check cannot fire.
             span = model.p_hi - model.p_lo
-            if not np.isfinite(span).all():
-                raise OverflowError("Range exceeds valid bounds")
             rows = model.p_lo + span * np.random.default_rng(self.seed).random((n_steps + 1, d))
         # np.clip's arithmetic without its dispatch.
         clipped = np.minimum(np.maximum(rows, model.p_lo), model.p_hi)

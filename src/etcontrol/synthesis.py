@@ -17,12 +17,13 @@ a margin, and (for parameter-dependent conditions) a worst-case witness.
 Inputs are validated once, at the boundary: the constructors check their
 matrices and keep read-only copies, and each public function here, in the
 simulation and in the audits checks its arrays against one input contract
-(_conform), then calls a private kernel that trusts them. The pipelines
-chain the same kernels, computing each shared factor once, and each stage
-makes one stacked LAPACK call per kind of work: one inverse for both window
-gaps, and in the report one eigvalsh for every slack and one svd for every
-scale. numpy runs a stack slice by slice, so each result has the bits of
-the call on that matrix alone.
+(_conform), then calls a private kernel that trusts them. synthesize and
+synthesize_matched run one pipeline, which chains the kernels and computes
+each shared factor once; the matched mode is the special case with no
+virtual channel. Each stage makes one stacked LAPACK call per kind of work:
+one inverse for both window gaps, and in the report one eigvalsh for every
+slack and one svd for every scale. numpy runs a stack slice by slice, so
+each result has the bits of the call on that matrix alone.
 """
 
 from __future__ import annotations
@@ -215,7 +216,8 @@ class UncertaintyModel:
 
     F is a symmetric positive semidefinite matrix bounding the uncertainty
     inside the Riccati equation; the feasibility report checks whether the
-    box actually respects that bound. The box bounds must be finite.
+    box actually respects that bound. The box bounds and their difference
+    p_hi - p_lo must be finite.
     """
 
     basis: tuple
@@ -245,6 +247,9 @@ class UncertaintyModel:
             )
         if np.any(lo > hi):
             raise ValueError("p_lo must not exceed p_hi componentwise")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(hi - lo).all():
+                raise ValueError("the box width p_hi - p_lo must be finite")
         n = self.F.shape[0]
         for i, e in enumerate(basis):
             if e.shape != (n, n):
@@ -345,8 +350,9 @@ class SynthesisOutcome:
     P is the Riccati solution (the Lyapunov weight), K the state-feedback
     gain, L the gain on the uncontrolled subspace, Z the error weighting
     matrix of the trigger analysis, Q1 the guaranteed-decay matrix, and mu
-    the relative trigger threshold coefficient. mode is "mismatched" or
-    "matched" depending on which pipeline produced the outcome.
+    the relative trigger threshold coefficient. mode is "mismatched" for
+    ``synthesize`` and "matched" for ``synthesize_matched``, where Q1 is the
+    effective state weight Q + F + beta^2 I and L is zero.
     """
 
     P: np.ndarray
@@ -574,9 +580,12 @@ def trigger_coefficient(K, B, Z, Q1, sigma: float) -> float:
     return _trigger_coefficient(K, B, Z, np.linalg.eigvalsh(Q1)[0], sigma)
 
 
-def _trigger_coefficient(
-    K, B, Z, decay_margin, sigma, report=None, names=("decay matrix", "error weight")
-):
+# The names of Q1 and of the error weight in TriggerUndefinedError messages.
+_TRIGGER_NAMES = ("decay matrix", "error weight")
+_MATCHED_TRIGGER_NAMES = ("effective state weight", "inner window weight")
+
+
+def _trigger_coefficient(K, B, Z, decay_margin, sigma, report=None, names=_TRIGGER_NAMES):
     """mu = sigma * decay_margin / ||K' B' Z B K||; names are Q1's and Z's in messages."""
     if decay_margin <= 0.0:
         raise TriggerUndefinedError(
@@ -772,29 +781,7 @@ def synthesize(A, B, model: UncertaintyModel, params: SynthesisParams) -> Synthe
     definite (the report's decay_matrix_psd margin is not positive; the
     error carries the report), and RiccatiConvergenceError when no solution.
     """
-    A, B = _conform(model, params, A=A, B=B)
-    W, Pi = _channel_weights(B, params, params.alpha)
-    P, iterations, residual, S_inv = _riccati(A, W, _effective_weight(params, model.F))
-    K = _feedback_gain(A, B, S_inv, params)
-    L = _virtual_gain(A, Pi, S_inv, params)
-    Z, inner = _window_weights(P, params.epsilon)
-    A_fb = A + B @ K
-    Q1 = _decay_matrix(A_fb, K, L, Z, params)
-    report = _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner)
-    mu = _trigger_coefficient(K, B, Z, report.get(COND_DECAY_PSD).margin, params.sigma, report)
-    return SynthesisOutcome(
-        P=P,
-        K=K,
-        L=L,
-        Z=Z,
-        Q1=Q1,
-        mu=mu,
-        A_closed=A_fb,
-        report=report,
-        mode="mismatched",
-        iterations=iterations,
-        residual=residual,
-    )
+    return _synthesize(A, B, model, params, matched=False)
 
 
 def as_matched_model(B, model: UncertaintyModel) -> UncertaintyModel:
@@ -857,39 +844,51 @@ def synthesize_matched(
 ) -> SynthesisOutcome:
     """Synthesis specialized to matched uncertainty dA(p) = B phi(p).
 
-    model is checked with ``as_matched_model`` first, so a mismatched model
-    raises ValueError. The virtual channel is absent (alpha is forced to
-    zero), so the Riccati weighting reduces to the physical input alone, and
-    the trigger coefficient uses the effective state weight Q + F + beta^2 I
-    together with the inner window matrix (P^-1 - epsilon I)^-1 instead of
-    the mismatched pair (Q1, Z). The report certifies the matched bound
+    The pipeline of ``synthesize`` with the virtual channel absent. model is
+    checked with ``as_matched_model`` first, so a mismatched model raises
+    ValueError. alpha is taken as zero, so the Riccati weighting reduces to
+    the physical input alone and L is zero, and the trigger coefficient uses
+    the effective state weight Q + F + beta^2 I (the outcome's Q1) together
+    with the inner window matrix (P^-1 - epsilon I)^-1 instead of the
+    mismatched pair (Q1, Z). The report certifies the matched bound
     (2/epsilon) dA' dA <= F at the vertices of the box, as in
     ``feasibility_report``. A TriggerUndefinedError carries the report as
     its report attribute.
     """
+    return _synthesize(A, B, model, params, matched=True)
+
+
+def _synthesize(A, B, model, params, matched):
+    """The one pipeline; matched drops the virtual channel and swaps the trigger's pair."""
     A, B = _conform(model, params, A=A, B=B)
-    as_matched_model(B, model)
-    n = A.shape[0]
-    W, _ = _channel_weights(B, params, 0.0)
+    if matched:
+        as_matched_model(B, model)
+    W, Pi = _channel_weights(B, params, 0.0 if matched else params.alpha)
     Q_eff = _effective_weight(params, model.F)
     P, iterations, residual, S_inv = _riccati(A, W, Q_eff)
     K = _feedback_gain(A, B, S_inv, params)
+    L = _virtual_gain(A, Pi, S_inv, params)
     Z, inner = _window_weights(P, params.epsilon)
     A_fb = A + B @ K
-    report = _matched_feasibility_report(A_fb, model, params, P, K)
-    names = ("effective state weight", "inner window weight")
-    decay_margin = np.linalg.eigvalsh(Q_eff)[0]
-    mu = _trigger_coefficient(K, B, inner, decay_margin, params.sigma, report, names)
+    if matched:
+        Q1, weight, names = Q_eff, inner, _MATCHED_TRIGGER_NAMES
+        report = _matched_feasibility_report(A_fb, model, params, P, K)
+        decay_margin = np.linalg.eigvalsh(Q1)[0]
+    else:
+        Q1, weight, names = _decay_matrix(A_fb, K, L, Z, params), Z, _TRIGGER_NAMES
+        report = _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner)
+        decay_margin = report.get(COND_DECAY_PSD).margin
+    mu = _trigger_coefficient(K, B, weight, decay_margin, params.sigma, report, names)
     return SynthesisOutcome(
         P=P,
         K=K,
-        L=np.zeros((n, n)),
+        L=L,
         Z=Z,
-        Q1=Q_eff,
+        Q1=Q1,
         mu=mu,
         A_closed=A_fb,
         report=report,
-        mode="matched",
+        mode="matched" if matched else "mismatched",
         iterations=iterations,
         residual=residual,
     )

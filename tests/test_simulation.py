@@ -1,5 +1,7 @@
 """Closed-loop simulation tests: trajectories, trigger rule, traces."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from etcontrol import (
     simulate,
     synthesize,
 )
+from etcontrol.cli import main
 from etcontrol.simulation import _quadratic_rows, _transmits
 from oracles import simulate_stepwise
 
@@ -145,15 +148,20 @@ def test_random_trajectory_is_generator_uniform(d):
             assert np.array_equal(rows, np.tile(lo, (31, 1)))
 
 
-def test_random_trajectory_overflowing_range():
-    """A finite box whose width overflows raises OverflowError, as Generator.uniform does."""
+def test_random_trajectory_overflowing_range(tmp_path, capsys):
+    """A finite box whose width overflows is refused: by the model, and by every command."""
     lo, hi = np.array([-1e308]), np.array([1e308])
-    model = UncertaintyModel(basis=(np.eye(2),), p_lo=lo, p_hi=hi, F=np.eye(2))
-    with np.errstate(over="ignore"):
-        with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
-            np.random.default_rng(0).uniform(lo, hi, size=(3, 1))
-        with pytest.raises(OverflowError, match="Range exceeds valid bounds"):
-            ParamTrajectory.random(0).realize(2, model)
+    with pytest.raises(ValueError, match="box width p_hi - p_lo must be finite"):
+        UncertaintyModel(basis=(np.eye(2),), p_lo=lo, p_hi=hi, F=np.eye(2))
+    data = json.loads((CONFIG_DIR / "feasible_demo.json").read_text(encoding="utf-8"))
+    data["uncertainty"]["p_lo"], data["uncertainty"]["p_hi"] = lo.tolist(), hi.tolist()
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("synth", "simulate", "compare", "verify"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: uncertainty: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", [-3, 2.5, "7"])

@@ -930,6 +930,13 @@ def test_as_matched_model_rejects_wrong_row_count(reference_system):
         as_matched_model(np.ones((3, 1)), model)
 
 
+def test_synthesize_matched_rejects_mismatched(demo_system):
+    """The matched mode checks its model before any stage runs."""
+    A, B, model, params = demo_system
+    with pytest.raises(ValueError, match=r"basis\[0\] is not matched"):
+        synthesize_matched(A, B, model, params)
+
+
 def test_matched_synthesis_values():
     A, B, model, params = _matched_demo()
     matched = as_matched_model(B, model)
