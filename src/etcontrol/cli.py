@@ -13,10 +13,11 @@ rounded to 12 significant digits (inf and NaN become null in JSON), JSON
 keys are sorted, and no timestamps are recorded, so identical inputs
 produce byte-identical outputs.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 verification found failing checks. A numerical failure writes no file;
-when the trigger coefficient is undefined, the feasibility report that
-shows why is printed on stdout before the message on stderr.
+Exit codes: 0 success, 2 configuration error (or an --out that cannot be
+written), 3 numerical failure, 4 verification found failing checks. A
+numerical failure writes no file; when the trigger coefficient is
+undefined, the feasibility report that shows why is printed on stdout
+before the message on stderr.
 """
 
 from __future__ import annotations
@@ -389,6 +390,9 @@ def main(argv=None) -> int:
             _print_report(exc.report)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # not from the config, which raises ConfigError: from --out
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,10 +1,14 @@
 """Experiment configuration: JSON schema, strict validation, scaffolding.
 
 A configuration file fully describes one experiment: the plant, its
-uncertainty model, the design weights, and the simulation settings. Parsing
-is strict. Unknown keys, missing keys, wrong types, and inconsistent
-dimensions all raise ConfigError with the dotted path of the offending
-field, so a typo never turns into a silently different experiment.
+uncertainty model, the design weights, and the simulation settings. The
+format is spelled out once: _FORMAT lists each block's keys with their
+parsers and defaults, and simulation.TRAJECTORY_FIELDS each trajectory
+kind's fields. config_from_dict parses by these tables and config_to_dict
+writes by them. Parsing is strict. Unknown keys, missing keys, wrong
+types, and inconsistent dimensions all raise ConfigError with the dotted
+path of the offending field, so a typo never turns into a silently
+different experiment.
 """
 
 from __future__ import annotations
@@ -15,15 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .simulation import (
-    POLICY_EVENT,
-    POLICY_PERIODIC,
-    TRAJ_CONSTANT,
-    TRAJ_RAMP,
-    TRAJ_RANDOM,
-    TRAJ_SEQUENCE,
-    ParamTrajectory,
-)
+from .simulation import POLICY_EVENT, POLICY_PERIODIC, TRAJECTORY_FIELDS, ParamTrajectory
 from .synthesis import SynthesisParams, UncertaintyModel
 
 SCHEMA_VERSION = 1
@@ -109,135 +105,151 @@ def _as_matrix(value, path):
     return m
 
 
-def _parse_trajectory(data, path, default_seed):
-    _require_block(data, path, required=("kind",), optional=("value", "start", "end", "values", "seed"))
-    kind = data["kind"]
-    if kind == TRAJ_CONSTANT:
-        _require_block(data, path, required=("kind", "value"))
-        return ParamTrajectory.constant(_as_vector(data["value"], f"{path}.value"))
-    if kind == TRAJ_RAMP:
-        _require_block(data, path, required=("kind", "start", "end"))
-        return ParamTrajectory.ramp(
-            _as_vector(data["start"], f"{path}.start"),
-            _as_vector(data["end"], f"{path}.end"),
-        )
-    if kind == TRAJ_SEQUENCE:
-        _require_block(data, path, required=("kind", "values"))
-        return ParamTrajectory.sequence(_as_matrix(data["values"], f"{path}.values"))
-    if kind == TRAJ_RANDOM:
-        _require_block(data, path, required=("kind",), optional=("seed",))
-        seed = _as_seed(data["seed"], f"{path}.seed") if "seed" in data else default_seed
-        return ParamTrajectory.random(seed)
-    raise ConfigError(
-        f"{path}.kind: unknown trajectory kind {kind!r} "
-        f"(expected one of constant, ramp, sequence, random)"
-    )
+def _as_basis(value, path):
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of matrices")
+    return tuple(_as_matrix(e, f"{path}[{i}]") for i, e in enumerate(value))
+
+
+def _as_steps(value, path):
+    n_steps = _as_int(value, path)
+    if n_steps < 1:
+        raise ConfigError(f"{path}: must be at least 1")
+    return n_steps
+
+
+def _as_policy(value, path):
+    if value not in (POLICY_EVENT, POLICY_PERIODIC):
+        raise ConfigError(f"{path}: unknown policy {value!r} (expected event or periodic)")
+    return value
+
+
+def _as_mu(value, path):
+    """null, for the design's mu, or a positive number."""
+    if value is None:
+        return None
+    mu = _as_float(value, path)
+    if mu <= 0.0:
+        raise ConfigError(f"{path}: must be positive")
+    return mu
+
+
+def _as_kind(value, path):
+    # A str test first: an unhashable kind cannot be looked up.
+    if not isinstance(value, str) or value not in TRAJECTORY_FIELDS:
+        expected = ", ".join(TRAJECTORY_FIELDS)
+        raise ConfigError(f"{path}: unknown trajectory kind {value!r} (expected one of {expected})")
+    return value
+
+
+# The parser of a trajectory field by its number of array dimensions. A seed
+# left out is None until config_from_dict puts the simulation's seed there.
+_TRAJECTORY_PARSERS = {0: (_as_seed, None), 1: _as_vector, 2: _as_matrix}
+
+
+def _as_trajectory(value, path):
+    """The fields of a trajectory block: its kind and those the kind takes."""
+    every_field = [name for fields in TRAJECTORY_FIELDS.values() for name in fields]
+    _require_block(value, path, ("kind",), every_field)
+    fields = TRAJECTORY_FIELDS[_as_kind(value["kind"], f"{path}.kind")]
+    keys = {name: _TRAJECTORY_PARSERS[ndim] for name, ndim in fields.items()}
+    return _parse_block(value, path, {"kind": _as_kind, **keys})
+
+
+# The configuration format: the keys of each block, after schema_version. A
+# key maps to its parser, or to (parser, default) when it is optional; it is
+# also the attribute that config_to_dict reads back.
+_FORMAT = {
+    "system": {"A": _as_matrix, "B": _as_matrix},
+    "uncertainty": {"basis": _as_basis, "p_lo": _as_vector, "p_hi": _as_vector, "F": _as_matrix},
+    "design": {
+        "Q": _as_matrix,
+        "R1": _as_matrix,
+        "R2": _as_matrix,
+        "alpha": _as_float,
+        "beta": _as_float,
+        "epsilon": _as_float,
+        "sigma": _as_float,
+    },
+    "simulation": {
+        "x0": _as_vector,
+        "n_steps": (_as_steps, 20),
+        "policy": (_as_policy, POLICY_EVENT),
+        "mu": (_as_mu, None),
+        "seed": (_as_seed, 0),
+        "trajectory": _as_trajectory,
+    },
+}
+
+
+def _parse_block(data, path, keys):
+    """Parse an object by its table of keys, into a dict in the table's order."""
+    optional = [key for key, spec in keys.items() if isinstance(spec, tuple)]
+    _require_block(data, path, [key for key in keys if key not in optional], optional)
+    parsed = {}
+    for key, spec in keys.items():
+        parser, *default = spec if isinstance(spec, tuple) else (spec,)
+        parsed[key] = parser(data[key], f"{path}.{key}") if key in data else default[0]
+    return parsed
+
+
+def _require_shape(value, path, shape):
+    if value.shape != shape:
+        raise ConfigError(f"{path}: has shape {value.shape}, expected {shape}")
 
 
 def config_from_dict(data) -> ExperimentConfig:
     """Build a validated ExperimentConfig from parsed JSON."""
-    _require_block(
-        data, "config", required=("schema_version", "system", "uncertainty", "design", "simulation")
-    )
+    _require_block(data, "config", required=("schema_version", *_FORMAT))
     version = _as_int(data["schema_version"], "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version}"
         )
 
-    sys_block = data["system"]
-    _require_block(sys_block, "system", required=("A", "B"))
-    A = _as_matrix(sys_block["A"], "system.A")
-    B = _as_matrix(sys_block["B"], "system.B")
+    system = _parse_block(data["system"], "system", _FORMAT["system"])
+    A, B = system["A"], system["B"]
     if A.shape[0] != A.shape[1]:
         raise ConfigError(f"system.A: must be square, got shape {A.shape}")
-    n = A.shape[0]
+    n, m = A.shape[0], B.shape[1]
     if B.shape[0] != n:
         raise ConfigError(f"system.B: has {B.shape[0]} rows, expected {n}")
 
-    unc = data["uncertainty"]
-    _require_block(unc, "uncertainty", required=("basis", "p_lo", "p_hi", "F"))
-    if not isinstance(unc["basis"], list):
-        raise ConfigError("uncertainty.basis: expected a list of matrices")
-    basis = tuple(
-        _as_matrix(e, f"uncertainty.basis[{i}]") for i, e in enumerate(unc["basis"])
-    )
-    for i, e in enumerate(basis):
-        if e.shape != (n, n):
-            raise ConfigError(
-                f"uncertainty.basis[{i}]: has shape {e.shape}, expected {(n, n)}"
-            )
-    p_lo = _as_vector(unc["p_lo"], "uncertainty.p_lo")
-    p_hi = _as_vector(unc["p_hi"], "uncertainty.p_hi")
-    F = _as_matrix(unc["F"], "uncertainty.F")
-    if F.shape != (n, n):
-        raise ConfigError(f"uncertainty.F: has shape {F.shape}, expected {(n, n)}")
+    unc = _parse_block(data["uncertainty"], "uncertainty", _FORMAT["uncertainty"])
+    for i, e in enumerate(unc["basis"]):
+        _require_shape(e, f"uncertainty.basis[{i}]", (n, n))
+    _require_shape(unc["F"], "uncertainty.F", (n, n))
     try:
-        model = UncertaintyModel(basis=basis, p_lo=p_lo, p_hi=p_hi, F=F)
+        model = UncertaintyModel(**unc)
     except ValueError as exc:
         raise ConfigError(f"uncertainty: {exc}") from None
 
-    design = data["design"]
-    _require_block(
-        design, "design", required=("Q", "R1", "R2", "alpha", "beta", "epsilon", "sigma")
-    )
+    design = _parse_block(data["design"], "design", _FORMAT["design"])
     try:
-        params = SynthesisParams(
-            Q=_as_matrix(design["Q"], "design.Q"),
-            R1=_as_matrix(design["R1"], "design.R1"),
-            R2=_as_matrix(design["R2"], "design.R2"),
-            alpha=_as_float(design["alpha"], "design.alpha"),
-            beta=_as_float(design["beta"], "design.beta"),
-            epsilon=_as_float(design["epsilon"], "design.epsilon"),
-            sigma=_as_float(design["sigma"], "design.sigma"),
-        )
+        params = SynthesisParams(**design)
     except ValueError as exc:
         raise ConfigError(f"design: {exc}") from None
-    if params.Q.shape != (n, n):
-        raise ConfigError(f"design.Q: has shape {params.Q.shape}, expected {(n, n)}")
-    m = B.shape[1]
-    if params.R1.shape != (m, m):
-        raise ConfigError(f"design.R1: has shape {params.R1.shape}, expected {(m, m)}")
-    if params.R2.shape != (n, n):
-        raise ConfigError(f"design.R2: has shape {params.R2.shape}, expected {(n, n)}")
+    _require_shape(params.Q, "design.Q", (n, n))
+    _require_shape(params.R1, "design.R1", (m, m))
+    _require_shape(params.R2, "design.R2", (n, n))
 
-    sim = data["simulation"]
-    _require_block(
-        sim,
-        "simulation",
-        required=("x0", "trajectory"),
-        optional=("n_steps", "policy", "mu", "seed"),
-    )
-    x0 = _as_vector(sim["x0"], "simulation.x0")
-    if x0.shape != (n,):
-        raise ConfigError(f"simulation.x0: has length {x0.size}, expected {n}")
-    n_steps = _as_int(sim.get("n_steps", 20), "simulation.n_steps")
-    if n_steps < 1:
-        raise ConfigError("simulation.n_steps: must be at least 1")
-    policy = sim.get("policy", POLICY_EVENT)
-    if policy not in (POLICY_EVENT, POLICY_PERIODIC):
-        raise ConfigError(
-            f"simulation.policy: unknown policy {policy!r} (expected event or periodic)"
-        )
-    mu = sim.get("mu")
-    if mu is not None:
-        mu = _as_float(mu, "simulation.mu")
-        if mu <= 0.0:
-            raise ConfigError("simulation.mu: must be positive")
-        if policy != POLICY_EVENT:
-            raise ConfigError("simulation.mu: only valid for the event policy")
-    seed = _as_seed(sim.get("seed", 0), "simulation.seed")
-    trajectory = _parse_trajectory(sim["trajectory"], "simulation.trajectory", seed)
-    if trajectory.kind == TRAJ_CONSTANT and trajectory.value.shape != (model.dimension,):
-        raise ConfigError(
-            f"simulation.trajectory.value: has length {trajectory.value.size}, "
-            f"expected {model.dimension}"
-        )
+    sim = _parse_block(data["simulation"], "simulation", _FORMAT["simulation"])
+    if sim["x0"].shape != (n,):
+        raise ConfigError(f"simulation.x0: has length {sim['x0'].size}, expected {n}")
+    if sim["mu"] is not None and sim["policy"] != POLICY_EVENT:
+        raise ConfigError("simulation.mu: only valid for the event policy")
+    trajectory = sim["trajectory"]
+    if trajectory.get("seed", 0) is None:  # a random trajectory left its seed out
+        trajectory["seed"] = sim["seed"]
+    sim["trajectory"] = ParamTrajectory(**trajectory)
+    try:
+        sim["trajectory"].check_fits(model.dimension, sim["n_steps"])
+    except ValueError as exc:
+        raise ConfigError(f"simulation.trajectory.{exc}") from None
 
-    settings = SimulationSettings(
-        x0=x0, trajectory=trajectory, n_steps=n_steps, policy=policy, mu=mu, seed=seed
+    return ExperimentConfig(
+        A=A, B=B, model=model, params=params, simulation=SimulationSettings(**sim)
     )
-    return ExperimentConfig(A=A, B=B, model=model, params=params, simulation=settings)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -252,50 +264,25 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(data)
 
 
-def _trajectory_to_dict(trajectory: ParamTrajectory) -> dict:
-    if trajectory.kind == TRAJ_CONSTANT:
-        return {"kind": trajectory.kind, "value": trajectory.value.tolist()}
-    if trajectory.kind == TRAJ_RAMP:
-        return {
-            "kind": trajectory.kind,
-            "start": trajectory.start.tolist(),
-            "end": trajectory.end.tolist(),
-        }
-    if trajectory.kind == TRAJ_SEQUENCE:
-        return {"kind": trajectory.kind, "values": trajectory.values.tolist()}
-    return {"kind": trajectory.kind, "seed": trajectory.seed}
+def _plain(value):
+    """The JSON form of a parsed value: arrays as nested lists, a trajectory as its block."""
+    if isinstance(value, ParamTrajectory):
+        fields = TRAJECTORY_FIELDS[value.kind]
+        return {"kind": value.kind, **{name: _plain(getattr(value, name)) for name in fields}}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """Plain-data form of a configuration, suitable for JSON round-trips."""
-    sim = config.simulation
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "system": {"A": config.A.tolist(), "B": config.B.tolist()},
-        "uncertainty": {
-            "basis": [e.tolist() for e in config.model.basis],
-            "p_lo": config.model.p_lo.tolist(),
-            "p_hi": config.model.p_hi.tolist(),
-            "F": config.model.F.tolist(),
-        },
-        "design": {
-            "Q": config.params.Q.tolist(),
-            "R1": config.params.R1.tolist(),
-            "R2": config.params.R2.tolist(),
-            "alpha": config.params.alpha,
-            "beta": config.params.beta,
-            "epsilon": config.params.epsilon,
-            "sigma": config.params.sigma,
-        },
-        "simulation": {
-            "x0": sim.x0.tolist(),
-            "n_steps": sim.n_steps,
-            "policy": sim.policy,
-            "mu": sim.mu,
-            "seed": sim.seed,
-            "trajectory": _trajectory_to_dict(sim.trajectory),
-        },
-    }
+    sources = (config, config.model, config.params, config.simulation)  # _FORMAT's blocks
+    data = {"schema_version": SCHEMA_VERSION}
+    for (block, keys), source in zip(_FORMAT.items(), sources):
+        data[block] = {key: _plain(getattr(source, key)) for key in keys}
+    return data
 
 
 def save_config(config: ExperimentConfig, path) -> None:

@@ -31,6 +31,17 @@ TRAJ_RAMP = "ramp"
 TRAJ_SEQUENCE = "sequence"
 TRAJ_RANDOM = "random"
 
+# The trajectory kinds and the fields each takes, with each field's number
+# of array dimensions: 1 for one row of box parameters, 2 for one row per
+# step, 0 for the integer seed. ParamTrajectory and the configuration
+# format (parsing and saving) both read their fields from here.
+TRAJECTORY_FIELDS = {
+    TRAJ_CONSTANT: {"value": 1},
+    TRAJ_RAMP: {"start": 1, "end": 1},
+    TRAJ_SEQUENCE: {"values": 2},
+    TRAJ_RANDOM: {"seed": 0},
+}
+
 
 @dataclass(frozen=True)
 class TriggerPolicy:
@@ -86,20 +97,17 @@ class ParamTrajectory:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in (TRAJ_CONSTANT, TRAJ_RAMP, TRAJ_SEQUENCE, TRAJ_RANDOM):
+        # A str test first: an unhashable kind cannot be looked up.
+        if not isinstance(self.kind, str) or self.kind not in TRAJECTORY_FIELDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        for name, coerce in (
-            ("value", np.atleast_1d),
-            ("start", np.atleast_1d),
-            ("end", np.atleast_1d),
-            ("values", np.atleast_2d),
-        ):
-            v = getattr(self, name)
-            if v is not None:
-                v = coerce(np.asarray(v, dtype=float))
-                if not np.all(np.isfinite(v)):
-                    raise ValueError(f"{name} must be finite")
-                object.__setattr__(self, name, v)
+        for fields in TRAJECTORY_FIELDS.values():
+            for name, ndim in fields.items():
+                v = getattr(self, name)
+                if ndim and v is not None:
+                    v = (np.atleast_1d if ndim == 1 else np.atleast_2d)(np.asarray(v, dtype=float))
+                    if not np.all(np.isfinite(v)):
+                        raise ValueError(f"{name} must be finite")
+                    object.__setattr__(self, name, v)
         try:
             seed = operator.index(self.seed)
         except TypeError:
@@ -107,12 +115,9 @@ class ParamTrajectory:
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
         object.__setattr__(self, "seed", seed)
-        if self.kind == TRAJ_CONSTANT and self.value is None:
-            raise ValueError("constant trajectory requires a value")
-        if self.kind == TRAJ_RAMP and (self.start is None or self.end is None):
-            raise ValueError("ramp trajectory requires start and end")
-        if self.kind == TRAJ_SEQUENCE and self.values is None:
-            raise ValueError("sequence trajectory requires values")
+        fields = TRAJECTORY_FIELDS[self.kind]
+        if any(getattr(self, name) is None for name in fields):
+            raise ValueError(f"{self.kind} trajectory requires {' and '.join(fields)}")
 
     @classmethod
     def constant(cls, value) -> "ParamTrajectory":
@@ -130,6 +135,22 @@ class ParamTrajectory:
     def random(cls, seed: int = 0) -> "ParamTrajectory":
         return cls(kind=TRAJ_RANDOM, seed=seed)
 
+    def check_fits(self, dimension: int, n_steps: int) -> None:
+        """Raise ValueError, its message starting with the field's name, unless the trajectory fits.
+
+        A value, start or end needs one entry per box parameter, and a
+        sequence at least n_steps + 1 rows of that length. A random one fits.
+        """
+        for name, ndim in TRAJECTORY_FIELDS[self.kind].items():
+            v = getattr(self, name)
+            if ndim and v.shape[ndim - 1 :] != (dimension,):
+                if v.ndim > ndim:
+                    raise ValueError(f"{name}: has {v.ndim} dimensions, expected {ndim}")
+                length = "has length" if ndim == 1 else "rows have length"
+                raise ValueError(f"{name}: {length} {v.shape[-1]}, expected {dimension}")
+            if ndim == 2 and len(v) < n_steps + 1:
+                raise ValueError(f"{name}: needs at least {n_steps + 1} rows, has {len(v)}")
+
     def realize(self, n_steps: int, model: UncertaintyModel):
         """Materialize n_steps + 1 parameter rows, clamped into the box.
 
@@ -137,37 +158,24 @@ class ParamTrajectory:
         rows that had to be clipped; a warning is emitted when nonzero.
         """
         d = model.dimension
-        rows = None
-        if self.kind == TRAJ_CONSTANT:
-            if self.value.shape != (d,):
-                raise ValueError(f"value has shape {self.value.shape}, expected ({d},)")
-            rows = np.tile(self.value, (n_steps + 1, 1))
-        elif self.kind == TRAJ_RAMP:
-            if self.start.shape != (d,) or self.end.shape != (d,):
-                raise ValueError(f"start and end must have shape ({d},)")
-            if n_steps == 0:
-                rows = self.start[None, :].copy()
-            else:
-                fractions = np.arange(n_steps + 1) / n_steps
-                rows = self.start[None, :] + fractions[:, None] * (self.end - self.start)[None, :]
-        elif self.kind == TRAJ_SEQUENCE:
-            if self.values.shape[1] != d:
-                raise ValueError(
-                    f"sequence rows have length {self.values.shape[1]}, expected {d}"
-                )
-            if self.values.shape[0] < n_steps + 1:
-                raise ValueError(
-                    f"sequence provides {self.values.shape[0]} rows, "
-                    f"needs at least {n_steps + 1}"
-                )
-            rows = self.values[: n_steps + 1].copy()
-        elif self.kind == TRAJ_RANDOM:
+        if self.kind == TRAJ_RANDOM:
             # Generator.uniform(p_lo, p_hi, size): it draws
             # p_lo + (p_hi - p_lo) * random() in the same order, bit for bit,
             # but its array-bound path takes about twice as long. The model
             # guarantees a finite width, so uniform's overflow check cannot fire.
             span = model.p_hi - model.p_lo
             rows = model.p_lo + span * np.random.default_rng(self.seed).random((n_steps + 1, d))
+        else:
+            self.check_fits(d, n_steps)
+            if self.kind == TRAJ_CONSTANT:
+                rows = np.tile(self.value, (n_steps + 1, 1))
+            elif self.kind == TRAJ_SEQUENCE:
+                rows = self.values[: n_steps + 1].copy()
+            elif n_steps == 0:  # a ramp over no step stays at its start
+                rows = self.start[None, :].copy()
+            else:
+                fractions = np.arange(n_steps + 1) / n_steps
+                rows = self.start[None, :] + fractions[:, None] * (self.end - self.start)[None, :]
         # np.clip's arithmetic without its dispatch.
         clipped = np.minimum(np.maximum(rows, model.p_lo), model.p_hi)
         clamped = int(np.count_nonzero((clipped != rows).any(axis=1)))

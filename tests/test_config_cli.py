@@ -176,19 +176,54 @@ _CONFIG_ERRORS = {
         _set("simulation.trajectory", {"kind": "constant", "value": [0.1, 0.2]}),
         "has length 2, expected 1",
     ),
+    "simulation.trajectory.start": (
+        _set("simulation.trajectory", {"kind": "ramp", "start": [0.1, 0.2], "end": [0.3, 0.4]}),
+        "has length 2, expected 1",
+    ),
+    "simulation.trajectory.values": (
+        _set("simulation.trajectory", {"kind": "sequence", "values": [[0.1, 0.2]] * 31}),
+        "rows have length 2, expected 1",
+    ),
+    # A second fault of one field: the path is the key up to the space.
+    "simulation.trajectory.values (1 row)": (
+        _set("simulation.trajectory", {"kind": "sequence", "values": [[0.1]]}),
+        "needs at least 31 rows, has 1",
+    ),
     "design": (_set("design", [1.0]), "expected an object, got list"),
 }
 
 
+def _config_error(key):
+    """The dotted path, the config edit and the message of one _CONFIG_ERRORS entry."""
+    edit, message = _CONFIG_ERRORS[key]
+    return key.partition(" ")[0], edit, message
+
+
 @pytest.mark.parametrize("path", sorted(_CONFIG_ERRORS))
 def test_config_error_names_its_path(path):
-    edit, message = _CONFIG_ERRORS[path]
+    path, edit, message = _config_error(path)
     data = _demo_dict()
     edit(data)
     with pytest.raises(ConfigError) as info:
         config_from_dict(data)
     assert str(info.value).startswith(f"{path}: ")
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_ERRORS))
+def test_cli_config_error_names_its_path(tmp_path, capsys, key):
+    """Every subcommand that reads a config exits 2 with the path, and writes nothing."""
+    path, edit, message = _config_error(key)
+    data = _demo_dict()
+    edit(data)
+    config_path = tmp_path / "broken.json"
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("synth", "simulate", "compare", "verify"):
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -203,9 +238,17 @@ def test_config_error_names_its_path(path):
 def test_trajectory_round_trips(trajectory):
     data = _demo_dict()
     data["simulation"]["trajectory"] = trajectory
+    data["simulation"]["n_steps"] = 2  # the sequence has the 3 rows of 2 steps
     saved = config_to_dict(config_from_dict(data))
     assert saved["simulation"]["trajectory"] == trajectory
     assert config_to_dict(config_from_dict(saved)) == saved
+
+
+@pytest.mark.parametrize("path", [DEMO_CONFIG, REFERENCE_CONFIG], ids=lambda path: path.stem)
+def test_bundled_config_round_trips(path):
+    """Saving a loaded bundled config gives back the file's own data."""
+    with open(path, "r", encoding="utf-8") as handle:
+        assert config_to_dict(load_config(path)) == json.load(handle)
 
 
 def test_saved_config_round_trips(tmp_path):
@@ -395,6 +438,22 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     assert main(["synth", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["synth", "scaffold"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_cli_unwritable_out_exit_code(tmp_path, capsys, command, below):
+    """An --out that is a file, or lies below one, is one line on stderr and exit 2."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "out" if below else blocker
+    argv = [command, "--out", str(out)]
+    if command == "synth":
+        argv += ["--config", str(DEMO_CONFIG)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output error: ") and str(out) in err[0]
+    assert blocker.read_text(encoding="utf-8") == ""
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):

@@ -117,6 +117,25 @@ def test_sequence_trajectory(reference_system):
         ParamTrajectory.sequence(values).realize(10, model)
 
 
+@pytest.mark.parametrize(
+    "trajectory, message",
+    [
+        (ParamTrajectory.constant([0.1, 0.2]), "value: has length 2, expected 1"),
+        (ParamTrajectory.constant([[0.1]]), "value: has 2 dimensions, expected 1"),
+        (ParamTrajectory.ramp([0.1], [0.2, 0.3]), "end: has length 2, expected 1"),
+        (ParamTrajectory.sequence([[0.1, 0.2]] * 4), "values: rows have length 2, expected 1"),
+        (ParamTrajectory.sequence([[0.1]] * 3), "values: needs at least 4 rows, has 3"),
+    ],
+    ids=["constant", "constant-nested", "ramp-end", "sequence-width", "sequence-rows"],
+)
+def test_trajectory_that_does_not_fit_names_its_field(reference_system, trajectory, message):
+    """realize refuses a trajectory for another box or a shorter horizon, field first."""
+    _, _, model, _ = reference_system
+    with pytest.raises(ValueError) as info:
+        trajectory.realize(3, model)
+    assert str(info.value) == message
+
+
 def test_random_trajectory_seeded(reference_system):
     _, _, model, _ = reference_system
     rows_a, _ = ParamTrajectory.random(3).realize(50, model)
