@@ -11,17 +11,13 @@ visible to shell scripts without hiding the artifacts of earlier stages.
 import argparse
 import sys
 
-from etcontrol.cli import _seed
+from etcontrol.cli import add_common_options
 from etcontrol.cli import main as etcontrol_main
 
 
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--config", required=True, help="experiment configuration (JSON)")
-    parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument(
-        "--seed", type=_seed, default=None, help="seed override (a nonnegative integer)"
-    )
+    add_common_options(parser)
     args = parser.parse_args(argv)
 
     common = ["--config", args.config, "--out", args.out]

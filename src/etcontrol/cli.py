@@ -32,7 +32,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .config import load_config, save_config, scaffold_config
-from .errors import ConfigError, FeasibilityError, ToolkitError
+from .errors import ConfigError, ToolkitError
 from .simulation import (
     POLICY_EVENT,
     TRAJ_RANDOM,
@@ -43,7 +43,6 @@ from .simulation import (
 )
 from .synthesis import synthesize
 from .verification import (
-    CheckResult,
     check_cross_term_bound_at_vertices,
     check_dissipation,
     check_epsilon_interval,
@@ -130,6 +129,12 @@ def _print_report(report) -> None:
         print(f"  [{check.verdict:>8s}] {check.condition} (margin {margin})")
 
 
+def _artifact(args, name: str) -> str:
+    """The path of the named artifact in --out, creating the directory."""
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
 def _note_unused_seed(args, reason: str) -> None:
     """Say on stderr that a given --seed cannot change what the command writes."""
     if args.seed is not None:
@@ -149,8 +154,7 @@ def cmd_synth(args) -> int:
     _note_unused_seed(args, "the design draws nothing at random")
     config = load_config(args.config)
     outcome = synthesize(config.A, config.B, config.model, config.params)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "synthesis.json")
+    out_path = _artifact(args, "synthesis.json")
     _write_json(_outcome_payload(outcome), out_path)
     print(
         f"synthesis converged in {outcome.iterations} iterations "
@@ -202,8 +206,7 @@ def cmd_simulate(args) -> int:
     else:
         policy = TriggerPolicy.periodic()
     trace = run(simulate, policy)
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "trace.csv")
+    out_path = _artifact(args, "trace.csv")
     write_trace_csv(trace, out_path)
     final_norm = float(np.linalg.norm(trace.states[-1]))
     print(
@@ -224,16 +227,6 @@ def cmd_compare(args) -> int:
     payload = {
         "mu": mu,
         "n_steps": config.simulation.n_steps,
-        "periodic": {
-            "transmissions": comparison.periodic.transmissions,
-            "final_state_norm": float(np.linalg.norm(comparison.periodic.states[-1])),
-            "diverged": comparison.periodic.diverged,
-        },
-        "event": {
-            "transmissions": comparison.event.transmissions,
-            "final_state_norm": float(np.linalg.norm(comparison.event.states[-1])),
-            "diverged": comparison.event.diverged,
-        },
         "savings_ratio": comparison.savings_ratio,
         "inter_event_gaps": {
             "min": comparison.min_gap,
@@ -241,13 +234,18 @@ def cmd_compare(args) -> int:
             "max": comparison.max_gap,
         },
     }
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "comparison.json")
-    _write_json(payload, out_path)
-    print(f"{'policy':>10s} {'transmissions':>14s} {'final norm':>12s}")
+    table = [f"{'policy':>10s} {'transmissions':>14s} {'final norm':>12s}"]
     for label, trace in (("periodic", comparison.periodic), ("event", comparison.event)):
         norm = float(np.linalg.norm(trace.states[-1]))
-        print(f"{label:>10s} {trace.transmissions:>14d} {norm:>12.6g}")
+        payload[label] = {
+            "transmissions": trace.transmissions,
+            "final_state_norm": norm,
+            "diverged": trace.diverged,
+        }
+        table.append(f"{label:>10s} {trace.transmissions:>14d} {norm:>12.6g}")
+    out_path = _artifact(args, "comparison.json")
+    _write_json(payload, out_path)
+    print("\n".join(table))
     print(f"savings ratio: {comparison.savings_ratio:.4f} (mu = {mu:.9g})")
     print(f"wrote {out_path}")
     return 0
@@ -255,61 +253,32 @@ def cmd_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     config, outcome, mu, run = _closed_loop(args)
-    results = []
-
-    results.append(check_inversion_identity(outcome.P, config.params.epsilon))
-
-    try:
-        results.append(
-            check_cross_term_bound_at_vertices(
-                outcome.P, config.params.epsilon, outcome.A_closed, config.model
-            )
-        )
-    except FeasibilityError as exc:
-        results.append(
-            CheckResult(
-                name="cross_term_bound",
-                holds=False,
-                margin=float("-inf"),
-                witness={},
-                note=f"precondition failed: {exc}",
-            )
-        )
-
-    results.append(
-        check_loop_energy_bound(
-            config.A, config.B, outcome.P, config.params, outcome.K, outcome.L
-        )
-    )
-
-    trace = run(simulate, TriggerPolicy.event(mu))
-    results.append(
+    A, B, model, params = config.A, config.B, config.model, config.params
+    P, K, L = outcome.P, outcome.K, outcome.L
+    # The audits, in the order verification.json lists them.
+    results = [
+        check_inversion_identity(P, params.epsilon),
+        check_cross_term_bound_at_vertices(P, params.epsilon, outcome.A_closed, model),
+        check_loop_energy_bound(A, B, P, params, K, L),
         check_dissipation(
-            trace,
-            outcome.P,
+            run(simulate, TriggerPolicy.event(mu)),
+            P,
             outcome.Q1,
-            outcome.K,
-            config.B,
+            K,
+            B,
             outcome.Z,
-            config.params.sigma,
-            model=config.model,
-            F=config.model.F,
-        )
-    )
-
-    results.append(
-        check_epsilon_interval(
-            config.A, config.B, config.model, config.params, outcome.P, outcome.K, outcome.L
-        )
-    )
-
+            params.sigma,
+            model=model,
+            F=model.F,
+        ),
+        check_epsilon_interval(A, B, model, params, P, K, L),
+    ]
     all_hold = all(result.holds for result in results)
     payload = {
         "all_hold": all_hold,
         "checks": [asdict(result) for result in results],
     }
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "verification.json")
+    out_path = _artifact(args, "verification.json")
     _write_json(payload, out_path)
     for result in results:
         status = "ok" if result.holds else "FAIL"
@@ -324,11 +293,20 @@ def cmd_verify(args) -> int:
 def cmd_scaffold(args) -> int:
     _note_unused_seed(args, "the template is fixed")
     config = scaffold_config()
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "experiment.json")
+    out_path = _artifact(args, "experiment.json")
     save_config(config, out_path)
     print(f"wrote {out_path}")
     return 0
+
+
+# Each subcommand: its handler and its help line.
+_COMMANDS = {
+    "synth": (cmd_synth, "design the controller and report feasibility"),
+    "simulate": (cmd_simulate, "run one closed loop and export a CSV trace"),
+    "compare": (cmd_compare, "periodic versus event-triggered transmission"),
+    "verify": (cmd_verify, "audit the configured design and its epsilon"),
+    "scaffold": (cmd_scaffold, "write a template configuration"),
+}
 
 
 def _seed(text: str) -> int:
@@ -342,45 +320,35 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
 
 
+def add_common_options(parser, needs_config=True) -> None:
+    """Declare --config (unless needs_config is false), --out and --seed on parser."""
+    if needs_config:
+        parser.add_argument("--config", required=True, help="experiment configuration (JSON)")
+    parser.add_argument("--out", default="results", help="output directory (default: results)")
+    parser.add_argument(
+        "--seed",
+        type=_seed,
+        default=None,
+        help="override the seed of a random parameter trajectory (a nonnegative integer)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etcontrol",
         description="Robust event-triggered state feedback for uncertain linear systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment configuration (JSON)")
-        p.add_argument("--out", default="results", help="output directory (default: results)")
-        p.add_argument(
-            "--seed",
-            type=_seed,
-            default=None,
-            help="override the seed of a random parameter trajectory (a nonnegative integer)",
-        )
-
-    add_common(sub.add_parser("synth", help="design the controller and report feasibility"))
-    add_common(sub.add_parser("simulate", help="run one closed loop and export a CSV trace"))
-    add_common(sub.add_parser("compare", help="periodic versus event-triggered transmission"))
-    add_common(sub.add_parser("verify", help="audit the configured design and its epsilon"))
-    add_common(sub.add_parser("scaffold", help="write a template configuration"), needs_config=False)
+    for name, (_, help_line) in _COMMANDS.items():
+        # scaffold writes a template and reads no configuration.
+        add_common_options(sub.add_parser(name, help=help_line), needs_config=name != "scaffold")
     return parser
-
-
-_COMMANDS = {
-    "synth": cmd_synth,
-    "simulate": cmd_simulate,
-    "compare": cmd_compare,
-    "verify": cmd_verify,
-    "scaffold": cmd_scaffold,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

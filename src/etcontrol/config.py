@@ -158,7 +158,9 @@ def _as_trajectory(value, path):
 
 # The configuration format: the keys of each block, after schema_version. A
 # key maps to its parser, or to (parser, default) when it is optional; it is
-# also the attribute that config_to_dict reads back.
+# also the attribute that config_to_dict reads back. The simulation block's
+# defaults are SimulationSettings' (a dataclass keeps each field's default
+# as a class attribute).
 _FORMAT = {
     "system": {"A": _as_matrix, "B": _as_matrix},
     "uncertainty": {"basis": _as_basis, "p_lo": _as_vector, "p_hi": _as_vector, "F": _as_matrix},
@@ -173,10 +175,10 @@ _FORMAT = {
     },
     "simulation": {
         "x0": _as_vector,
-        "n_steps": (_as_steps, 20),
-        "policy": (_as_policy, POLICY_EVENT),
-        "mu": (_as_mu, None),
-        "seed": (_as_seed, 0),
+        "n_steps": (_as_steps, SimulationSettings.n_steps),
+        "policy": (_as_policy, SimulationSettings.policy),
+        "mu": (_as_mu, SimulationSettings.mu),
+        "seed": (_as_seed, SimulationSettings.seed),
         "trajectory": _as_trajectory,
     },
 }

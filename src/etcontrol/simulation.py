@@ -307,19 +307,19 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     writes each new state into its row of states and, on a transmitting
     step, K x into its row of inputs, with ndarray.dot and out=: the BLAS
     call of @ without the ufunc dispatch or a copy. It forms x'x once per
-    row for the trigger rule, the divergence test (the norm is its square
-    root, as np.linalg.norm computes it) and the threshold column; B u is
-    formed only when a transmission changes u. The other columns come from
-    the recorded rows after the loop: every row's input is gathered from
-    the row that last transmitted, and V and monitored_sq come from
-    stacked matmuls (_quadratic_rows), bit for bit the per-row dots.
+    row for the trigger rule and the divergence test (the norm is its
+    square root, as np.linalg.norm computes it); B u is formed only when a
+    transmission changes u. The other columns come from the recorded rows
+    after the loop: every row's input is gathered from the row that last
+    transmitted, and V, monitored_sq and an event run's thresholds
+    mu x'x come from stacked matmuls (_quadratic_rows), bit for bit the
+    per-row dots.
     """
     n_steps = plant.shape[0]
     event, mu = policy.kind == POLICY_EVENT, policy.mu
     states = np.zeros((n_steps + 1, x0.size))
     inputs = np.zeros((n_steps + 1, B.shape[1]))
     triggered = np.zeros(n_steps + 1, dtype=bool)
-    thresholds = np.zeros(n_steps + 1)
     states[0] = x0
     x = states[0]
     x_sq = float(x.dot(x))
@@ -327,11 +327,9 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     last, diverged = n_steps, False
     for k, (plant_k, x_next, u_k) in enumerate(zip(plant, states[1:], inputs)):
         fire = True
-        if event:
-            thresholds[k] = mu * x_sq
-            if k:
-                e = held - x
-                fire = _transmits(float(e.dot(e)), x_sq, mu)
+        if event and k:
+            e = held - x
+            fire = _transmits(float(e.dot(e)), x_sq, mu)
         if fire:
             held = x
             u = K.dot(held, out=u_k)
@@ -344,8 +342,6 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
         if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
             last, diverged = k + 1, True
             break
-    if event:
-        thresholds[last] = mu * x_sq
 
     end = last + 1
     states, triggered = states[:end], triggered[:end]
@@ -358,7 +354,7 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
         inputs=inputs[held_after],
         errors=states[held_after] - states,
         monitored_sq=_quadratic_rows(states[held_before] - states),
-        thresholds=thresholds[:end],
+        thresholds=mu * _quadratic_rows(states) if event else np.zeros(end),
         triggered=triggered,
         p=p_rows[:end].copy(),
         V=_quadratic_rows(states, P),

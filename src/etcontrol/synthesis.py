@@ -99,10 +99,12 @@ def _require_definite(m: np.ndarray, name: str, strict: bool) -> None:
 
 
 def _require_epsilon(epsilon) -> float:
-    """epsilon as a float, ValueError unless it is positive."""
+    """epsilon as a float, ValueError unless it is positive with a finite 1/epsilon."""
     epsilon = float(epsilon)
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
+    if not math.isfinite(1.0 / epsilon):
+        raise ValueError("epsilon is too small: 1/epsilon overflows")
     return epsilon
 
 
@@ -180,6 +182,8 @@ class SynthesisParams:
     acting on the uncontrolled subspace. alpha scales the virtual channel,
     beta adds a uniform robustness floor, epsilon sets the design window,
     and sigma in (0, 1) is the decay fraction retained by the trigger.
+    alpha and beta must be nonnegative with a finite square, and epsilon
+    positive with a finite reciprocal.
     """
 
     Q: np.ndarray
@@ -202,10 +206,12 @@ class SynthesisParams:
         for name in ("alpha", "beta", "epsilon"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if value < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
+            if not math.isfinite(value * value):  # the weights take its square
+                raise ValueError(f"{name} is too large: {name}^2 overflows")
         _require_epsilon(self.epsilon)
         _require_sigma(self.sigma)
 

@@ -127,7 +127,9 @@ def _cross_term_margins(P, epsilon, A_closed, dA):
     terms Ac' P dA + dA' P Ac + dA' P dA are dominated by
     Ac' P ((1/eps) I - P)^-1 P Ac + (1/eps) dA' dA. A kernel: P (exactly
     symmetric), A_closed and dA are (k, n, n) stacks and epsilon a (k,)
-    array of positive weights. Raises FeasibilityError when the window
+    array of positive weights; P, A_closed and epsilon may instead hold one
+    instance, which broadcasts over dA, so the window gap is tested and
+    inverted once. Raises FeasibilityError when the window
     precondition fails for any instance, since the bound is not claimed
     there. Returns per-instance arrays (margins, tolerances, holds): the
     smallest slack eigenvalue, CHECK_TOL relative to the magnitude of the
@@ -168,13 +170,8 @@ def _worst_cross_term(P, epsilon, A_closed, dA) -> tuple[int, CheckResult]:
     Returns the index of the first perturbation with the smallest margin
     and its CheckResult.
     """
-    k = len(dA)
-    margin, tol, holds = _cross_term_margins(
-        np.broadcast_to(P, (k,) + P.shape),
-        np.full(k, _require_epsilon(epsilon)),
-        np.broadcast_to(A_closed, (k,) + A_closed.shape),
-        dA,
-    )
+    epsilon = np.array([_require_epsilon(epsilon)])
+    margin, tol, holds = _cross_term_margins(P[None], epsilon, A_closed[None], dA)
     worst = int(np.argmin(margin))
     return worst, CheckResult(
         name="cross_term_bound",
@@ -202,14 +199,19 @@ def check_cross_term_bound_at_vertices(P, epsilon: float, A_closed, model) -> Ch
     """check_cross_term_bound at every vertex of the model's parameter box.
 
     One _cross_term_margins call audits all 2^d vertices. The result is the
-    first worst vertex's, with that vertex as the witness p.
+    first worst vertex's, with that vertex as the witness p. When the window
+    precondition fails the bound is not claimed, and the result fails with
+    margin -inf and a note that says why; misfit arrays and a bad epsilon
+    still raise ValueError.
     """
     P, A_closed = _conform(model, P=P, A_closed=A_closed)
-    vertices = model.vertices()
-    worst, result = _worst_cross_term(P, epsilon, A_closed, model.vertex_stack)
+    try:
+        worst, result = _worst_cross_term(P, epsilon, A_closed, model.vertex_stack)
+    except FeasibilityError as exc:
+        return CheckResult("cross_term_bound", False, -np.inf, {}, f"precondition failed: {exc}")
     return replace(
         result,
-        witness={**result.witness, "p": [float(v) for v in vertices[worst]]},
+        witness={**result.witness, "p": [float(v) for v in model.vertices()[worst]]},
         note=result.note + "; worst over box vertices",
     )
 

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import CONFIG_DIR
 from etcontrol import ConfigError, config_from_dict, config_to_dict, load_config, scaffold_config
-from etcontrol.cli import main
+from etcontrol.cli import _COMMANDS, build_parser, main
 
 REFERENCE_CONFIG = CONFIG_DIR / "reference_example.json"
 DEMO_CONFIG = CONFIG_DIR / "feasible_demo.json"
@@ -190,6 +190,13 @@ _CONFIG_ERRORS = {
         "needs at least 31 rows, has 1",
     ),
     "design": (_set("design", [1.0]), "expected an object, got list"),
+    # Finite design scalars whose square or reciprocal overflows.
+    "design (alpha 1e200)": (_set("design.alpha", 1e200), "alpha is too large: alpha^2 overflows"),
+    "design (beta 1e200)": (_set("design.beta", 1e200), "beta is too large: beta^2 overflows"),
+    "design (epsilon 1e-310)": (
+        _set("design.epsilon", 1e-310),
+        "epsilon is too small: 1/epsilon overflows",
+    ),
 }
 
 
@@ -430,6 +437,22 @@ def test_cli_overflowing_box_fails_its_checks(tmp_path):
     (cross,) = [c for c in verification["checks"] if c["name"] == "cross_term_bound"]
     assert cross["holds"] is False and cross["margin"] is None
     assert cross["witness"] == {"p": [-0.3], "tolerance": None}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_command_takes_the_common_options(capsys, command):
+    """--out and --seed on every subcommand; --config is required by all but scaffold."""
+    parser = build_parser()
+    config = [] if command == "scaffold" else ["--config", "experiment.json"]
+    args = parser.parse_args([command, *config, "--out", "elsewhere", "--seed", "3"])
+    assert (args.command, args.out, args.seed) == (command, "elsewhere", 3)
+    if command == "scaffold":
+        assert parser.parse_args([command]).out == "results"
+        return
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args([command])
+    assert info.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):

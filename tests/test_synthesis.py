@@ -115,6 +115,25 @@ def test_params_reject_non_finite_scalars(name, value):
 
 
 @pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("alpha", 1e200, "alpha is too large: alpha^2 overflows"),
+        ("beta", 1e200, "beta is too large: beta^2 overflows"),
+        ("epsilon", 1e-310, "epsilon is too small: 1/epsilon overflows"),
+    ],
+)
+def test_params_reject_overflowing_scalars(name, value, message):
+    """A finite scalar whose square (alpha, beta) or reciprocal (epsilon) overflows is refused."""
+    scalars = {"alpha": 0.0, "beta": 0.0, "epsilon": 1.0, "sigma": 0.5, name: value}
+    with pytest.raises(ValueError) as info:
+        SynthesisParams(Q=[[1.0]], R1=[[1.0]], R2=[[1.0]], **scalars)
+    assert str(info.value) == message
+    # Just inside the float range is accepted.
+    scalars[name] = 1e-308 if name == "epsilon" else 1e154
+    SynthesisParams(Q=[[1.0]], R1=[[1.0]], R2=[[1.0]], **scalars)
+
+
+@pytest.mark.parametrize(
     "p_lo, p_hi", [([np.nan], [np.inf]), ([-np.inf], [1.0]), ([0.0], [np.nan])]
 )
 def test_model_rejects_non_finite_box_bounds(p_lo, p_hi):

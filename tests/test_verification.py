@@ -92,6 +92,25 @@ def test_cross_term_bound_window_precondition(reference_system):
         check_cross_term_bound(out.P, params.epsilon, out.A_closed, model.matrix_at([0.5]))
 
 
+def test_cross_term_bound_at_vertices_fails_outside_the_window(reference_system):
+    """Outside the window the vertex audit fails on its own; misfit input still raises."""
+    A, B, model, params = reference_system
+    out = synthesize(A, B, model, params)
+    result = check_cross_term_bound_at_vertices(out.P, params.epsilon, out.A_closed, model)
+    assert (result.name, result.holds, result.margin, result.witness) == (
+        "cross_term_bound",
+        False,
+        -np.inf,
+        {},
+    )
+    assert result.note.startswith("precondition failed: design window violated")
+    with pytest.raises(ValueError, match="^A_closed has shape"):
+        check_cross_term_bound_at_vertices(out.P, params.epsilon, out.A_closed[:1], model)
+    for epsilon, message in ((0.0, "must be positive"), (1e-310, "1/epsilon overflows")):
+        with pytest.raises(ValueError, match=message):
+            check_cross_term_bound_at_vertices(out.P, epsilon, out.A_closed, model)
+
+
 def test_cross_term_bound_demo_vertices(demo_system):
     A, B, model, params = demo_system
     out = synthesize(A, B, model, params)
