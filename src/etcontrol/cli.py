@@ -3,9 +3,10 @@
 Subcommands: synth (design the controller and report feasibility),
 simulate (run one closed loop and export a CSV trace), compare (periodic
 versus event-triggered on a shared plant realization), verify (audits of
-the configured design: its identities and bounds, the dissipation of one
-event-triggered run, and the exact interval of 1/epsilon on which every
-design condition holds), and scaffold (write a template configuration).
+the configured design: the loop energy bound of the trigger proof, the
+dissipation of one event-triggered run, and the exact interval of
+1/epsilon on which every design condition holds), and scaffold (write a
+template configuration).
 --seed overrides the seed of a random parameter trajectory; nothing else
 is random, so a command that has no such trajectory says on stderr that
 the seed has no effect. All file outputs are deterministic: floats are
@@ -15,9 +16,9 @@ produce byte-identical outputs.
 
 Exit codes: 0 success, 2 configuration error (or an --out that cannot be
 written), 3 numerical failure, 4 verification found failing checks. A
-numerical failure writes no file; when the trigger coefficient is
-undefined, the feasibility report that shows why is printed on stdout
-before the message on stderr.
+numerical failure, overflow included, writes no file and one line on
+stderr; when the trigger coefficient is undefined, the feasibility report
+that shows why is printed on stdout before it.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ from .simulation import (
     simulate,
 )
 from .synthesis import synthesize
-from .verification import (
-    check_cross_term_bound_at_vertices,
-    check_dissipation,
-    check_epsilon_interval,
-    check_inversion_identity,
-    check_loop_energy_bound,
-)
+from .verification import check_dissipation, check_epsilon_interval, check_loop_energy_bound
 
 # verify runs no random campaign any more. The name stays, at 0, because
 # the benchmark (perfbench/workloads.py) still reads it.
@@ -257,8 +252,6 @@ def cmd_verify(args) -> int:
     P, K, L = outcome.P, outcome.K, outcome.L
     # The audits, in the order verification.json lists them.
     results = [
-        check_inversion_identity(P, params.epsilon),
-        check_cross_term_bound_at_vertices(P, params.epsilon, outcome.A_closed, model),
         check_loop_energy_bound(A, B, P, params, K, L),
         check_dissipation(
             run(simulate, TriggerPolicy.event(mu)),
@@ -348,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        # Every overflow that matters fails a check or raises NumericalError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -38,6 +38,7 @@ import numpy as np
 from .errors import (
     NumericalError,
     RiccatiConvergenceError,
+    SingularMatrixError,
     TriggerUndefinedError,
 )
 from .linalg import (
@@ -52,8 +53,7 @@ from .linalg import (
 
 RICCATI_STEP_TOL = 1e-12  # relative to max(1, max|P|)
 RICCATI_MAX_ITER = 50  # doubling steps
-RICCATI_RESIDUAL_TOL = 1e-9
-DIVERGENCE_LIMIT = 1e14
+RICCATI_RESIDUAL_TOL = 1e-9  # relative to max(1, max|P|)
 
 HOLD_TOL = 1e-9
 MARGINAL_BAND = 1e-6
@@ -301,8 +301,7 @@ class UncertaintyModel:
 
         Formed on first use and kept. The model is frozen and its arrays are
         read-only, so the stack cannot go stale; the feasibility reports, the
-        epsilon interval, the cross-term vertex scan and the dissipation gate
-        all read this one.
+        epsilon interval and the dissipation gate all read this one.
         """
         return _read_only(self.matrix_at(self.vertices()))
 
@@ -394,9 +393,16 @@ def _channel_weights(B, params: SynthesisParams, alpha: float):
     return 0.5 * (W + W.T), Pi
 
 
+def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
+    """m, a matrix formed from finite inputs; NumericalError naming it if a product overflowed."""
+    if not np.isfinite(m).all():
+        raise NumericalError(f"{name} contains non-finite entries")
+    return m
+
+
 def _effective_weight(params: SynthesisParams, F: np.ndarray) -> np.ndarray:
-    """Q + F + beta^2 I, exactly symmetric; ValueError if the sum overflows."""
-    return as_matrix(params.Q + F + params.beta**2 * np.eye(len(F)), "effective state weight")
+    """Q + F + beta^2 I, exactly symmetric; NumericalError if the sum overflows."""
+    return _require_finite(params.Q + F + params.beta**2 * np.eye(len(F)), "effective state weight")
 
 
 def _s_inv(P: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -404,8 +410,9 @@ def _s_inv(P: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(len(P)) + P @ W, P)
 
 
-def _step_context(step: float, scale: float) -> str:
-    return f"last relative step {step:.3e}, largest entry of H {scale:.3e}"
+def _step_context(step: float | None, scale: float) -> str:
+    last = "none" if step is None else f"{step:.3e}"
+    return f"last relative step {last}, largest entry of H {scale:.3e}"
 
 
 def _riccati(A, W, Qbar):
@@ -417,19 +424,31 @@ def _riccati(A, W, Qbar):
     A_{k+1} = A_k X_A. H_k is the fixed-point iterate after 2^k steps from
     P = 0, so it converges quadratically to the stabilizing solution
     (Anderson, 1978; Chu, Fan and Lin, 2005). G_k and H_k stay positive
-    semidefinite, so I + G_k H_k is always invertible. The loop stops once a
-    step changes H by at most RICCATI_STEP_TOL relative to max(1, max|H|).
-    Returns the solution P (exactly symmetric and positive definite), the
-    doubling-step count, the residual of the original equation and
-    S_inv = (I + P W)^-1 P, which the residual and the gains share.
+    semidefinite, so I + G_k H_k is invertible but for round-off. The loop
+    stops once a step changes H by at most RICCATI_STEP_TOL, and the
+    residual must stay within RICCATI_RESIDUAL_TOL, both relative to
+    max(1, max|H|); an H that overflows (no stabilizing solution) or a
+    singular solve ends it with RiccatiConvergenceError. Returns the
+    solution P (exactly symmetric and positive definite), the doubling-step
+    count, the residual of the original equation and S_inv = (I + P W)^-1 P,
+    which the residual and the gains share.
     """
     n = A.shape[0]
     eye = np.eye(n)
     rhs = np.empty((n, 2 * n))
     A_k, G, H = A, W, Qbar
+    step, scale = None, float(abs(Qbar).max())
     for iteration in range(1, RICCATI_MAX_ITER + 1):
         rhs[:, :n], rhs[:, n:] = A_k, G
-        X = np.linalg.solve(eye + G @ H, rhs)
+        try:
+            X = np.linalg.solve(eye + G @ H, rhs)
+        except np.linalg.LinAlgError:
+            context = _step_context(step, scale)
+            raise RiccatiConvergenceError(
+                f"doubling step {iteration} met a singular system I + G H ({context})",
+                iterations=iteration,
+                last_step=step,
+            ) from None
         X_A, X_G = X[:, :n], X[:, n:]
         H_next = H + A_k.T @ H @ X_A
         H_next = 0.5 * (H_next + H_next.T)
@@ -437,14 +456,14 @@ def _riccati(A, W, Qbar):
         G = 0.5 * (G + G.T)
         A_k = A_k @ X_A
         scale = float(abs(H_next).max())
-        step = float(abs(H_next - H).max()) / max(1.0, scale)
-        if not math.isfinite(scale) or scale > DIVERGENCE_LIMIT:
+        if not math.isfinite(scale):
             raise RiccatiConvergenceError(
                 f"doubling diverged at step {iteration} ({_step_context(step, scale)}); "
                 "the pair (A, B) may not admit a stabilizing solution",
                 iterations=iteration,
                 last_step=step,
             )
+        step = float(abs(H_next - H).max()) / max(1.0, scale)
         H = H_next
         if step <= RICCATI_STEP_TOL:
             break
@@ -457,10 +476,11 @@ def _riccati(A, W, Qbar):
         )
     S_inv = _s_inv(H, W)
     residual = float(abs(A.T @ S_inv @ A + Qbar - H).max())
-    if residual > RICCATI_RESIDUAL_TOL:
+    tolerance = RICCATI_RESIDUAL_TOL * max(1.0, scale)
+    if residual > tolerance:
         raise RiccatiConvergenceError(
             f"converged point has residual {residual:.3e} above tolerance "
-            f"{RICCATI_RESIDUAL_TOL:.1e} after {iteration} doubling steps "
+            f"{tolerance:.1e} after {iteration} doubling steps "
             f"({_step_context(step, scale)})",
             iterations=iteration,
             last_step=step,
@@ -490,8 +510,9 @@ def solve_modified_dare(A, B, params: SynthesisParams, F) -> np.ndarray:
     physical input weighting with the virtual channel on the complement of
     the range of B, by structure-preserving doubling (quadratic convergence,
     a few dozen steps at most). Raises RiccatiConvergenceError when the
-    doubling diverges, does not settle within RICCATI_MAX_ITER steps, or lands
-    on a point whose residual exceeds RICCATI_RESIDUAL_TOL.
+    doubling diverges, meets a singular system, does not settle within
+    RICCATI_MAX_ITER steps, or lands on a point whose residual exceeds
+    RICCATI_RESIDUAL_TOL relative to max(1, max|P|).
     """
     P, _, _ = _validated_riccati(A, B, params, F)
     return P
@@ -545,10 +566,12 @@ def _window_weights(P, epsilon):
 
     One stacked inverse takes the design window gap (1/epsilon) I - P and
     the inner gap I - epsilon P, in that order, so a singular design gap
-    raises first.
+    raises first. The inner gap overflows where epsilon P does
+    (NumericalError).
     """
     eye = np.eye(len(P))
-    gaps = np.array([(1.0 / epsilon) * eye - P, eye - epsilon * P])
+    inner_gap = _require_finite(eye - epsilon * P, "inner window gap")
+    gaps = np.array([(1.0 / epsilon) * eye - P, inner_gap])
     design, inner = inverse(gaps, ("design window gap", "inner window gap"))
     Z = (1.0 / epsilon) * eye + P @ design @ P
     return 0.5 * (Z + Z.T), P @ inner
@@ -578,8 +601,8 @@ def trigger_coefficient(K, B, Z, Q1, sigma: float) -> float:
     """Relative event-trigger threshold coefficient.
 
     mu = sigma * lambda_min(Q1) / ||K' B' Z B K||. Requires Q1 to be
-    positive definite; a nonpositive smallest eigenvalue means the triggered
-    loop has no guaranteed decay and the threshold is undefined.
+    positive definite; a smallest eigenvalue that is not positive means the
+    triggered loop has no guaranteed decay and the threshold is undefined.
     """
     sigma = _require_sigma(sigma)
     K, B, Z, Q1 = _conform(K=K, B=B, Z=Z, Q1=Q1)
@@ -592,11 +615,15 @@ _MATCHED_TRIGGER_NAMES = ("effective state weight", "inner window weight")
 
 
 def _trigger_coefficient(K, B, Z, decay_margin, sigma, report=None, names=_TRIGGER_NAMES):
-    """mu = sigma * decay_margin / ||K' B' Z B K||; names are Q1's and Z's in messages."""
-    if decay_margin <= 0.0:
+    """mu = sigma * decay_margin / ||K' B' Z B K||; names are Q1's and Z's in messages.
+
+    decay_margin is None when the report could not certify Q1 (not finite).
+    """
+    if decay_margin is None or not decay_margin > 0.0:
+        shown = "not finite" if decay_margin is None else f"{decay_margin:.6g}"
         raise TriggerUndefinedError(
             f"{names[0]} is not positive definite "
-            f"(smallest eigenvalue {decay_margin:.6g}); the trigger threshold is undefined",
+            f"(smallest eigenvalue {shown}); the trigger threshold is undefined",
             report,
         )
     denom = spectral_norm(K.T @ B.T @ Z @ B @ K)
@@ -627,6 +654,11 @@ def _finite_slices(stack):
     if not finite.all():
         stack = np.where(finite[:, None, None], stack, 0.0)
     return stack, finite
+
+
+def _finite_norms(matrices) -> list:
+    """Spectral norms of the matrices in one svd; a matrix that is not finite gets 0."""
+    return spectral_norm(_finite_slices(np.array(matrices))[0]).tolist()
 
 
 def _slack_margins(slacks):
@@ -674,10 +706,12 @@ def _box_check(condition, description, vertices, margins, band_scale):
 def _matrix_check(condition, description, margin, scale):
     """A matrix condition whose margin is the smallest slack eigenvalue.
 
-    A slack formed here from products goes through as_matrix first, so one
-    that overflowed raises ValueError naming the condition.
+    A margin that is not finite (_slack_margins: the slack overflowed)
+    leaves the condition uncertified: it fails with margin None.
     """
     margin = float(margin)
+    if not math.isfinite(margin):
+        return _uncertified(condition, description)
     band = MARGINAL_BAND * max(1.0, scale)
     return ConditionCheck(
         condition=condition,
@@ -727,7 +761,7 @@ def feasibility_report(
     A, B, K, L, P, Z, Q1 = _conform(model, params, A=A, B=B, K=K, L=L, P=P, Z=Z, Q1=Q1)
     try:
         inner = _window_weights(P, params.epsilon)[1]
-    except NumericalError:
+    except SingularMatrixError:
         inner = None
     return _feasibility_report(A + B @ K, model, params, P, K, L, Z, Q1, inner)
 
@@ -735,15 +769,15 @@ def feasibility_report(
 def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner):
     """The mismatched report; inner is the inner window matrix, None if a gap is singular.
 
-    The slacks formed here pass as_matrix in report order, then every slack
-    goes into one eigvalsh call and the scales of F, P and Q1 into one svd.
+    Every slack goes into one eigvalsh call and the scales of F, P and Q1
+    into one svd. A slack that overflowed leaves its condition uncertified,
+    so a scale that is not finite sets no verdict (_finite_norms gives 0).
     """
     inv_eps = 1.0 / params.epsilon
     F = model.F
-    matrices = [as_matrix(inv_eps * np.eye(len(P)) - P, COND_EPS_WINDOW), Z, Q1]
+    matrices = [inv_eps * np.eye(len(P)) - P, Z, Q1]
     if inner is not None:
-        slack = _decay_matrix(A_fb, K, L, inner, params)
-        matrices.append(as_matrix(slack, COND_PERIODIC_DECAY))
+        matrices.append(_decay_matrix(A_fb, K, L, inner, params))
     vertices, dA = model.vertices(), model.vertex_stack
     v = len(vertices)
     dA_t = np.swapaxes(dA, 1, 2)
@@ -751,7 +785,7 @@ def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner):
         np.concatenate([F - inv_eps * (dA_t @ dA), F - dA_t @ Z @ dA, matrices])
     )
     window_min, z_min, q1_min, *decay_min = margins[2 * v :]
-    F_scale, P_scale, Q1_scale = (max(1.0, s) for s in spectral_norm(np.array([F, P, Q1])).tolist())
+    F_scale, P_scale, Q1_scale = (max(1.0, s) for s in _finite_norms([F, P, Q1]))
     scaled = "scaled uncertainty bound: (1/epsilon) dA' dA <= F over the box"
     decay = "periodic transmission decay margin is nonnegative"
     unevaluable = f"{decay} (not evaluable: inner window gap is singular)"
@@ -817,13 +851,13 @@ def _matched_feasibility_report(A_fb, model, params, P, K):
     inv_eps = 1.0 / params.epsilon
     F = model.F
     slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K - (2.0 * inv_eps) * (A_fb.T @ A_fb)
-    slack = as_matrix(0.5 * (slack + slack.T), COND_MATCHED_DECAY)
-    window = as_matrix(inv_eps * np.eye(n) - P, COND_EPS_WINDOW)
+    slack = 0.5 * (slack + slack.T)
+    window = inv_eps * np.eye(n) - P
     vertices, dA = model.vertices(), model.vertex_stack
     margins, _ = _slack_margins(
         np.concatenate([F - (2.0 * inv_eps) * (np.swapaxes(dA, 1, 2) @ dA), [window, slack]])
     )
-    F_norm, A_fb_norm = spectral_norm(np.array([F, A_fb])).tolist()
+    F_norm, A_fb_norm = _finite_norms([F, A_fb])
     return FeasibilityReport(
         checks=(
             _matrix_check(COND_EPS_WINDOW, _WINDOW_DESCRIPTION, margins[-2], max(1.0, inv_eps)),

@@ -6,31 +6,31 @@ collect verdicts across checks. Margins follow one convention per check
 kind: identity checks report the worst absolute residual (small is good),
 bound checks report the smallest slack eigenvalue (nonnegative is good).
 check_epsilon_interval certifies the design's epsilon: the exact interval
-of 1/epsilon on which every design condition holds.
+of 1/epsilon on which every design condition holds. verify runs it,
+check_loop_energy_bound and check_dissipation.
 
 The inversion identity and the cross-term bound hold unconditionally
-under their stated preconditions. Each has one private stacked kernel
-over (k, n, n) stacks, _inversion_identity_margins and _cross_term_margins.
-The public checks validate their arrays through the input contract
-(_conform) and epsilon once, then run the kernel on a stack of one (or on
-the box vertices); the campaigns draw arrays that already meet the
-contract. The kernels trust their stacks and keep only the tests that can
-fail on valid input, on every slice: P positive definite, both window
-gaps invertible, the design window, and a finite slack. The random
-campaigns, identity_campaign and
+under their stated preconditions, and where those fail the design window
+is broken, which epsilon_interval reports; verify does not run them. Each
+has one private stacked kernel over (k, n, n) stacks,
+_inversion_identity_margins and _cross_term_margins. The public checks
+validate their arrays through the input contract (_conform) and epsilon
+once, then run the kernel on a stack of one. The kernels trust their
+stacks and keep only the tests that can fail on valid input, on every
+slice: P positive definite, both window gaps invertible, the design
+window, and a finite slack. The random campaigns, identity_campaign and
 cross_term_campaign, stress the two on matrices that do not depend on any
-design, so they measure round-off only; they are library functions that
-the acceptance suite runs (criterion 08), and the verify command does not
-call them. They draw their samples one by one, exactly as a per-sample
-loop would, then audit them by dimension with one kernel call per
-dimension. numpy's stacked LAPACK and BLAS calls work slice by slice, so
-every margin equals the per-sample one bit for bit.
+design, so they measure round-off only (acceptance criterion 08). They
+draw their samples one by one, exactly as a per-sample loop would, then
+audit them by dimension with one kernel call per dimension. numpy's
+stacked LAPACK and BLAS calls work slice by slice, so every margin equals
+the per-sample one bit for bit.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,9 +127,7 @@ def _cross_term_margins(P, epsilon, A_closed, dA):
     terms Ac' P dA + dA' P Ac + dA' P dA are dominated by
     Ac' P ((1/eps) I - P)^-1 P Ac + (1/eps) dA' dA. A kernel: P (exactly
     symmetric), A_closed and dA are (k, n, n) stacks and epsilon a (k,)
-    array of positive weights; P, A_closed and epsilon may instead hold one
-    instance, which broadcasts over dA, so the window gap is tested and
-    inverted once. Raises FeasibilityError when the window
+    array of positive weights. Raises FeasibilityError when the window
     precondition fails for any instance, since the bound is not claimed
     there. Returns per-instance arrays (margins, tolerances, holds): the
     smallest slack eigenvalue, CHECK_TOL relative to the magnitude of the
@@ -164,24 +162,6 @@ def _cross_term_margins(P, epsilon, A_closed, dA):
     return margin, tol, finite & (margin >= -tol)
 
 
-def _worst_cross_term(P, epsilon, A_closed, dA) -> tuple[int, CheckResult]:
-    """Audit one conformed design against a (k, n, n) stack dA of perturbations.
-
-    Returns the index of the first perturbation with the smallest margin
-    and its CheckResult.
-    """
-    epsilon = np.array([_require_epsilon(epsilon)])
-    margin, tol, holds = _cross_term_margins(P[None], epsilon, A_closed[None], dA)
-    worst = int(np.argmin(margin))
-    return worst, CheckResult(
-        name="cross_term_bound",
-        holds=bool(holds[worst]),
-        margin=float(margin[worst]),
-        witness={"tolerance": float(tol[worst])},
-        note="margin is the smallest slack eigenvalue",
-    )
-
-
 def check_cross_term_bound(P, epsilon: float, A_closed, dA) -> CheckResult:
     """Audit the completion-of-squares bound on the uncertainty cross terms.
 
@@ -192,27 +172,14 @@ def check_cross_term_bound(P, epsilon: float, A_closed, dA) -> CheckResult:
     Margin is the smallest slack eigenvalue.
     """
     P, A_closed, dA = _conform(P=P, A_closed=A_closed, dA=dA)
-    return _worst_cross_term(P, epsilon, A_closed, dA[None])[1]
-
-
-def check_cross_term_bound_at_vertices(P, epsilon: float, A_closed, model) -> CheckResult:
-    """check_cross_term_bound at every vertex of the model's parameter box.
-
-    One _cross_term_margins call audits all 2^d vertices. The result is the
-    first worst vertex's, with that vertex as the witness p. When the window
-    precondition fails the bound is not claimed, and the result fails with
-    margin -inf and a note that says why; misfit arrays and a bad epsilon
-    still raise ValueError.
-    """
-    P, A_closed = _conform(model, P=P, A_closed=A_closed)
-    try:
-        worst, result = _worst_cross_term(P, epsilon, A_closed, model.vertex_stack)
-    except FeasibilityError as exc:
-        return CheckResult("cross_term_bound", False, -np.inf, {}, f"precondition failed: {exc}")
-    return replace(
-        result,
-        witness={**result.witness, "p": [float(v) for v in model.vertices()[worst]]},
-        note=result.note + "; worst over box vertices",
+    epsilon = np.array([_require_epsilon(epsilon)])
+    margin, tol, holds = _cross_term_margins(P[None], epsilon, A_closed[None], dA[None])
+    return CheckResult(
+        name="cross_term_bound",
+        holds=bool(holds[0]),
+        margin=float(margin[0]),
+        witness={"tolerance": float(tol[0])},
+        note="margin is the smallest slack eigenvalue",
     )
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from etcontrol.errors import NumericalError, RiccatiConvergenceError, SingularMatrixError
 from etcontrol.linalg import DEFINITENESS_TOL, RCOND_LIMIT
 from etcontrol.synthesis import (
-    DIVERGENCE_LIMIT,
     FAILS,
     HOLD_TOL,
     HOLDS,
@@ -486,7 +485,23 @@ def _finite(m, name):
 
 
 def _norm(m):
-    return float(np.linalg.svd(_finite(m, "matrix"), compute_uv=False).max())
+    """The largest singular value; 0 for a matrix that is not finite (its condition fails)."""
+    if not np.isfinite(m).all():
+        return 0.0
+    return float(np.linalg.svd(m, compute_uv=False).max())
+
+
+def _smallest(m):
+    """The smallest eigenvalue of one slack; NaN when it is not finite (kept out of LAPACK)."""
+    return np.linalg.eigvalsh(m)[0] if np.isfinite(m).all() else np.nan
+
+
+def _inner_gap(P, epsilon):
+    """I - epsilon P; NumericalError when epsilon P overflowed."""
+    gap = np.eye(len(P)) - epsilon * P
+    if not np.isfinite(gap).all():
+        raise NumericalError("inner window gap contains non-finite entries")
+    return gap
 
 
 def _guarded_inverse(m, name):
@@ -501,9 +516,10 @@ def _guarded_inverse(m, name):
 def window_weights_separate(P, epsilon):
     """Z and the inner window matrix P (I - epsilon P)^-1, one inverse each, Z first."""
     eye = np.eye(len(P))
+    inner_gap = _inner_gap(P, epsilon)
     gap = (1.0 / epsilon) * eye - P
     Z = (1.0 / epsilon) * eye + P @ _guarded_inverse(gap, "design window gap") @ P
-    return 0.5 * (Z + Z.T), P @ _guarded_inverse(eye - epsilon * P, "inner window gap")
+    return 0.5 * (Z + Z.T), P @ _guarded_inverse(inner_gap, "inner window gap")
 
 
 def riccati_hstack(A, W, Qbar):
@@ -515,11 +531,20 @@ def riccati_hstack(A, W, Qbar):
     eye = np.eye(n)
 
     def context(step, scale):
-        return f"last relative step {step:.3e}, largest entry of H {scale:.3e}"
+        last = "none" if step is None else f"{step:.3e}"
+        return f"last relative step {last}, largest entry of H {scale:.3e}"
 
     A_k, G, H = A, W, Qbar
+    step, scale = None, float(np.max(np.abs(Qbar)))
     for iteration in range(1, RICCATI_MAX_ITER + 1):
-        X = np.linalg.solve(eye + G @ H, np.hstack([A_k, G]))
+        try:
+            X = np.linalg.solve(eye + G @ H, np.hstack([A_k, G]))
+        except np.linalg.LinAlgError:
+            raise RiccatiConvergenceError(
+                f"doubling step {iteration} met a singular system I + G H ({context(step, scale)})",
+                iterations=iteration,
+                last_step=step,
+            ) from None
         X_A, X_G = X[:, :n], X[:, n:]
         H_next = H + A_k.T @ H @ X_A
         H_next = 0.5 * (H_next + H_next.T)
@@ -527,14 +552,14 @@ def riccati_hstack(A, W, Qbar):
         G = 0.5 * (G + G.T)
         A_k = A_k @ X_A
         scale = float(np.max(np.abs(H_next)))
-        step = float(np.max(np.abs(H_next - H))) / max(1.0, scale)
-        if not np.isfinite(scale) or scale > DIVERGENCE_LIMIT:
+        if not np.isfinite(scale):
             raise RiccatiConvergenceError(
                 f"doubling diverged at step {iteration} ({context(step, scale)}); "
                 "the pair (A, B) may not admit a stabilizing solution",
                 iterations=iteration,
                 last_step=step,
             )
+        step = float(np.max(np.abs(H_next - H))) / max(1.0, scale)
         H = H_next
         if step <= RICCATI_STEP_TOL:
             break
@@ -546,10 +571,11 @@ def riccati_hstack(A, W, Qbar):
         )
     S_inv = np.linalg.solve(eye + H @ W, H)
     residual = float(np.max(np.abs(A.T @ S_inv @ A + Qbar - H)))
-    if residual > RICCATI_RESIDUAL_TOL:
+    tolerance = RICCATI_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(H))))
+    if residual > tolerance:
         raise RiccatiConvergenceError(
             f"converged point has residual {residual:.3e} above tolerance "
-            f"{RICCATI_RESIDUAL_TOL:.1e} after {iteration} doubling steps ({context(step, scale)})",
+            f"{tolerance:.1e} after {iteration} doubling steps ({context(step, scale)})",
             iterations=iteration,
             last_step=step,
         )
@@ -577,6 +603,8 @@ def _verdict(margin, scale, band):
 
 def _matrix(condition, description, margin, scale):
     margin = float(margin)
+    if not np.isfinite(margin):
+        return _failed(condition, description)
     verdict = _verdict(margin, scale, MARGINAL_BAND * max(1.0, scale))
     return _check(condition, verdict, margin, None, description, 0, True)
 
@@ -599,8 +627,7 @@ def _box(condition, description, model, slack_of_dA, band_scale):
 
 
 def _window(P, inv_eps):
-    gap = _finite(inv_eps * np.eye(len(P)) - P, "epsilon_window")
-    margin = np.linalg.eigvalsh(gap)[0]
+    margin = _smallest(inv_eps * np.eye(len(P)) - P)
     description = "design window: (1/epsilon) I - P is positive definite"
     return _matrix("epsilon_window", description, margin, max(1.0, inv_eps))
 
@@ -617,7 +644,7 @@ def feasibility_report_per_condition(mode, A_fb, model, params, P, K, L, Z, Q1):
     if mode == "matched":
         slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K
         slack = slack - (2.0 * inv_eps) * (A_fb.T @ A_fb)
-        slack = _finite(0.5 * (slack + slack.T), "matched_decay")
+        slack = 0.5 * (slack + slack.T)
         return (
             _window(P, inv_eps),
             _box(
@@ -631,7 +658,7 @@ def feasibility_report_per_condition(mode, A_fb, model, params, P, K, L, Z, Q1):
             _matrix(
                 "matched_decay",
                 "matched decay condition on the nominal closed loop",
-                np.linalg.eigvalsh(slack)[0],
+                _smallest(slack),
                 max(1.0, _norm(A_fb) ** 2 * 2.0 * inv_eps),
             ),
         )
@@ -648,17 +675,16 @@ def feasibility_report_per_condition(mode, A_fb, model, params, P, K, L, Z, Q1):
     )
     decay_description = "periodic transmission decay margin is nonnegative"
     try:
-        inner = P @ _guarded_inverse(np.eye(n) - params.epsilon * P, "inner window gap")
-    except NumericalError:
+        inner = P @ _guarded_inverse(_inner_gap(P, params.epsilon), "inner window gap")
+    except SingularMatrixError:
         description = decay_description + " (not evaluable: inner window gap is singular)"
         checks.append(_failed("periodic_decay", description))
     else:
         A_inner = A_fb.T @ inner @ A_fb
         slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K + L.T @ params.R2 @ L - A_inner
-        slack = _finite(0.5 * (slack + slack.T), "periodic_decay")
-        margin = np.linalg.eigvalsh(slack)[0]
+        margin = _smallest(0.5 * (slack + slack.T))
         checks.append(_matrix("periodic_decay", decay_description, margin, max(1.0, _norm(P))))
-    z_min = np.linalg.eigvalsh(Z)[0]
+    z_min = _smallest(Z)
     checks.append(
         _matrix(
             "error_weight_pd", "trigger error weight is positive definite", z_min, max(1.0, inv_eps)
@@ -682,7 +708,7 @@ def feasibility_report_per_condition(mode, A_fb, model, params, P, K, L, Z, Q1):
         _matrix(
             "decay_matrix_psd",
             "guaranteed-decay matrix is positive semidefinite",
-            np.linalg.eigvalsh(Q1)[0],
+            _smallest(Q1),
             max(1.0, _norm(Q1)),
         )
     )

@@ -168,6 +168,10 @@ _CONFIG_ERRORS = {
     "uncertainty.basis": (_set("uncertainty.basis", {"E": [[0.1]]}), "expected a list"),
     "uncertainty.basis[0]": (_set("uncertainty.basis", [[[0.1]]]), "has shape (1, 1)"),
     "uncertainty.F": (_set("uncertainty.F", [[0.02]]), "has shape (1, 1), expected (2, 2)"),
+    "uncertainty (p_lo > p_hi)": (
+        _set("uncertainty.p_lo", [0.5]),
+        "p_lo must not exceed p_hi componentwise",
+    ),
     "design.Q": (_set("design.Q", [[0.01]]), "has shape (1, 1), expected (2, 2)"),
     "design.R1": (_set("design.R1", np.eye(2).tolist()), "has shape (2, 2), expected (1, 1)"),
     "design.R2": (_set("design.R2", [[1.0]]), "has shape (1, 1), expected (2, 2)"),
@@ -390,6 +394,24 @@ def test_cli_compare(tmp_path):
     assert payload["inter_event_gaps"]["max"] == 5.0
 
 
+def test_cli_simulate_periodic_policy(tmp_path, capsys):
+    """A config with policy periodic transmits at every step, with threshold zero."""
+    data = _demo_dict()
+    data["simulation"]["policy"] = "periodic"
+    config_path = tmp_path / "periodic.json"
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("periodic run: 30 transmissions")
+    with open(tmp_path / "trace.csv", "r", encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [row["triggered"] for row in rows[:30]] == ["1"] * 30
+    assert all(float(row["threshold"]) == 0.0 for row in rows)
+
+
+# verify's audits, in the order verification.json lists them.
+_VERIFY_AUDITS = ["loop_energy_bound", "dissipation", "epsilon_interval"]
+
+
 def test_cli_verify_exit_codes(tmp_path):
     assert main(["verify", "--config", str(DEMO_CONFIG), "--out", str(tmp_path / "demo")]) == 0
     assert main(["verify", "--config", str(REFERENCE_CONFIG), "--out", str(tmp_path / "ref")]) == 4
@@ -397,7 +419,7 @@ def test_cli_verify_exit_codes(tmp_path):
         payload = json.load(handle, parse_constant=_reject_constant)
     assert payload["all_hold"] is False
     by_name = {c["name"]: c for c in payload["checks"]}
-    assert by_name["cross_term_bound"]["holds"] is False
+    assert list(by_name) == _VERIFY_AUDITS
     assert by_name["dissipation"]["holds"] is False
     assert not [name for name in by_name if name.endswith("_campaign")]
     interval = by_name["epsilon_interval"]
@@ -408,6 +430,7 @@ def test_cli_verify_exit_codes(tmp_path):
 
     text = (tmp_path / "demo" / "verification.json").read_text(encoding="utf-8")
     demo = {c["name"]: c for c in json.loads(text, parse_constant=_reject_constant)["checks"]}
+    assert list(demo) == _VERIFY_AUDITS
     assert not [name for name in demo if name.endswith("_campaign")]
     assert demo["epsilon_interval"]["holds"] is True
 
@@ -434,9 +457,6 @@ def test_cli_overflowing_box_fails_its_checks(tmp_path):
         check = box[condition]
         assert check["verdict"] == "fails" and check["margin"] is None
         assert check["margin_exact"] is False and check["witness_p"] == [-0.3]
-    (cross,) = [c for c in verification["checks"] if c["name"] == "cross_term_bound"]
-    assert cross["holds"] is False and cross["margin"] is None
-    assert cross["witness"] == {"p": [-0.3], "tolerance": None}
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
@@ -479,16 +499,52 @@ def test_cli_unwritable_out_exit_code(tmp_path, capsys, command, below):
     assert blocker.read_text(encoding="utf-8") == ""
 
 
-def test_cli_numerical_failure_exit_code(tmp_path):
-    data = _reference_dict()
+def _divergent(data):
     data["system"]["A"] = [[1.2, 0.0], [0.0, 0.5]]
     data["uncertainty"]["basis"] = [[[0.0, 0.0], [0.0, 0.0]]]
     data["uncertainty"]["F"] = [[0.0, 0.0], [0.0, 0.0]]
     data["design"]["alpha"] = 0.0
-    config_path = tmp_path / "divergent.json"
-    with open(config_path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle)
-    assert main(["synth", "--config", str(config_path), "--out", str(tmp_path)]) == 3
+
+
+def _overflowing_weight(data):
+    data["design"]["Q"] = [[1e308, 0.0], [0.0, 1e308]]
+    data["design"]["beta"] = 1.3e154
+
+
+# Finite configs that synth cannot design: the base config, its edit and the
+# start of the one line on stderr. Each but the first overflows a product.
+_NUMERICAL_FAILURES = {
+    "divergent": (_reference_dict, _divergent, "numerical failure: doubling diverged at step "),
+    "Q 1e308, beta 1.3e154": (
+        _demo_dict,
+        _overflowing_weight,
+        "numerical failure: effective state weight contains non-finite entries",
+    ),
+    "epsilon 1e-308": (
+        _demo_dict,
+        _set("design.epsilon", 1e-308),
+        "numerical failure: decay matrix is not positive definite (smallest eigenvalue not finite)",
+    ),
+    "reference, epsilon 1e308": (
+        _reference_dict,
+        _set("design.epsilon", 1e308),
+        "numerical failure: inner window gap contains non-finite entries",
+    ),
+}
+
+
+def test_cli_numerical_failure_exit_code(tmp_path, capsys):
+    """Exit 3 with one line on stderr and no file, overflow included."""
+    for label, (base, edit, message) in _NUMERICAL_FAILURES.items():
+        data = base()
+        edit(data)
+        config_path = tmp_path / "failing.json"
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 3, label
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message), (label, err)
+        assert not out.exists(), label
 
 
 @pytest.mark.parametrize("command", ["synth", "verify"])

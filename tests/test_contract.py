@@ -24,7 +24,6 @@ from etcontrol import (
     trigger_coefficient,
     virtual_gain,
 )
-from etcontrol.verification import check_cross_term_bound_at_vertices
 
 
 def _demo(demo_system):
@@ -140,9 +139,6 @@ _MODEL_ENTRY_POINTS = {
     "compare_policies": lambda v: compare_policies(
         v["A"], v["B"], v["model"], v["K"], 0.3, ParamTrajectory.constant([0.3]),
         [1.0, -1.0], 5, v["P"],
-    ),
-    "check_cross_term_bound_at_vertices": lambda v: check_cross_term_bound_at_vertices(
-        v["P"], 0.1, v["A"] + v["B"] @ v["K"], v["model"]
     ),
     "check_dissipation": _dissipation,
     "check_epsilon_interval": _ENTRY_POINTS["check_epsilon_interval"],

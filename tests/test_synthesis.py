@@ -45,6 +45,7 @@ from etcontrol.synthesis import (
     HOLDS,
     MARGINAL,
     RICCATI_MAX_ITER,
+    RICCATI_RESIDUAL_TOL,
     _box_check,
     _channel_weights,
     _decay_matrix,
@@ -1083,6 +1084,41 @@ def test_overflowing_slack_stays_out_of_lapack():
     assert out.report.checks[2:4] == synthesize(A, B, model, params).report.checks[2:4]
 
 
+def test_overflowing_error_weight_fails_its_conditions_uncertified(demo_system):
+    """epsilon 1e-308: Z overflows, so the conditions on Z and Q1 fail with margin None
+    and the trigger coefficient is undefined; the report equals the per-call oracle's."""
+    A, B, model, params = demo_system
+    params = dataclasses.replace(params, epsilon=1e-308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TriggerUndefinedError, match=r"eigenvalue not finite\)") as info:
+            synthesize(A, B, model, params)
+        W, Pi = _channel_weights(B, params, params.alpha)
+        P, _, _, S_inv = oracles.riccati_hstack(A, W, _effective_weight(params, model.F))
+        K, L = _feedback_gain(A, B, S_inv, params), _virtual_gain(A, Pi, S_inv, params)
+        Z, _ = oracles.window_weights_separate(P, params.epsilon)
+        Q1 = _decay_matrix(A + B @ K, K, L, Z, params)
+        expected = oracles.feasibility_report_per_condition(
+            "mismatched", A + B @ K, model, params, P, K, L, Z, Q1
+        )
+    assert info.value.report.checks == expected
+    for condition in (COND_WEIGHT_PD, COND_UNC_WEIGHTED, COND_DECAY_PSD):
+        check = info.value.report.get(condition)
+        assert (check.verdict, check.margin, check.margin_exact) == (FAILS, None, False)
+
+
+def test_overflowing_inner_gap_raises(reference_system):
+    """epsilon P overflows: a NumericalError names the inner window gap, report included."""
+    A, B, model, params = reference_system
+    out = synthesize(A, B, model, params)
+    params = dataclasses.replace(params, epsilon=1e308)
+    message = "^inner window gap contains non-finite entries$"
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match=message):
+            synthesize(A, B, model, params)
+        with pytest.raises(NumericalError, match=message):
+            feasibility_report(A, B, model, params, out.P, out.K, out.L, out.Z, out.Q1)
+
+
 def test_report_without_psd_weight_equals_per_call_oracle():
     """Z not positive semidefinite: the weighted bound is not certified."""
     model = UncertaintyModel(basis=([[1.0]],), p_lo=[-1.0], p_hi=[1.0], F=[[1.0]])
@@ -1132,3 +1168,48 @@ def test_riccati_failures_equal_hstack_loop():
         per_call.value.iterations,
         per_call.value.last_step,
     )
+
+
+def _scaled(system, name, factor):
+    """The system with F (of the model) or Q (of the params) scaled by factor."""
+    A, B, model, params = system
+    if name == "F":
+        model = dataclasses.replace(model, F=factor * model.F)
+    else:
+        params = dataclasses.replace(params, Q=factor * params.Q)
+    return A, B, model, params
+
+
+@pytest.mark.parametrize(
+    "system, name, factor",
+    [("reference_system", "F", 1e8), ("demo_system", "F", 1e20), ("demo_system", "Q", 1e20)],
+)
+def test_scaled_instances_solve_on_a_relative_scale(request, system, name, factor):
+    """Large weights converge, and the residual is judged relative to max|P|."""
+    A, B, model, params = _scaled(request.getfixturevalue(system), name, factor)
+    P, iterations, residual = _validated_riccati(A, B, params, model.F)
+    scale = max(1.0, float(np.max(np.abs(P))))
+    assert residual <= RICCATI_RESIDUAL_TOL * scale
+    explicit = oracles.riccati_residual_explicit(
+        A, B, P, params.Q, params.R1, params.R2, params.alpha, params.beta, model.F
+    )
+    assert explicit <= RICCATI_RESIDUAL_TOL * scale
+    W, _ = _channel_weights(B, params, params.alpha)
+    expected = oracles.riccati_hstack(A, W, _effective_weight(params, model.F))
+    assert np.array_equal(P, expected[0]) and (iterations, residual) == expected[1:3]
+
+
+def test_singular_doubling_system_raises(reference_system):
+    """F x 1e18 makes I + G H singular in floating point at the first step."""
+    A, B, model, params = _scaled(reference_system, "F", 1e18)
+    with pytest.raises(RiccatiConvergenceError) as info:
+        solve_modified_dare(A, B, params, model.F)
+    assert (info.value.iterations, info.value.last_step) == (1, None)
+    assert str(info.value) == (
+        "doubling step 1 met a singular system I + G H "
+        "(last relative step none, largest entry of H 6.090e+18)"
+    )
+    W, _ = _channel_weights(B, params, params.alpha)
+    with pytest.raises(RiccatiConvergenceError) as per_call:
+        oracles.riccati_hstack(A, W, _effective_weight(params, model.F))
+    assert str(per_call.value) == str(info.value)

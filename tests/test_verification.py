@@ -33,11 +33,7 @@ from etcontrol import (
     virtual_gain,
 )
 from etcontrol.cli import main
-from etcontrol.verification import (
-    _cross_term_margins,
-    _inversion_identity_margins,
-    check_cross_term_bound_at_vertices,
-)
+from etcontrol.verification import _cross_term_margins, _inversion_identity_margins
 from oracles import campaign_stepwise, dissipation_stepwise, epsilon_margins, epsilon_scan
 from test_synthesis import _random_design as _synthesis_design
 
@@ -90,25 +86,6 @@ def test_cross_term_bound_window_precondition(reference_system):
     out = synthesize(A, B, model, params)
     with pytest.raises(FeasibilityError):
         check_cross_term_bound(out.P, params.epsilon, out.A_closed, model.matrix_at([0.5]))
-
-
-def test_cross_term_bound_at_vertices_fails_outside_the_window(reference_system):
-    """Outside the window the vertex audit fails on its own; misfit input still raises."""
-    A, B, model, params = reference_system
-    out = synthesize(A, B, model, params)
-    result = check_cross_term_bound_at_vertices(out.P, params.epsilon, out.A_closed, model)
-    assert (result.name, result.holds, result.margin, result.witness) == (
-        "cross_term_bound",
-        False,
-        -np.inf,
-        {},
-    )
-    assert result.note.startswith("precondition failed: design window violated")
-    with pytest.raises(ValueError, match="^A_closed has shape"):
-        check_cross_term_bound_at_vertices(out.P, params.epsilon, out.A_closed[:1], model)
-    for epsilon, message in ((0.0, "must be positive"), (1e-310, "1/epsilon overflows")):
-        with pytest.raises(ValueError, match=message):
-            check_cross_term_bound_at_vertices(out.P, epsilon, out.A_closed, model)
 
 
 def test_cross_term_bound_demo_vertices(demo_system):
@@ -843,44 +820,53 @@ def test_cross_term_margins_non_finite_slack_fails():
     assert (margin[1], tol[1], holds[1]) == (-np.inf, np.inf, False)
 
 
-@pytest.mark.parametrize("d", [0, 1, 2, 3])
-def test_verify_cross_term_entry_matches_vertex_loop(tmp_path, d):
-    """verify's one kernel call over the 2^d vertices equals a loop of single checks."""
-    data = json.loads((CONFIG_DIR / "feasible_demo.json").read_text(encoding="utf-8"))
-    rng = np.random.default_rng(40 + d)
-    data["uncertainty"]["basis"] = (0.1 * rng.normal(size=(d, 2, 2))).tolist()
-    data["uncertainty"]["p_lo"] = (-rng.uniform(0.1, 0.5, size=d)).tolist()
-    data["uncertainty"]["p_hi"] = rng.uniform(0.1, 0.5, size=d).tolist()
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
-    payload = json.loads((tmp_path / "out" / "verification.json").read_text(encoding="utf-8"))
-    (entry,) = [check for check in payload["checks"] if check["name"] == "cross_term_bound"]
+# ---------------------------------------------------------------------------
+# the loop energy bound is not implied by the design conditions
 
-    config = load_config(path)
-    out = synthesize(config.A, config.B, config.model, config.params)
-    worst = worst_p = None
-    for p in config.model.vertices():
-        result = check_cross_term_bound(
-            out.P, config.params.epsilon, out.A_closed, config.model.matrix_at(p)
-        )
-        if worst is None or result.margin < worst.margin:
-            worst, worst_p = result, p
-    assert check_cross_term_bound_at_vertices(
-        out.P, config.params.epsilon, out.A_closed, config.model
-    ) == dataclasses.replace(
-        worst,
-        witness={**worst.witness, "p": [float(v) for v in worst_p]},
-        note=worst.note + "; worst over box vertices",
-    )
-    rounded = lambda value: float(f"{value:.12g}")  # noqa: E731
-    assert entry == {
-        "name": "cross_term_bound",
-        "holds": worst.holds,
-        "margin": rounded(worst.margin),
-        "witness": {
-            "p": [rounded(v) for v in worst_p],
-            "tolerance": rounded(worst.witness["tolerance"]),
-        },
-        "note": worst.note + "; worst over box vertices",
+
+def _loop_energy_counterexample():
+    """A round-number design with the demo's simulation block."""
+    data = json.loads((CONFIG_DIR / "feasible_demo.json").read_text(encoding="utf-8"))
+    data["system"] = {"A": [[0.0, 0.1], [-0.1, -0.3]], "B": [[0.0], [1.0]]}
+    data["uncertainty"] = {
+        "basis": [[[-0.05, 0.0], [0.07, -0.02]]],
+        "p_lo": [-1.0],
+        "p_hi": [1.0],
+        "F": (0.1 * np.eye(2)).tolist(),
     }
+    data["design"] = {
+        "Q": (0.31 * np.eye(2)).tolist(),
+        "R1": [[0.29]],
+        "R2": np.eye(2).tolist(),
+        "alpha": 0.3,
+        "beta": 0.2,
+        "epsilon": 0.6,
+        "sigma": 0.5,
+    }
+    return data
+
+
+def test_loop_energy_bound_fails_where_every_certificate_holds(tmp_path):
+    """Every report condition, the epsilon interval and the dissipation audit
+    hold, yet the loop energy bound fails: the report does not imply it."""
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(_loop_energy_counterexample()), encoding="utf-8")
+    config = load_config(path)
+    A, B, model, params, run = config.A, config.B, config.model, config.params, config.simulation
+    out = synthesize(A, B, model, params)
+    assert out.report.all_hold
+    assert check_epsilon_interval(A, B, model, params, out.P, out.K, out.L).holds
+    trace = simulate(
+        A, B, model, out.K, TriggerPolicy.event(out.mu), run.trajectory, run.x0, run.n_steps, out.P
+    )
+    audit = check_dissipation(
+        trace, out.P, out.Q1, out.K, B, out.Z, params.sigma, model=model, F=model.F
+    )
+    assert audit.holds and audit.note == "30 steps audited, 0 skipped"
+    energy = check_loop_energy_bound(A, B, out.P, params, out.K, out.L)
+    assert not energy.holds
+    assert energy.margin == pytest.approx(-0.0184299, rel=1e-6)
+
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    payload = json.loads((tmp_path / "out" / "verification.json").read_text(encoding="utf-8"))
+    assert [c["name"] for c in payload["checks"] if not c["holds"]] == ["loop_energy_bound"]
