@@ -11,8 +11,8 @@ symmetrize, inverse, spectral_norm and smallest_eigenvalues each take an
 test or a message on a stack is the one its first failing slice would
 give, and inverse takes one name per slice, so that message names the
 slice. numpy runs each routine slice by slice, so every slice of a stacked
-result equals the result on that slice alone bit for bit. Every routine
-here validates its input except smallest_eigenvalues, the one
+result equals the result on that slice alone bit for bit. Every public
+routine here validates its input except smallest_eigenvalues, the one
 definiteness test, which takes exactly symmetric arrays.
 """
 
@@ -73,8 +73,8 @@ def symmetrize(values, name: str = "matrix") -> np.ndarray:
     An input equal to its transpose bit for bit (signed zeros included) is
     its own symmetric part and comes back as a fresh copy, without the
     defect arithmetic; the test compares the two arrays' bytes in C order.
-    Any other comes back as 0.5 m + 0.5 m', which has the bits of
-    0.5 (m + m') for normal floats and cannot overflow.
+    Any other comes back as _symmetric_part(m), 0.5 m + 0.5 m', which has
+    the bits of 0.5 (m + m') for normal floats and cannot overflow.
     """
     m = _square(_matrices(values, name), name)
     mt = m.swapaxes(-1, -2)
@@ -84,7 +84,12 @@ def symmetrize(values, name: str = "matrix") -> np.ndarray:
     bad = defect > SYMMETRY_TOL * np.maximum(1.0, abs(m).max(axis=(-2, -1)))
     if bad.any():
         raise ValueError(f"{name} is not symmetric (defect {defect[bad][0]:.3e})")
-    return 0.5 * m + 0.5 * mt
+    return _symmetric_part(m)
+
+
+def _symmetric_part(m: np.ndarray) -> np.ndarray:
+    """0.5 m + 0.5 m', unvalidated: the symmetric part of every matrix the package forms."""
+    return 0.5 * m + 0.5 * m.swapaxes(-1, -2)
 
 
 def smallest_eigenvalues(m):

@@ -42,6 +42,7 @@ from .errors import (
     TriggerUndefinedError,
 )
 from .linalg import (
+    _symmetric_part,
     as_matrix,
     inverse,
     pseudo_inverse,
@@ -390,7 +391,7 @@ def _channel_weights(B, params: SynthesisParams, alpha: float):
     if alpha != 0.0:
         Pi = projector_complement(B)
         W = W + alpha**2 * (Pi @ np.linalg.solve(params.R2, Pi.T))
-    return 0.5 * (W + W.T), Pi
+    return _symmetric_part(W), Pi
 
 
 def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
@@ -438,42 +439,46 @@ def _riccati(A, W, Qbar):
     rhs = np.empty((n, 2 * n))
     A_k, G, H = A, W, Qbar
     step, scale = None, float(abs(Qbar).max())
-    for iteration in range(1, RICCATI_MAX_ITER + 1):
-        rhs[:, :n], rhs[:, n:] = A_k, G
-        try:
-            X = np.linalg.solve(eye + G @ H, rhs)
-        except np.linalg.LinAlgError:
-            context = _step_context(step, scale)
+    # An H that overflows is how a pair with no stabilizing solution shows,
+    # so numpy need not warn of it, and H and G keep 0.5 (M + M'), which
+    # tests/oracles.py::riccati_hstack shares to pin the step of divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, RICCATI_MAX_ITER + 1):
+            rhs[:, :n], rhs[:, n:] = A_k, G
+            try:
+                X = np.linalg.solve(eye + G @ H, rhs)
+            except np.linalg.LinAlgError:
+                context = _step_context(step, scale)
+                raise RiccatiConvergenceError(
+                    f"doubling step {iteration} met a singular system I + G H ({context})",
+                    iterations=iteration,
+                    last_step=step,
+                ) from None
+            X_A, X_G = X[:, :n], X[:, n:]
+            H_next = H + A_k.T @ H @ X_A
+            H_next = 0.5 * (H_next + H_next.T)
+            G = G + A_k @ X_G @ A_k.T
+            G = 0.5 * (G + G.T)
+            A_k = A_k @ X_A
+            scale = float(abs(H_next).max())
+            if not math.isfinite(scale):
+                raise RiccatiConvergenceError(
+                    f"doubling diverged at step {iteration} ({_step_context(step, scale)}); "
+                    "the pair (A, B) may not admit a stabilizing solution",
+                    iterations=iteration,
+                    last_step=step,
+                )
+            step = float(abs(H_next - H).max()) / max(1.0, scale)
+            H = H_next
+            if step <= RICCATI_STEP_TOL:
+                break
+        else:
             raise RiccatiConvergenceError(
-                f"doubling step {iteration} met a singular system I + G H ({context})",
-                iterations=iteration,
-                last_step=step,
-            ) from None
-        X_A, X_G = X[:, :n], X[:, n:]
-        H_next = H + A_k.T @ H @ X_A
-        H_next = 0.5 * (H_next + H_next.T)
-        G = G + A_k @ X_G @ A_k.T
-        G = 0.5 * (G + G.T)
-        A_k = A_k @ X_A
-        scale = float(abs(H_next).max())
-        if not math.isfinite(scale):
-            raise RiccatiConvergenceError(
-                f"doubling diverged at step {iteration} ({_step_context(step, scale)}); "
-                "the pair (A, B) may not admit a stabilizing solution",
-                iterations=iteration,
+                f"no convergence within {RICCATI_MAX_ITER} doubling steps "
+                f"({_step_context(step, scale)})",
+                iterations=RICCATI_MAX_ITER,
                 last_step=step,
             )
-        step = float(abs(H_next - H).max()) / max(1.0, scale)
-        H = H_next
-        if step <= RICCATI_STEP_TOL:
-            break
-    else:
-        raise RiccatiConvergenceError(
-            f"no convergence within {RICCATI_MAX_ITER} doubling steps "
-            f"({_step_context(step, scale)})",
-            iterations=RICCATI_MAX_ITER,
-            last_step=step,
-        )
     S_inv = _s_inv(H, W)
     residual = float(abs(A.T @ S_inv @ A + Qbar - H).max())
     tolerance = RICCATI_RESIDUAL_TOL * max(1.0, scale)
@@ -493,15 +498,6 @@ def _riccati(A, W, Qbar):
     return H, iteration, residual, S_inv
 
 
-def _validated_riccati(A, B, params, F):
-    A, B, F = _conform(params=params, A=A, B=B, F=F)
-    F = symmetrize(F, "F")
-    _require_definite(F, "F", strict=False)
-    W, _ = _channel_weights(B, params, params.alpha)
-    P, iterations, residual, _ = _riccati(A, W, _effective_weight(params, F))
-    return P, iterations, residual
-
-
 def solve_modified_dare(A, B, params: SynthesisParams, F) -> np.ndarray:
     """Solve the modified discrete Riccati equation for the uncertain plant.
 
@@ -514,8 +510,11 @@ def solve_modified_dare(A, B, params: SynthesisParams, F) -> np.ndarray:
     RICCATI_MAX_ITER steps, or lands on a point whose residual exceeds
     RICCATI_RESIDUAL_TOL relative to max(1, max|P|).
     """
-    P, _, _ = _validated_riccati(A, B, params, F)
-    return P
+    A, B, F = _conform(params=params, A=A, B=B, F=F)
+    F = symmetrize(F, "F")
+    _require_definite(F, "F", strict=False)
+    W, _ = _channel_weights(B, params, params.alpha)
+    return _riccati(A, W, _effective_weight(params, F))[0]
 
 
 def feedback_gain(A, B, P, params: SynthesisParams) -> np.ndarray:
@@ -574,7 +573,7 @@ def _window_weights(P, epsilon):
     gaps = np.array([(1.0 / epsilon) * eye - P, inner_gap])
     design, inner = inverse(gaps, ("design window gap", "inner window gap"))
     Z = (1.0 / epsilon) * eye + P @ design @ P
-    return 0.5 * (Z + Z.T), P @ inner
+    return _symmetric_part(Z), P @ inner
 
 
 def decay_matrix(A, B, K, L, Z, params: SynthesisParams) -> np.ndarray:
@@ -586,15 +585,21 @@ def decay_matrix(A, B, K, L, Z, params: SynthesisParams) -> np.ndarray:
     return _decay_matrix(A + B @ K, K, L, Z, params)
 
 
+def _control_weight(K, L, params):
+    """beta^2 I + K' R1 K + L' R2 L (no L term when L is None); callers symmetrize."""
+    n = K.shape[1]
+    weight = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K
+    return weight if L is None else weight + L.T @ params.R2 @ L
+
+
+def _error_gain(K, B, Z):
+    """K' B' Z B K, the weight of the holding error in the decrease, not symmetrized."""
+    return K.T @ B.T @ Z @ B @ K
+
+
 def _decay_matrix(A_fb, K, L, Z, params):
     """Q1 of the loop A_fb = A + B K; with Z the inner window matrix, the periodic slack."""
-    Q1 = (
-        params.beta**2 * np.eye(len(A_fb))
-        + K.T @ params.R1 @ K
-        + L.T @ params.R2 @ L
-        - A_fb.T @ Z @ A_fb
-    )
-    return 0.5 * (Q1 + Q1.T)
+    return _symmetric_part(_control_weight(K, L, params) - A_fb.T @ Z @ A_fb)
 
 
 def trigger_coefficient(K, B, Z, Q1, sigma: float) -> float:
@@ -626,7 +631,7 @@ def _trigger_coefficient(K, B, Z, decay_margin, sigma, report=None, names=_TRIGG
             f"(smallest eigenvalue {shown}); the trigger threshold is undefined",
             report,
         )
-    denom = spectral_norm(K.T @ B.T @ Z @ B @ K)
+    denom = spectral_norm(_error_gain(K, B, Z))
     if denom == 0.0:
         raise TriggerUndefinedError(
             f"{names[1]} vanishes on the feedback channel; every step would transmit", report
@@ -847,12 +852,10 @@ def as_matched_model(B, model: UncertaintyModel) -> UncertaintyModel:
 
 def _matched_feasibility_report(A_fb, model, params, P, K):
     """The matched report: one eigvalsh for its slacks, one svd for the scales of F and A_fb."""
-    n = A_fb.shape[0]
     inv_eps = 1.0 / params.epsilon
     F = model.F
-    slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K - (2.0 * inv_eps) * (A_fb.T @ A_fb)
-    slack = 0.5 * (slack + slack.T)
-    window = inv_eps * np.eye(n) - P
+    slack = _symmetric_part(_control_weight(K, None, params) - (2.0 * inv_eps) * (A_fb.T @ A_fb))
+    window = inv_eps * np.eye(len(P)) - P
     vertices, dA = model.vertices(), model.vertex_stack
     margins, _ = _slack_margins(
         np.concatenate([F - (2.0 * inv_eps) * (np.swapaxes(dA, 1, 2) @ dA), [window, slack]])

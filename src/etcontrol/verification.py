@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FeasibilityError
-from .linalg import inverse, smallest_eigenvalues, spectral_norm, symmetrize
+from .linalg import _symmetric_part, inverse, smallest_eigenvalues, spectral_norm, symmetrize
 from .synthesis import (
     COND_DECAY_PSD,
     COND_EPS_WINDOW,
@@ -47,6 +47,9 @@ from .synthesis import (
     SynthesisParams,
     _channel_weights,
     _conform,
+    _control_weight,
+    _error_gain,
+    _finite_norms,
     _finite_slices,
     _hold_interval,
     _maximize,
@@ -151,8 +154,7 @@ def _cross_term_margins(P, epsilon, A_closed, dA):
         A_closed_t @ P @ inverse(gap, "design window gap") @ P @ A_closed
         + (1.0 / epsilon)[:, None, None] * (dA_t @ dA)
     )
-    difference = dominating - cross
-    slack = 0.5 * (difference + np.swapaxes(difference, 1, 2))
+    slack = _symmetric_part(dominating - cross)
     # A finite slack implies a finite dominating side.
     finite = np.isfinite(slack).all(axis=(1, 2))
     margin = np.full(len(slack), -np.inf)
@@ -190,7 +192,8 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
     the audited inequality is
     Ac' Z Ac - A' S^-1 A <= Ac' (P^-1 - eps I)^-1 Ac - K' R1 K - L' R2 L
     where Ac = A + B K. Evaluated wherever both window matrices are
-    invertible; margin is the smallest slack eigenvalue.
+    invertible; margin is the smallest slack eigenvalue, or -inf with
+    tolerance inf when the slack overflowed, and then the check fails.
     """
     A, B, P, K, L = _conform(params=params, A=A, B=B, P=P, K=K, L=L)
     W, _ = _channel_weights(B, params, params.alpha)
@@ -199,12 +202,15 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
     A_fb = A + B @ K
     lhs = A_fb.T @ Z @ A_fb - A.T @ S_inv @ A
     rhs = A_fb.T @ inner @ A_fb - K.T @ params.R1 @ K - L.T @ params.R2 @ L
-    slack = 0.5 * ((rhs - lhs) + (rhs - lhs).T)
-    margin = float(np.linalg.eigvalsh(slack)[0])
-    tol = CHECK_TOL * max(1.0, spectral_norm(rhs))
+    slack = _symmetric_part(rhs - lhs)
+    finite = bool(np.isfinite(slack).all())  # implies a finite rhs
+    margin, tol = -np.inf, np.inf
+    if finite:
+        margin = float(np.linalg.eigvalsh(slack)[0])
+        tol = CHECK_TOL * max(1.0, spectral_norm(rhs))
     return CheckResult(
         name="loop_energy_bound",
-        holds=margin >= -tol,
+        holds=finite and margin >= -tol,
         margin=margin,
         witness={"tolerance": tol},
         note="margin is the smallest slack eigenvalue",
@@ -267,11 +273,11 @@ def check_dissipation(
     n = trace.n_steps
     if trace.states.shape[1:] != P.shape[1:]:
         raise ValueError(f"trace.states has shape {trace.states.shape}, expected {(n + 1, len(P))}")
-    error_gain = K.T @ B.T @ Z @ B @ K
-    error_gain = 0.5 * (error_gain + error_gain.T)
+    error_gain = _symmetric_part(_error_gain(K, B, Z))
     # One eigvalsh over P, Q1 and, gated, Z and the vertex gate matrices
     # F - dA' Z dA, and one svd over error_gain and F: every slice is
-    # computed as on its own.
+    # computed as on its own. An error gain that overflowed gets norm 0, so
+    # no rate bound applies.
     gate = model is not None and F is not None
     symmetric, normed = [P[None], Q1[None]], [error_gain]
     vertices_finite = False
@@ -289,13 +295,13 @@ def check_dissipation(
             symmetric += [Z[None], vertex_slacks]
         normed.append(F)
     eigs = np.linalg.eigvalsh(np.concatenate(symmetric))
-    norms = np.linalg.svd(np.array(normed), compute_uv=False)[:, 0]
-    p_eigs, q_min, denom = eigs[0], float(eigs[1, 0]), float(norms[0])
+    norms = _finite_norms(normed)
+    p_eigs, q_min, denom = eigs[0], float(eigs[1, 0]), norms[0]
     mu_derived = sigma * q_min / denom if (q_min > 0.0 and denom > 0.0) else None
     # Row n, the terminal row, takes no step: the gate never skips it.
     gated = np.zeros(n + 1, dtype=bool)
     if gate:
-        gate_tol = CHECK_TOL * max(1.0, float(norms[1]))
+        gate_tol = CHECK_TOL * max(1.0, norms[1])
         # With Z positive semidefinite the gate slack is matrix-concave in p,
         # so its vertices bound it on the box. Within tol / 2 of the gate,
         # ||dA' Z dA|| <= ||F|| + tol in the box, and no step's rounding
@@ -395,13 +401,11 @@ def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> Che
     """
     A, B, K, L, P = _conform(model, params, A=A, B=B, K=K, L=L, P=P)
     _require_definite(P, "P", strict=True)
-    n = A.shape[0]
     lam, V = np.linalg.eigh(P)
     lam_max = float(lam[-1])
 
     F = model.F
-    C = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K + L.T @ params.R2 @ L
-    C = 0.5 * (C + C.T)
+    C = _symmetric_part(_control_weight(K, L, params))
     dA = model.vertex_stack
     gram = np.swapaxes(dA, 1, 2) @ dA
     dA_e = V.T @ dA

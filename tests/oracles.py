@@ -536,39 +536,42 @@ def riccati_hstack(A, W, Qbar):
 
     A_k, G, H = A, W, Qbar
     step, scale = None, float(np.max(np.abs(Qbar)))
-    for iteration in range(1, RICCATI_MAX_ITER + 1):
-        try:
-            X = np.linalg.solve(eye + G @ H, np.hstack([A_k, G]))
-        except np.linalg.LinAlgError:
+    # As in synthesis._riccati: an overflowing H is the divergence signal.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, RICCATI_MAX_ITER + 1):
+            try:
+                X = np.linalg.solve(eye + G @ H, np.hstack([A_k, G]))
+            except np.linalg.LinAlgError:
+                raise RiccatiConvergenceError(
+                    f"doubling step {iteration} met a singular system I + G H "
+                    f"({context(step, scale)})",
+                    iterations=iteration,
+                    last_step=step,
+                ) from None
+            X_A, X_G = X[:, :n], X[:, n:]
+            H_next = H + A_k.T @ H @ X_A
+            H_next = 0.5 * (H_next + H_next.T)
+            G = G + A_k @ X_G @ A_k.T
+            G = 0.5 * (G + G.T)
+            A_k = A_k @ X_A
+            scale = float(np.max(np.abs(H_next)))
+            if not np.isfinite(scale):
+                raise RiccatiConvergenceError(
+                    f"doubling diverged at step {iteration} ({context(step, scale)}); "
+                    "the pair (A, B) may not admit a stabilizing solution",
+                    iterations=iteration,
+                    last_step=step,
+                )
+            step = float(np.max(np.abs(H_next - H))) / max(1.0, scale)
+            H = H_next
+            if step <= RICCATI_STEP_TOL:
+                break
+        else:
             raise RiccatiConvergenceError(
-                f"doubling step {iteration} met a singular system I + G H ({context(step, scale)})",
-                iterations=iteration,
-                last_step=step,
-            ) from None
-        X_A, X_G = X[:, :n], X[:, n:]
-        H_next = H + A_k.T @ H @ X_A
-        H_next = 0.5 * (H_next + H_next.T)
-        G = G + A_k @ X_G @ A_k.T
-        G = 0.5 * (G + G.T)
-        A_k = A_k @ X_A
-        scale = float(np.max(np.abs(H_next)))
-        if not np.isfinite(scale):
-            raise RiccatiConvergenceError(
-                f"doubling diverged at step {iteration} ({context(step, scale)}); "
-                "the pair (A, B) may not admit a stabilizing solution",
-                iterations=iteration,
+                f"no convergence within {RICCATI_MAX_ITER} doubling steps ({context(step, scale)})",
+                iterations=RICCATI_MAX_ITER,
                 last_step=step,
             )
-        step = float(np.max(np.abs(H_next - H))) / max(1.0, scale)
-        H = H_next
-        if step <= RICCATI_STEP_TOL:
-            break
-    else:
-        raise RiccatiConvergenceError(
-            f"no convergence within {RICCATI_MAX_ITER} doubling steps ({context(step, scale)})",
-            iterations=RICCATI_MAX_ITER,
-            last_step=step,
-        )
     S_inv = np.linalg.solve(eye + H @ W, H)
     residual = float(np.max(np.abs(A.T @ S_inv @ A + Qbar - H)))
     tolerance = RICCATI_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(H))))

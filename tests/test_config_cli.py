@@ -201,6 +201,29 @@ _CONFIG_ERRORS = {
         _set("design.epsilon", 1e-310),
         "epsilon is too small: 1/epsilon overflows",
     ),
+    # A value of the wrong type or shape, or a JSON NaN, fails in its parser.
+    "design.epsilon (str)": (_set("design.epsilon", "0.1"), "expected a number, got str"),
+    "design.epsilon (bool)": (_set("design.epsilon", True), "expected a number, got bool"),
+    "simulation.n_steps (2.5)": (
+        _set("simulation.n_steps", 2.5),
+        "expected an integer, got float",
+    ),
+    "simulation.x0 (1 x 2)": (
+        _set("simulation.x0", [[1, -1]]),
+        "expected a flat list of numbers, got shape (1, 2)",
+    ),
+    "simulation.x0 (NaN)": (
+        _set("simulation.x0", [float("nan"), -1.0]),
+        "contains non-finite entries",
+    ),
+    "system.A (NaN)": (
+        _set("system.A", [[0.0, float("nan")], [0.3, 0.0]]),
+        "contains non-finite entries",
+    ),
+    "system.A (3-D)": (
+        _set("system.A", [[[0.0, 0.3], [0.3, 0.0]]]),
+        "expected a list of rows, got shape (1, 2, 2)",
+    ),
 }
 
 
@@ -253,6 +276,13 @@ def test_trajectory_round_trips(trajectory):
     saved = config_to_dict(config_from_dict(data))
     assert saved["simulation"]["trajectory"] == trajectory
     assert config_to_dict(config_from_dict(saved)) == saved
+
+
+def test_random_trajectory_without_seed_takes_the_simulation_seed():
+    data = _demo_dict()
+    data["simulation"]["seed"] = 11
+    data["simulation"]["trajectory"] = {"kind": "random"}
+    assert config_from_dict(data).simulation.trajectory.seed == 11
 
 
 @pytest.mark.parametrize("path", [DEMO_CONFIG, REFERENCE_CONFIG], ids=lambda path: path.stem)
@@ -523,7 +553,7 @@ _NUMERICAL_FAILURES = {
     "epsilon 1e-308": (
         _demo_dict,
         _set("design.epsilon", 1e-308),
-        "numerical failure: decay matrix is not positive definite (smallest eigenvalue not finite)",
+        "numerical failure: decay matrix is not positive definite (smallest eigenvalue -9e+306)",
     ),
     "reference, epsilon 1e308": (
         _reference_dict,

@@ -54,7 +54,6 @@ from etcontrol.synthesis import (
     _riccati,
     _slack_margins,
     _trigger_coefficient,
-    _validated_riccati,
     _virtual_gain,
 )
 
@@ -296,7 +295,8 @@ def test_slowly_converging_plants_match_symplectic_oracle(A, R1):
     Q = 1e-4 * np.eye(2)
     F = np.zeros((2, 2))
     params = _nominal_params(Q, [[R1]], np.eye(2))
-    P, iterations, _ = _validated_riccati(A, B, params, F)
+    W, _ = _channel_weights(B, params, params.alpha)
+    P, iterations, _, _ = _riccati(A, W, _effective_weight(params, F))
     assert iterations <= 30
     scale = max(1.0, float(np.max(np.abs(P))))
     residual = oracles.riccati_residual_explicit(A, B, P, Q, [[R1]], np.eye(2), 0.0, 0.0, F)
@@ -824,7 +824,8 @@ def test_synthesize_equals_public_stage_chain(request, instance):
     matrices, mu, report = _public_chain(A, B, model, params)
     _assert_same_bits(out, matrices, mu)
     assert out.report.checks == report.checks
-    _, iterations, residual = _validated_riccati(A, B, params, model.F)
+    W, _ = _channel_weights(B, params, params.alpha)
+    _, iterations, residual, _ = _riccati(A, W, _effective_weight(params, model.F))
     assert (out.iterations, out.residual) == (iterations, residual)
 
 
@@ -1084,26 +1085,28 @@ def test_overflowing_slack_stays_out_of_lapack():
     assert out.report.checks[2:4] == synthesize(A, B, model, params).report.checks[2:4]
 
 
-def test_overflowing_error_weight_fails_its_conditions_uncertified(demo_system):
-    """epsilon 1e-308: Z overflows, so the conditions on Z and Q1 fail with margin None
-    and the trigger coefficient is undefined; the report equals the per-call oracle's."""
+def test_huge_error_weight_keeps_finite_margins(demo_system):
+    """epsilon 1e-308: Z is 1e308 I, finite, and so are the margins of the conditions
+    on Z and Q1. Q1 is indefinite, so the trigger coefficient is undefined; the report
+    equals the per-call oracle's."""
     A, B, model, params = demo_system
     params = dataclasses.replace(params, epsilon=1e-308)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TriggerUndefinedError, match=r"eigenvalue not finite\)") as info:
-            synthesize(A, B, model, params)
-        W, Pi = _channel_weights(B, params, params.alpha)
-        P, _, _, S_inv = oracles.riccati_hstack(A, W, _effective_weight(params, model.F))
-        K, L = _feedback_gain(A, B, S_inv, params), _virtual_gain(A, Pi, S_inv, params)
-        Z, _ = oracles.window_weights_separate(P, params.epsilon)
-        Q1 = _decay_matrix(A + B @ K, K, L, Z, params)
-        expected = oracles.feasibility_report_per_condition(
-            "mismatched", A + B @ K, model, params, P, K, L, Z, Q1
-        )
-    assert info.value.report.checks == expected
-    for condition in (COND_WEIGHT_PD, COND_UNC_WEIGHTED, COND_DECAY_PSD):
-        check = info.value.report.get(condition)
-        assert (check.verdict, check.margin, check.margin_exact) == (FAILS, None, False)
+    with pytest.raises(TriggerUndefinedError, match=r"\(smallest eigenvalue -9e\+306\)") as info:
+        synthesize(A, B, model, params)
+    W, Pi = _channel_weights(B, params, params.alpha)
+    P, _, _, S_inv = oracles.riccati_hstack(A, W, _effective_weight(params, model.F))
+    K, L = _feedback_gain(A, B, S_inv, params), _virtual_gain(A, Pi, S_inv, params)
+    Z = error_weight(P, params.epsilon)
+    assert np.array_equal(Z, 1e308 * np.eye(2))
+    Q1 = _decay_matrix(A + B @ K, K, L, Z, params)
+    report = info.value.report
+    assert report.checks == oracles.feasibility_report_per_condition(
+        "mismatched", A + B @ K, model, params, P, K, L, Z, Q1
+    )
+    margins = {c.condition: (c.verdict, c.margin) for c in report.checks}
+    assert margins[COND_WEIGHT_PD] == (HOLDS, 1e308)
+    assert margins[COND_UNC_WEIGHTED] == (FAILS, pytest.approx(-1.8e305, rel=1e-12))
+    assert margins[COND_DECAY_PSD] == (FAILS, pytest.approx(-9e306, rel=1e-12))
 
 
 def test_overflowing_inner_gap_raises(reference_system):
@@ -1187,15 +1190,16 @@ def _scaled(system, name, factor):
 def test_scaled_instances_solve_on_a_relative_scale(request, system, name, factor):
     """Large weights converge, and the residual is judged relative to max|P|."""
     A, B, model, params = _scaled(request.getfixturevalue(system), name, factor)
-    P, iterations, residual = _validated_riccati(A, B, params, model.F)
+    W, _ = _channel_weights(B, params, params.alpha)
+    Q_eff = _effective_weight(params, model.F)
+    P, iterations, residual, _ = _riccati(A, W, Q_eff)
     scale = max(1.0, float(np.max(np.abs(P))))
     assert residual <= RICCATI_RESIDUAL_TOL * scale
     explicit = oracles.riccati_residual_explicit(
         A, B, P, params.Q, params.R1, params.R2, params.alpha, params.beta, model.F
     )
     assert explicit <= RICCATI_RESIDUAL_TOL * scale
-    W, _ = _channel_weights(B, params, params.alpha)
-    expected = oracles.riccati_hstack(A, W, _effective_weight(params, model.F))
+    expected = oracles.riccati_hstack(A, W, Q_eff)
     assert np.array_equal(P, expected[0]) and (iterations, residual) == expected[1:3]
 
 

@@ -117,6 +117,15 @@ def test_loop_energy_bound_demo(demo_system):
     assert result.holds
 
 
+def test_loop_energy_bound_fails_on_an_overflowing_slack(demo_system):
+    """B x 1e160: finite inputs whose slack overflows fail, with margin -inf and tolerance inf."""
+    A, B, model, params = demo_system
+    out = synthesize(A, B, model, params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = check_loop_energy_bound(A, 1e160 * B, out.P, params, out.K, out.L)
+    assert (result.holds, result.margin, result.witness) == (False, -np.inf, {"tolerance": np.inf})
+
+
 def test_loop_energy_bound_zero_dynamics(demo_system):
     """With A = 0 the gains vanish, both sides are zero, and the bound is tight."""
     from etcontrol import feedback_gain, solve_modified_dare, virtual_gain
@@ -612,6 +621,19 @@ def test_dissipation_gate_slacks_that_are_not_finite(p):
     assert (result.holds, result.margin) == (False, -np.inf)
     assert result.note == "violated at step 0 (1 steps audited, 0 skipped)"
     assert result.witness == {"step": 0, "bound": "raw", "dV": np.inf}
+
+
+def test_dissipation_fails_on_an_overflowing_error_gain(demo_system):
+    """K x 10 and Z = 1e308 I, no gate: K' B' Z B K overflows, its norm counts as 0 (no
+    rate bound applies) and the raw bound fails at step 0 instead of raising."""
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = check_dissipation(
+            trace, out.P, out.Q1, 10.0 * out.K, B, 1e308 * np.eye(2), params.sigma
+        )
+    assert (result.holds, result.margin) == (False, -np.inf)
+    assert result.note == "violated at step 0 (1 steps audited, 0 skipped)"
+    assert (result.witness["step"], result.witness["bound"]) == (0, "raw")
 
 
 @pytest.mark.parametrize("d", [0, 2])
