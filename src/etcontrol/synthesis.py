@@ -429,10 +429,12 @@ def _riccati(A, W, Qbar):
     stops once a step changes H by at most RICCATI_STEP_TOL, and the
     residual must stay within RICCATI_RESIDUAL_TOL, both relative to
     max(1, max|H|); an H that overflows (no stabilizing solution) or a
-    singular solve ends it with RiccatiConvergenceError. Returns the
-    solution P (exactly symmetric and positive definite), the doubling-step
-    count, the residual of the original equation and S_inv = (I + P W)^-1 P,
-    which the residual and the gains share.
+    singular solve ends it with RiccatiConvergenceError; for a singular
+    solve it names Qbar's extreme eigenvalues as formed in floats (Q + F
+    loses Q to a huge F). Returns the solution P (exactly symmetric and
+    positive definite), the doubling-step count, the residual of the
+    original equation and S_inv = (I + P W)^-1 P, which the residual and
+    the gains share.
     """
     n = A.shape[0]
     eye = np.eye(n)
@@ -449,8 +451,11 @@ def _riccati(A, W, Qbar):
                 X = np.linalg.solve(eye + G @ H, rhs)
             except np.linalg.LinAlgError:
                 context = _step_context(step, scale)
+                weight = np.linalg.eigvalsh(Qbar)
                 raise RiccatiConvergenceError(
-                    f"doubling step {iteration} met a singular system I + G H ({context})",
+                    f"doubling step {iteration} met a singular system I + G H ({context}); "
+                    f"the effective state weight has smallest eigenvalue {weight[0]:.3e} "
+                    f"and largest {weight[-1]:.3e}",
                     iterations=iteration,
                     last_step=step,
                 ) from None
@@ -639,15 +644,6 @@ def _trigger_coefficient(K, B, Z, decay_margin, sigma, report=None, names=_TRIGG
     return float(sigma * decay_margin / denom)
 
 
-def _verdict(margin: float, scale: float, band: float) -> str:
-    hold_tol = HOLD_TOL * max(1.0, scale)
-    if margin >= -hold_tol:
-        return HOLDS
-    if margin >= -band:
-        return MARGINAL
-    return FAILS
-
-
 def _finite_slices(stack):
     """The (k, n, n) stack with every slice that is not finite zeroed, and the finite mask.
 
@@ -677,68 +673,44 @@ def _slack_margins(slacks):
     return margins, thresholds
 
 
-def _box_check(condition, description, vertices, margins, band_scale):
-    """Smallest slack eigenvalue over the vertices of the parameter box.
+def _check(condition, description, margins, scale, vertices=None):
+    """One design condition from the smallest eigenvalues of its slacks.
 
-    margins holds, from _slack_margins, lambda_min of the slack
-    F - dA' W dA at each row of vertices, with W positive semidefinite
+    A matrix condition passes one margin and no vertices. A box condition
+    passes one margin per row of vertices: lambda_min, from _slack_margins,
+    of the slack F - dA' W dA at that vertex, with W positive semidefinite
     (c I or Z). Because dA(p) is affine in p, the slack is matrix-concave
     in p, lambda_min of it is concave, and its minimum over the box lies at
     a vertex: the margin is a certificate for the whole box, not a sample
     (multi-convexity; Boyd et al., LMIs in System and Control Theory, 1994).
-    The witness is the first vertex attaining the minimum. A slack that is
-    not finite (margin NaN) leaves the box uncertified: the condition fails
-    with margin None and the first such vertex as its witness.
+    The witness is the first vertex attaining the minimum. scale is at
+    least 1: the condition holds when the margin is at least
+    -HOLD_TOL * scale, is marginal down to -MARGINAL_BAND * scale, and
+    fails below. A margin that is not finite (the slack overflowed) leaves
+    the condition uncertified, failing with margin None; a box condition
+    names the first such vertex as its witness. margins None means the
+    condition was not evaluated: it fails with no margin, witness or points.
     """
-    not_finite = ~np.isfinite(margins)
-    if not_finite.any():
-        worst, margin, verdict = int(np.argmax(not_finite)), None, FAILS
-    else:
-        worst = int(np.argmin(margins))
-        margin = float(margins[worst])
-        verdict = _verdict(margin, band_scale, MARGINAL_BAND * band_scale)
+    if margins is None:
+        return ConditionCheck(condition, FAILS, None, None, description, 0, False)
+    values = margins if vertices is not None else [margins]
+    worst = next((i for i, m in enumerate(values) if not math.isfinite(m)), None)
+    margin, verdict = None, FAILS
+    if worst is None:
+        worst = min(range(len(values)), key=values.__getitem__)
+        margin = values[worst]
+        if margin >= -HOLD_TOL * scale:
+            verdict = HOLDS
+        elif margin >= -MARGINAL_BAND * scale:
+            verdict = MARGINAL
     return ConditionCheck(
         condition=condition,
         verdict=verdict,
         margin=margin,
-        witness_p=tuple(float(v) for v in vertices[worst]),
+        witness_p=None if vertices is None else tuple(vertices[worst]),
         description=description,
-        points_evaluated=len(vertices),
+        points_evaluated=0 if vertices is None else len(vertices),
         margin_exact=margin is not None,
-    )
-
-
-def _matrix_check(condition, description, margin, scale):
-    """A matrix condition whose margin is the smallest slack eigenvalue.
-
-    A margin that is not finite (_slack_margins: the slack overflowed)
-    leaves the condition uncertified: it fails with margin None.
-    """
-    margin = float(margin)
-    if not math.isfinite(margin):
-        return _uncertified(condition, description)
-    band = MARGINAL_BAND * max(1.0, scale)
-    return ConditionCheck(
-        condition=condition,
-        verdict=_verdict(margin, scale, band),
-        margin=margin,
-        witness_p=None,
-        description=description,
-        points_evaluated=0,
-        margin_exact=True,
-    )
-
-
-def _uncertified(condition, description):
-    """A condition that could not be evaluated or certified: it fails."""
-    return ConditionCheck(
-        condition=condition,
-        verdict=FAILS,
-        margin=None,
-        witness_p=None,
-        description=description,
-        points_evaluated=0,
-        margin_exact=False,
     )
 
 
@@ -783,34 +755,35 @@ def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner):
     matrices = [inv_eps * np.eye(len(P)) - P, Z, Q1]
     if inner is not None:
         matrices.append(_decay_matrix(A_fb, K, L, inner, params))
-    vertices, dA = model.vertices(), model.vertex_stack
+    vertices, dA = model.vertices().tolist(), model.vertex_stack
     v = len(vertices)
     dA_t = np.swapaxes(dA, 1, 2)
     margins, thresholds = _slack_margins(
         np.concatenate([F - inv_eps * (dA_t @ dA), F - dA_t @ Z @ dA, matrices])
     )
+    z_psd = margins[2 * v + 1] >= -thresholds[2 * v + 1]
+    margins = margins.tolist()  # one conversion; _check then works on Python floats
     window_min, z_min, q1_min, *decay_min = margins[2 * v :]
+    weighted_min = margins[v : 2 * v] if z_psd else None
     F_scale, P_scale, Q1_scale = (max(1.0, s) for s in _finite_norms([F, P, Q1]))
     scaled = "scaled uncertainty bound: (1/epsilon) dA' dA <= F over the box"
     decay = "periodic transmission decay margin is nonnegative"
-    unevaluable = f"{decay} (not evaluable: inner window gap is singular)"
     weighted = "weighted uncertainty bound: dA' Z dA <= F over the box"
-    uncertified = f"{weighted} (not certified: Z is not positive semidefinite)"
+    if inner is None:
+        decay += " (not evaluable: inner window gap is singular)"
+    if not z_psd:
+        weighted += " (not certified: Z is not positive semidefinite)"
     window_scale = max(1.0, inv_eps)
     return FeasibilityReport(
         checks=(
-            _matrix_check(COND_EPS_WINDOW, _WINDOW_DESCRIPTION, window_min, window_scale),
-            _box_check(COND_UNC_SCALED, scaled, vertices, margins[:v], F_scale),
-            _matrix_check(COND_PERIODIC_DECAY, decay, decay_min[0], P_scale)
-            if decay_min
-            else _uncertified(COND_PERIODIC_DECAY, unevaluable),
-            _matrix_check(
+            _check(COND_EPS_WINDOW, _WINDOW_DESCRIPTION, window_min, window_scale),
+            _check(COND_UNC_SCALED, scaled, margins[:v], F_scale, vertices),
+            _check(COND_PERIODIC_DECAY, decay, decay_min[0] if decay_min else None, P_scale),
+            _check(
                 COND_WEIGHT_PD, "trigger error weight is positive definite", z_min, window_scale
             ),
-            _box_check(COND_UNC_WEIGHTED, weighted, vertices, margins[v : 2 * v], F_scale)
-            if z_min >= -thresholds[2 * v + 1]
-            else _uncertified(COND_UNC_WEIGHTED, uncertified),
-            _matrix_check(
+            _check(COND_UNC_WEIGHTED, weighted, weighted_min, F_scale, vertices),
+            _check(
                 COND_DECAY_PSD, "guaranteed-decay matrix is positive semidefinite", q1_min, Q1_scale
             ),
         )
@@ -856,23 +829,20 @@ def _matched_feasibility_report(A_fb, model, params, P, K):
     F = model.F
     slack = _symmetric_part(_control_weight(K, None, params) - (2.0 * inv_eps) * (A_fb.T @ A_fb))
     window = inv_eps * np.eye(len(P)) - P
-    vertices, dA = model.vertices(), model.vertex_stack
-    margins, _ = _slack_margins(
+    vertices, dA = model.vertices().tolist(), model.vertex_stack
+    margins = _slack_margins(
         np.concatenate([F - (2.0 * inv_eps) * (np.swapaxes(dA, 1, 2) @ dA), [window, slack]])
-    )
+    )[0].tolist()
     F_norm, A_fb_norm = _finite_norms([F, A_fb])
+    bound = (
+        "matched uncertainty bound: (2/epsilon) phi' B' B phi = "
+        "(2/epsilon) dA' dA <= F over the box"
+    )
     return FeasibilityReport(
         checks=(
-            _matrix_check(COND_EPS_WINDOW, _WINDOW_DESCRIPTION, margins[-2], max(1.0, inv_eps)),
-            _box_check(
-                COND_UNC_MATCHED,
-                "matched uncertainty bound: (2/epsilon) phi' B' B phi = "
-                "(2/epsilon) dA' dA <= F over the box",
-                vertices,
-                margins[:-2],
-                max(1.0, F_norm),
-            ),
-            _matrix_check(
+            _check(COND_EPS_WINDOW, _WINDOW_DESCRIPTION, margins[-2], max(1.0, inv_eps)),
+            _check(COND_UNC_MATCHED, bound, margins[:-2], max(1.0, F_norm), vertices),
+            _check(
                 COND_MATCHED_DECAY,
                 "matched decay condition on the nominal closed loop",
                 margins[-1],

@@ -316,10 +316,10 @@ def dissipation_stepwise(trace, P, Q1, K, B, Z, sigma, model=None, F=None):
     from etcontrol.verification import CHECK_TOL
 
     P, Q1, Z, K, B = (np.asarray(v, dtype=float) for v in (P, Q1, Z, K, B))
-    P, Q1, Z = (0.5 * (m + m.T) for m in (P, Q1, Z))
+    P, Q1, Z = (0.5 * m + 0.5 * m.T for m in (P, Q1, Z))
     sigma = float(sigma)
     error_gain = K.T @ B.T @ Z @ B @ K
-    error_gain = 0.5 * (error_gain + error_gain.T)
+    error_gain = 0.5 * error_gain + 0.5 * error_gain.T
     p_eigs = np.linalg.eigvalsh(P)
     q_min = float(np.linalg.eigvalsh(Q1)[0])
     denom = float(np.linalg.norm(error_gain, 2))
@@ -466,7 +466,7 @@ def epsilon_scan(A, B, model, params, P, K, L, points: int = 4000, decades: floa
 
 
 def _lambda_min(stack):
-    return np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2)))[..., 0]
+    return np.linalg.eigvalsh(0.5 * stack + 0.5 * np.swapaxes(stack, -1, -2))[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +519,7 @@ def window_weights_separate(P, epsilon):
     inner_gap = _inner_gap(P, epsilon)
     gap = (1.0 / epsilon) * eye - P
     Z = (1.0 / epsilon) * eye + P @ _guarded_inverse(gap, "design window gap") @ P
-    return 0.5 * (Z + Z.T), P @ _guarded_inverse(inner_gap, "inner window gap")
+    return 0.5 * Z + 0.5 * Z.T, P @ _guarded_inverse(inner_gap, "inner window gap")
 
 
 def riccati_hstack(A, W, Qbar):
@@ -542,9 +542,11 @@ def riccati_hstack(A, W, Qbar):
             try:
                 X = np.linalg.solve(eye + G @ H, np.hstack([A_k, G]))
             except np.linalg.LinAlgError:
+                weight = np.linalg.eigvalsh(Qbar)
                 raise RiccatiConvergenceError(
                     f"doubling step {iteration} met a singular system I + G H "
-                    f"({context(step, scale)})",
+                    f"({context(step, scale)}); the effective state weight has smallest "
+                    f"eigenvalue {weight[0]:.3e} and largest {weight[-1]:.3e}",
                     iterations=iteration,
                     last_step=step,
                 ) from None
@@ -647,7 +649,7 @@ def feasibility_report_per_condition(mode, A_fb, model, params, P, K, L, Z, Q1):
     if mode == "matched":
         slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K
         slack = slack - (2.0 * inv_eps) * (A_fb.T @ A_fb)
-        slack = 0.5 * (slack + slack.T)
+        slack = 0.5 * slack + 0.5 * slack.T
         return (
             _window(P, inv_eps),
             _box(
@@ -685,7 +687,7 @@ def feasibility_report_per_condition(mode, A_fb, model, params, P, K, L, Z, Q1):
     else:
         A_inner = A_fb.T @ inner @ A_fb
         slack = params.beta**2 * np.eye(n) + K.T @ params.R1 @ K + L.T @ params.R2 @ L - A_inner
-        margin = _smallest(0.5 * (slack + slack.T))
+        margin = _smallest(0.5 * slack + 0.5 * slack.T)
         checks.append(_matrix("periodic_decay", decay_description, margin, max(1.0, _norm(P))))
     z_min = _smallest(Z)
     checks.append(

@@ -42,12 +42,14 @@ from etcontrol.synthesis import (
     COND_UNC_WEIGHTED,
     COND_WEIGHT_PD,
     FAILS,
+    HOLD_TOL,
     HOLDS,
     MARGINAL,
+    MARGINAL_BAND,
     RICCATI_MAX_ITER,
     RICCATI_RESIDUAL_TOL,
-    _box_check,
     _channel_weights,
+    _check,
     _decay_matrix,
     _effective_weight,
     _feedback_gain,
@@ -474,6 +476,25 @@ def test_marginal_band(reference_system):
     assert out.report.get(COND_UNC_SCALED).verdict == MARGINAL
 
 
+def test_marginal_matrix_conditions_equal_per_call_oracle():
+    """The window gap and Q1 miss definiteness by 1e-7: both matrix conditions are marginal."""
+    model = UncertaintyModel(basis=([[1.0]],), p_lo=[-1.0], p_hi=[1.0], F=[[1.0]])
+    params = SynthesisParams(
+        Q=[[1.0]], R1=[[1.0]], R2=[[1.0]], alpha=1.0, beta=0.5, epsilon=2.0, sigma=0.5
+    )
+    one = np.ones((1, 1))
+    A, B, K, L, Z = 0.5 * one, one, 0.1 * one, 0 * one, 3.0 * one
+    P, Q1 = (0.5 + 1e-7) * one, -1e-7 * one
+    report = feasibility_report(A, B, model, params, P, K, L, Z, Q1)
+    for condition in (COND_EPS_WINDOW, COND_DECAY_PSD):
+        check = report.get(condition)
+        assert check.verdict == MARGINAL and check.margin == pytest.approx(-1e-7, rel=1e-8)
+    expected = oracles.feasibility_report_per_condition(
+        "mismatched", A + B @ K, model, params, P, K, L, Z, Q1
+    )
+    assert report.checks == expected
+
+
 def test_report_orders_conditions(demo_system):
     A, B, model, params = demo_system
     out = synthesize(A, B, model, params)
@@ -645,14 +666,40 @@ def test_box_check_non_finite_slack_fails_at_first_such_vertex(demo_system):
     assert out.report.get(COND_EPS_WINDOW).verdict == HOLDS
 
 
-def test_box_check_reads_finiteness_from_the_slack():
-    """LAPACK can return finite eigenvalues for a NaN matrix; a NaN slack still fails."""
-    model = UncertaintyModel(basis=(np.eye(2),), p_lo=[-1.0], p_hi=[1.0], F=np.eye(2))
+@pytest.mark.parametrize("kind", ["box", "matrix"])
+def test_check_reads_finiteness_from_the_slack(kind):
+    """LAPACK can return finite eigenvalues for a NaN matrix; a NaN slack still fails.
+
+    A box condition keeps its points and names the first such vertex; a
+    matrix condition has neither.
+    """
     slack = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]])
-    margins, _ = _slack_margins(slack)
-    check = _box_check(COND_UNC_SCALED, "", model.vertices(), margins, 1.0)
-    assert check.verdict == FAILS and check.margin is None
-    assert check.witness_p == (1.0,)
+    margins = _slack_margins(slack)[0].tolist()
+    if kind == "box":
+        check = _check(COND_UNC_SCALED, "", margins, 1.0, [[-1.0], [1.0]])
+        assert (check.witness_p, check.points_evaluated) == ((1.0,), 2)
+    else:
+        check = _check(COND_DECAY_PSD, "", margins[1], 1.0)
+        assert (check.witness_p, check.points_evaluated) == (None, 0)
+    assert check.verdict == FAILS and check.margin is None and not check.margin_exact
+
+
+@pytest.mark.parametrize("scale", [1.0, 40.0])
+@pytest.mark.parametrize("kind", ["box", "matrix"])
+def test_check_band_edges(kind, scale):
+    """Both kinds: hold down to -HOLD_TOL scale, marginal down to -MARGINAL_BAND scale."""
+    hold, band = -HOLD_TOL * scale, -MARGINAL_BAND * scale
+    below = [np.nextafter(hold, -np.inf), np.nextafter(band, -np.inf)]
+    edges = zip([hold, *below, band], [HOLDS, MARGINAL, FAILS, MARGINAL])
+    for margin, verdict in edges:
+        margin = float(margin)
+        if kind == "box":
+            check = _check(COND_UNC_SCALED, "", [1.0, margin, margin], scale, [[0.0], [1.0], [2.0]])
+            assert check.witness_p == (1.0,)
+        else:
+            check = _check(COND_DECAY_PSD, "", margin, scale)
+        assert check.margin == margin
+        assert check.verdict == verdict == oracles._verdict(margin, scale, MARGINAL_BAND * scale)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1096,8 +1143,9 @@ def test_huge_error_weight_keeps_finite_margins(demo_system):
     W, Pi = _channel_weights(B, params, params.alpha)
     P, _, _, S_inv = oracles.riccati_hstack(A, W, _effective_weight(params, model.F))
     K, L = _feedback_gain(A, B, S_inv, params), _virtual_gain(A, Pi, S_inv, params)
-    Z = error_weight(P, params.epsilon)
+    Z, _ = oracles.window_weights_separate(P, params.epsilon)
     assert np.array_equal(Z, 1e308 * np.eye(2))
+    assert np.array_equal(Z, error_weight(P, params.epsilon))
     Q1 = _decay_matrix(A + B @ K, K, L, Z, params)
     report = info.value.report
     assert report.checks == oracles.feasibility_report_per_condition(
@@ -1211,7 +1259,8 @@ def test_singular_doubling_system_raises(reference_system):
     assert (info.value.iterations, info.value.last_step) == (1, None)
     assert str(info.value) == (
         "doubling step 1 met a singular system I + G H "
-        "(last relative step none, largest entry of H 6.090e+18)"
+        "(last relative step none, largest entry of H 6.090e+18); the effective state "
+        "weight has smallest eigenvalue 0.000e+00 and largest 1.218e+19"
     )
     W, _ = _channel_weights(B, params, params.alpha)
     with pytest.raises(RiccatiConvergenceError) as per_call:
