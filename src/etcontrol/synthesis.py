@@ -128,7 +128,7 @@ _SHAPES = {
     "A": "nn", "B": "nm", "K": "mn", "L": "nn", "A_closed": "nn",
     "P": "nn", "Z": "nn", "Q1": "nn", "F": "nn", "dA": "nn",
 }
-_SYMMETRIC = ("P", "Z", "Q1")
+_SYMMETRIC = ("P", "Z", "Q1", "F")
 
 
 def _fixed_by(arrays, dim: str) -> str:
@@ -516,7 +516,6 @@ def solve_modified_dare(A, B, params: SynthesisParams, F) -> np.ndarray:
     RICCATI_RESIDUAL_TOL relative to max(1, max|P|).
     """
     A, B, F = _conform(params=params, A=A, B=B, F=F)
-    F = symmetrize(F, "F")
     _require_definite(F, "F", strict=False)
     W, _ = _channel_weights(B, params, params.alpha)
     return _riccati(A, W, _effective_weight(params, F))[0]

@@ -12,19 +12,13 @@ check_loop_energy_bound and check_dissipation.
 The inversion identity and the cross-term bound hold unconditionally
 under their stated preconditions, and where those fail the design window
 is broken, which epsilon_interval reports; verify does not run them. Each
-has one private stacked kernel over (k, n, n) stacks,
-_inversion_identity_margins and _cross_term_margins. The public checks
-validate their arrays through the input contract (_conform) and epsilon
-once, then run the kernel on a stack of one. The kernels trust their
-stacks and keep only the tests that can fail on valid input, on every
-slice: P positive definite, both window gaps invertible, the design
-window, and a finite slack. The random campaigns, identity_campaign and
-cross_term_campaign, stress the two on matrices that do not depend on any
-design, so they measure round-off only (acceptance criterion 08). They
-draw their samples one by one, exactly as a per-sample loop would, then
-audit them by dimension with one kernel call per dimension. numpy's
-stacked LAPACK and BLAS calls work slice by slice, so every margin equals
-the per-sample one bit for bit.
+is one check on one (n, n) instance, behind the input contract
+(_conform). The bound checks share one verdict rule (_bound_result): a
+slack that is not finite fails with margin -inf. The random campaigns,
+identity_campaign and cross_term_campaign, stress the two lemmas on
+matrices that do not depend on any design, so they measure round-off only
+(acceptance criterion 08). They draw each sample from its own generator
+and audit it with the public check, in sample order.
 """
 
 from __future__ import annotations
@@ -80,88 +74,47 @@ class CheckResult:
     note: str = ""
 
 
-def _inversion_identity_margins(P, epsilon):
-    """Audit (P^-1 - eps I)^-1 = P + P ((1/eps) I - P)^-1 P on a stack.
+def _bound_result(name: str, slack, dominating) -> CheckResult:
+    """The verdict of a bound check from its symmetric slack and dominating side.
 
-    A kernel: P is a (k, n, n) stack of exactly symmetric matrices and
-    epsilon a (k,) array of positive weights. Every P must be positive
-    definite (ValueError) and both window matrices of every instance
-    invertible (SingularMatrixError). Returns per-instance arrays (margins,
-    tolerances, holds): the worst entrywise residual between the two
-    sides, CHECK_TOL relative to the magnitude of P, and whether the
-    residual stays within it.
+    Margin is the smallest slack eigenvalue, and the check holds when it
+    stays above minus CHECK_TOL relative to the magnitude of the dominating
+    side. A slack that is not finite (the products overflowed) fails, with
+    margin -inf and tolerance inf; a finite slack implies a finite
+    dominating side.
     """
-    smallest, threshold = smallest_eigenvalues(P)
-    if not (smallest > threshold).all():
-        raise ValueError("P must be positive definite")
-    eye = np.eye(P.shape[1])
-    lhs = P @ inverse(eye - epsilon[:, None, None] * P, "inner window gap")
-    gap = (1.0 / epsilon)[:, None, None] * eye - P
-    rhs = P + P @ inverse(gap, "design window gap") @ P
-    residual = np.max(np.abs(lhs - rhs), axis=(1, 2))
-    tol = CHECK_TOL * np.maximum(1.0, spectral_norm(P))
-    return residual, tol, residual <= tol
+    note = "margin is the smallest slack eigenvalue"
+    if not np.isfinite(slack).all():
+        return CheckResult(name, False, -np.inf, {"tolerance": np.inf}, note)
+    margin = float(np.linalg.eigvalsh(slack)[0])
+    tol = CHECK_TOL * max(1.0, spectral_norm(dominating))
+    return CheckResult(name, margin >= -tol, margin, {"tolerance": tol}, note)
 
 
 def check_inversion_identity(P, epsilon: float) -> CheckResult:
     """Audit (P^-1 - eps I)^-1 = P + P ((1/eps) I - P)^-1 P.
 
-    Requires P symmetric positive definite, epsilon positive and both window
-    matrices invertible; the margin is the worst entrywise residual between
+    Requires P symmetric positive definite (ValueError), epsilon positive
+    and both window matrices invertible (SingularMatrixError, the inner gap
+    I - eps P first); the margin is the worst entrywise residual between
     the two sides, and the check holds when it stays below CHECK_TOL
     relative to the magnitude of P.
     """
     (P,) = _conform(P=P)
-    epsilon = np.array([_require_epsilon(epsilon)])
-    residual, tol, holds = _inversion_identity_margins(P[None], epsilon)
+    epsilon = _require_epsilon(epsilon)
+    _require_definite(P, "P", strict=True)
+    eye = np.eye(len(P))
+    lhs = P @ inverse(eye - epsilon * P, "inner window gap")
+    rhs = P + P @ inverse((1.0 / epsilon) * eye - P, "design window gap") @ P
+    residual = float(np.max(np.abs(lhs - rhs)))
+    tol = CHECK_TOL * max(1.0, spectral_norm(P))
     return CheckResult(
         name="inversion_identity",
-        holds=bool(holds[0]),
-        margin=float(residual[0]),
-        witness={"tolerance": float(tol[0])},
+        holds=residual <= tol,
+        margin=residual,
+        witness={"tolerance": tol},
         note="margin is the worst entrywise residual",
     )
-
-
-def _cross_term_margins(P, epsilon, A_closed, dA):
-    """Audit the completion-of-squares bound on the cross terms on a stack.
-
-    Inside the design window ((1/eps) I - P positive definite) the mixed
-    terms Ac' P dA + dA' P Ac + dA' P dA are dominated by
-    Ac' P ((1/eps) I - P)^-1 P Ac + (1/eps) dA' dA. A kernel: P (exactly
-    symmetric), A_closed and dA are (k, n, n) stacks and epsilon a (k,)
-    array of positive weights. Raises FeasibilityError when the window
-    precondition fails for any instance, since the bound is not claimed
-    there. Returns per-instance arrays (margins, tolerances, holds): the
-    smallest slack eigenvalue, CHECK_TOL relative to the magnitude of the
-    dominating side, and whether the margin stays above minus that
-    tolerance. An instance whose slack is not finite (the products
-    overflowed) fails, with margin -inf and tolerance inf.
-    """
-    gap = (1.0 / epsilon)[:, None, None] * np.eye(P.shape[1]) - P
-    # 1/epsilon can overflow: symmetrize refuses a gap that is not finite.
-    smallest, threshold = smallest_eigenvalues(symmetrize(gap, "design window gap"))
-    if not (smallest > threshold).all():
-        raise FeasibilityError(
-            "design window violated: (1/epsilon) I - P is not positive definite, "
-            "the cross-term bound is not claimed here",
-            condition=COND_EPS_WINDOW,
-        )
-    A_closed_t = np.swapaxes(A_closed, 1, 2)
-    dA_t = np.swapaxes(dA, 1, 2)
-    cross = A_closed_t @ P @ dA + dA_t @ P @ A_closed + dA_t @ P @ dA
-    dominating = (
-        A_closed_t @ P @ inverse(gap, "design window gap") @ P @ A_closed
-        + (1.0 / epsilon)[:, None, None] * (dA_t @ dA)
-    )
-    slack = _symmetric_part(dominating - cross)
-    # A finite slack implies a finite dominating side.
-    finite = np.isfinite(slack).all(axis=(1, 2))
-    margin = np.full(len(slack), -np.inf)
-    tol = np.full(len(slack), np.inf)
-    margin[finite] = np.linalg.eigvalsh(slack[finite])[:, 0]
-    tol[finite] = CHECK_TOL * np.maximum(1.0, spectral_norm(dominating[finite]))
-    return margin, tol, finite & (margin >= -tol)
 
 
 def check_cross_term_bound(P, epsilon: float, A_closed, dA) -> CheckResult:
@@ -171,18 +124,26 @@ def check_cross_term_bound(P, epsilon: float, A_closed, dA) -> CheckResult:
     terms Ac' P dA + dA' P Ac + dA' P dA are dominated by
     Ac' P ((1/eps) I - P)^-1 P Ac + (1/eps) dA' dA. Raises FeasibilityError
     when the window precondition fails; the bound is not claimed there.
-    Margin is the smallest slack eigenvalue.
+    Margin is the smallest slack eigenvalue, or -inf with tolerance inf
+    when the slack overflowed, and then the check fails.
     """
     P, A_closed, dA = _conform(P=P, A_closed=A_closed, dA=dA)
-    epsilon = np.array([_require_epsilon(epsilon)])
-    margin, tol, holds = _cross_term_margins(P[None], epsilon, A_closed[None], dA[None])
-    return CheckResult(
-        name="cross_term_bound",
-        holds=bool(holds[0]),
-        margin=float(margin[0]),
-        witness={"tolerance": float(tol[0])},
-        note="margin is the smallest slack eigenvalue",
+    epsilon = _require_epsilon(epsilon)
+    gap = (1.0 / epsilon) * np.eye(len(P)) - P
+    # A P near the float maximum can overflow the gap: symmetrize refuses it.
+    smallest, threshold = smallest_eigenvalues(symmetrize(gap, "design window gap"))
+    if not smallest > threshold:
+        raise FeasibilityError(
+            "design window violated: (1/epsilon) I - P is not positive definite, "
+            "the cross-term bound is not claimed here",
+            condition=COND_EPS_WINDOW,
+        )
+    cross = A_closed.T @ P @ dA + dA.T @ P @ A_closed + dA.T @ P @ dA
+    dominating = (
+        A_closed.T @ P @ inverse(gap, "design window gap") @ P @ A_closed
+        + (1.0 / epsilon) * (dA.T @ dA)
     )
+    return _bound_result("cross_term_bound", _symmetric_part(dominating - cross), dominating)
 
 
 def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResult:
@@ -202,19 +163,7 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
     A_fb = A + B @ K
     lhs = A_fb.T @ Z @ A_fb - A.T @ S_inv @ A
     rhs = A_fb.T @ inner @ A_fb - K.T @ params.R1 @ K - L.T @ params.R2 @ L
-    slack = _symmetric_part(rhs - lhs)
-    finite = bool(np.isfinite(slack).all())  # implies a finite rhs
-    margin, tol = -np.inf, np.inf
-    if finite:
-        margin = float(np.linalg.eigvalsh(slack)[0])
-        tol = CHECK_TOL * max(1.0, spectral_norm(rhs))
-    return CheckResult(
-        name="loop_energy_bound",
-        holds=finite and margin >= -tol,
-        margin=margin,
-        witness={"tolerance": tol},
-        note="margin is the smallest slack eigenvalue",
-    )
+    return _bound_result("loop_energy_bound", _symmetric_part(rhs - lhs), rhs)
 
 
 _DISSIPATION_BOUNDS = ("raw", "rate", "sandwich")
@@ -499,17 +448,15 @@ def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> Che
     )
 
 
-def _campaign_draws(samples, seed, max_dim, loop_terms: bool):
-    """Draw the campaign samples one by one and stack them by dimension.
+def _campaign_samples(samples, seed, max_dim, loop_terms: bool) -> list:
+    """The campaign samples, each drawn from its own generator.
 
-    Sample i draws from its own generator, SeedSequence(seed).spawn(samples)[i],
-    in this order: its dimension n in 1..max_dim, a Gaussian factor g of
+    Sample i draws from SeedSequence(seed).spawn(samples)[i], in this order:
+    its dimension n in 1..max_dim, a Gaussian factor g of
     P = (g g' + g' g) / (2 n) + 0.1 I, the place of epsilon inside the
     design window and, with loop_terms, a closed-loop matrix and a scaled
-    perturbation. Only the draws are made per sample; the arithmetic on
-    them runs on each dimension's stack. Returns the dimension of every
-    sample and, per dimension in increasing order, the sample indices, the
-    stacks of P and epsilon and, with loop_terms, of the two loop matrices.
+    perturbation. Returns one tuple (P, epsilon), with loop_terms
+    (P, epsilon, A_closed, dA), per sample.
     """
     try:
         samples = operator.index(samples)
@@ -522,30 +469,20 @@ def _campaign_draws(samples, seed, max_dim, loop_terms: bool):
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if max_dim < 1:
         raise ValueError(f"max_dim must be at least 1, got {max_dim}")
-    by_dim = {}
-    for index, ss in enumerate(np.random.SeedSequence(seed).spawn(samples)):
+    draws = []
+    for ss in np.random.SeedSequence(seed).spawn(samples):
         rng = np.random.default_rng(ss)
         n = int(rng.integers(1, max_dim + 1))
-        draw = [index, rng.normal(size=(n, n)), rng.uniform(0.1, 3.0)]
+        g = rng.normal(size=(n, n))
+        P = 0.5 * (g @ g.T + g.T @ g) / n + 0.1 * np.eye(n)
+        draw = (P, 1.0 / (np.linalg.eigvalsh(P)[-1] * (1.0 + rng.uniform(0.1, 3.0))))
         if loop_terms:
-            draw += [rng.normal(size=(n, n)), rng.uniform(0.0, 1.0), rng.normal(size=(n, n))]
-        by_dim.setdefault(n, []).append(draw)
-    dims = np.zeros(samples, dtype=int)
-    groups = []
-    for n, draws in sorted(by_dim.items()):
-        index, g, place, *loop = (np.array(column) for column in zip(*draws))
-        dims[index] = n
-        g_t = np.swapaxes(g, 1, 2)
-        # Exactly symmetric, as the kernels require: entries (i, j) and (j, i)
-        # of g g' and of g' g sum the same products in the same order (no P
-        # of 470,000 drawn at seeds 0-399 and dimensions 1-8 differs from P').
-        P = 0.5 * (g @ g_t + g_t @ g) / n + 0.1 * np.eye(n)
-        epsilon = 1.0 / (np.linalg.eigvalsh(P)[:, -1] * (1.0 + place))
-        if loop_terms:
-            closed, scale, direction = loop
-            loop = [closed / np.sqrt(n), scale[:, None, None] * direction / np.sqrt(n)]
-        groups.append((index, P, epsilon, *loop))
-    return dims, groups
+            draw += (
+                rng.normal(size=(n, n)) / np.sqrt(n),
+                rng.uniform(0.0, 1.0) * rng.normal(size=(n, n)) / np.sqrt(n),
+            )
+        draws.append(draw)
+    return draws
 
 
 def identity_campaign(samples: int = 1000, seed: int = 0, max_dim: int = 5) -> CheckResult:
@@ -553,31 +490,24 @@ def identity_campaign(samples: int = 1000, seed: int = 0, max_dim: int = 5) -> C
 
     Draws symmetric positive definite P of dimension 1 to max_dim with an
     epsilon placed strictly inside the design window, using per-sample seeds
-    derived from the root seed. The samples are audited by dimension, one
-    _inversion_identity_margins call per dimension over the same per-sample
-    draws. Margin is the worst scaled residual seen; the witness is its
-    first sample.
+    derived from the root seed, and audits each with
+    check_inversion_identity. Margin is the worst residual scaled by
+    max(1, ||P||); the witness is its first sample.
     """
-    dims, groups = _campaign_draws(samples, seed, max_dim, loop_terms=False)
-    scaled = np.zeros(dims.size)
-    holds = np.ones(dims.size, dtype=bool)
-    for index, P, epsilon in groups:
-        residual, _, holds_here = _inversion_identity_margins(P, epsilon)
-        scaled[index] = residual / np.maximum(1.0, spectral_norm(P))
-        holds[index] = holds_here
-    worst = 0.0
-    witness = {}
-    if dims.size and scaled.max() > worst:
-        index = int(np.argmax(scaled))
-        worst = float(scaled[index])
-        witness = {"sample": index, "dimension": int(dims[index])}
-    failures = int(np.count_nonzero(~holds))
+    draws = _campaign_samples(samples, seed, max_dim, loop_terms=False)
+    worst, witness, failures = 0.0, {}, 0
+    for index, (P, epsilon) in enumerate(draws):
+        result = check_inversion_identity(P, epsilon)
+        scaled = result.margin / max(1.0, spectral_norm(P))
+        if scaled > worst:
+            worst, witness = scaled, {"sample": index, "dimension": len(P)}
+        failures += not result.holds
     return CheckResult(
         name="inversion_identity_campaign",
         holds=failures == 0,
         margin=worst,
         witness=witness,
-        note=f"{dims.size} samples, {failures} failures; margin is the worst scaled residual",
+        note=f"{len(draws)} samples, {failures} failures; margin is the worst scaled residual",
     )
 
 
@@ -585,30 +515,23 @@ def cross_term_campaign(samples: int = 1000, seed: int = 0, max_dim: int = 5) ->
     """Random-instance campaign for the completion-of-squares bound.
 
     Each sample draws P, a closed-loop matrix, and a perturbation, with
-    epsilon inside the design window. The samples are audited by dimension,
-    one _cross_term_margins call per dimension over the same per-sample
-    draws. Margin is the worst slack eigenvalue scaled by the magnitude of
-    the dominating side, and the witness is its first sample; it must not
-    fall below -CHECK_TOL for the campaign to hold.
+    epsilon inside the design window, and is audited by
+    check_cross_term_bound. Margin is the worst slack eigenvalue scaled by
+    the magnitude of the dominating side, and the witness is its first
+    sample; it must not fall below -CHECK_TOL for the campaign to hold.
     """
-    dims, groups = _campaign_draws(samples, seed, max_dim, loop_terms=True)
-    scaled = np.full(dims.size, np.inf)
-    holds = np.ones(dims.size, dtype=bool)
-    for index, P, epsilon, A_closed, dA in groups:
-        margin, tol, holds_here = _cross_term_margins(P, epsilon, A_closed, dA)
-        scaled[index] = margin / tol * CHECK_TOL
-        holds[index] = holds_here
-    worst = np.inf
-    witness = {}
-    if dims.size and scaled.min() < worst:
-        index = int(np.argmin(scaled))
-        worst = float(scaled[index])
-        witness = {"sample": index, "dimension": int(dims[index])}
-    failures = int(np.count_nonzero(~holds))
+    draws = _campaign_samples(samples, seed, max_dim, loop_terms=True)
+    worst, witness, failures = np.inf, {}, 0
+    for index, (P, epsilon, A_closed, dA) in enumerate(draws):
+        result = check_cross_term_bound(P, epsilon, A_closed, dA)
+        scaled = result.margin / result.witness["tolerance"] * CHECK_TOL
+        if scaled < worst:
+            worst, witness = scaled, {"sample": index, "dimension": len(P)}
+        failures += not result.holds
     return CheckResult(
         name="cross_term_bound_campaign",
         holds=failures == 0,
         margin=worst,
         witness=witness,
-        note=f"{dims.size} samples, {failures} failures; margin is the worst scaled slack eigenvalue",
+        note=f"{len(draws)} samples, {failures} failures; margin is the worst scaled slack eigenvalue",
     )

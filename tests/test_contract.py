@@ -125,6 +125,29 @@ def test_entry_point_names_the_wrong_argument(demo_system, entry, wrong):
         _ENTRY_POINTS[entry](v)
 
 
+@pytest.mark.parametrize("entry", ["solve_modified_dare", "check_dissipation"])
+def test_entry_point_refuses_an_asymmetric_F(demo_system, entry):
+    """F is in the symmetric contract: an eigvalsh of it would read one triangle."""
+    v = _demo(demo_system)
+    v["F"] = [[0.02, 0.01], [0.0, 0.02]]
+    with pytest.raises(ValueError, match=r"^F is not symmetric \(defect 1\.000e-02\)$"):
+        _ENTRY_POINTS[entry](v)
+
+
+def test_symmetric_F_keeps_its_results(demo_system):
+    v = _demo(demo_system)
+    certified = _dissipation(v)
+    v["F"] = [[0.02, 0.01], [0.01, 0.02]]
+    np.testing.assert_allclose(
+        _ENTRY_POINTS["solve_modified_dare"](v),
+        [[0.07079505806496532, 0.010098973733345104], [0.010098973733345104, 0.07585695821555805]],
+        rtol=1e-12,
+    )
+    # The gate is certified at the vertices for both F, so the audit is the same.
+    assert _dissipation(v) == certified
+    assert certified.note == "30 steps audited, 0 skipped"
+
+
 # Each entry point that takes an uncertainty model.
 _MODEL_ENTRY_POINTS = {
     "synthesize": _ENTRY_POINTS["synthesize"],

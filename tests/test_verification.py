@@ -33,7 +33,6 @@ from etcontrol import (
     virtual_gain,
 )
 from etcontrol.cli import main
-from etcontrol.verification import _cross_term_margins, _inversion_identity_margins
 from oracles import campaign_stepwise, dissipation_stepwise, epsilon_margins, epsilon_scan
 from test_synthesis import _random_design as _synthesis_design
 
@@ -719,7 +718,7 @@ def test_campaigns_deterministic():
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("kind", ["identity", "cross_term"])
 def test_campaigns_match_stepwise_oracle(kind, seed):
-    """Batching by dimension keeps every draw, margin, witness and count."""
+    """The campaigns keep the per-sample loop's draws, margins, witness and counts."""
     campaign = identity_campaign if kind == "identity" else cross_term_campaign
     for samples in (0, 1, 7, 200, 1000):
         for max_dim in (1, 5, 8):
@@ -746,11 +745,11 @@ def test_campaigns_reject_bad_sizes(campaign, kwargs):
 
 
 # ---------------------------------------------------------------------------
-# stacked kernels
+# the lemma checks' exceptions
 
 
 def test_single_checks_keep_their_exceptions():
-    """The stack-of-one wrappers raise what the per-instance checks raised."""
+    """Each lemma check raises for its contract, its epsilon, P and the design window."""
     loop = np.array([[0.1, 0.3], [0.0, 0.2]])
     for check in (
         check_inversion_identity,
@@ -769,31 +768,11 @@ def test_single_checks_keep_their_exceptions():
     with pytest.raises(FeasibilityError) as excinfo:
         check_cross_term_bound(np.diag([1.0, 2.0]), 1.0, loop, 0.1 * loop)
     assert excinfo.value.condition == "epsilon_window"
-
-
-def _stack(matrix, bad, at=2, k=4):
-    stack = np.repeat(np.asarray(matrix, dtype=float)[None], k, axis=0)
-    stack[at] = bad
-    return stack
-
-
-def test_kernels_validate_every_instance():
-    """A slice that fails a kernel's test raises anywhere in the stack, not only first."""
-    P = np.diag([1.0, 2.0])
-    eps = np.full(4, 0.1)
-    loop = np.repeat(np.array([[[0.1, 0.3], [0.0, 0.2]]]), 4, axis=0)
-    for at in range(4):
-        with pytest.raises(ValueError, match="^P must be positive definite$"):
-            _inversion_identity_margins(_stack(P, np.diag([1.0, -1.0]), at), eps)
-        with pytest.raises(SingularMatrixError, match="^inner window gap is singular"):
-            _inversion_identity_margins(_stack(P, np.diag([1.0, 10.0]), at), eps)
-        with pytest.raises(FeasibilityError) as excinfo:
-            _cross_term_margins(_stack(P, np.diag([1.0, 20.0]), at), eps, loop, loop)
-        assert excinfo.value.condition == "epsilon_window"
-    # A positive epsilon whose reciprocal overflows leaves a gap that is not finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match="^design window gap contains non-finite entries$"):
-            _cross_term_margins(_stack(P, P), np.array([0.1, 0.1, 1e-310, 0.1]), loop, loop)
+    # A P near the float maximum overflows the design window gap.
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="^design window gap contains non-finite entries$"
+    ):
+        check_cross_term_bound(np.diag([-1e308, 1.0]), 1e-308, loop, 0.1 * loop)
 
 
 def test_checks_reject_misfit_arguments(demo_system):
@@ -830,16 +809,16 @@ def test_checks_reject_misfit_arguments(demo_system):
 
 
 def test_cross_term_margins_non_finite_slack_fails():
-    """An instance whose products overflow fails with margin -inf; the others keep their bits."""
-    P = np.array([0.5 * np.eye(2)] * 2)
-    eps = np.full(2, 0.5)
-    loop = np.array([[[0.2, 0.1], [0.0, 0.3]]] * 2)
-    dA = np.array([0.1 * np.eye(2), np.diag([1e300, -1e300])])
+    """An instance whose products overflow fails with margin -inf; a finite one keeps its bits."""
+    P = 0.5 * np.eye(2)
+    loop = np.array([[0.2, 0.1], [0.0, 0.3]])
     with np.errstate(over="ignore", invalid="ignore"):
-        margin, tol, holds = _cross_term_margins(P, eps, loop, dA)
-    alone = _cross_term_margins(P[:1], eps[:1], loop[:1], dA[:1])
-    assert (margin[0], tol[0], holds[0]) == (alone[0][0], alone[1][0], True)
-    assert (margin[1], tol[1], holds[1]) == (-np.inf, np.inf, False)
+        result = check_cross_term_bound(P, 0.5, loop, np.diag([1e300, -1e300]))
+    assert (result.margin, result.witness["tolerance"], result.holds) == (-np.inf, np.inf, False)
+    result = check_cross_term_bound(P, 0.5, loop, 0.1 * np.eye(2))
+    assert (result.margin, result.witness["tolerance"], result.holds) == (
+        -2.168404344971009e-18, 1e-08, True
+    )
 
 
 # ---------------------------------------------------------------------------
