@@ -2,18 +2,16 @@
 
 All routines operate on plain float64 numpy arrays and are thin wrappers
 over LAPACK via numpy, with the tolerance conventions of the rest of the
-package baked in so callers do not re-derive them. Constructors and public
-functions validate their inputs (shapes, finiteness, symmetry) once;
-kernels trust theirs. as_matrix is the 2-D gate on outside input.
-
-symmetrize, inverse, spectral_norm and smallest_eigenvalues each take an
-(n, n) matrix or a (k, n, n) stack, with one LAPACK call per routine; a
-test or a message on a stack is the one its first failing slice would
-give, and inverse takes one name per slice, so that message names the
-slice. numpy runs each routine slice by slice, so every slice of a stacked
-result equals the result on that slice alone bit for bit. Every public
-routine here validates its input except smallest_eigenvalues, the one
-definiteness test, which takes exactly symmetric arrays.
+package baked in so callers do not re-derive them. Only outside input is
+validated: as_matrix is the 2-D gate on it (shape, finiteness),
+require_square adds squareness and symmetrize near-symmetry, each on one
+(n, n) matrix. Every other routine trusts its array, which the package
+formed or checked: a caller guards a product that can overflow before
+passing it on (synthesis._require_finite). inverse and pseudo_inverse take
+one matrix; spectral_norm and smallest_eigenvalues take a matrix or a
+(k, n, n) stack, in one LAPACK call. numpy runs a stack slice by slice, so
+every slice of a stacked result equals the result on that slice alone bit
+for bit.
 """
 
 from __future__ import annotations
@@ -38,30 +36,11 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def _first(name, bad) -> str:
-    """name, or of one name per slice the name of the first slice flagged in bad."""
-    return name if isinstance(name, str) else name[int(np.argmax(bad))]
-
-
-def _matrices(values, name) -> np.ndarray:
-    """Coerce to an (m, n) matrix or a (k, m, n) stack, rejecting non-finite entries."""
-    m = np.asarray(values, dtype=float)
-    if m.ndim not in (2, 3):
-        raise ValueError(f"{name} must be a matrix or a stack of matrices, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        bad = ~np.isfinite(m).all(axis=(-2, -1))
-        raise ValueError(f"{_first(name, bad)} contains non-finite entries")
-    return m
-
-
-def _square(m: np.ndarray, name: str) -> np.ndarray:
-    if m.shape[-2] != m.shape[-1]:
+def require_square(values, name: str = "matrix") -> np.ndarray:
+    m = as_matrix(values, name)
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
-
-
-def require_square(values, name: str = "matrix") -> np.ndarray:
-    return _square(as_matrix(values, name), name)
 
 
 def symmetrize(values, name: str = "matrix") -> np.ndarray:
@@ -76,14 +55,12 @@ def symmetrize(values, name: str = "matrix") -> np.ndarray:
     Any other comes back as _symmetric_part(m), 0.5 m + 0.5 m', which has
     the bits of 0.5 (m + m') for normal floats and cannot overflow.
     """
-    m = _square(_matrices(values, name), name)
-    mt = m.swapaxes(-1, -2)
-    if m.tobytes() == mt.tobytes():
+    m = require_square(values, name)
+    if m.tobytes() == m.T.tobytes():
         return m.copy()
-    defect = abs(m - mt).max(axis=(-2, -1))
-    bad = defect > SYMMETRY_TOL * np.maximum(1.0, abs(m).max(axis=(-2, -1)))
-    if bad.any():
-        raise ValueError(f"{name} is not symmetric (defect {defect[bad][0]:.3e})")
+    defect = abs(m - m.T).max()
+    if defect > SYMMETRY_TOL * max(1.0, abs(m).max()):
+        raise ValueError(f"{name} is not symmetric (defect {defect:.3e})")
     return _symmetric_part(m)
 
 
@@ -104,37 +81,27 @@ def smallest_eigenvalues(m):
     return np.linalg.eigvalsh(m)[..., 0], threshold
 
 
-def inverse(values, name="matrix") -> np.ndarray:
-    """Matrix inverse with an explicit conditioning guard.
+def inverse(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Inverse of a finite square matrix, with an explicit conditioning guard.
 
-    Raises SingularMatrixError when the reciprocal condition number falls
-    below RCOND_LIMIT, instead of silently returning garbage. name is one
-    name, or for a stack a sequence of one name per slice; a message names
-    the first failing slice.
+    Raises SingularMatrixError naming m when the reciprocal condition
+    number falls below RCOND_LIMIT, instead of silently returning garbage.
     """
-    m = _square(_matrices(values, name), name)
     s = np.linalg.svd(m, compute_uv=False)
-    smax = s[..., 0]
-    rcond = s[..., -1] / np.where(smax > 0.0, smax, np.inf)
-    bad = rcond < RCOND_LIMIT
-    if bad.any():
-        raise SingularMatrixError(
-            f"{_first(name, bad)} is singular to working precision (rcond {rcond[bad][0]:.2e})"
-        )
-    # An (n, n) or (1, n, n) identity: numpy before 2.0 reads a right-hand
-    # side with one dimension less than m as a stack of vectors.
-    return np.linalg.solve(m, np.eye(m.shape[-1])[(None,) * (m.ndim - 2)])
+    rcond = s[-1] / s[0] if s[0] > 0.0 else 0.0
+    if rcond < RCOND_LIMIT:
+        raise SingularMatrixError(f"{name} is singular to working precision (rcond {rcond:.2e})")
+    return np.linalg.solve(m, np.eye(len(m)))
 
 
-def pseudo_inverse(values, name: str = "matrix") -> np.ndarray:
-    """Left pseudo-inverse of a full-column-rank matrix.
+def pseudo_inverse(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Left pseudo-inverse of a finite matrix of full column rank.
 
     Computed from the thin SVD M = U S V' that the rank test takes, as
     V S^-1 U'. The normal equations (M' M)^-1 M' square the condition
     number: on a 4 x 4 matrix with condition number 4.4e4 they leave
     M^+ M - I at 2.2e-8, the SVD at 1.7e-12.
     """
-    m = as_matrix(values, name)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     smin = float(s[-1]) if s.size else 0.0
     if smin <= RANK_TOL:
@@ -145,8 +112,7 @@ def pseudo_inverse(values, name: str = "matrix") -> np.ndarray:
     return (vt.T / s) @ u.T
 
 
-def spectral_norm(values):
-    """Largest singular value: a float for a matrix, an array for a stack."""
-    m = _matrices(values, "matrix")
+def spectral_norm(m):
+    """Largest singular value of a finite matrix (a float) or of each of a stack (an array)."""
     norms = np.linalg.svd(m, compute_uv=False).max(axis=-1)
-    return float(norms) if m.ndim == 2 else norms
+    return float(norms) if norms.ndim == 0 else norms

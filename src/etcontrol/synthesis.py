@@ -17,11 +17,13 @@ a margin, and (for parameter-dependent conditions) a worst-case witness.
 Inputs are validated once, at the boundary: the constructors check their
 matrices and keep read-only copies, and each public function here, in the
 simulation and in the audits checks its arrays against one input contract
-(_conform), then calls a private kernel that trusts them. synthesize and
-synthesize_matched run one pipeline, which chains the kernels and computes
-each shared factor once; the matched mode is the special case with no
-virtual channel. Each stage makes one stacked LAPACK call per kind of work:
-one inverse for both window gaps, and in the report one eigvalsh for every
+(_conform), then calls a private kernel that trusts them; a formed product
+that can overflow (a window gap, the trigger's error gain) is checked
+before a kernel takes it, with NumericalError naming it (_require_finite).
+synthesize and synthesize_matched run one pipeline, which chains the
+kernels and computes each shared factor once; the matched mode is the
+special case with no virtual channel. The two window gaps are inverted
+one after the other, and the report makes one stacked eigvalsh for every
 slack and one svd for every scale. numpy runs a stack slice by slice, so
 each result has the bits of the call on that matrix alone.
 """
@@ -117,11 +119,6 @@ def _require_sigma(sigma) -> float:
     return sigma
 
 
-def _symmetric(values, name: str) -> np.ndarray:
-    """An outside matrix, exactly symmetric; as_matrix refuses anything not 2-D."""
-    return symmetrize(values, name) if np.ndim(values) == 2 else as_matrix(values, name)
-
-
 # The shape of each array of a design in the state dimension n and the input
 # dimension m. The symmetric ones come back exactly symmetric.
 _SHAPES = {
@@ -149,7 +146,7 @@ def _conform(model=None, params=None, **arrays):
     dims, out = {}, []
     for name, M in arrays.items():
         if M is not None:
-            M = _symmetric(M, name) if name in _SYMMETRIC else as_matrix(M, name)
+            M = symmetrize(M, name) if name in _SYMMETRIC else as_matrix(M, name)
             rows, cols = _SHAPES[name]
             expected = (dims.setdefault(rows, M.shape[0]), dims.setdefault(cols, M.shape[1]))
             if M.shape != expected:
@@ -198,7 +195,7 @@ class SynthesisParams:
 
     def __post_init__(self):
         for name in ("Q", "R1", "R2"):
-            object.__setattr__(self, name, _read_only(_symmetric(getattr(self, name), name)))
+            object.__setattr__(self, name, _read_only(symmetrize(getattr(self, name), name)))
         for name in ("alpha", "beta", "epsilon", "sigma"):
             object.__setattr__(self, name, float(getattr(self, name)))
         _require_definite(self.Q, "Q", strict=False)
@@ -242,7 +239,7 @@ class UncertaintyModel:
         hi = _read_only(np.atleast_1d(np.array(self.p_hi, dtype=float)))
         object.__setattr__(self, "p_lo", lo)
         object.__setattr__(self, "p_hi", hi)
-        object.__setattr__(self, "F", _read_only(_symmetric(self.F, "F")))
+        object.__setattr__(self, "F", _read_only(symmetrize(self.F, "F")))
         if lo.ndim != 1 or hi.ndim != 1:
             raise ValueError("p_lo and p_hi must be 1-D")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -567,17 +564,17 @@ def error_weight(P, epsilon: float) -> np.ndarray:
 def _window_weights(P, epsilon):
     """Z and the inner window matrix (P^-1 - epsilon I)^-1 = P (I - epsilon P)^-1.
 
-    One stacked inverse takes the design window gap (1/epsilon) I - P and
-    the inner gap I - epsilon P, in that order, so a singular design gap
-    raises first. The inner gap overflows where epsilon P does
-    (NumericalError).
+    The inner gap I - epsilon P overflows where epsilon P does, and the
+    design window gap (1/epsilon) I - P where a P that is not positive
+    semidefinite is near the float maximum (NumericalError, inner gap
+    first). The design gap is inverted first, so a singular one raises
+    before a singular inner gap.
     """
     eye = np.eye(len(P))
     inner_gap = _require_finite(eye - epsilon * P, "inner window gap")
-    gaps = np.array([(1.0 / epsilon) * eye - P, inner_gap])
-    design, inner = inverse(gaps, ("design window gap", "inner window gap"))
-    Z = (1.0 / epsilon) * eye + P @ design @ P
-    return _symmetric_part(Z), P @ inner
+    design_gap = _require_finite((1.0 / epsilon) * eye - P, "design window gap")
+    Z = (1.0 / epsilon) * eye + P @ inverse(design_gap, "design window gap") @ P
+    return _symmetric_part(Z), P @ inverse(inner_gap, "inner window gap")
 
 
 def decay_matrix(A, B, K, L, Z, params: SynthesisParams) -> np.ndarray:
@@ -627,6 +624,7 @@ def _trigger_coefficient(K, B, Z, decay_margin, sigma, report=None, names=_TRIGG
     """mu = sigma * decay_margin / ||K' B' Z B K||; names are Q1's and Z's in messages.
 
     decay_margin is None when the report could not certify Q1 (not finite).
+    An error gain that overflows raises NumericalError.
     """
     if decay_margin is None or not decay_margin > 0.0:
         shown = "not finite" if decay_margin is None else f"{decay_margin:.6g}"
@@ -635,7 +633,7 @@ def _trigger_coefficient(K, B, Z, decay_margin, sigma, report=None, names=_TRIGG
             f"(smallest eigenvalue {shown}); the trigger threshold is undefined",
             report,
         )
-    denom = spectral_norm(_error_gain(K, B, Z))
+    denom = spectral_norm(_require_finite(_error_gain(K, B, Z), "trigger error gain"))
     if denom == 0.0:
         raise TriggerUndefinedError(
             f"{names[1]} vanishes on the feedback channel; every step would transmit", report

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FeasibilityError
-from .linalg import _symmetric_part, inverse, smallest_eigenvalues, spectral_norm, symmetrize
+from .linalg import _symmetric_part, inverse, smallest_eigenvalues, spectral_norm
 from .synthesis import (
     COND_DECAY_PSD,
     COND_EPS_WINDOW,
@@ -49,6 +49,7 @@ from .synthesis import (
     _maximize,
     _require_definite,
     _require_epsilon,
+    _require_finite,
     _require_sigma,
     _s_inv,
     _slack_margins,
@@ -95,17 +96,19 @@ def check_inversion_identity(P, epsilon: float) -> CheckResult:
     """Audit (P^-1 - eps I)^-1 = P + P ((1/eps) I - P)^-1 P.
 
     Requires P symmetric positive definite (ValueError), epsilon positive
-    and both window matrices invertible (SingularMatrixError, the inner gap
-    I - eps P first); the margin is the worst entrywise residual between
-    the two sides, and the check holds when it stays below CHECK_TOL
-    relative to the magnitude of P.
+    and both window matrices finite (NumericalError) and invertible
+    (SingularMatrixError), the inner gap I - eps P first; the margin is the
+    worst entrywise residual between the two sides, and the check holds
+    when it stays below CHECK_TOL relative to the magnitude of P.
     """
     (P,) = _conform(P=P)
     epsilon = _require_epsilon(epsilon)
     _require_definite(P, "P", strict=True)
     eye = np.eye(len(P))
-    lhs = P @ inverse(eye - epsilon * P, "inner window gap")
-    rhs = P + P @ inverse((1.0 / epsilon) * eye - P, "design window gap") @ P
+    inner_gap = _require_finite(eye - epsilon * P, "inner window gap")
+    lhs = P @ inverse(inner_gap, "inner window gap")
+    design_gap = _require_finite((1.0 / epsilon) * eye - P, "design window gap")
+    rhs = P + P @ inverse(design_gap, "design window gap") @ P
     residual = float(np.max(np.abs(lhs - rhs)))
     tol = CHECK_TOL * max(1.0, spectral_norm(P))
     return CheckResult(
@@ -124,26 +127,29 @@ def check_cross_term_bound(P, epsilon: float, A_closed, dA) -> CheckResult:
     terms Ac' P dA + dA' P Ac + dA' P dA are dominated by
     Ac' P ((1/eps) I - P)^-1 P Ac + (1/eps) dA' dA. Raises FeasibilityError
     when the window precondition fails; the bound is not claimed there.
-    Margin is the smallest slack eigenvalue, or -inf with tolerance inf
-    when the slack overflowed, and then the check fails.
+    A design window gap that overflows raises NumericalError. Margin is
+    the smallest slack eigenvalue, or -inf with tolerance inf when the
+    slack overflowed, and then the check fails.
     """
     P, A_closed, dA = _conform(P=P, A_closed=A_closed, dA=dA)
     epsilon = _require_epsilon(epsilon)
-    gap = (1.0 / epsilon) * np.eye(len(P)) - P
-    # A P near the float maximum can overflow the gap: symmetrize refuses it.
-    smallest, threshold = smallest_eigenvalues(symmetrize(gap, "design window gap"))
-    if not smallest > threshold:
-        raise FeasibilityError(
-            "design window violated: (1/epsilon) I - P is not positive definite, "
-            "the cross-term bound is not claimed here",
-            condition=COND_EPS_WINDOW,
+    # A P near the float maximum can overflow the gap (NumericalError) and
+    # the products the slack (the check fails), so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = _require_finite((1.0 / epsilon) * np.eye(len(P)) - P, "design window gap")
+        smallest, threshold = smallest_eigenvalues(gap)
+        if not smallest > threshold:
+            raise FeasibilityError(
+                "design window violated: (1/epsilon) I - P is not positive definite, "
+                "the cross-term bound is not claimed here",
+                condition=COND_EPS_WINDOW,
+            )
+        cross = A_closed.T @ P @ dA + dA.T @ P @ A_closed + dA.T @ P @ dA
+        dominating = (
+            A_closed.T @ P @ inverse(gap, "design window gap") @ P @ A_closed
+            + (1.0 / epsilon) * (dA.T @ dA)
         )
-    cross = A_closed.T @ P @ dA + dA.T @ P @ A_closed + dA.T @ P @ dA
-    dominating = (
-        A_closed.T @ P @ inverse(gap, "design window gap") @ P @ A_closed
-        + (1.0 / epsilon) * (dA.T @ dA)
-    )
-    return _bound_result("cross_term_bound", _symmetric_part(dominating - cross), dominating)
+        return _bound_result("cross_term_bound", _symmetric_part(dominating - cross), dominating)
 
 
 def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResult:
@@ -157,13 +163,16 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
     tolerance inf when the slack overflowed, and then the check fails.
     """
     A, B, P, K, L = _conform(params=params, A=A, B=B, P=P, K=K, L=L)
-    W, _ = _channel_weights(B, params, params.alpha)
-    S_inv = _s_inv(P, W)
-    Z, inner = _window_weights(P, params.epsilon)
-    A_fb = A + B @ K
-    lhs = A_fb.T @ Z @ A_fb - A.T @ S_inv @ A
-    rhs = A_fb.T @ inner @ A_fb - K.T @ params.R1 @ K - L.T @ params.R2 @ L
-    return _bound_result("loop_energy_bound", _symmetric_part(rhs - lhs), rhs)
+    # An overflow raises NumericalError (a window gap) or fails the check
+    # (the slack), so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        W, _ = _channel_weights(B, params, params.alpha)
+        S_inv = _s_inv(P, W)
+        Z, inner = _window_weights(P, params.epsilon)
+        A_fb = A + B @ K
+        lhs = A_fb.T @ Z @ A_fb - A.T @ S_inv @ A
+        rhs = A_fb.T @ inner @ A_fb - K.T @ params.R1 @ K - L.T @ params.R2 @ L
+        return _bound_result("loop_energy_bound", _symmetric_part(rhs - lhs), rhs)
 
 
 _DISSIPATION_BOUNDS = ("raw", "rate", "sandwich")

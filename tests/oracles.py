@@ -474,13 +474,13 @@ def _lambda_min(stack):
 # right-hand side with hstack, each window gap inverted on its own, and the
 # feasibility report with one eigvalsh per condition and one svd per scale,
 # each box condition forming its own vertex perturbations. The package
-# stacks these calls; numpy runs a stack slice by slice, so both give the
-# same bits.
+# stacks the report's calls; numpy runs a stack slice by slice, so both give
+# the same bits.
 
 
 def _finite(m, name):
     if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NumericalError(f"{name} contains non-finite entries")
     return m
 
 

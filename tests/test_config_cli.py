@@ -541,6 +541,17 @@ def _overflowing_weight(data):
     data["design"]["beta"] = 1.3e154
 
 
+def _overflowing_error_gain(data):
+    """One state, A = 1e60: K and Z are finite, but K' B' Z B K overflows."""
+    data["system"] = {"A": [[1e60]], "B": [[1.0]]}
+    data["uncertainty"] = {"basis": [[[0.0]]], "p_lo": [0.0], "p_hi": [0.0], "F": [[0.0]]}
+    data["design"] = {
+        "Q": [[1.0]], "R1": [[1.0]], "R2": [[1.0]],
+        "alpha": 0.0, "beta": 0.0, "epsilon": 1e-200, "sigma": 0.5,
+    }
+    data["simulation"]["x0"] = [1.0]
+
+
 # Finite configs that synth cannot design: the base config, its edit and the
 # start of the one line on stderr. Each but the first overflows a product.
 _NUMERICAL_FAILURES = {
@@ -559,6 +570,11 @@ _NUMERICAL_FAILURES = {
         _reference_dict,
         _set("design.epsilon", 1e308),
         "numerical failure: inner window gap contains non-finite entries",
+    ),
+    "one state, A 1e60": (
+        _demo_dict,
+        _overflowing_error_gain,
+        "numerical failure: trigger error gain contains non-finite entries",
     ),
 }
 

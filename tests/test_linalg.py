@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -80,8 +81,6 @@ def test_symmetrize_keeps_entries_near_the_float_maximum():
     assert np.isfinite(out).all() and np.array_equal(out, out.T)
     assert np.array_equal(out, 0.5 * near + 0.5 * near.T)
     assert out[0, 1] == pytest.approx(1.6e308, rel=1e-12)
-    stacked = symmetrize(np.array([m, near]))
-    assert np.array_equal(stacked, [symmetrize(m), symmetrize(near)])
 
 
 @pytest.mark.parametrize(
@@ -151,12 +150,9 @@ def test_inverse_involution(n, seed):
 def test_stack_forms_match_single_matrix_forms(n, seed):
     """Each slice of a stacked call equals the 2-D call of the same function bit for bit."""
     rng = np.random.default_rng(seed)
-    spd = np.array([_random_spd(seed + i, n) for i in range(5)])
     general = rng.normal(size=(5, n, n)) + n * np.eye(n)
     wide = rng.normal(size=(5, n, n + 2))
     mixed = np.array([_random_symmetric(seed + i, n) for i in range(5)])
-    assert np.array_equal(symmetrize(spd), [symmetrize(m) for m in spd])
-    assert np.array_equal(inverse(general), [inverse(m) for m in general])
     for stack in (general, wide):
         assert np.array_equal(spectral_norm(stack), [spectral_norm(m) for m in stack])
     smallest, threshold = smallest_eigenvalues(mixed)
@@ -173,58 +169,31 @@ def test_stack_forms_match_single_matrix_forms(n, seed):
 
 
 def test_stack_forms_keep_messages():
-    """A bad slice anywhere in a stack raises what the 2-D call raises on it."""
-    good = np.eye(2)
-    for bad, function, error in (
-        ([[0.0, 1.0], [0.0, 0.0]], symmetrize, ValueError),
-        ([[1.0, np.inf], [0.0, 1.0]], symmetrize, ValueError),
-        ([[1.0, np.nan], [0.0, 1.0]], inverse, ValueError),
-        (np.ones((2, 2)), inverse, SingularMatrixError),
-        ([[1.0, 0.0], [0.0, 1e-15]], inverse, SingularMatrixError),
-    ):
-        for at in range(3):
-            stack = np.array([good] * 3)
-            stack[at] = bad
-            with pytest.raises(error) as single_info:
-                function(bad, "M")
-            with pytest.raises(error) as stacked_info:
-                function(stack, "M")
-            assert str(stacked_info.value) == str(single_info.value)
-    with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
-        spectral_norm([[[1.0, np.inf]]])
-    # Of two bad slices, the first one speaks.
-    worse = [[0.0, 2.0], [0.0, 0.0]]
-    with pytest.raises(ValueError, match=r"M is not symmetric \(defect 2\.000e\+00\)$"):
-        symmetrize(np.array([good, worse, [[0.0, 1.0], [0.0, 0.0]]]), "M")
-    with pytest.raises(ValueError, match=r"M is not symmetric \(defect 1\.000e\+00\)$"):
+    """symmetrize refuses a stack as any input that is not 2-D; the 2-D messages stand."""
+    for shape in ((2,), (3, 2, 2), (1, 1, 2, 2)):
+        message = f"^M must be 2-D, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            symmetrize(np.ones(shape), "M")
+    with pytest.raises(ValueError, match=r"^M is not symmetric \(defect 1\.000e\+00\)$"):
         symmetrize([[0.0, 1.0], [0.0, 0.0]], "M")
-    with pytest.raises(SingularMatrixError, match=r"working precision \(rcond 0\.00e\+00\)$"):
-        inverse(np.zeros((2, 2)), "M")
-    for function in (symmetrize, inverse):
-        with pytest.raises(ValueError, match=r"^M must be square, got shape \(2, 3\)$"):
-            function(np.ones((2, 3)), "M")
-        with pytest.raises(ValueError, match=r"^M must be square, got shape \(3, 2, 4\)$"):
-            function(np.ones((3, 2, 4)), "M")
-        for shape in ((2,), (1, 1, 2, 2)):
-            with pytest.raises(ValueError, match="^M must be a matrix or a stack of matrices"):
-                function(np.ones(shape), "M")
+    with pytest.raises(ValueError, match="^M contains non-finite entries$"):
+        symmetrize([[1.0, np.inf], [0.0, 1.0]], "M")
+    with pytest.raises(ValueError, match=r"^M must be square, got shape \(2, 3\)$"):
+        symmetrize(np.ones((2, 3)), "M")
+    with pytest.raises(SingularMatrixError, match="^M is singular to working precision"):
+        inverse(np.ones((2, 2)), "M")
 
 
 def test_inverse_names_each_slice():
-    """With one name per slice, a message names the first failing slice, with its rcond."""
-    good, tiny, zero = np.eye(2), np.diag([1.0, 1e-15]), np.zeros((2, 2))
-    names = ("a", "b", "c")
-    for stack, bad, name in (((good, tiny, zero), tiny, "b"), ((zero, good, tiny), zero, "a")):
-        with pytest.raises(SingularMatrixError) as single_info:
+    """A singular matrix raises under its one name, with its rcond; a regular one inverts."""
+    for bad, name, rcond in (
+        (np.diag([1.0, 1e-15]), "b", "1.00e-15"),
+        (np.zeros((2, 2)), "a", "0.00e+00"),
+    ):
+        with pytest.raises(SingularMatrixError) as info:
             inverse(bad, name)
-        with pytest.raises(SingularMatrixError) as stacked_info:
-            inverse(np.array(stack), names)
-        assert str(stacked_info.value) == str(single_info.value)
-    assert str(single_info.value) == "a is singular to working precision (rcond 0.00e+00)"
-    not_finite = [[1.0, np.nan], [0.0, 1.0]]
-    with pytest.raises(ValueError, match="^c contains non-finite entries$"):
-        inverse(np.array([good, tiny, not_finite]), names)
-    assert np.array_equal(inverse(np.array([good, 2.0 * good]), names[:2]), [good, 0.5 * good])
+        assert str(info.value) == f"{name} is singular to working precision (rcond {rcond})"
+    assert np.array_equal(inverse(2.0 * np.eye(2), "c"), 0.5 * np.eye(2))
 
 
 def test_pseudo_inverse_tall_column():

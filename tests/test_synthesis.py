@@ -373,6 +373,14 @@ def test_error_weight_singular_gap_raises():
         error_weight(np.diag([0.5, 0.25]), 2.0)
 
 
+def test_error_weight_overflowing_design_gap_raises():
+    """A P near the float maximum that is not semidefinite overflows (1/eps) I - P."""
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericalError, match="^design window gap contains non-finite entries$"
+    ):
+        error_weight(np.diag([-1e308, 1.0]), 1e-308)
+
+
 def test_error_weight_alternative_evaluation():
     rng = np.random.default_rng(21)
     for _ in range(10):
@@ -415,6 +423,16 @@ def test_trigger_coefficient_requires_positive_decay():
 def test_trigger_coefficient_zero_feedback_channel():
     with pytest.raises(TriggerUndefinedError, match="vanishes"):
         trigger_coefficient([[0.0]], [[1.0]], [[1.0]], [[1.0]], 0.5)
+
+
+def test_trigger_coefficient_overflowing_error_gain():
+    """Finite K, B and Z whose error gain K' B' Z B K overflows: NumericalError, not ValueError."""
+    K = np.array([[1e200, 0.0]])
+    B = np.array([[0.0], [1.0]])
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericalError, match="^trigger error gain contains non-finite entries$"
+    ):
+        trigger_coefficient(K, B, np.eye(2), np.eye(2), 0.5)
 
 
 def test_decay_matrix_explicit_route(demo_system):

@@ -10,6 +10,7 @@ from conftest import CONFIG_DIR
 from etcontrol import (
     CheckResult,
     FeasibilityError,
+    NumericalError,
     ParamTrajectory,
     SingularMatrixError,
     SynthesisParams,
@@ -120,8 +121,7 @@ def test_loop_energy_bound_fails_on_an_overflowing_slack(demo_system):
     """B x 1e160: finite inputs whose slack overflows fail, with margin -inf and tolerance inf."""
     A, B, model, params = demo_system
     out = synthesize(A, B, model, params)
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = check_loop_energy_bound(A, 1e160 * B, out.P, params, out.K, out.L)
+    result = check_loop_energy_bound(A, 1e160 * B, out.P, params, out.K, out.L)
     assert (result.holds, result.margin, result.witness) == (False, -np.inf, {"tolerance": np.inf})
 
 
@@ -749,7 +749,8 @@ def test_campaigns_reject_bad_sizes(campaign, kwargs):
 
 
 def test_single_checks_keep_their_exceptions():
-    """Each lemma check raises for its contract, its epsilon, P and the design window."""
+    """Each lemma check raises for its contract, its epsilon, P, the design window and a gap
+    that overflows (NumericalError)."""
     loop = np.array([[0.1, 0.3], [0.0, 0.2]])
     for check in (
         check_inversion_identity,
@@ -768,11 +769,14 @@ def test_single_checks_keep_their_exceptions():
     with pytest.raises(FeasibilityError) as excinfo:
         check_cross_term_bound(np.diag([1.0, 2.0]), 1.0, loop, 0.1 * loop)
     assert excinfo.value.condition == "epsilon_window"
-    # A P near the float maximum overflows the design window gap.
-    with np.errstate(over="ignore"), pytest.raises(
-        ValueError, match="^design window gap contains non-finite entries$"
-    ):
+    # A P near the float maximum overflows the design window gap, and a large
+    # epsilon P the inner gap.
+    with pytest.raises(NumericalError, match="^design window gap contains non-finite entries$"):
         check_cross_term_bound(np.diag([-1e308, 1.0]), 1e-308, loop, 0.1 * loop)
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericalError, match="^inner window gap contains non-finite entries$"
+    ):
+        check_inversion_identity(1e10 * np.eye(2), 1e300)
 
 
 def test_checks_reject_misfit_arguments(demo_system):
@@ -812,8 +816,7 @@ def test_cross_term_margins_non_finite_slack_fails():
     """An instance whose products overflow fails with margin -inf; a finite one keeps its bits."""
     P = 0.5 * np.eye(2)
     loop = np.array([[0.2, 0.1], [0.0, 0.3]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = check_cross_term_bound(P, 0.5, loop, np.diag([1e300, -1e300]))
+    result = check_cross_term_bound(P, 0.5, loop, np.diag([1e300, -1e300]))
     assert (result.margin, result.witness["tolerance"], result.holds) == (-np.inf, np.inf, False)
     result = check_cross_term_bound(P, 0.5, loop, 0.1 * np.eye(2))
     assert (result.margin, result.witness["tolerance"], result.holds) == (
