@@ -514,8 +514,10 @@ def solve_modified_dare(A, B, params: SynthesisParams, F) -> np.ndarray:
     """
     A, B, F = _conform(params=params, A=A, B=B, F=F)
     _require_definite(F, "F", strict=False)
-    W, _ = _channel_weights(B, params, params.alpha)
-    return _riccati(A, W, _effective_weight(params, F))[0]
+    # An effective state weight that overflows raises NumericalError, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        W, _ = _channel_weights(B, params, params.alpha)
+        return _riccati(A, W, _effective_weight(params, F))[0]
 
 
 def feedback_gain(A, B, P, params: SynthesisParams) -> np.ndarray:
@@ -558,7 +560,10 @@ def error_weight(P, epsilon: float) -> np.ndarray:
     gives the verdicts on the window (epsilon_window) and on Z.
     """
     (P,) = _conform(P=P)
-    return _window_weights(P, _require_epsilon(epsilon))[0]
+    epsilon = _require_epsilon(epsilon)
+    # A window gap that overflows raises NumericalError, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _window_weights(P, epsilon)[0]
 
 
 def _window_weights(P, epsilon):
@@ -612,7 +617,9 @@ def trigger_coefficient(K, B, Z, Q1, sigma: float) -> float:
     """
     sigma = _require_sigma(sigma)
     K, B, Z, Q1 = _conform(K=K, B=B, Z=Z, Q1=Q1)
-    return _trigger_coefficient(K, B, Z, np.linalg.eigvalsh(Q1)[0], sigma)
+    # An error gain that overflows raises NumericalError, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _trigger_coefficient(K, B, Z, np.linalg.eigvalsh(Q1)[0], sigma)
 
 
 # The names of Q1 and of the error weight in TriggerUndefinedError messages.
@@ -733,11 +740,14 @@ def feasibility_report(
     naming the argument.
     """
     A, B, K, L, P, Z, Q1 = _conform(model, params, A=A, B=B, K=K, L=L, P=P, Z=Z, Q1=Q1)
-    try:
-        inner = _window_weights(P, params.epsilon)[1]
-    except SingularMatrixError:
-        inner = None
-    return _feasibility_report(A + B @ K, model, params, P, K, L, Z, Q1, inner)
+    # A window gap that overflows raises NumericalError and a slack that
+    # overflows fails its condition, so numpy need not warn of either.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            inner = _window_weights(P, params.epsilon)[1]
+        except SingularMatrixError:
+            inner = None
+        return _feasibility_report(A + B @ K, model, params, P, K, L, Z, Q1, inner)
 
 
 def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner):
@@ -873,22 +883,25 @@ def _synthesize(A, B, model, params, matched):
     A, B = _conform(model, params, A=A, B=B)
     if matched:
         as_matched_model(B, model)
-    W, Pi = _channel_weights(B, params, 0.0 if matched else params.alpha)
-    Q_eff = _effective_weight(params, model.F)
-    P, iterations, residual, S_inv = _riccati(A, W, Q_eff)
-    K = _feedback_gain(A, B, S_inv, params)
-    L = _virtual_gain(A, Pi, S_inv, params)
-    Z, inner = _window_weights(P, params.epsilon)
-    A_fb = A + B @ K
-    if matched:
-        Q1, weight, names = Q_eff, inner, _MATCHED_TRIGGER_NAMES
-        report = _matched_feasibility_report(A_fb, model, params, P, K)
-        decay_margin = np.linalg.eigvalsh(Q1)[0]
-    else:
-        Q1, weight, names = _decay_matrix(A_fb, K, L, Z, params), Z, _TRIGGER_NAMES
-        report = _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner)
-        decay_margin = report.get(COND_DECAY_PSD).margin
-    mu = _trigger_coefficient(K, B, weight, decay_margin, params.sigma, report, names)
+    # A product that overflows raises NumericalError or fails its condition
+    # of the report, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        W, Pi = _channel_weights(B, params, 0.0 if matched else params.alpha)
+        Q_eff = _effective_weight(params, model.F)
+        P, iterations, residual, S_inv = _riccati(A, W, Q_eff)
+        K = _feedback_gain(A, B, S_inv, params)
+        L = _virtual_gain(A, Pi, S_inv, params)
+        Z, inner = _window_weights(P, params.epsilon)
+        A_fb = A + B @ K
+        if matched:
+            Q1, weight, names = Q_eff, inner, _MATCHED_TRIGGER_NAMES
+            report = _matched_feasibility_report(A_fb, model, params, P, K)
+            decay_margin = np.linalg.eigvalsh(Q1)[0]
+        else:
+            Q1, weight, names = _decay_matrix(A_fb, K, L, Z, params), Z, _TRIGGER_NAMES
+            report = _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner)
+            decay_margin = report.get(COND_DECAY_PSD).margin
+        mu = _trigger_coefficient(K, B, weight, decay_margin, params.sigma, report, names)
     return SynthesisOutcome(
         P=P,
         K=K,

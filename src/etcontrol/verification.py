@@ -105,11 +105,13 @@ def check_inversion_identity(P, epsilon: float) -> CheckResult:
     epsilon = _require_epsilon(epsilon)
     _require_definite(P, "P", strict=True)
     eye = np.eye(len(P))
-    inner_gap = _require_finite(eye - epsilon * P, "inner window gap")
-    lhs = P @ inverse(inner_gap, "inner window gap")
-    design_gap = _require_finite((1.0 / epsilon) * eye - P, "design window gap")
-    rhs = P + P @ inverse(design_gap, "design window gap") @ P
-    residual = float(np.max(np.abs(lhs - rhs)))
+    # A window gap that overflows raises NumericalError, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner_gap = _require_finite(eye - epsilon * P, "inner window gap")
+        lhs = P @ inverse(inner_gap, "inner window gap")
+        design_gap = _require_finite((1.0 / epsilon) * eye - P, "design window gap")
+        rhs = P + P @ inverse(design_gap, "design window gap") @ P
+        residual = float(np.max(np.abs(lhs - rhs)))
     tol = CHECK_TOL * max(1.0, spectral_norm(P))
     return CheckResult(
         name="inversion_identity",
@@ -178,17 +180,7 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
 _DISSIPATION_BOUNDS = ("raw", "rate", "sandwich")
 
 
-def check_dissipation(
-    trace,
-    P,
-    Q1,
-    K,
-    B,
-    Z,
-    sigma: float,
-    model=None,
-    F=None,
-) -> CheckResult:
+def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckResult:
     """Audit the per-step Lyapunov decrease along a recorded trace.
 
     At every step k the raw bound
@@ -198,9 +190,9 @@ def check_dissipation(
     stronger rate bound V(k+1) - V(k) <= -(1 - sigma) lambda_min(Q1) ||x||^2
     as well, and the quadratic sandwich
     lambda_min(P) ||x||^2 <= V <= lambda_max(P) ||x||^2 is confirmed at
-    every recorded row, the terminal row n included. When model and F are
-    both given, steps whose sampled perturbation violates the weighted
-    uncertainty bound are skipped: the theory promises no decrease there,
+    every recorded row, the terminal row n included. The uncertainty gate
+    skips the steps whose sampled perturbation violates the weighted
+    uncertainty bound dA' Z dA <= F: the theory promises no decrease there,
     so their raw and rate bounds are not audited. The sandwich involves
     only P and the trace and is audited at every row, skipped or not.
     Margin is the worst slack across all audited inequalities.
@@ -214,8 +206,7 @@ def check_dissipation(
     model, and their gate slacks are formed only for a trace inside the
     box. A gate slack that is not finite (dA' Z dA overflowed) stays out of
     eigvalsh: at a vertex it certifies nothing, and a step with one is not
-    gated, since nothing shows that it breaks the bound. trace.p must have
-    one column per model parameter.
+    gated, since nothing shows that it breaks the bound.
 
     The slacks of the whole trace are formed at once into one
     (n + 1, 3) array, one row per trace row in the bound order above. The
@@ -223,58 +214,50 @@ def check_dissipation(
     margin cover the rows up to it; the witness is the first worst slack in
     (row, bound) order, with dV unless it is the terminal row. A slack that
     is not finite (a NaN or infinite trace row) violates its row and counts
-    as -inf. The arrays follow the input contract; sigma must lie strictly
-    between 0 and 1.
+    as -inf. The arrays follow the input contract, trace.states has one
+    column per state and trace.p one per model parameter; sigma must lie
+    strictly between 0 and 1.
     """
     sigma = _require_sigma(sigma)
     B, K, P, Q1, Z, F = _conform(model, B=B, K=K, P=P, Q1=Q1, Z=Z, F=F)
     n = trace.n_steps
     if trace.states.shape[1:] != P.shape[1:]:
         raise ValueError(f"trace.states has shape {trace.states.shape}, expected {(n + 1, len(P))}")
+    p = trace.p[:n]
+    if p.shape != (n, model.dimension):
+        raise ValueError(f"trace.p has shape {trace.p.shape}, expected {(n + 1, model.dimension)}")
     error_gain = _symmetric_part(_error_gain(K, B, Z))
-    # One eigvalsh over P, Q1 and, gated, Z and the vertex gate matrices
-    # F - dA' Z dA, and one svd over error_gain and F: every slice is
-    # computed as on its own. An error gain that overflowed gets norm 0, so
-    # no rate bound applies.
-    gate = model is not None and F is not None
-    symmetric, normed = [P[None], Q1[None]], [error_gain]
+    # One eigvalsh over P, Q1 and, for a trace inside the box, Z and the
+    # vertex gate matrices F - dA' Z dA, and one svd over error_gain and F:
+    # every slice is computed as on its own. An error gain that overflowed
+    # gets norm 0, so no rate bound applies. Only a trace inside the box can
+    # be certified at the box's vertices (a NaN row is outside).
+    symmetric = [P[None], Q1[None]]
     vertices_finite = False
-    if gate:
-        p = trace.p[:n]
-        if p.shape != (n, model.dimension):
-            raise ValueError(f"trace.p has shape {trace.p.shape}, expected {(n + 1, model.dimension)}")
-        # Only a trace inside the box can be certified at the box's vertices
-        # (a NaN row is outside).
-        in_box = bool((p >= model.p_lo).all() and (p <= model.p_hi).all())
-        if in_box:
-            dA = model.vertex_stack
-            vertex_slacks, finite = _finite_slices(F - np.swapaxes(dA, 1, 2) @ Z @ dA)
-            vertices_finite = bool(finite.all())
-            symmetric += [Z[None], vertex_slacks]
-        normed.append(F)
+    if (p >= model.p_lo).all() and (p <= model.p_hi).all():
+        dA = model.vertex_stack
+        vertex_slacks, finite = _finite_slices(F - np.swapaxes(dA, 1, 2) @ Z @ dA)
+        vertices_finite = bool(finite.all())
+        symmetric += [Z[None], vertex_slacks]
     eigs = np.linalg.eigvalsh(np.concatenate(symmetric))
-    norms = _finite_norms(normed)
-    p_eigs, q_min, denom = eigs[0], float(eigs[1, 0]), norms[0]
+    denom, F_norm = _finite_norms([error_gain, F])
+    p_eigs, q_min = eigs[0], float(eigs[1, 0])
     mu_derived = sigma * q_min / denom if (q_min > 0.0 and denom > 0.0) else None
-    # Row n, the terminal row, takes no step: the gate never skips it.
+    # With Z positive semidefinite the gate slack is matrix-concave in p, so
+    # its vertices bound it on the box. Within tol / 2 of the gate,
+    # ||dA' Z dA|| <= ||F|| + tol in the box, and no step's rounding (about
+    # 1e-15 ||F||) can cross the other tol / 2: no step is gated. A vertex
+    # slack that is not finite certifies nothing, and a NaN eigenvalue fails
+    # these comparisons. Row n, the terminal row, takes no step: the gate
+    # never skips it.
+    gate_tol = CHECK_TOL * max(1.0, F_norm)
     gated = np.zeros(n + 1, dtype=bool)
-    if gate:
-        gate_tol = CHECK_TOL * max(1.0, norms[1])
-        # With Z positive semidefinite the gate slack is matrix-concave in p,
-        # so its vertices bound it on the box. Within tol / 2 of the gate,
-        # ||dA' Z dA|| <= ||F|| + tol in the box, and no step's rounding
-        # (about 1e-15 ||F||) can cross the other tol / 2: no step is gated.
-        # A vertex slack that is not finite certifies nothing, and a NaN
-        # eigenvalue fails these comparisons.
-        certified = (
-            vertices_finite and eigs[2, 0] >= 0.0 and eigs[3:, 0].min() >= -0.5 * gate_tol
-        )
-        if not certified:
-            # A step whose slack is not finite has margin NaN: nothing shows
-            # that it breaks the bound, so it is not gated.
-            dA = model.matrix_at(p)
-            margins, _ = _slack_margins(F - np.swapaxes(dA, 1, 2) @ Z @ dA)
-            gated[:n] = margins < -gate_tol
+    if not (vertices_finite and eigs[2, 0] >= 0.0 and eigs[3:, 0].min() >= -0.5 * gate_tol):
+        # A step whose slack is not finite has margin NaN: nothing shows
+        # that it breaks the bound, so it is not gated.
+        dA = model.matrix_at(p)
+        margins, _ = _slack_margins(F - np.swapaxes(dA, 1, 2) @ Z @ dA)
+        gated[:n] = margins < -gate_tol
 
     x, e, V = trace.states, trace.errors[:n], trace.V
     x_sq = np.einsum("ki,ki->k", x, x)

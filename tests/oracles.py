@@ -8,7 +8,8 @@ coefficient evaluators use explicit matrix inverses instead of the
 solver's factored updates, and the closed-loop trace comes from a plain
 per-step loop that forms the plant matrix afresh at every step. The
 epsilon scan evaluates the design conditions on a dense grid of
-1/epsilon with explicit inverses, not in the eigenbasis of P. The
+1/epsilon with explicit inverses, not in the eigenbasis of P, and the
+window weights come from np.linalg.inv of each window gap. The
 campaign oracle is the one exception: it is the per-sample loop that the
 batched campaigns replace, so it calls the public single-instance checks.
 The dissipation oracle is the per-step loop that the audit's array pass
@@ -295,14 +296,14 @@ def campaign_stepwise(kind: str, samples: int, seed: int, max_dim: int):
     )
 
 
-def dissipation_stepwise(trace, P, Q1, K, B, Z, sigma, model=None, F=None):
+def dissipation_stepwise(trace, P, Q1, K, B, Z, sigma, model, F):
     """The dissipation audit of a trace by a plain per-step loop.
 
     This is the loop that check_dissipation's array pass replaces, with
     plain numpy in place of the package's validating helpers. Step k is
-    skipped when the gate (model and F given) finds F - dA(p_k)' Z dA(p_k)
-    not positive semidefinite, dA formed afresh as sum_i p_i E_i: its raw
-    and rate bounds are not checked, its sandwich bound still is. Otherwise
+    skipped when the gate finds F - dA(p_k)' Z dA(p_k) not positive
+    semidefinite, dA formed afresh as sum_i p_i E_i: its raw and rate
+    bounds are not checked, its sandwich bound still is. Otherwise
     the raw bound, the rate bound (where the monitored error is within the
     derived threshold) and the sandwich bound are checked in that order;
     the worst slack is tracked by a strict comparison, so the witness is its
@@ -330,14 +331,13 @@ def dissipation_stepwise(trace, P, Q1, K, B, Z, sigma, model=None, F=None):
     skipped = 0
     audited = 0
     gated = np.zeros(trace.n_steps, dtype=bool)
-    if model is not None and F is not None:
-        F = np.asarray(F, dtype=float)
-        gate_tol = CHECK_TOL * max(1.0, float(np.linalg.norm(F, 2)))
-        for k in range(trace.n_steps):
-            dA = np.zeros_like(P)
-            for coeff, E in zip(trace.p[k], model.basis):
-                dA += coeff * np.asarray(E, dtype=float)
-            gated[k] = np.linalg.eigvalsh(F - dA.T @ Z @ dA)[0] < -gate_tol
+    F = np.asarray(F, dtype=float)
+    gate_tol = CHECK_TOL * max(1.0, float(np.linalg.norm(F, 2)))
+    for k in range(trace.n_steps):
+        dA = np.zeros_like(P)
+        for coeff, E in zip(trace.p[k], model.basis):
+            dA += coeff * np.asarray(E, dtype=float)
+        gated[k] = np.linalg.eigvalsh(F - dA.T @ Z @ dA)[0] < -gate_tol
 
     for k in range(trace.n_steps):
         x = trace.states[k]
@@ -520,6 +520,17 @@ def window_weights_separate(P, epsilon):
     gap = (1.0 / epsilon) * eye - P
     Z = (1.0 / epsilon) * eye + P @ _guarded_inverse(gap, "design window gap") @ P
     return 0.5 * Z + 0.5 * Z.T, P @ _guarded_inverse(inner_gap, "inner window gap")
+
+
+def window_weights_explicit(P, epsilon):
+    """Z = (1/eps) I + P ((1/eps) I - P)^-1 P and P (I - eps P)^-1 by np.linalg.inv.
+
+    No conditioning guard and no symmetric part, so it checks
+    synthesis._window_weights only away from a singular gap.
+    """
+    eye = np.eye(len(P))
+    Z = (1.0 / epsilon) * eye + P @ np.linalg.inv((1.0 / epsilon) * eye - P) @ P
+    return Z, P @ np.linalg.inv(eye - epsilon * P)
 
 
 def riccati_hstack(A, W, Qbar):

@@ -172,6 +172,5 @@ _MODEL_ENTRY_POINTS = {
 def test_entry_point_rejects_a_model_of_another_state_dimension(demo_system, entry):
     v = _demo(demo_system)
     v["model"] = UncertaintyModel(basis=(np.eye(3),), p_lo=[0.0], p_hi=[0.3], F=np.eye(3))
-    v["F"] = None  # the gate needs F of the model's size, which the contract refuses
     with pytest.raises(ValueError, match=r"^uncertainty model is for state dimension 3, but "):
         _MODEL_ENTRY_POINTS[entry](v)

@@ -57,6 +57,7 @@ from etcontrol.synthesis import (
     _slack_margins,
     _trigger_coefficient,
     _virtual_gain,
+    _window_weights,
 )
 
 # Frozen regression values for the benchmark fixtures.
@@ -375,9 +376,7 @@ def test_error_weight_singular_gap_raises():
 
 def test_error_weight_overflowing_design_gap_raises():
     """A P near the float maximum that is not semidefinite overflows (1/eps) I - P."""
-    with np.errstate(over="ignore"), pytest.raises(
-        NumericalError, match="^design window gap contains non-finite entries$"
-    ):
+    with pytest.raises(NumericalError, match="^design window gap contains non-finite entries$"):
         error_weight(np.diag([-1e308, 1.0]), 1e-308)
 
 
@@ -392,6 +391,37 @@ def test_error_weight_alternative_evaluation():
         Z = error_weight(P, eps)
         direct = np.eye(n) / eps + eps * P @ np.linalg.inv(np.eye(n) - eps * P) @ P
         assert np.allclose(Z, direct, atol=1e-9 * max(1.0, float(np.max(np.abs(Z)))))
+
+
+def _assert_window_weights_match_explicit(P, epsilon):
+    """Z and the inner window matrix within 1e-10 of their magnitudes."""
+    for got, want in zip(_window_weights(P, epsilon), oracles.window_weights_explicit(P, epsilon)):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("design", ["demo_system", "reference_system", "holding_system"])
+def test_window_weights_match_explicit_inverses_on_designs(request, design):
+    A, B, model, params = request.getfixturevalue(design)
+    P = synthesize(A, B, model, params).P
+    _assert_window_weights_match_explicit(P, params.epsilon)
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+def test_window_weights_match_explicit_inverses_on_random_P(inside):
+    """1/epsilon at least 10% above lambda_max(P) (inside the window) or at least 10%
+    below lambda_min(P) (outside it), so neither gap is near singular."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 6):
+        for _ in range(4):
+            g = rng.normal(size=(n, n))
+            P = g @ g.T / n + 0.1 * np.eye(n)
+            lam = np.linalg.eigvalsh(P)
+            if inside:
+                inv_eps = lam[-1] * (1.0 + rng.uniform(0.1, 3.0))
+            else:
+                inv_eps = lam[0] * rng.uniform(0.1, 0.9)
+            _assert_window_weights_match_explicit(P, 1.0 / inv_eps)
 
 
 def test_trigger_coefficient_reference_value(reference_system):
@@ -429,9 +459,7 @@ def test_trigger_coefficient_overflowing_error_gain():
     """Finite K, B and Z whose error gain K' B' Z B K overflows: NumericalError, not ValueError."""
     K = np.array([[1e200, 0.0]])
     B = np.array([[0.0], [1.0]])
-    with np.errstate(over="ignore"), pytest.raises(
-        NumericalError, match="^trigger error gain contains non-finite entries$"
-    ):
+    with pytest.raises(NumericalError, match="^trigger error gain contains non-finite entries$"):
         trigger_coefficient(K, B, np.eye(2), np.eye(2), 0.5)
 
 
@@ -1181,11 +1209,21 @@ def test_overflowing_inner_gap_raises(reference_system):
     out = synthesize(A, B, model, params)
     params = dataclasses.replace(params, epsilon=1e308)
     message = "^inner window gap contains non-finite entries$"
-    with np.errstate(over="ignore"):
-        with pytest.raises(NumericalError, match=message):
-            synthesize(A, B, model, params)
-        with pytest.raises(NumericalError, match=message):
-            feasibility_report(A, B, model, params, out.P, out.K, out.L, out.Z, out.Q1)
+    with pytest.raises(NumericalError, match=message):
+        synthesize(A, B, model, params)
+    with pytest.raises(NumericalError, match=message):
+        feasibility_report(A, B, model, params, out.P, out.K, out.L, out.Z, out.Q1)
+
+
+def test_overflowing_effective_state_weight_raises(demo_system):
+    """Q = 1e308 I and beta = 1.3e154 overflow Q + F + beta^2 I: a NumericalError, no warning."""
+    A, B, model, params = demo_system
+    params = dataclasses.replace(params, Q=1e308 * np.eye(2), beta=1.3e154)
+    message = "^effective state weight contains non-finite entries$"
+    with pytest.raises(NumericalError, match=message):
+        synthesize(A, B, model, params)
+    with pytest.raises(NumericalError, match=message):
+        solve_modified_dare(A, B, params, model.F)
 
 
 def test_report_without_psd_weight_equals_per_call_oracle():

@@ -381,13 +381,6 @@ def test_dissipation_gate_skips_exactly_the_violating_steps(demo_system):
     assert f"{trace.n_steps - expected} steps audited, {expected} skipped" in result.note
 
 
-def test_dissipation_without_gate(demo_system):
-    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.constant([0.0]))
-    result = check_dissipation(trace, out.P, out.Q1, out.K, B, out.Z, params.sigma)
-    assert result.holds
-    assert "0 skipped" in result.note
-
-
 # The audited runs: fixture, parameter path and threshold (None: the
 # design's own mu). The reference run violates its bounds at step 0.
 _AUDITED_RUNS = {
@@ -433,16 +426,18 @@ def _break_bound(trace, args, bound, where):
 
 
 _DISSIPATION_CASES = [
-    (run, gate, None) for run in _AUDITED_RUNS for gate in ("gate", "no gate", "all gated")
+    (run, gate, None) for run in _AUDITED_RUNS for gate in ("gate", "stepwise gate", "all gated")
 ] + [
     ("demo", "gate", "Q1 indefinite"),
-    ("holding", "no gate", "Q1 indefinite"),
+    ("holding", "stepwise gate", "Q1 indefinite"),
 ] + [
     ("demo", "gate", (bound, where))
     for bound in ("raw", "rate", "sandwich")
     for where in ("first", "middle", "last")
 ] + [
-    (run, gate, ("sandwich", "terminal")) for run in ("demo", "holding") for gate in ("gate", "no gate")
+    (run, gate, ("sandwich", "terminal"))
+    for run in ("demo", "holding")
+    for gate in ("gate", "stepwise gate")
 ]
 
 
@@ -450,11 +445,15 @@ _DISSIPATION_CASES = [
 def test_dissipation_matches_stepwise_oracle(request, run, gate, edit):
     """The array audit agrees with the per-step loop on verdict, note and witness."""
     trace, args, model = _audited_run(request, run)
-    # F = -1000 I fails the gate's test F - dA' Z dA >= 0 at every step of
-    # every run, the reference's too, whose Z is negative definite.
+    # A box at the origin leaves every row outside it, so the vertices
+    # certify nothing and each step's gate matrix is formed. F = -1000 I
+    # fails the gate's test F - dA' Z dA >= 0 at every step of every run,
+    # the reference's too, whose Z is negative definite.
+    origin = np.zeros(model.dimension)
+    point_box = dataclasses.replace(model, p_lo=origin, p_hi=origin)
     kwargs = {
         "gate": {"model": model, "F": model.F},
-        "no gate": {},
+        "stepwise gate": {"model": point_box, "F": model.F},
         "all gated": {"model": model, "F": -1e3 * np.eye(2)},
     }[gate]
     step = None
@@ -471,6 +470,8 @@ def test_dissipation_matches_stepwise_oracle(request, run, gate, edit):
     assert result.margin == pytest.approx(expected.margin, rel=1e-12, abs=0.0)
     if gate == "all gated":
         assert result.holds and "no eligible steps" in result.note
+    elif gate == "stepwise gate":
+        assert result == check_dissipation(trace, *args, model=model, F=model.F)
     elif run == "reference":
         assert result.note.startswith("violated at step 0 (")
     if step is not None:
@@ -623,12 +624,14 @@ def test_dissipation_gate_slacks_that_are_not_finite(p):
 
 
 def test_dissipation_fails_on_an_overflowing_error_gain(demo_system):
-    """K x 10 and Z = 1e308 I, no gate: K' B' Z B K overflows, its norm counts as 0 (no
-    rate bound applies) and the raw bound fails at step 0 instead of raising."""
-    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
+    """K x 10 and Z = 1e308 I: K' B' Z B K overflows, its norm counts as 0 (no rate bound
+    applies) and the raw bound fails at step 0 instead of raising. At p = 0 the gate
+    slack is F, so the gate keeps every step."""
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.constant([0.0]))
     with np.errstate(over="ignore", invalid="ignore"):
         result = check_dissipation(
-            trace, out.P, out.Q1, 10.0 * out.K, B, 1e308 * np.eye(2), params.sigma
+            trace, out.P, out.Q1, 10.0 * out.K, B, 1e308 * np.eye(2), params.sigma,
+            model=model, F=model.F,
         )
     assert (result.holds, result.margin) == (False, -np.inf)
     assert result.note == "violated at step 0 (1 steps audited, 0 skipped)"
@@ -648,18 +651,20 @@ def test_dissipation_rejects_trace_of_another_parameter_width(demo_system, d):
         check_dissipation(trace, *args, model=model, F=kwargs["F"])
 
 
-@pytest.mark.parametrize("gate", [True, False], ids=["gate", "no gate"])
-def test_dissipation_audits_terminal_row(demo_system, gate):
-    """A terminal V of -1 breaks the sandwich at row n_steps, which takes no step."""
+@pytest.mark.parametrize("skipped", [0, 30], ids=["gate", "all gated"])
+def test_dissipation_audits_terminal_row(demo_system, skipped):
+    """A terminal V of -1 breaks the sandwich at row n_steps, which takes no step and
+    which the gate never skips; F = -1000 I gates every step."""
     A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
     V = trace.V.copy()
     V[-1] = -1.0
-    kwargs = {"model": model, "F": model.F} if gate else {}
+    F = -1e3 * np.eye(2) if skipped else model.F
     result = check_dissipation(
-        dataclasses.replace(trace, V=V), out.P, out.Q1, out.K, B, out.Z, params.sigma, **kwargs
+        dataclasses.replace(trace, V=V), out.P, out.Q1, out.K, B, out.Z, params.sigma,
+        model=model, F=F,
     )
     assert not result.holds
-    assert result.note == "violated at step 30 (30 steps audited, 0 skipped)"
+    assert result.note == f"violated at step 30 ({30 - skipped} steps audited, {skipped} skipped)"
     assert result.witness == {"step": 30, "bound": "sandwich"}
     assert result.margin <= -1.0
 
@@ -773,9 +778,7 @@ def test_single_checks_keep_their_exceptions():
     # epsilon P the inner gap.
     with pytest.raises(NumericalError, match="^design window gap contains non-finite entries$"):
         check_cross_term_bound(np.diag([-1e308, 1.0]), 1e-308, loop, 0.1 * loop)
-    with np.errstate(over="ignore"), pytest.raises(
-        NumericalError, match="^inner window gap contains non-finite entries$"
-    ):
+    with pytest.raises(NumericalError, match="^inner window gap contains non-finite entries$"):
         check_inversion_identity(1e10 * np.eye(2), 1e300)
 
 
