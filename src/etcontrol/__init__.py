@@ -33,7 +33,6 @@ from .simulation import (
     SimTrace,
     TriggerPolicy,
     compare_policies,
-    should_trigger,
     simulate,
 )
 from .synthesis import (
@@ -47,7 +46,6 @@ from .synthesis import (
     error_weight,
     feedback_gain,
     feasibility_report,
-    projector_complement,
     solve_modified_dare,
     synthesize,
     synthesize_matched,
@@ -104,10 +102,8 @@ __all__ = [
     "feedback_gain",
     "identity_campaign",
     "load_config",
-    "projector_complement",
     "save_config",
     "scaffold_config",
-    "should_trigger",
     "simulate",
     "solve_modified_dare",
     "synthesize",

@@ -139,7 +139,8 @@ class ParamTrajectory:
         """Raise ValueError, its message starting with the field's name, unless the trajectory fits.
 
         A value, start or end needs one entry per box parameter, and a
-        sequence at least n_steps + 1 rows of that length. A random one fits.
+        sequence at least n_steps + 1 rows of that length. A ramp's span
+        end - start must be finite. A random one fits.
         """
         for name, ndim in TRAJECTORY_FIELDS[self.kind].items():
             v = getattr(self, name)
@@ -150,6 +151,10 @@ class ParamTrajectory:
                 raise ValueError(f"{name}: {length} {v.shape[-1]}, expected {dimension}")
             if ndim == 2 and len(v) < n_steps + 1:
                 raise ValueError(f"{name}: needs at least {n_steps + 1} rows, has {len(v)}")
+        if self.kind == TRAJ_RAMP:
+            with np.errstate(over="ignore"):
+                if not np.isfinite(self.end - self.start).all():
+                    raise ValueError("end: the ramp's span end - start must be finite")
 
     def realize(self, n_steps: int, model: UncertaintyModel):
         """Materialize n_steps + 1 parameter rows, clamped into the box.
@@ -188,23 +193,13 @@ class ParamTrajectory:
 
 
 def _transmits(e_sq, x_sq, mu: float):
-    """The event rule on squared norms: e_sq >= mu x_sq, except at rest at the origin.
+    """The event rule on squared norms: e_sq = ||x_held - x||^2 >= mu ||x||^2 = mu x_sq.
 
-    Takes floats, or arrays elementwise; a NaN operand declines.
+    The boundary counts as a transmission. A zero state with zero error does
+    not retransmit: the controller already holds the exact state. Takes
+    floats, or arrays elementwise; a NaN operand declines.
     """
     return (e_sq >= mu * x_sq) & ((e_sq != 0.0) | (x_sq != 0.0))
-
-
-def should_trigger(x, x_held, mu: float) -> bool:
-    """Relative threshold rule: transmit when ||x_held - x||^2 >= mu ||x||^2.
-
-    The boundary counts as a transmission. The corner case of a zero state
-    with zero holding error does not retransmit, because the controller
-    already holds the exact state.
-    """
-    x = np.asarray(x, dtype=float)
-    e = np.asarray(x_held, dtype=float) - x
-    return _transmits(float(e @ e), float(x @ x), float(mu))
 
 
 @dataclass
@@ -271,9 +266,12 @@ class PolicyComparison:
 
 
 def _validated_run(x0, n_steps, n):
-    """Coerce the initial state of one run to a finite (n,) row and check n_steps."""
+    """Coerce the initial state of one run to a finite (n,) row and check n_steps, an integer."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    n_steps = int(n_steps)
+    try:
+        n_steps = operator.index(n_steps)
+    except TypeError:
+        raise ValueError(f"n_steps must be an integer, got {n_steps!r}") from None
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if x0.shape != (n,):
@@ -364,6 +362,8 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
     )
 
 
+# A run whose state overflows ends in a diverged trace, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(
     A,
     B,
@@ -387,6 +387,8 @@ def simulate(
     return _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped)
 
 
+# A run whose state overflows ends in a diverged trace, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def compare_policies(
     A,
     B,

@@ -371,22 +371,12 @@ class SynthesisOutcome:
     residual: float
 
 
-def projector_complement(B) -> np.ndarray:
-    """Orthogonal projector onto the complement of the range of B.
-
-    Requires B to have full column rank; the result is symmetric and
-    idempotent, and annihilates every column of B.
-    """
-    (B,) = _conform(B=B)
-    return np.eye(B.shape[0]) - B @ pseudo_inverse(B, "B")
-
-
 def _channel_weights(B, params: SynthesisParams, alpha: float):
-    """W = B R1^-1 B' + alpha^2 Pi R2^-1 Pi' and Pi (None when alpha is 0)."""
+    """W = B R1^-1 B' + alpha^2 Pi R2^-1 Pi' and Pi = I - B B^+ (None when alpha is 0)."""
     W = B @ np.linalg.solve(params.R1, B.T)
     Pi = None
     if alpha != 0.0:
-        Pi = projector_complement(B)
+        Pi = np.eye(len(B)) - B @ pseudo_inverse(B, "B")
         W = W + alpha**2 * (Pi @ np.linalg.solve(params.R2, Pi.T))
     return _symmetric_part(W), Pi
 

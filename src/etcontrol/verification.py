@@ -180,6 +180,8 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
 _DISSIPATION_BOUNDS = ("raw", "rate", "sandwich")
 
 
+# A slack that overflows fails the audit, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckResult:
     """Audit the per-step Lyapunov decrease along a recorded trace.
 
@@ -313,6 +315,8 @@ def _lambda_min_weighted(C, M, w) -> np.ndarray:
     return np.linalg.eigvalsh(C - weighted)[..., 0].min(axis=1)
 
 
+# A margin that overflows fails its condition, so numpy need not warn.
+@np.errstate(over="ignore", invalid="ignore")
 def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> CheckResult:
     """Certify the interval of 1/epsilon on which every design condition holds.
 

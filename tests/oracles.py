@@ -125,17 +125,6 @@ def trigger_coefficient_explicit(A, B, P, R1, R2, alpha, beta, epsilon, sigma) -
     return float(sigma * q_min / np.linalg.norm(K.T @ B.T @ Z @ B @ K, 2))
 
 
-def controllable(A, B) -> bool:
-    """Kalman rank test."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    n = A.shape[0]
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    return np.linalg.matrix_rank(np.hstack(blocks)) == n
-
-
 def random_instance(rng, max_dim: int = 5, spectral_lo: float = 0.3, spectral_hi: float = 0.95):
     """Random well-posed synthesis instance for residual campaigns."""
     n = int(rng.integers(1, max_dim + 1))

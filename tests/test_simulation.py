@@ -1,6 +1,7 @@
 """Closed-loop simulation tests: trajectories, trigger rule, traces."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from etcontrol import (
     check_dissipation,
     compare_policies,
     load_config,
-    should_trigger,
     simulate,
     synthesize,
 )
@@ -183,6 +183,32 @@ def test_random_trajectory_overflowing_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ramp_overflowing_span(tmp_path, capsys):
+    """A ramp whose span end - start overflows is refused: by the library, and by every command.
+
+    Its first row would be start + 0 * inf = NaN, which the clamp keeps.
+    """
+    model = UncertaintyModel(basis=(np.eye(2),), p_lo=[-1e308], p_hi=[1e307], F=np.eye(2))
+    ramp = ParamTrajectory.ramp([-1e308], [1e308])
+    with pytest.raises(ValueError, match="^end: the ramp's span end - start must be finite$"):
+        ramp.check_fits(1, 30)
+    with pytest.raises(ValueError, match="^end: "):
+        simulate(
+            np.eye(2), [[0.0], [1.0]], model, np.zeros((1, 2)), TriggerPolicy.periodic(), ramp,
+            [1.0, -1.0], 30, np.eye(2),
+        )
+    data = json.loads((CONFIG_DIR / "feasible_demo.json").read_text(encoding="utf-8"))
+    data["uncertainty"]["p_lo"], data["uncertainty"]["p_hi"] = [-1e308], [1e307]
+    data["simulation"]["trajectory"] = {"kind": "ramp", "start": [-1e308], "end": [1e308]}
+    path = tmp_path / "nan_ramp.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    for command in ("synth", "simulate", "compare", "verify"):
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: simulation.trajectory.end: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [-3, 2.5, "7"])
 def test_random_trajectory_rejects_bad_seed(seed):
     """A seed numpy would refuse at realize time is refused at construction."""
@@ -213,16 +239,16 @@ def test_trajectory_rejects_non_finite_entries(make, name, bad):
 
 def test_should_trigger_boundary_counts():
     # squared error 1.0 equals mu * ||x||^2 = 0.25 * 4.0 exactly
-    assert should_trigger([2.0, 0.0], [3.0, 0.0], 0.25)
-    assert not should_trigger([2.0, 0.0], [2.9, 0.0], 0.25)
+    assert _transmits(1.0, 4.0, 0.25)
+    assert not _transmits(0.9**2, 4.0, 0.25)
 
 
 def test_should_trigger_zero_state_nonzero_error():
-    assert should_trigger([0.0, 0.0], [0.1, 0.0], 0.29)
+    assert _transmits(0.1**2, 0.0, 0.29)
 
 
 def test_should_trigger_origin_rest():
-    assert not should_trigger([0.0, 0.0], [0.0, 0.0], 0.29)
+    assert not _transmits(0.0, 0.0, 0.29)
 
 
 @given(
@@ -234,8 +260,9 @@ def test_should_trigger_origin_rest():
 @settings(max_examples=80, deadline=None)
 def test_should_trigger_monotone_in_mu(x, held, mu, factor):
     """Raising the threshold can only suppress transmissions."""
-    if should_trigger([x], [held], mu * factor):
-        assert should_trigger([x], [held], mu)
+    e_sq, x_sq = (held - x) ** 2, x**2
+    if _transmits(e_sq, x_sq, mu * factor):
+        assert _transmits(e_sq, x_sq, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +442,18 @@ def test_compare_policies_validates_shapes(reference_gain):
         run(K=np.zeros((1, 3)))
     with pytest.raises(ValueError, match="n_steps"):
         run(n_steps=0)
+
+
+@pytest.mark.parametrize("n_steps", [2.7, 5.0, "5", None], ids=["2.7", "5.0", "str", "None"])
+def test_runs_refuse_a_non_integer_n_steps(reference_gain, n_steps):
+    """n_steps is an integer: 2.7 used to run 2 steps and "5" five."""
+    A, B, model, out = reference_gain
+    trajectory, x0 = ParamTrajectory.constant([0.5]), [1.0, -1.0]
+    match = re.escape(f"n_steps must be an integer, got {n_steps!r}")
+    with pytest.raises(ValueError, match=match):
+        simulate(A, B, model, out.K, TriggerPolicy.periodic(), trajectory, x0, n_steps, out.P)
+    with pytest.raises(ValueError, match=match):
+        compare_policies(A, B, model, out.K, 0.29, trajectory, x0, n_steps, out.P)
 
 
 # ---------------------------------------------------------------------------
@@ -765,9 +804,8 @@ def test_overflow_inside_the_prefix(demo_system):
     out = synthesize(A, B, model, params)
     args = (np.diag([1e300, -1e300]), B, model, np.zeros((1, 2)))
     rest = (ParamTrajectory.random(7), [1e10, 1e10], 30, out.P)
-    with np.errstate(over="ignore", invalid="ignore"):
-        comparison = compare_policies(*args, out.mu, *rest)
-        single = simulate(*args, TriggerPolicy.event(out.mu), *rest)
+    comparison = compare_policies(*args, out.mu, *rest)
+    single = simulate(*args, TriggerPolicy.event(out.mu), *rest)
     assert comparison.event.diverged and comparison.event.n_steps == 1
     assert np.isinf(comparison.event.thresholds[-1])
     for column in _COLUMNS:

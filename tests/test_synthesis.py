@@ -22,7 +22,6 @@ from etcontrol import (
     error_weight,
     feedback_gain,
     feasibility_report,
-    projector_complement,
     solve_modified_dare,
     synthesize,
     synthesize_matched,
@@ -77,8 +76,14 @@ MATCHED_DEMO_MU = 1.5388828322307198
 # projector
 
 
+def _projector(b):
+    """The projector Pi = I - B B^+ that the synthesis forms, at identity weights."""
+    n, m = b.shape
+    return _channel_weights(b, _nominal_params(np.eye(n), np.eye(m), np.eye(n)), 1.0)[1]
+
+
 def test_projector_complement_single_column():
-    proj = projector_complement(np.array([[0.0], [1.0]]))
+    proj = _projector(np.array([[0.0], [1.0]]))
     assert np.allclose(proj, np.diag([1.0, 0.0]), atol=1e-14)
 
 
@@ -88,15 +93,17 @@ def test_projector_complement_properties():
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, n + 1))
         b = rng.normal(size=(n, m)) + np.eye(n, m)
-        proj = projector_complement(b)
+        proj = _projector(b)
         assert np.allclose(proj, proj.T, atol=1e-10)
         assert np.allclose(proj @ proj, proj, atol=1e-10)
         assert np.allclose(proj @ b, 0.0, atol=1e-10)
 
 
-def test_projector_complement_rank_deficient():
-    with pytest.raises(RankDeficiencyError):
-        projector_complement(np.array([[1.0, 1.0], [2.0, 2.0]]))
+def test_projector_complement_rank_deficient(demo_system):
+    A, _, model, params = demo_system
+    params = dataclasses.replace(params, R1=np.eye(2))
+    with pytest.raises(RankDeficiencyError, match="^B has deficient column rank"):
+        synthesize(A, np.array([[1.0, 1.0], [2.0, 2.0]]), model, params)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +344,7 @@ def test_reference_gains(reference_system):
 def test_feedback_gain_explicit_route(demo_system):
     A, B, model, params = demo_system
     P = solve_modified_dare(A, B, params, model.F)
-    proj = projector_complement(B)
+    proj = np.eye(2) - B @ np.linalg.pinv(B)
     W = B @ np.linalg.inv(params.R1) @ B.T
     W += params.alpha**2 * proj @ np.linalg.inv(params.R2) @ proj.T
     S_inv = np.linalg.inv(np.linalg.inv(P) + W)

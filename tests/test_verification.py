@@ -21,6 +21,7 @@ from etcontrol import (
     check_epsilon_interval,
     check_inversion_identity,
     check_loop_energy_bound,
+    compare_policies,
     cross_term_campaign,
     decay_matrix,
     error_weight,
@@ -628,11 +629,10 @@ def test_dissipation_fails_on_an_overflowing_error_gain(demo_system):
     applies) and the raw bound fails at step 0 instead of raising. At p = 0 the gate
     slack is F, so the gate keeps every step."""
     A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.constant([0.0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = check_dissipation(
-            trace, out.P, out.Q1, 10.0 * out.K, B, 1e308 * np.eye(2), params.sigma,
-            model=model, F=model.F,
-        )
+    result = check_dissipation(
+        trace, out.P, out.Q1, 10.0 * out.K, B, 1e308 * np.eye(2), params.sigma,
+        model=model, F=model.F,
+    )
     assert (result.holds, result.margin) == (False, -np.inf)
     assert result.note == "violated at step 0 (1 steps audited, 0 skipped)"
     assert (result.witness["step"], result.witness["bound"]) == (0, "raw")
@@ -679,11 +679,10 @@ def test_dissipation_non_finite_slack_is_minus_inf(demo_system):
     A, B, model, params = demo_system
     out = synthesize(A, B, model, params)
     K = np.zeros((1, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        trace = simulate(
-            np.diag([1e300, -1e300]), B, model, K,
-            TriggerPolicy.event(out.mu), ParamTrajectory.random(7), [1e10, 1e10], 30, out.P,
-        )
+    trace = simulate(
+        np.diag([1e300, -1e300]), B, model, K,
+        TriggerPolicy.event(out.mu), ParamTrajectory.random(7), [1e10, 1e10], 30, out.P,
+    )
     assert trace.diverged and np.isnan(trace.V[-1])
     assert np.array_equal(trace.states[-1], [np.inf, -np.inf])
     result = check_dissipation(
@@ -694,6 +693,28 @@ def test_dissipation_non_finite_slack_is_minus_inf(demo_system):
     assert result.witness["step"] == 0 and result.witness["bound"] == "raw"
     assert np.isnan(result.witness["dV"])
     assert result.note == "violated at step 0 (1 steps audited, 0 skipped)"
+
+
+def test_overflowing_basis_gives_verdicts_without_warning():
+    """The demo with basis diag(1e300, -1e300): dA' dA overflows at both vertices.
+
+    The runs diverge and the audits fail, and none of the four lets numpy
+    warn (tier 1 turns a RuntimeWarning into an error).
+    """
+    config = load_config(CONFIG_DIR / "feasible_demo.json")
+    A, B, params, sim = config.A, config.B, config.params, config.simulation
+    model = dataclasses.replace(config.model, basis=(np.diag([1e300, -1e300]),))
+    out = synthesize(A, B, model, params)
+    run = (sim.trajectory, sim.x0, sim.n_steps, out.P)
+    trace = simulate(A, B, model, out.K, TriggerPolicy.event(out.mu), *run)
+    comparison = compare_policies(A, B, model, out.K, out.mu, *run)
+    assert trace.diverged and comparison.periodic.diverged and comparison.event.diverged
+    dissipation = check_dissipation(
+        trace, out.P, out.Q1, out.K, B, out.Z, params.sigma, model=model, F=model.F
+    )
+    interval = check_epsilon_interval(A, B, model, params, out.P, out.K, out.L)
+    assert not dissipation.holds and not interval.holds
+    assert interval.margin == -np.inf
 
 
 # ---------------------------------------------------------------------------
