@@ -24,6 +24,7 @@ and audit it with the public check, in sample order.
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,7 @@ from .synthesis import (
     _finite_slices,
     _hold_interval,
     _maximize,
+    _read_only,
     _require_definite,
     _require_epsilon,
     _require_finite,
@@ -179,6 +181,102 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
 
 _DISSIPATION_BOUNDS = ("raw", "rate", "sandwich")
 
+# The design terms of the last _DESIGN_MEMO_SIZE designs audited, in the
+# order they were formed; the oldest goes first (_design_terms). A lookup
+# is one dict read; an insertion, which may evict, holds the lock.
+_DESIGN_MEMO_SIZE = 8
+_design_memo = {}
+_design_memo_lock = threading.Lock()
+
+
+class _DesignTerms:
+    """What check_dissipation takes from the design alone, formed once per design.
+
+    The conformed Q1, Z and F, the symmetric error gain K' B' Z B K (all
+    read-only copies the package owns), P's extreme eigenvalues, q_min =
+    lambda_min(Q1), the derived threshold mu_derived (None when it does
+    not exist), the gate tolerance and the vertex gate certificate, which
+    is formed by the first audit of a trace inside the box (certified).
+    The entry keeps model, so its id cannot be taken by another model.
+    """
+
+    __slots__ = (
+        "model", "Q1", "Z", "F", "error_gain", "p_extremes", "q_min", "mu_derived", "gate_tol",
+        "_certified",
+    )
+
+    def __init__(self, model, sigma, B, K, P, Q1, Z, F):
+        self.model, self.Q1, self.Z, self.F = model, _read_only(Q1), _read_only(Z), _read_only(F)
+        self.error_gain = _read_only(_symmetric_part(_error_gain(K, B, Z)))
+        # One eigvalsh over P and Q1 and one svd over error_gain and F: every
+        # slice is computed as on its own. An error gain that overflowed gets
+        # norm 0, so no rate bound applies.
+        eigs = np.linalg.eigvalsh(np.stack([P, Q1]))
+        denom, F_norm = _finite_norms([self.error_gain, F])
+        self.p_extremes, self.q_min = (eigs[0, 0], eigs[0, -1]), float(eigs[1, 0])
+        self.mu_derived = (
+            sigma * self.q_min / denom if (self.q_min > 0.0 and denom > 0.0) else None
+        )
+        self.gate_tol = CHECK_TOL * max(1.0, F_norm)
+        self._certified = None
+
+    def certified(self) -> bool:
+        """Whether the box's vertices certify the gate, formed on the first call.
+
+        With Z positive semidefinite the gate slack F - dA' Z dA is
+        matrix-concave in p, so its vertices bound it on the box. Within
+        tol / 2 of the gate, ||dA' Z dA|| <= ||F|| + tol in the box, and no
+        step's rounding (about 1e-15 ||F||) can cross the other tol / 2: no
+        step is gated. A vertex slack that is not finite certifies nothing,
+        and a NaN eigenvalue fails these comparisons.
+        """
+        if self._certified is None:
+            dA = self.model.vertex_stack
+            slacks, finite = _finite_slices(self.F - np.swapaxes(dA, 1, 2) @ self.Z @ dA)
+            eigs = np.linalg.eigvalsh(np.concatenate([self.Z[None], slacks]))
+            self._certified = bool(
+                finite.all() and eigs[0, 0] >= 0.0 and eigs[1:, 0].min() >= -0.5 * self.gate_tol
+            )
+        return self._certified
+
+
+def _design_key(model, sigma, arrays):
+    """The memo key of one design, or None when an array cannot be keyed.
+
+    The key is id(model), sigma, and the shape and bytes of each array as
+    float64. An array that is not numeric or does not coerce is left to
+    _conform, which reports it as for any audit.
+    """
+    key = [id(model), sigma]
+    for M in arrays.values():
+        if isinstance(M, np.ndarray) and M.dtype.kind not in "biuf":
+            return None
+        try:
+            M = np.asarray(M, dtype=float)
+        except Exception:  # _conform raises it again, in the contract's order
+            return None
+        key += (M.shape, M.tobytes())
+    return tuple(key)
+
+
+def _design_terms(model, sigma, arrays) -> _DesignTerms:
+    """The design terms of check_dissipation, from the memo or formed and kept.
+
+    A hit needs an equal key and the very model the entry keeps. A design
+    whose arrays fail the input contract raises here and is not kept.
+    """
+    key = _design_key(model, sigma, arrays)
+    terms = _design_memo.get(key)
+    if terms is not None and terms.model is model:
+        return terms
+    terms = _DesignTerms(model, sigma, *_conform(model, **arrays))
+    if key is not None:
+        with _design_memo_lock:
+            if key not in _design_memo and len(_design_memo) >= _DESIGN_MEMO_SIZE:
+                del _design_memo[next(iter(_design_memo))]
+            _design_memo[key] = terms
+    return terms
+
 
 # A slack that overflows fails the audit, so numpy need not warn.
 @np.errstate(over="ignore", invalid="ignore")
@@ -210,6 +308,14 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
     eigvalsh: at a vertex it certifies nothing, and a step with one is not
     gated, since nothing shows that it breaks the bound.
 
+    The design terms (the conformed arrays, the error gain, the spectra of
+    P and Q1, the norms of the error gain and F, and the vertex
+    certificate) are computed once per distinct design: a small memo keyed
+    on the model's identity, sigma and the bytes of B, K, P, Q1, Z and F
+    keeps those of the last few designs, and repeated audits of one design
+    reuse them. numpy computes a stacked eigvalsh or svd slice by slice,
+    so an audit that reuses them has the bits of one that forms them.
+
     The slacks of the whole trace are formed at once into one
     (n + 1, 3) array, one row per trace row in the bound order above. The
     audit stops at the first violating row, and counts (of steps) and
@@ -221,45 +327,26 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
     strictly between 0 and 1.
     """
     sigma = _require_sigma(sigma)
-    B, K, P, Q1, Z, F = _conform(model, B=B, K=K, P=P, Q1=Q1, Z=Z, F=F)
+    terms = _design_terms(model, sigma, {"B": B, "K": K, "P": P, "Q1": Q1, "Z": Z, "F": F})
+    Q1, q_min, mu_derived = terms.Q1, terms.q_min, terms.mu_derived
     n = trace.n_steps
-    if trace.states.shape[1:] != P.shape[1:]:
-        raise ValueError(f"trace.states has shape {trace.states.shape}, expected {(n + 1, len(P))}")
+    if trace.states.shape[1:] != Q1.shape[1:]:
+        raise ValueError(
+            f"trace.states has shape {trace.states.shape}, expected {(n + 1, len(Q1))}"
+        )
     p = trace.p[:n]
     if p.shape != (n, model.dimension):
         raise ValueError(f"trace.p has shape {trace.p.shape}, expected {(n + 1, model.dimension)}")
-    error_gain = _symmetric_part(_error_gain(K, B, Z))
-    # One eigvalsh over P, Q1 and, for a trace inside the box, Z and the
-    # vertex gate matrices F - dA' Z dA, and one svd over error_gain and F:
-    # every slice is computed as on its own. An error gain that overflowed
-    # gets norm 0, so no rate bound applies. Only a trace inside the box can
-    # be certified at the box's vertices (a NaN row is outside).
-    symmetric = [P[None], Q1[None]]
-    vertices_finite = False
-    if (p >= model.p_lo).all() and (p <= model.p_hi).all():
-        dA = model.vertex_stack
-        vertex_slacks, finite = _finite_slices(F - np.swapaxes(dA, 1, 2) @ Z @ dA)
-        vertices_finite = bool(finite.all())
-        symmetric += [Z[None], vertex_slacks]
-    eigs = np.linalg.eigvalsh(np.concatenate(symmetric))
-    denom, F_norm = _finite_norms([error_gain, F])
-    p_eigs, q_min = eigs[0], float(eigs[1, 0])
-    mu_derived = sigma * q_min / denom if (q_min > 0.0 and denom > 0.0) else None
-    # With Z positive semidefinite the gate slack is matrix-concave in p, so
-    # its vertices bound it on the box. Within tol / 2 of the gate,
-    # ||dA' Z dA|| <= ||F|| + tol in the box, and no step's rounding (about
-    # 1e-15 ||F||) can cross the other tol / 2: no step is gated. A vertex
-    # slack that is not finite certifies nothing, and a NaN eigenvalue fails
-    # these comparisons. Row n, the terminal row, takes no step: the gate
+    # Only a trace inside the box can be certified at the box's vertices (a
+    # NaN row is outside). Row n, the terminal row, takes no step: the gate
     # never skips it.
-    gate_tol = CHECK_TOL * max(1.0, F_norm)
     gated = np.zeros(n + 1, dtype=bool)
-    if not (vertices_finite and eigs[2, 0] >= 0.0 and eigs[3:, 0].min() >= -0.5 * gate_tol):
+    if not ((p >= model.p_lo).all() and (p <= model.p_hi).all() and terms.certified()):
         # A step whose slack is not finite has margin NaN: nothing shows
         # that it breaks the bound, so it is not gated.
         dA = model.matrix_at(p)
-        margins, _ = _slack_margins(F - np.swapaxes(dA, 1, 2) @ Z @ dA)
-        gated[:n] = margins < -gate_tol
+        margins, _ = _slack_margins(terms.F - np.swapaxes(dA, 1, 2) @ terms.Z @ dA)
+        gated[:n] = margins < -terms.gate_tol
 
     x, e, V = trace.states, trace.errors[:n], trace.V
     x_sq = np.einsum("ki,ki->k", x, x)
@@ -269,12 +356,13 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
     # terminal row takes no step and has the sandwich alone.
     slack = np.empty((n + 1, 3))
     np.subtract(
-        -np.einsum("ki,ki->k", x[:n] @ Q1, x[:n]) + np.einsum("ki,ki->k", e @ error_gain, e),
+        -np.einsum("ki,ki->k", x[:n] @ Q1, x[:n]) + np.einsum("ki,ki->k", e @ terms.error_gain, e),
         dV,
         out=slack[:n, 0],
     )
     np.subtract(-(1.0 - sigma) * q_min * x_sq[:n], dV, out=slack[:n, 1])
-    np.minimum(V - p_eigs[0] * x_sq, p_eigs[-1] * x_sq - V, out=slack[:, 2])
+    p_min, p_max = terms.p_extremes
+    np.minimum(V - p_min * x_sq, p_max * x_sq - V, out=slack[:, 2])
     applies = np.ones((n + 1, 3), dtype=bool)
     applies[n, :2] = False
     if mu_derived is None:
@@ -305,14 +393,25 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
     return CheckResult("dissipation", not failed, float(slack[step, bound]), witness, note)
 
 
+def _lambda_min(stack) -> np.ndarray:
+    """lambda_min of each (n, n) slice of a (k, v, n, n) stack, as a (k, v) array.
+
+    A slice that is not finite (a product overflowed) stays out of LAPACK,
+    which can fail on it, and gets NaN, which fails (_slack_margins).
+    """
+    margins, _ = _slack_margins(stack.reshape(-1, *stack.shape[-2:]))
+    return margins.reshape(stack.shape[:-2])
+
+
 def _lambda_min_weighted(C, M, w) -> np.ndarray:
     """lambda_min(C - M' diag(w_k) M) for each row w_k of the (k, n) weights.
 
     M is a (v, n, n) stack; the minimum runs over it as well, so a stack of
-    box vertices gives the worst vertex at every weight.
+    box vertices gives the worst vertex at every weight. A weighted matrix
+    that is not finite gives NaN (_lambda_min).
     """
     weighted = (np.swapaxes(M, 1, 2)[None] * w[:, None, None, :]) @ M
-    return np.linalg.eigvalsh(C - weighted)[..., 0].min(axis=1)
+    return _lambda_min(C - weighted).min(axis=1)
 
 
 # A margin that overflows fails its condition, so numpy need not warn.
@@ -361,7 +460,7 @@ def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> Che
         return s[:, None] + lam**2 / (s[:, None] - lam)
 
     def scaled(s):
-        return np.linalg.eigvalsh(F - s[:, None, None, None] * gram)[..., 0].min(axis=1)
+        return _lambda_min(F - s[:, None, None, None] * gram).min(axis=1)
 
     def periodic(s):
         return _lambda_min_weighted(C, A_fb_e, s[:, None] * lam / (s[:, None] - lam))

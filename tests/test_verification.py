@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from etcontrol import (
     synthesize,
     virtual_gain,
 )
+from etcontrol import verification
 from etcontrol.cli import main
 from oracles import campaign_stepwise, dissipation_stepwise, epsilon_margins, epsilon_scan
 from test_synthesis import _random_design as _synthesis_design
@@ -715,6 +719,217 @@ def test_overflowing_basis_gives_verdicts_without_warning():
     interval = check_epsilon_interval(A, B, model, params, out.P, out.K, out.L)
     assert not dissipation.holds and not interval.holds
     assert interval.margin == -np.inf
+
+
+def test_epsilon_interval_keeps_overflowing_slacks_out_of_eigvalsh():
+    """A 3-state design whose basis overflows dA' dA: the check fails, it does not raise.
+
+    The scaled and weighted bound matrices are not finite at every 1/epsilon;
+    they stay out of LAPACK, which fails on them ("Eigenvalues did not
+    converge"), get margin NaN and hold nowhere. numpy does not warn.
+    """
+    A, B, model, params = _synthesis_design(0, 1, 0.8)
+    E = np.zeros((3, 3))
+    E[0, 0] = E[0, 1] = E[1, 0] = 1e300
+    E[1, 1] = -1e300
+    huge = dataclasses.replace(model, basis=(E,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = synthesize(A, B, huge, params)
+        result = check_epsilon_interval(A, B, huge, params, out.P, out.K, out.L)
+    assert (result.holds, result.margin) == (False, -np.inf)
+    intervals = result.witness["intervals"]
+    assert intervals["uncertainty_bound_scaled"] is None
+    assert intervals["uncertainty_bound_weighted"] is None
+    assert result.note == (
+        "no epsilon: uncertainty_bound_scaled, uncertainty_bound_weighted "
+        "hold for no 1/epsilon in the window"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the design-term memo of check_dissipation
+
+
+@pytest.fixture
+def empty_memo():
+    """The dissipation memo, emptied before and after the test."""
+    verification._design_memo.clear()
+    yield verification._design_memo
+    verification._design_memo.clear()
+
+
+def _cleared_audit(trace, *args, **kwargs):
+    """check_dissipation with nothing in the memo: every design term is formed afresh."""
+    verification._design_memo.clear()
+    return check_dissipation(trace, *args, **kwargs)
+
+
+@pytest.mark.parametrize("run, gate, edit", _DISSIPATION_CASES)
+def test_dissipation_memo_hit_matches_stepwise_oracle(request, empty_memo, run, gate, edit):
+    """Two audits in a row, the second from the memo, both agree with the per-step loop."""
+    trace, args, model = _audited_run(request, run)
+    origin = np.zeros(model.dimension)
+    kwargs = {
+        "gate": {"model": model, "F": model.F},
+        "stepwise gate": {
+            "model": dataclasses.replace(model, p_lo=origin, p_hi=origin), "F": model.F
+        },
+        "all gated": {"model": model, "F": -1e3 * np.eye(2)},
+    }[gate]
+    if edit == "Q1 indefinite":
+        args[1] = args[1] - 2.0 * np.linalg.eigvalsh(args[1])[-1] * np.eye(2)
+    elif edit is not None:
+        trace, _ = _break_bound(trace, args, *edit)
+    expected = dissipation_stepwise(trace, *args, **kwargs)
+    first = check_dissipation(trace, *args, **kwargs)
+    assert len(empty_memo) == 1
+    second = check_dissipation(trace, *args, **kwargs)
+    assert len(empty_memo) == 1
+    for result in (first, second):
+        assert (result.holds, result.note, result.witness) == (
+            expected.holds, expected.note, expected.witness
+        )
+        assert result.margin == pytest.approx(expected.margin, rel=1e-12, abs=0.0)
+    assert first == second
+
+
+@pytest.mark.parametrize("name", ["P", "Z"])
+def test_dissipation_memo_sees_an_edit_in_place(demo_system, empty_memo, name):
+    """An array edited in place between two audits is a new design, not a hit.
+
+    P x 2 moves the sandwich bounds; Z x 1e6 breaks the gate, so steps are
+    skipped. The memo keeps read-only copies of its own, so the edit
+    reaches neither the kept terms nor the next audit of the old content.
+    """
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
+    arrays = {"P": out.P.copy(), "Z": out.Z.copy()}
+    args = [arrays["P"], out.Q1, out.K, B, arrays["Z"], params.sigma]
+    kwargs = {"model": model, "F": model.F}
+    before = check_dissipation(trace, *args, **kwargs)
+    (terms,) = empty_memo.values()
+    kept = [terms.Q1, terms.Z, terms.F, terms.error_gain]
+    assert not any(a.flags.writeable for a in kept)
+    assert not any(np.shares_memory(a, b) for a in kept for b in arrays.values())
+    original = arrays[name].copy()
+    arrays[name] *= {"P": 2.0, "Z": 1e6}[name]
+    after = check_dissipation(trace, *args, **kwargs)
+    assert len(empty_memo) == 2
+    assert after != before
+    assert after == _cleared_audit(trace, *args, **kwargs)
+    arrays[name][...] = original
+    assert check_dissipation(trace, *args, **kwargs) == before
+
+
+def test_dissipation_memo_keeps_equal_models_apart(demo_system, empty_memo):
+    """Two models built separately with equal content are two entries, each audited right."""
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
+    args = (out.P, out.Q1, out.K, B, out.Z, params.sigma)
+    twins = [
+        UncertaintyModel(basis=model.basis, p_lo=model.p_lo, p_hi=model.p_hi, F=model.F)
+        for _ in range(2)
+    ]
+    results = [check_dissipation(trace, *args, model=m, F=model.F) for m in twins]
+    assert len(empty_memo) == 2
+    assert all(terms.model is m for terms, m in zip(empty_memo.values(), twins))
+    expected = dissipation_stepwise(trace, *args, model=model, F=model.F)
+    for m, result in zip(twins, results):
+        assert result == check_dissipation(trace, *args, model=m, F=model.F)
+        assert result == _cleared_audit(trace, *args, model=m, F=model.F)
+        assert (result.holds, result.note, result.witness) == (
+            expected.holds, expected.note, expected.witness
+        )
+
+
+def test_dissipation_memo_stays_at_its_bound(demo_system, empty_memo):
+    """Each sigma is a design of its own; the oldest entry goes first."""
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
+    size = verification._DESIGN_MEMO_SIZE
+    sigmas = np.linspace(0.1, 0.9, size + 3)
+    for sigma in sigmas:
+        check_dissipation(trace, out.P, out.Q1, out.K, B, out.Z, sigma, model=model, F=model.F)
+        assert len(empty_memo) <= size
+    assert len(empty_memo) == size
+    assert [key[1] for key in empty_memo] == sigmas[3:].tolist()
+
+
+def test_dissipation_memo_under_threads(demo_system, empty_memo):
+    """Eight threads audit three times as many designs as the memo keeps, switching often.
+
+    Nearly every audit inserts and evicts, so without the lock two threads
+    evict the same entry (KeyError). Every audit equals the one formed with
+    nothing in the memo, no thread raises, and the memo ends at its bound.
+    """
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
+    sigmas = np.linspace(0.1, 0.9, 3 * verification._DESIGN_MEMO_SIZE)
+
+    def audit(sigma):
+        return check_dissipation(
+            trace, out.P, out.Q1, out.K, B, out.Z, sigma, model=model, F=model.F
+        )
+
+    expected = {}
+    for sigma in sigmas:
+        empty_memo.clear()
+        expected[sigma] = audit(sigma)
+    empty_memo.clear()
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(400):
+                sigma = sigmas[(7 * i + offset) % sigmas.size]
+                if audit(sigma) != expected[sigma]:
+                    errors.append(f"sigma {sigma}: another result")
+        except Exception as error:  # collected, so the assertion below shows it
+            errors.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(empty_memo) == verification._DESIGN_MEMO_SIZE
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("P", np.full((2, 2), np.nan), "P contains non-finite entries"),
+        ("K", np.ones((2, 2)), "K has shape (2, 2), expected (1, 2), m from B"),
+        ("Z", [[1.0, 0.0], [0.0]], None),
+        ("F", np.eye(2, dtype=complex), None),
+    ],
+    ids=["NaN P", "misshaped K", "ragged Z", "complex F"],
+)
+def test_dissipation_memo_keeps_no_failed_design(demo_system, empty_memo, name, value, message):
+    """An input that fails the contract raises the same message on every call and is not kept.
+
+    A ragged or complex array cannot be keyed and goes straight to the
+    contract, which raises what numpy raises for it (message None: taken
+    from a first call with nothing kept).
+    """
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
+    v = {"P": out.P, "Q1": out.Q1, "K": out.K, "B": B, "Z": out.Z, "F": model.F}
+    v[name] = value
+    errors = []
+    for _ in range(2):
+        with pytest.raises(Exception) as info:
+            check_dissipation(
+                trace, v["P"], v["Q1"], v["K"], v["B"], v["Z"], params.sigma, model=model, F=v["F"]
+            )
+        errors.append((type(info.value), str(info.value)))
+        assert len(empty_memo) == 0
+    assert errors[0] == errors[1]
+    if message is not None:
+        assert errors[0] == (ValueError, message)
 
 
 # ---------------------------------------------------------------------------
