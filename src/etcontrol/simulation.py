@@ -77,6 +77,16 @@ class TriggerPolicy:
         return cls(kind=POLICY_EVENT, mu=mu)
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; anything else, a bool included, raises ValueError naming name."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ParamTrajectory:
     """How the plant parameters evolve over the simulation horizon.
@@ -108,10 +118,7 @@ class ParamTrajectory:
                     if not np.all(np.isfinite(v)):
                         raise ValueError(f"{name} must be finite")
                     object.__setattr__(self, name, v)
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        seed = _integer(self.seed, "seed")
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, got {seed}")
         object.__setattr__(self, "seed", seed)
@@ -268,10 +275,7 @@ class PolicyComparison:
 def _validated_run(x0, n_steps, n):
     """Coerce the initial state of one run to a finite (n,) row and check n_steps, an integer."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    try:
-        n_steps = operator.index(n_steps)
-    except TypeError:
-        raise ValueError(f"n_steps must be an integer, got {n_steps!r}") from None
+    n_steps = _integer(n_steps, "n_steps")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
     if x0.shape != (n,):

@@ -639,15 +639,16 @@ def _trigger_coefficient(K, B, Z, decay_margin, sigma, report=None, names=_TRIGG
 
 
 def _finite_slices(stack):
-    """The (k, n, n) stack with every slice that is not finite zeroed, and the finite mask.
+    """The (..., n, n) stack with every slice that is not finite zeroed, and the finite mask.
 
-    A slack that is not finite (a product overflowed) must stay out of
-    LAPACK, which can return finite eigenvalues for a matrix holding NaN or
-    fail on it, and so the whole stack.
+    The mask has the stack's leading shape. A slack that is not finite (a
+    product overflowed) must stay out of LAPACK, which can return finite
+    eigenvalues for a matrix holding NaN or fail on it, and so the whole
+    stack.
     """
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    finite = np.isfinite(stack).all(axis=(-2, -1))
     if not finite.all():
-        stack = np.where(finite[:, None, None], stack, 0.0)
+        stack = np.where(finite[..., None, None], stack, 0.0)
     return stack, finite
 
 
@@ -657,7 +658,7 @@ def _finite_norms(matrices) -> list:
 
 
 def _slack_margins(slacks):
-    """Smallest eigenvalues and definiteness thresholds of a (k, n, n) stack, one eigvalsh.
+    """Smallest eigenvalues and definiteness thresholds of a (..., n, n) stack, one eigvalsh.
 
     A slack that is not finite gets margin NaN (_finite_slices).
     """

@@ -24,7 +24,6 @@ and audit it with the public check, in sample order.
 from __future__ import annotations
 
 import operator
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,14 +180,6 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
 
 _DISSIPATION_BOUNDS = ("raw", "rate", "sandwich")
 
-# The design terms of the last _DESIGN_MEMO_SIZE designs audited, in the
-# order they were formed; the oldest goes first (_design_terms). A lookup
-# is one dict read; an insertion, which may evict, holds the lock.
-_DESIGN_MEMO_SIZE = 8
-_design_memo = {}
-_design_memo_lock = threading.Lock()
-
-
 class _DesignTerms:
     """What check_dissipation takes from the design alone, formed once per design.
 
@@ -197,16 +188,16 @@ class _DesignTerms:
     lambda_min(Q1), the derived threshold mu_derived (None when it does
     not exist), the gate tolerance and the vertex gate certificate, which
     is formed by the first audit of a trace inside the box (certified).
-    The entry keeps model, so its id cannot be taken by another model.
+    The terms hold no reference to the model that keeps them
+    (_design_terms), so they go away with it.
     """
 
     __slots__ = (
-        "model", "Q1", "Z", "F", "error_gain", "p_extremes", "q_min", "mu_derived", "gate_tol",
-        "_certified",
+        "Q1", "Z", "F", "error_gain", "p_extremes", "q_min", "mu_derived", "gate_tol", "_certified"
     )
 
-    def __init__(self, model, sigma, B, K, P, Q1, Z, F):
-        self.model, self.Q1, self.Z, self.F = model, _read_only(Q1), _read_only(Z), _read_only(F)
+    def __init__(self, sigma, B, K, P, Q1, Z, F):
+        self.Q1, self.Z, self.F = _read_only(Q1), _read_only(Z), _read_only(F)
         self.error_gain = _read_only(_symmetric_part(_error_gain(K, B, Z)))
         # One eigvalsh over P and Q1 and one svd over error_gain and F: every
         # slice is computed as on its own. An error gain that overflowed gets
@@ -220,8 +211,8 @@ class _DesignTerms:
         self.gate_tol = CHECK_TOL * max(1.0, F_norm)
         self._certified = None
 
-    def certified(self) -> bool:
-        """Whether the box's vertices certify the gate, formed on the first call.
+    def certified(self, model) -> bool:
+        """Whether model's box vertices certify the gate, formed on the first call.
 
         With Z positive semidefinite the gate slack F - dA' Z dA is
         matrix-concave in p, so its vertices bound it on the box. Within
@@ -231,7 +222,7 @@ class _DesignTerms:
         and a NaN eigenvalue fails these comparisons.
         """
         if self._certified is None:
-            dA = self.model.vertex_stack
+            dA = model.vertex_stack
             slacks, finite = _finite_slices(self.F - np.swapaxes(dA, 1, 2) @ self.Z @ dA)
             eigs = np.linalg.eigvalsh(np.concatenate([self.Z[None], slacks]))
             self._certified = bool(
@@ -240,14 +231,14 @@ class _DesignTerms:
         return self._certified
 
 
-def _design_key(model, sigma, arrays):
-    """The memo key of one design, or None when an array cannot be keyed.
+def _design_key(sigma, arrays):
+    """The key of one design on its model, or None when an array cannot be keyed.
 
-    The key is id(model), sigma, and the shape and bytes of each array as
-    float64. An array that is not numeric or does not coerce is left to
-    _conform, which reports it as for any audit.
+    The key is sigma and the shape and bytes of each array as float64. An
+    array that is not numeric or does not coerce is left to _conform,
+    which reports it as for any audit.
     """
-    key = [id(model), sigma]
+    key = [sigma]
     for M in arrays.values():
         if isinstance(M, np.ndarray) and M.dtype.kind not in "biuf":
             return None
@@ -260,21 +251,24 @@ def _design_key(model, sigma, arrays):
 
 
 def _design_terms(model, sigma, arrays) -> _DesignTerms:
-    """The design terms of check_dissipation, from the memo or formed and kept.
+    """The design terms of check_dissipation, kept on the model for the next audit.
 
-    A hit needs an equal key and the very model the entry keeps. A design
-    whose arrays fail the input contract raises here and is not kept.
+    The model keeps the (key, terms) of the last design audited on it in
+    its instance __dict__, as functools.cached_property keeps vertex_stack:
+    the dataclass's equality, repr and pickle never see it, and it goes
+    away with the model. A miss replaces it in one assignment, so
+    concurrent audits need no lock: each gets the terms of its own key,
+    and one that replaces another's costs that one a rebuild at most. A
+    design whose arrays fail the input contract raises here and is not
+    kept.
     """
-    key = _design_key(model, sigma, arrays)
-    terms = _design_memo.get(key)
-    if terms is not None and terms.model is model:
-        return terms
-    terms = _DesignTerms(model, sigma, *_conform(model, **arrays))
+    key = _design_key(sigma, arrays)
+    kept = model.__dict__.get("_dissipation_terms")
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    terms = _DesignTerms(sigma, *_conform(model, **arrays))
     if key is not None:
-        with _design_memo_lock:
-            if key not in _design_memo and len(_design_memo) >= _DESIGN_MEMO_SIZE:
-                del _design_memo[next(iter(_design_memo))]
-            _design_memo[key] = terms
+        model.__dict__["_dissipation_terms"] = (key, terms)
     return terms
 
 
@@ -310,11 +304,12 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
 
     The design terms (the conformed arrays, the error gain, the spectra of
     P and Q1, the norms of the error gain and F, and the vertex
-    certificate) are computed once per distinct design: a small memo keyed
-    on the model's identity, sigma and the bytes of B, K, P, Q1, Z and F
-    keeps those of the last few designs, and repeated audits of one design
-    reuse them. numpy computes a stacked eigvalsh or svd slice by slice,
-    so an audit that reuses them has the bits of one that forms them.
+    certificate) are kept on the model: it keeps those of the last design
+    audited on it, keyed on sigma and the bytes of B, K, P, Q1, Z and F,
+    and repeated audits of that design reuse them. They go away with the
+    model, and concurrent audits are safe without a lock. numpy computes a
+    stacked eigvalsh or svd slice by slice, so an audit that reuses them
+    has the bits of one that forms them.
 
     The slacks of the whole trace are formed at once into one
     (n + 1, 3) array, one row per trace row in the bound order above. The
@@ -341,7 +336,7 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
     # NaN row is outside). Row n, the terminal row, takes no step: the gate
     # never skips it.
     gated = np.zeros(n + 1, dtype=bool)
-    if not ((p >= model.p_lo).all() and (p <= model.p_hi).all() and terms.certified()):
+    if not ((p >= model.p_lo).all() and (p <= model.p_hi).all() and terms.certified(model)):
         # A step whose slack is not finite has margin NaN: nothing shows
         # that it breaks the bound, so it is not gated.
         dA = model.matrix_at(p)
@@ -393,25 +388,15 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
     return CheckResult("dissipation", not failed, float(slack[step, bound]), witness, note)
 
 
-def _lambda_min(stack) -> np.ndarray:
-    """lambda_min of each (n, n) slice of a (k, v, n, n) stack, as a (k, v) array.
-
-    A slice that is not finite (a product overflowed) stays out of LAPACK,
-    which can fail on it, and gets NaN, which fails (_slack_margins).
-    """
-    margins, _ = _slack_margins(stack.reshape(-1, *stack.shape[-2:]))
-    return margins.reshape(stack.shape[:-2])
-
-
 def _lambda_min_weighted(C, M, w) -> np.ndarray:
     """lambda_min(C - M' diag(w_k) M) for each row w_k of the (k, n) weights.
 
     M is a (v, n, n) stack; the minimum runs over it as well, so a stack of
     box vertices gives the worst vertex at every weight. A weighted matrix
-    that is not finite gives NaN (_lambda_min).
+    that is not finite gives NaN (_slack_margins).
     """
     weighted = (np.swapaxes(M, 1, 2)[None] * w[:, None, None, :]) @ M
-    return _lambda_min(C - weighted).min(axis=1)
+    return _slack_margins(C - weighted)[0].min(axis=1)
 
 
 # A margin that overflows fails its condition, so numpy need not warn.
@@ -460,7 +445,7 @@ def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> Che
         return s[:, None] + lam**2 / (s[:, None] - lam)
 
     def scaled(s):
-        return _lambda_min(F - s[:, None, None, None] * gram).min(axis=1)
+        return _slack_margins(F - s[:, None, None, None] * gram)[0].min(axis=1)
 
     def periodic(s):
         return _lambda_min_weighted(C, A_fb_e, s[:, None] * lam / (s[:, None] - lam))

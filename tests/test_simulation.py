@@ -209,9 +209,9 @@ def test_ramp_overflowing_span(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", [-3, 2.5, "7"])
+@pytest.mark.parametrize("seed", [-3, 2.5, "7", True])
 def test_random_trajectory_rejects_bad_seed(seed):
-    """A seed numpy would refuse at realize time is refused at construction."""
+    """A seed numpy would refuse at realize time, or a bool, is refused at construction."""
     with pytest.raises(ValueError, match="seed must be"):
         ParamTrajectory.random(seed)
 
@@ -444,9 +444,11 @@ def test_compare_policies_validates_shapes(reference_gain):
         run(n_steps=0)
 
 
-@pytest.mark.parametrize("n_steps", [2.7, 5.0, "5", None], ids=["2.7", "5.0", "str", "None"])
+@pytest.mark.parametrize(
+    "n_steps", [2.7, 5.0, "5", None, True], ids=["2.7", "5.0", "str", "None", "True"]
+)
 def test_runs_refuse_a_non_integer_n_steps(reference_gain, n_steps):
-    """n_steps is an integer: 2.7 used to run 2 steps and "5" five."""
+    """n_steps is an integer: 2.7 used to run 2 steps, "5" five and True one."""
     A, B, model, out = reference_gain
     trajectory, x0 = ParamTrajectory.constant([0.5]), [1.0, -1.0]
     match = re.escape(f"n_steps must be an integer, got {n_steps!r}")

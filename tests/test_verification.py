@@ -1,10 +1,14 @@
 """Numerical audit tests: identities, bounds, dissipation, campaigns."""
 
+import copy
 import dataclasses
+import gc
 import json
+import pickle
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -37,7 +41,6 @@ from etcontrol import (
     synthesize,
     virtual_gain,
 )
-from etcontrol import verification
 from etcontrol.cli import main
 from oracles import campaign_stepwise, dissipation_stepwise, epsilon_margins, epsilon_scan
 from test_synthesis import _random_design as _synthesis_design
@@ -748,26 +751,29 @@ def test_epsilon_interval_keeps_overflowing_slacks_out_of_eigvalsh():
 
 
 # ---------------------------------------------------------------------------
-# the design-term memo of check_dissipation
+# the design terms check_dissipation keeps on the model
+
+_SLOT = "_dissipation_terms"
 
 
-@pytest.fixture
-def empty_memo():
-    """The dissipation memo, emptied before and after the test."""
-    verification._design_memo.clear()
-    yield verification._design_memo
-    verification._design_memo.clear()
+def _kept(model):
+    """The (key, terms) of the last design audited on model, or None.
+
+    The slot lives on the model, and every test builds its own models, so
+    each starts with nothing kept.
+    """
+    return model.__dict__.get(_SLOT)
 
 
-def _cleared_audit(trace, *args, **kwargs):
-    """check_dissipation with nothing in the memo: every design term is formed afresh."""
-    verification._design_memo.clear()
-    return check_dissipation(trace, *args, **kwargs)
+def _cleared_audit(trace, *args, model, **kwargs):
+    """check_dissipation with nothing kept on model: every design term is formed afresh."""
+    model.__dict__.pop(_SLOT, None)
+    return check_dissipation(trace, *args, model=model, **kwargs)
 
 
 @pytest.mark.parametrize("run, gate, edit", _DISSIPATION_CASES)
-def test_dissipation_memo_hit_matches_stepwise_oracle(request, empty_memo, run, gate, edit):
-    """Two audits in a row, the second from the memo, both agree with the per-step loop."""
+def test_dissipation_memo_hit_matches_stepwise_oracle(request, run, gate, edit):
+    """Two audits in a row, the second from the kept terms, both agree with the per-step loop."""
     trace, args, model = _audited_run(request, run)
     origin = np.zeros(model.dimension)
     kwargs = {
@@ -782,10 +788,11 @@ def test_dissipation_memo_hit_matches_stepwise_oracle(request, empty_memo, run, 
     elif edit is not None:
         trace, _ = _break_bound(trace, args, *edit)
     expected = dissipation_stepwise(trace, *args, **kwargs)
+    assert _kept(kwargs["model"]) is None
     first = check_dissipation(trace, *args, **kwargs)
-    assert len(empty_memo) == 1
+    kept = _kept(kwargs["model"])
     second = check_dissipation(trace, *args, **kwargs)
-    assert len(empty_memo) == 1
+    assert kept is not None and _kept(kwargs["model"]) is kept
     for result in (first, second):
         assert (result.holds, result.note, result.witness) == (
             expected.holds, expected.note, expected.witness
@@ -795,11 +802,11 @@ def test_dissipation_memo_hit_matches_stepwise_oracle(request, empty_memo, run, 
 
 
 @pytest.mark.parametrize("name", ["P", "Z"])
-def test_dissipation_memo_sees_an_edit_in_place(demo_system, empty_memo, name):
+def test_dissipation_memo_sees_an_edit_in_place(demo_system, name):
     """An array edited in place between two audits is a new design, not a hit.
 
     P x 2 moves the sandwich bounds; Z x 1e6 breaks the gate, so steps are
-    skipped. The memo keeps read-only copies of its own, so the edit
+    skipped. The model keeps read-only copies of its own, so the edit
     reaches neither the kept terms nor the next audit of the old content.
     """
     A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
@@ -807,22 +814,22 @@ def test_dissipation_memo_sees_an_edit_in_place(demo_system, empty_memo, name):
     args = [arrays["P"], out.Q1, out.K, B, arrays["Z"], params.sigma]
     kwargs = {"model": model, "F": model.F}
     before = check_dissipation(trace, *args, **kwargs)
-    (terms,) = empty_memo.values()
+    _, terms = _kept(model)
     kept = [terms.Q1, terms.Z, terms.F, terms.error_gain]
     assert not any(a.flags.writeable for a in kept)
     assert not any(np.shares_memory(a, b) for a in kept for b in arrays.values())
     original = arrays[name].copy()
     arrays[name] *= {"P": 2.0, "Z": 1e6}[name]
     after = check_dissipation(trace, *args, **kwargs)
-    assert len(empty_memo) == 2
+    assert _kept(model)[1] is not terms
     assert after != before
     assert after == _cleared_audit(trace, *args, **kwargs)
     arrays[name][...] = original
     assert check_dissipation(trace, *args, **kwargs) == before
 
 
-def test_dissipation_memo_keeps_equal_models_apart(demo_system, empty_memo):
-    """Two models built separately with equal content are two entries, each audited right."""
+def test_dissipation_memo_keeps_equal_models_apart(demo_system):
+    """Two models built separately with equal content keep terms each, each audited right."""
     A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
     args = (out.P, out.Q1, out.K, B, out.Z, params.sigma)
     twins = [
@@ -830,8 +837,8 @@ def test_dissipation_memo_keeps_equal_models_apart(demo_system, empty_memo):
         for _ in range(2)
     ]
     results = [check_dissipation(trace, *args, model=m, F=model.F) for m in twins]
-    assert len(empty_memo) == 2
-    assert all(terms.model is m for terms, m in zip(empty_memo.values(), twins))
+    first, second = (_kept(m) for m in twins)
+    assert first[0] == second[0] and first[1] is not second[1]
     expected = dissipation_stepwise(trace, *args, model=model, F=model.F)
     for m, result in zip(twins, results):
         assert result == check_dissipation(trace, *args, model=m, F=model.F)
@@ -841,46 +848,73 @@ def test_dissipation_memo_keeps_equal_models_apart(demo_system, empty_memo):
         )
 
 
-def test_dissipation_memo_stays_at_its_bound(demo_system, empty_memo):
-    """Each sigma is a design of its own; the oldest entry goes first."""
-    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
-    size = verification._DESIGN_MEMO_SIZE
-    sigmas = np.linspace(0.1, 0.9, size + 3)
-    for sigma in sigmas:
-        check_dissipation(trace, out.P, out.Q1, out.K, B, out.Z, sigma, model=model, F=model.F)
-        assert len(empty_memo) <= size
-    assert len(empty_memo) == size
-    assert [key[1] for key in empty_memo] == sigmas[3:].tolist()
+def test_dissipation_memo_keeps_the_last_design(demo_system):
+    """A second design audited on one model replaces the first; a copy keeps none.
 
-
-def test_dissipation_memo_under_threads(demo_system, empty_memo):
-    """Eight threads audit three times as many designs as the memo keeps, switching often.
-
-    Nearly every audit inserts and evicts, so without the lock two threads
-    evict the same entry (KeyError). Every audit equals the one formed with
-    nothing in the memo, no thread raises, and the memo ends at its bound.
+    Each sigma is a design of its own. Equality, repr, pickle, copy and
+    dataclasses.replace read the model's fields only, so none of them sees
+    the kept terms.
     """
     A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
-    sigmas = np.linspace(0.1, 0.9, 3 * verification._DESIGN_MEMO_SIZE)
+    text = repr(model)
 
     def audit(sigma):
         return check_dissipation(
             trace, out.P, out.Q1, out.K, B, out.Z, sigma, model=model, F=model.F
         )
 
-    expected = {}
-    for sigma in sigmas:
-        empty_memo.clear()
-        expected[sigma] = audit(sigma)
-    empty_memo.clear()
+    first = audit(0.2)
+    (sigma, *_), terms = _kept(model)
+    assert sigma == 0.2
+    audit(0.7)
+    (sigma, *_), replaced = _kept(model)
+    assert sigma == 0.7 and replaced.mu_derived != terms.mu_derived
+    assert audit(0.2) == first and _kept(model)[1] is not terms
+    assert repr(model) == text
+    for other in (
+        copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model)),
+        dataclasses.replace(model),
+    ):
+        assert _kept(other) is None and repr(other) == text
+
+
+def test_dissipation_memo_goes_away_with_the_model(demo_system):
+    """A model dropped after an audit is freed by reference counting alone.
+
+    The kept terms hold no reference to their model, so the slot makes no
+    cycle, and the model needs no garbage collection to go.
+    """
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
+    twin = UncertaintyModel(basis=model.basis, p_lo=model.p_lo, p_hi=model.p_hi, F=model.F)
+    result = check_dissipation(
+        trace, out.P, out.Q1, out.K, B, out.Z, params.sigma, model=twin, F=model.F
+    )
+    assert result.holds and _kept(twin) is not None
+    ref = weakref.ref(twin)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del twin
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _race(audit, sigmas, expected):
+    """Eight threads audit the sigmas in turns, switching every microsecond.
+
+    audit(thread, sigma) is one audit; every result must equal expected's,
+    formed with nothing kept, and no thread may raise.
+    """
     errors = []
 
-    def work(offset):
+    def work(thread):
         try:
             for i in range(400):
-                sigma = sigmas[(7 * i + offset) % sigmas.size]
-                if audit(sigma) != expected[sigma]:
-                    errors.append(f"sigma {sigma}: another result")
+                sigma = sigmas[(7 * i + thread) % sigmas.size]
+                if audit(thread, sigma) != expected[sigma]:
+                    errors.append(f"thread {thread}, sigma {sigma}: another result")
         except Exception as error:  # collected, so the assertion below shows it
             errors.append(repr(error))
 
@@ -896,7 +930,41 @@ def test_dissipation_memo_under_threads(demo_system, empty_memo):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(empty_memo) == verification._DESIGN_MEMO_SIZE
+
+
+def _expected_audits(demo_system, sigmas):
+    """The demo's trace and arguments, and each sigma's audit formed with nothing kept."""
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
+    args = (trace, out.P, out.Q1, out.K, B, out.Z)
+    expected = {s: _cleared_audit(*args, s, model=model, F=model.F) for s in sigmas}
+    return model, args, expected
+
+
+def test_dissipation_memo_under_threads(demo_system):
+    """Eight threads audit 24 designs on one model, switching often.
+
+    Nearly every audit replaces the one slot another thread has just
+    filled; each must still get the terms of its own design.
+    """
+    sigmas = np.linspace(0.1, 0.9, 24)
+    model, args, expected = _expected_audits(demo_system, sigmas)
+    _race(
+        lambda thread, sigma: check_dissipation(*args, sigma, model=model, F=model.F),
+        sigmas,
+        expected,
+    )
+
+
+def test_dissipation_memo_under_threads_with_a_model_each(demo_system):
+    """Eight threads audit 24 designs, each thread on a model of its own."""
+    sigmas = np.linspace(0.1, 0.9, 24)
+    model, args, expected = _expected_audits(demo_system, sigmas)
+    models = [dataclasses.replace(model) for _ in range(8)]
+    _race(
+        lambda thread, sigma: check_dissipation(*args, sigma, model=models[thread], F=model.F),
+        sigmas,
+        expected,
+    )
 
 
 @pytest.mark.parametrize(
@@ -909,7 +977,7 @@ def test_dissipation_memo_under_threads(demo_system, empty_memo):
     ],
     ids=["NaN P", "misshaped K", "ragged Z", "complex F"],
 )
-def test_dissipation_memo_keeps_no_failed_design(demo_system, empty_memo, name, value, message):
+def test_dissipation_memo_keeps_no_failed_design(demo_system, name, value, message):
     """An input that fails the contract raises the same message on every call and is not kept.
 
     A ragged or complex array cannot be keyed and goes straight to the
@@ -926,7 +994,7 @@ def test_dissipation_memo_keeps_no_failed_design(demo_system, empty_memo, name, 
                 trace, v["P"], v["Q1"], v["K"], v["B"], v["Z"], params.sigma, model=model, F=v["F"]
             )
         errors.append((type(info.value), str(info.value)))
-        assert len(empty_memo) == 0
+        assert _kept(model) is None
     assert errors[0] == errors[1]
     if message is not None:
         assert errors[0] == (ValueError, message)
