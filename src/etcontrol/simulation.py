@@ -252,10 +252,6 @@ class SimTrace:
         return indices[1:] - indices[:-1]
 
 
-# The SimTrace columns an event run shares with a periodic run that it
-# repeats at every step.
-_SHARED_COLUMNS = ("states", "inputs", "errors", "monitored_sq", "triggered", "p", "V")
-
 # TriggerPolicy is frozen, so every periodic run of compare_policies shares one.
 _PERIODIC = TriggerPolicy.periodic()
 
@@ -302,51 +298,56 @@ def _quadratic_rows(S, M=None):
     return np.matmul(left, S[:, :, None])[:, 0, 0]
 
 
-def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
+def _step(plant, B, K, x0, mu):
     """Step x(k+1) = plant[k] x(k) + B u(k) through a realized plant stack.
 
-    The loop carries only the state, the held state and the input. It
-    writes each new state into its row of states and, on a transmitting
-    step, K x into its row of inputs, with ndarray.dot and out=: the BLAS
-    call of @ without the ufunc dispatch or a copy. It forms x'x once per
-    row for the trigger rule and the divergence test (the norm is its
-    square root, as np.linalg.norm computes it); B u is formed only when a
-    transmission changes u. The other columns come from the recorded rows
-    after the loop: every row's input is gathered from the row that last
-    transmitted, and V, monitored_sq and an event run's thresholds
-    mu x'x come from stacked matmuls (_quadratic_rows), bit for bit the
-    per-row dots.
+    Returns the state rows, the K x rows and the decisions over the whole
+    horizon. mu None transmits at every step; otherwise row 0 transmits and
+    the event rule decides every later row. The loop carries only the
+    state, the held state and B u. It writes each new state into its row of
+    states and, on a transmitting step, K x into its row of inputs, with
+    ndarray.dot and out=: the BLAS call of @ without the ufunc dispatch or
+    a copy. B u is formed only when a transmission changes u, and only the
+    event rule forms x'x and the holding error, once per row. A diverging
+    run steps on to the horizon; _trace cuts it.
     """
     n_steps = plant.shape[0]
-    event, mu = policy.kind == POLICY_EVENT, policy.mu
     states = np.zeros((n_steps + 1, x0.size))
     inputs = np.zeros((n_steps + 1, B.shape[1]))
     triggered = np.zeros(n_steps + 1, dtype=bool)
     states[0] = x0
     x = states[0]
-    x_sq = float(x.dot(x))
-    held = u = Bu = None
-    last, diverged = n_steps, False
+    fire = True
     for k, (plant_k, x_next, u_k) in enumerate(zip(plant, states[1:], inputs)):
-        fire = True
-        if event and k:
-            e = held - x
-            fire = _transmits(float(e.dot(e)), x_sq, mu)
         if fire:
             held = x
-            u = K.dot(held, out=u_k)
-            Bu = B.dot(u)
+            Bu = B.dot(K.dot(held, out=u_k))
             triggered[k] = True
         x = plant_k.dot(x, out=x_next)
         x += Bu
-        x_sq = float(x.dot(x))
-        # A non-finite state fails this comparison too.
-        if not math.sqrt(x_sq) <= DIVERGENCE_NORM:
-            last, diverged = k + 1, True
-            break
+        if mu is not None:
+            e = held - x
+            fire = _transmits(float(e.dot(e)), float(x.dot(x)), mu)
+    return states, inputs, triggered
 
-    end = last + 1
+
+def _trace(states, inputs, triggered, p_rows, P, policy, clamped_steps):
+    """The SimTrace of the rows _step recorded, cut where the run diverged.
+
+    The run diverges at the first row after row 0 whose state norm exceeds
+    DIVERGENCE_NORM or is not finite; the trace ends with that row, whose
+    triggered entry is set to False in place, since no decision is kept
+    there. Every row's input is gathered from the row that last
+    transmitted, and V, monitored_sq and x'x (for the cut and an event
+    run's thresholds mu x'x) come from stacked matmuls (_quadratic_rows),
+    bit for bit the per-row dots.
+    """
+    x_sq = _quadratic_rows(states)
+    # A non-finite state fails this comparison too.
+    past = np.flatnonzero(~(np.sqrt(x_sq[1:]) <= DIVERGENCE_NORM))
+    end = int(past[0]) + 2 if past.size else len(states)
     states, triggered = states[:end], triggered[:end]
+    triggered[-1] = False
     # The row whose state the controller holds after the decision at k, and
     # the one it held while deciding (row 0 compares the state with itself).
     held_after = np.maximum.accumulate(np.where(triggered, np.arange(end), 0))
@@ -356,11 +357,11 @@ def _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped_steps):
         inputs=inputs[held_after],
         errors=states[held_after] - states,
         monitored_sq=_quadratic_rows(states[held_before] - states),
-        thresholds=mu * _quadratic_rows(states) if event else np.zeros(end),
+        thresholds=np.zeros(end) if policy.mu is None else policy.mu * x_sq[:end],
         triggered=triggered,
         p=p_rows[:end].copy(),
         V=_quadratic_rows(states, P),
-        diverged=diverged,
+        diverged=bool(past.size),
         clamped_steps=clamped_steps,
         policy=policy,
     )
@@ -382,13 +383,14 @@ def simulate(
     """Run one closed loop for n_steps plant steps.
 
     The trace has n_steps + 1 rows unless the state norm exceeds the
-    divergence limit, in which case the run stops early with the diverged
-    flag set. P supplies the Lyapunov value column V = x' P x.
+    divergence limit: the run still steps to its horizon, and the trace
+    ends with the first row past the limit, with the diverged flag set. P
+    supplies the Lyapunov value column V = x' P x.
     """
     A, B, K, P = _conform(model, A=A, B=B, K=K, P=P)
     x0, n_steps = _validated_run(x0, n_steps, len(A))
     plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
-    return _simulate_realized(plant, B, K, policy, p_rows, x0, P, clamped)
+    return _trace(*_step(plant, B, K, x0, policy.mu), p_rows, P, policy, clamped)
 
 
 # A run whose state overflows ends in a diverged trace, so numpy need not warn.
@@ -414,34 +416,28 @@ def compare_policies(
     The periodic run goes first. When the event rule fires at every
     decision row of the periodic trace's own numbers (its monitored_sq and
     x'x columns, the operands the event loop would form), the event run
-    would repeat the periodic run bit for bit: the event trace is then a
-    SimTrace of copies of the periodic columns with the event thresholds,
-    a divergence included, and no event loop runs. Otherwise the event
-    loop runs from row 0. Both runs go through _simulate_realized, and
-    every column equals that of simulate under the same policy. The mean
-    inter-event gap is the exact integer sum over the count, the bits of
-    gaps.mean().
+    would repeat the periodic run bit for bit: copies of the periodic rows
+    then go through _trace a second time, under the event policy, a
+    divergence included, and no event loop runs. Otherwise the event loop
+    runs from row 0. Every column equals that of simulate under the same
+    policy. The mean inter-event gap is the exact integer sum over the
+    count, the bits of gaps.mean().
     """
     A, B, K, P = _conform(model, A=A, B=B, K=K, P=P)
     x0, n_steps = _validated_run(x0, n_steps, len(A))
     event_policy = TriggerPolicy.event(mu)
     mu = event_policy.mu
     plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
-    periodic = _simulate_realized(plant, B, K, _PERIODIC, p_rows, x0, P, clamped)
+    rows = _step(plant, B, K, x0, None)
+    periodic = _trace(*rows, p_rows, P, _PERIODIC, clamped)
     x_sq = _quadratic_rows(periodic.states)
     # The rule at the decision rows 1 .. n - 1 of the periodic run.
     decided = slice(1, periodic.n_steps)
-    fires = _transmits(periodic.monitored_sq[decided], x_sq[decided], mu)
-    if fires.all():
-        event = SimTrace(
-            **{name: getattr(periodic, name).copy() for name in _SHARED_COLUMNS},
-            thresholds=mu * x_sq,
-            diverged=periodic.diverged,
-            clamped_steps=clamped,
-            policy=event_policy,
-        )
+    if _transmits(periodic.monitored_sq[decided], x_sq[decided], mu).all():
+        rows = [row.copy() for row in rows]
     else:
-        event = _simulate_realized(plant, B, K, event_policy, p_rows, x0, P, clamped)
+        rows = _step(plant, B, K, x0, mu)
+    event = _trace(*rows, p_rows, P, event_policy, clamped)
     savings = 1.0 - event.transmissions / periodic.transmissions
     gaps = event.inter_event_gaps
     # The sum of integer gaps is exact, so this is gaps.mean() bit for bit.

@@ -23,13 +23,13 @@ and audit it with the public check, in sample order.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FeasibilityError
 from .linalg import _symmetric_part, inverse, smallest_eigenvalues, spectral_norm
+from .simulation import _integer
 from .synthesis import (
     COND_DECAY_PSD,
     COND_EPS_WINDOW,
@@ -538,13 +538,7 @@ def _campaign_samples(samples, seed, max_dim, loop_terms: bool) -> list:
     perturbation. Returns one tuple (P, epsilon), with loop_terms
     (P, epsilon, A_closed, dA), per sample.
     """
-    try:
-        samples = operator.index(samples)
-        max_dim = operator.index(max_dim)
-    except TypeError:
-        raise ValueError(
-            f"samples and max_dim must be integers, got {samples!r} and {max_dim!r}"
-        ) from None
+    samples, max_dim = _integer(samples, "samples"), _integer(max_dim, "max_dim")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     if max_dim < 1:

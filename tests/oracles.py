@@ -17,7 +17,12 @@ replaces, with the gate's perturbations formed afresh at every step. The
 per-call synthesis oracles are the doubling loop and the feasibility report
 with one LAPACK call per condition, scale and window gap, which the
 package's stacked calls replace; they share its check types and tolerances.
+The Lyapunov vertex margins test the inequality the paper's chain ends in,
+V(x+) - V(x) <= -x'Q1 x + e'K'B'ZBK e, at each box vertex by plain products,
+without the design window or the weighted bound that lead to it.
 """
+
+import itertools
 
 import numpy as np
 
@@ -395,6 +400,38 @@ def dissipation_stepwise(trace, P, Q1, K, B, Z, sigma, model, F):
         note=counts if audited else f"no eligible steps ({skipped} skipped by the uncertainty gate)",
     )
 
+
+
+def lyapunov_vertex_margins(A, B, model, P, K, Q1, Z) -> float:
+    """The smallest eigenvalue of R - M_v over the box vertices v.
+
+    The paper's chain ends in V(x+) - V(x) <= -x'Q1 x + e'K'B'ZBK e for the
+    state x, the holding error e and x+ = Acl_p x + BK e, where
+    Acl_p = A + dA(p) + BK. In the stacked vector (x, e) that is R - M_p >= 0
+    with M_p = [Acl_p, BK]' P [Acl_p, BK] - diag(P, 0) and
+    R = diag(-Q1, K'B'ZBK). M_p is matrix-convex in p and R does not depend
+    on p, so the vertices decide it over the whole box. Each vertex forms
+    dA = sum_i p_i E_i afresh and its blocks by plain products; the margin
+    is the smallest eigenvalue of the symmetric part of R - M_v, minimised
+    over the 2^d vertices.
+    """
+    A, B, P, K, Q1, Z = (np.asarray(v, dtype=float) for v in (A, B, P, K, Q1, Z))
+    n = len(A)
+    BK = B @ K
+    R = np.zeros((2 * n, 2 * n))
+    R[:n, :n] = -Q1
+    R[n:, n:] = K.T @ B.T @ Z @ B @ K
+    worst = np.inf
+    for vertex in itertools.product(*zip(model.p_lo, model.p_hi)):
+        dA = np.zeros((n, n))
+        for coeff, E in zip(vertex, model.basis):
+            dA += coeff * np.asarray(E, dtype=float)
+        N = np.hstack([A + dA + BK, BK])
+        M = N.T @ P @ N
+        M[:n, :n] -= P
+        S = R - M
+        worst = min(worst, float(np.linalg.eigvalsh(0.5 * S + 0.5 * S.T)[0]))
+    return worst
 
 def epsilon_margins(A, B, model, params, P, K, L, s):
     """The documented design margins at each 1/epsilon in the array s.

@@ -738,15 +738,27 @@ def test_decline_at_step_one(holding_system):
     assert _first_decline(comparison) == 1
 
 
-@pytest.mark.parametrize("mu, decline", [(0.3, None), (0.5, 1)], ids=["in prefix", "after decline"])
-def test_divergence_and_the_prefix(mu, decline):
-    """x(k) = 3 x(k - 1): the rule sees e'e = (4/9) x'x at every decision row."""
+@pytest.mark.parametrize(
+    "mu, decline, n_steps",
+    [(0.3, None, n) for n in (60, 24, 25)] + [(0.5, 1, n) for n in (60, 24, 25)],
+    ids=["in prefix", "in prefix-24", "in prefix-25"]
+    + ["after decline", "after decline-24", "after decline-25"],
+)
+def test_divergence_and_the_prefix(mu, decline, n_steps):
+    """x(k) = 3 x(k - 1): the rule sees e'e = (4/9) x'x at every decision row.
+
+    |x(k)| = sqrt(2) 3^k first passes 1e12 at k = 25 (1.2e12; 4.0e11 at
+    k = 24), so 24 steps stay bounded, and at 25 the cut falls on the
+    terminal row.
+    """
     model = UncertaintyModel(basis=(0.0 * np.eye(2),), p_lo=[-1.0], p_hi=[1.0], F=np.eye(2))
     comparison = _traces_against_oracle(
         3.0 * np.eye(2), [[0.0], [1.0]], model, np.zeros((1, 2)), mu,
-        ParamTrajectory.random(4), [1.0, 1.0], 60, np.eye(2),
+        ParamTrajectory.random(4), [1.0, 1.0], n_steps, np.eye(2),
     )
-    assert comparison.periodic.diverged and comparison.event.diverged
+    for trace in (comparison.periodic, comparison.event):
+        assert trace.diverged == (n_steps >= 25)
+        assert trace.n_steps == min(n_steps, 25) and not trace.triggered[-1]
     assert _first_decline(comparison) == decline
 
 

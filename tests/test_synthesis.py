@@ -1006,6 +1006,29 @@ def test_stage_rejects_bad_matrix_naming_it(demo_system, stage, fault, message):
         function(*args)
 
 
+def test_clean_reports_satisfy_the_lyapunov_inequality_at_the_vertices():
+    """Every clean report's design satisfies R - M_v >= 0 at every box vertex.
+
+    The margin is scaled by max(1, ||P||). Errors in the null space of K
+    change nothing, so the margin is structurally 0 up to round-off (the
+    worst of the 93 clean reports here reads -6.8e-17). The inequality
+    needs neither the design window nor the weighted bound: when this was
+    written, 200 of the 207 failing reports satisfied it too, a count the
+    test does not pin.
+    """
+    clean = 0
+    for seed in range(150):
+        for d in (1, 2):
+            A, B, model, params = _random_design(seed, d, 1.0)
+            out = synthesize(A, B, model, params)
+            if not out.report.all_hold:
+                continue
+            clean += 1
+            margin = oracles.lyapunov_vertex_margins(A, B, model, out.P, out.K, out.Q1, out.Z)
+            assert margin >= -1e-9 * max(1.0, spectral_norm(out.P)), (seed, d, margin)
+    assert clean > 0
+
+
 # ---------------------------------------------------------------------------
 # matched pipeline
 

@@ -1044,8 +1044,14 @@ def test_empty_campaigns():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"samples": -1}, {"samples": 2.5}, {"samples": "10"}, {"max_dim": 0}, {"max_dim": 2.5}],
-    ids=["negative-samples", "fractional-samples", "string-samples", "zero-dim", "fractional-dim"],
+    [
+        {"samples": -1}, {"samples": 2.5}, {"samples": "10"}, {"samples": True},
+        {"max_dim": 0}, {"max_dim": 2.5}, {"max_dim": True},
+    ],
+    ids=[
+        "negative-samples", "fractional-samples", "string-samples", "bool-samples",
+        "zero-dim", "fractional-dim", "bool-dim",
+    ],
 )
 @pytest.mark.parametrize("campaign", [identity_campaign, cross_term_campaign])
 def test_campaigns_reject_bad_sizes(campaign, kwargs):
