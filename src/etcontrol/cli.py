@@ -28,6 +28,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -170,7 +171,9 @@ def _closed_loop(args):
     design's) and run(function, how): function is simulate or
     compare_policies and how its policy or mu, on the configured plant,
     initial state, length and parameter trajectory (--seed applies, or is
-    noted as unused, when run is called).
+    noted as unused, when run is called). Parameter rows clamped into the
+    box are reported once, in one line of the command's own on stdout,
+    in place of the library's UserWarning.
     """
     config = load_config(args.config)
     outcome = synthesize(config.A, config.B, config.model, config.params)
@@ -179,27 +182,24 @@ def _closed_loop(args):
 
     def run(function, how):
         trajectory = _resolve_trajectory(config, args)
-        return function(
-            config.A,
-            config.B,
-            config.model,
-            outcome.K,
-            how,
-            trajectory,
-            settings.x0,
-            settings.n_steps,
-            outcome.P,
-        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"\d+ parameter rows fell outside", UserWarning)
+            result = function(
+                config.A, config.B, config.model, outcome.K, how, trajectory,
+                settings.x0, settings.n_steps, outcome.P,
+            )
+        clamped = getattr(result, "periodic", result).clamped_steps
+        if clamped:
+            print(f"warning: {clamped} parameter rows were clamped into the box")
+        return result
 
     return config, outcome, mu, run
 
 
 def cmd_simulate(args) -> int:
     config, _, mu, run = _closed_loop(args)
-    if config.simulation.policy == POLICY_EVENT:
-        policy = TriggerPolicy.event(mu)
-    else:
-        policy = TriggerPolicy.periodic()
+    event = config.simulation.policy == POLICY_EVENT
+    policy = TriggerPolicy.event(mu) if event else TriggerPolicy.periodic()
     trace = run(simulate, policy)
     out_path = _artifact(args, "trace.csv")
     write_trace_csv(trace, out_path)
@@ -210,8 +210,6 @@ def cmd_simulate(args) -> int:
     )
     if trace.diverged:
         print("warning: state norm exceeded the divergence limit; trace was truncated")
-    if trace.clamped_steps:
-        print(f"warning: {trace.clamped_steps} parameter rows were clamped into the box")
     print(f"wrote {out_path}")
     return 0
 

@@ -299,7 +299,8 @@ def scaffold_config() -> ExperimentConfig:
 
     Two-state plant with one input, one uncertain parameter entering
     through the first state row, and a design window wide enough for the
-    whole box. Useful as a template and as a smoke test.
+    whole box. Useful as a template and as a smoke test. It is the bundled
+    configs/feasible_demo.json, and a test keeps the two equal.
     """
     return config_from_dict(
         {

@@ -3,15 +3,15 @@
 All routines operate on plain float64 numpy arrays and are thin wrappers
 over LAPACK via numpy, with the tolerance conventions of the rest of the
 package baked in so callers do not re-derive them. Only outside input is
-validated: as_matrix is the 2-D gate on it (shape, finiteness),
-require_square adds squareness and symmetrize near-symmetry, each on one
-(n, n) matrix. Every other routine trusts its array, which the package
-formed or checked: a caller guards a product that can overflow before
-passing it on (synthesis._require_finite). inverse and pseudo_inverse take
-one matrix; spectral_norm and smallest_eigenvalues take a matrix or a
-(k, n, n) stack, in one LAPACK call. numpy runs a stack slice by slice, so
-every slice of a stacked result equals the result on that slice alone bit
-for bit.
+validated: as_real refuses complex values, as_matrix is the 2-D gate on
+it (shape, finiteness), require_square adds squareness and symmetrize
+near-symmetry, each on one (n, n) matrix. Every other routine trusts its
+array, which the package formed or checked: a caller guards a product
+that can overflow before passing it on (synthesis._require_finite).
+inverse and pseudo_inverse take one matrix; spectral_norm and
+smallest_eigenvalues take a matrix or a (k, n, n) stack, in one LAPACK
+call. numpy runs a stack slice by slice, so every slice of a stacked
+result equals the result on that slice alone bit for bit.
 """
 
 from __future__ import annotations
@@ -26,9 +26,16 @@ RCOND_LIMIT = 1e-13
 RANK_TOL = 1e-10
 
 
+def as_real(values, name: str) -> np.ndarray:
+    """Coerce to a float64 array; complex values, which numpy would truncate, raise ValueError."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got complex entries")
+    return np.asarray(values, dtype=float)
+
+
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting non-finite entries."""
-    m = np.asarray(values, dtype=float)
+    """Coerce to a 2-D float64 array, rejecting complex and non-finite entries."""
+    m = as_real(values, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -58,7 +65,8 @@ def symmetrize(values, name: str = "matrix") -> np.ndarray:
     m = require_square(values, name)
     if m.tobytes() == m.T.tobytes():
         return m.copy()
-    defect = abs(m - m.T).max()
+    with np.errstate(over="ignore"):  # near the float maximum the defect is inf, refused below
+        defect = abs(m - m.T).max()
     if defect > SYMMETRY_TOL * max(1.0, abs(m).max()):
         raise ValueError(f"{name} is not symmetric (defect {defect:.3e})")
     return _symmetric_part(m)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_real
 from .synthesis import UncertaintyModel, _conform
 
 DIVERGENCE_NORM = 1e12
@@ -95,8 +96,8 @@ class ParamTrajectory:
     holds value; ramp interpolates linearly from start to end across the
     horizon; sequence plays back given rows; random draws each step
     uniformly from the parameter box using the given seed, a nonnegative
-    integer. Every given value must be finite; values outside the box are
-    clamped with a warning when realized.
+    integer. Every given value must be real and finite; values outside the
+    box are clamped with a warning when realized.
     """
 
     kind: str
@@ -114,7 +115,7 @@ class ParamTrajectory:
             for name, ndim in fields.items():
                 v = getattr(self, name)
                 if ndim and v is not None:
-                    v = (np.atleast_1d if ndim == 1 else np.atleast_2d)(np.asarray(v, dtype=float))
+                    v = (np.atleast_1d if ndim == 1 else np.atleast_2d)(as_real(v, name))
                     if not np.all(np.isfinite(v)):
                         raise ValueError(f"{name} must be finite")
                     object.__setattr__(self, name, v)
@@ -270,7 +271,7 @@ class PolicyComparison:
 
 def _validated_run(x0, n_steps, n):
     """Coerce the initial state of one run to a finite (n,) row and check n_steps, an integer."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.atleast_1d(as_real(x0, "x0"))
     n_steps = _integer(n_steps, "n_steps")
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")
@@ -332,7 +333,7 @@ def _step(plant, B, K, x0, mu):
 
 
 def _trace(states, inputs, triggered, p_rows, P, policy, clamped_steps):
-    """The SimTrace of the rows _step recorded, cut where the run diverged.
+    """The SimTrace of the rows _step recorded, cut where the run diverged, and its x'x.
 
     The run diverges at the first row after row 0 whose state norm exceeds
     DIVERGENCE_NORM or is not finite; the trace ends with that row, whose
@@ -340,7 +341,8 @@ def _trace(states, inputs, triggered, p_rows, P, policy, clamped_steps):
     there. Every row's input is gathered from the row that last
     transmitted, and V, monitored_sq and x'x (for the cut and an event
     run's thresholds mu x'x) come from stacked matmuls (_quadratic_rows),
-    bit for bit the per-row dots.
+    bit for bit the per-row dots. x'x is returned too, one entry per row
+    of the trace.
     """
     x_sq = _quadratic_rows(states)
     # A non-finite state fails this comparison too.
@@ -352,7 +354,7 @@ def _trace(states, inputs, triggered, p_rows, P, policy, clamped_steps):
     # the one it held while deciding (row 0 compares the state with itself).
     held_after = np.maximum.accumulate(np.where(triggered, np.arange(end), 0))
     held_before = np.concatenate(([0], held_after[:-1]))
-    return SimTrace(
+    trace = SimTrace(
         states=states,
         inputs=inputs[held_after],
         errors=states[held_after] - states,
@@ -365,6 +367,7 @@ def _trace(states, inputs, triggered, p_rows, P, policy, clamped_steps):
         clamped_steps=clamped_steps,
         policy=policy,
     )
+    return trace, x_sq[:end]
 
 
 # A run whose state overflows ends in a diverged trace, so numpy need not warn.
@@ -390,7 +393,7 @@ def simulate(
     A, B, K, P = _conform(model, A=A, B=B, K=K, P=P)
     x0, n_steps = _validated_run(x0, n_steps, len(A))
     plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
-    return _trace(*_step(plant, B, K, x0, policy.mu), p_rows, P, policy, clamped)
+    return _trace(*_step(plant, B, K, x0, policy.mu), p_rows, P, policy, clamped)[0]
 
 
 # A run whose state overflows ends in a diverged trace, so numpy need not warn.
@@ -429,15 +432,14 @@ def compare_policies(
     mu = event_policy.mu
     plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
     rows = _step(plant, B, K, x0, None)
-    periodic = _trace(*rows, p_rows, P, _PERIODIC, clamped)
-    x_sq = _quadratic_rows(periodic.states)
+    periodic, x_sq = _trace(*rows, p_rows, P, _PERIODIC, clamped)
     # The rule at the decision rows 1 .. n - 1 of the periodic run.
     decided = slice(1, periodic.n_steps)
     if _transmits(periodic.monitored_sq[decided], x_sq[decided], mu).all():
         rows = [row.copy() for row in rows]
     else:
         rows = _step(plant, B, K, x0, mu)
-    event = _trace(*rows, p_rows, P, event_policy, clamped)
+    event, _ = _trace(*rows, p_rows, P, event_policy, clamped)
     savings = 1.0 - event.transmissions / periodic.transmissions
     gaps = event.inter_event_gaps
     # The sum of integer gaps is exact, so this is gaps.mean() bit for bit.

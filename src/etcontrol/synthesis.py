@@ -44,8 +44,10 @@ from .errors import (
     TriggerUndefinedError,
 )
 from .linalg import (
+    DEFINITENESS_TOL,
     _symmetric_part,
     as_matrix,
+    as_real,
     inverse,
     pseudo_inverse,
     require_square,
@@ -220,8 +222,8 @@ class UncertaintyModel:
 
     F is a symmetric positive semidefinite matrix bounding the uncertainty
     inside the Riccati equation; the feasibility report checks whether the
-    box actually respects that bound. The box bounds and their difference
-    p_hi - p_lo must be finite.
+    box actually respects that bound. The box bounds must be real, and they
+    and their difference p_hi - p_lo finite.
     """
 
     basis: tuple
@@ -235,8 +237,8 @@ class UncertaintyModel:
             _read_only(require_square(e, f"basis[{i}]").copy()) for i, e in enumerate(self.basis)
         )
         object.__setattr__(self, "basis", basis)
-        lo = _read_only(np.atleast_1d(np.array(self.p_lo, dtype=float)))
-        hi = _read_only(np.atleast_1d(np.array(self.p_hi, dtype=float)))
+        lo = _read_only(np.atleast_1d(as_real(self.p_lo, "p_lo").copy()))
+        hi = _read_only(np.atleast_1d(as_real(self.p_hi, "p_hi").copy()))
         object.__setattr__(self, "p_lo", lo)
         object.__setattr__(self, "p_hi", hi)
         object.__setattr__(self, "F", _read_only(symmetrize(self.F, "F")))
@@ -276,7 +278,7 @@ class UncertaintyModel:
         elementwise in basis order, so each slice of a stack equals the
         single-row result bit for bit.
         """
-        p = np.atleast_1d(np.asarray(p, dtype=float))
+        p = np.atleast_1d(as_real(p, "p"))
         d = self.dimension
         if p.ndim > 2 or p.shape[-1] != d:
             raise ValueError(f"p has shape {p.shape}, expected ({d},) or (k, {d})")
@@ -658,14 +660,14 @@ def _finite_norms(matrices) -> list:
 
 
 def _slack_margins(slacks):
-    """Smallest eigenvalues and definiteness thresholds of a (..., n, n) stack, one eigvalsh.
+    """Smallest eigenvalues of a (..., n, n) stack, in one eigvalsh.
 
     A slack that is not finite gets margin NaN (_finite_slices).
     """
     slacks, finite = _finite_slices(slacks)
-    margins, thresholds = smallest_eigenvalues(slacks)
+    margins = np.linalg.eigvalsh(slacks)[..., 0]
     margins[~finite] = np.nan
-    return margins, thresholds
+    return margins
 
 
 def _check(condition, description, margins, scale, vertices=None):
@@ -756,10 +758,10 @@ def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner):
     vertices, dA = model.vertices().tolist(), model.vertex_stack
     v = len(vertices)
     dA_t = np.swapaxes(dA, 1, 2)
-    margins, thresholds = _slack_margins(
+    margins = _slack_margins(
         np.concatenate([F - inv_eps * (dA_t @ dA), F - dA_t @ Z @ dA, matrices])
     )
-    z_psd = margins[2 * v + 1] >= -thresholds[2 * v + 1]
+    z_psd = margins[2 * v + 1] >= -DEFINITENESS_TOL * max(1.0, abs(Z).max())
     margins = margins.tolist()  # one conversion; _check then works on Python floats
     window_min, z_min, q1_min, *decay_min = margins[2 * v :]
     weighted_min = margins[v : 2 * v] if z_psd else None
@@ -830,7 +832,7 @@ def _matched_feasibility_report(A_fb, model, params, P, K):
     vertices, dA = model.vertices().tolist(), model.vertex_stack
     margins = _slack_margins(
         np.concatenate([F - (2.0 * inv_eps) * (np.swapaxes(dA, 1, 2) @ dA), [window, slack]])
-    )[0].tolist()
+    ).tolist()
     F_norm, A_fb_norm = _finite_norms([F, A_fb])
     bound = (
         "matched uncertainty bound: (2/epsilon) phi' B' B phi = "

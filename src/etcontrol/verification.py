@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FeasibilityError
-from .linalg import _symmetric_part, inverse, smallest_eigenvalues, spectral_norm
+from .linalg import _symmetric_part, as_real, inverse, smallest_eigenvalues, spectral_norm
 from .simulation import _integer
 from .synthesis import (
     COND_DECAY_PSD,
@@ -44,7 +44,6 @@ from .synthesis import (
     _control_weight,
     _error_gain,
     _finite_norms,
-    _finite_slices,
     _hold_interval,
     _maximize,
     _read_only,
@@ -180,23 +179,32 @@ def check_loop_energy_bound(A, B, P, params: SynthesisParams, K, L) -> CheckResu
 
 _DISSIPATION_BOUNDS = ("raw", "rate", "sandwich")
 
+
+def _gate_slacks(F, Z, dA):
+    """The uncertainty gate slacks F - dA' Z dA of a (k, n, n) stack dA."""
+    return F - np.swapaxes(dA, 1, 2) @ Z @ dA
+
+
 class _DesignTerms:
     """What check_dissipation takes from the design alone, formed once per design.
 
     The conformed Q1, Z and F, the symmetric error gain K' B' Z B K (all
     read-only copies the package owns), P's extreme eigenvalues, q_min =
     lambda_min(Q1), the derived threshold mu_derived (None when it does
-    not exist), the gate tolerance and the vertex gate certificate, which
-    is formed by the first audit of a trace inside the box (certified).
-    The terms hold no reference to the model that keeps them
-    (_design_terms), so they go away with it.
+    not exist), the gate tolerance and the vertex gate certificate
+    (certified, from the model's vertex_stack). Within tol / 2 of the gate,
+    ||dA' Z dA|| <= ||F|| + tol in the box, and no step's rounding (about
+    1e-15 ||F||) can cross the other tol / 2, so a certified gate skips no
+    step in the box. A vertex slack that is not finite gets margin NaN
+    (_slack_margins), which certifies nothing. The terms hold no reference
+    to the model that keeps them (_design_terms), so they go away with it.
     """
 
     __slots__ = (
-        "Q1", "Z", "F", "error_gain", "p_extremes", "q_min", "mu_derived", "gate_tol", "_certified"
+        "Q1", "Z", "F", "error_gain", "p_extremes", "q_min", "mu_derived", "gate_tol", "certified"
     )
 
-    def __init__(self, sigma, B, K, P, Q1, Z, F):
+    def __init__(self, model, sigma, B, K, P, Q1, Z, F):
         self.Q1, self.Z, self.F = _read_only(Q1), _read_only(Z), _read_only(F)
         self.error_gain = _read_only(_symmetric_part(_error_gain(K, B, Z)))
         # One eigvalsh over P and Q1 and one svd over error_gain and F: every
@@ -209,41 +217,21 @@ class _DesignTerms:
             sigma * self.q_min / denom if (self.q_min > 0.0 and denom > 0.0) else None
         )
         self.gate_tol = CHECK_TOL * max(1.0, F_norm)
-        self._certified = None
-
-    def certified(self, model) -> bool:
-        """Whether model's box vertices certify the gate, formed on the first call.
-
-        With Z positive semidefinite the gate slack F - dA' Z dA is
-        matrix-concave in p, so its vertices bound it on the box. Within
-        tol / 2 of the gate, ||dA' Z dA|| <= ||F|| + tol in the box, and no
-        step's rounding (about 1e-15 ||F||) can cross the other tol / 2: no
-        step is gated. A vertex slack that is not finite certifies nothing,
-        and a NaN eigenvalue fails these comparisons.
-        """
-        if self._certified is None:
-            dA = model.vertex_stack
-            slacks, finite = _finite_slices(self.F - np.swapaxes(dA, 1, 2) @ self.Z @ dA)
-            eigs = np.linalg.eigvalsh(np.concatenate([self.Z[None], slacks]))
-            self._certified = bool(
-                finite.all() and eigs[0, 0] >= 0.0 and eigs[1:, 0].min() >= -0.5 * self.gate_tol
-            )
-        return self._certified
+        margins = _slack_margins(np.concatenate([Z[None], _gate_slacks(F, Z, model.vertex_stack)]))
+        self.certified = bool(margins[0] >= 0.0 and margins[1:].min() >= -0.5 * self.gate_tol)
 
 
 def _design_key(sigma, arrays):
     """The key of one design on its model, or None when an array cannot be keyed.
 
     The key is sigma and the shape and bytes of each array as float64. An
-    array that is not numeric or does not coerce is left to _conform,
-    which reports it as for any audit.
+    array that does not coerce (a complex one included) is left to
+    _conform, which reports it as for any audit.
     """
     key = [sigma]
     for M in arrays.values():
-        if isinstance(M, np.ndarray) and M.dtype.kind not in "biuf":
-            return None
         try:
-            M = np.asarray(M, dtype=float)
+            M = as_real(M, "array")
         except Exception:  # _conform raises it again, in the contract's order
             return None
         key += (M.shape, M.tobytes())
@@ -266,7 +254,7 @@ def _design_terms(model, sigma, arrays) -> _DesignTerms:
     kept = model.__dict__.get("_dissipation_terms")
     if kept is not None and kept[0] == key:
         return kept[1]
-    terms = _DesignTerms(sigma, *_conform(model, **arrays))
+    terms = _DesignTerms(model, sigma, *_conform(model, **arrays))
     if key is not None:
         model.__dict__["_dissipation_terms"] = (key, terms)
     return terms
@@ -296,11 +284,11 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
     vertex's gate slack F - dA' Z dA falls below half the gate tolerance,
     the slack is matrix-concave in p and no step can be skipped, so none
     is formed. Otherwise each step's gate matrix is formed and tested. The
-    vertex matrices dA come from the model's vertex_stack, formed once per
-    model, and their gate slacks are formed only for a trace inside the
-    box. A gate slack that is not finite (dA' Z dA overflowed) stays out of
-    eigvalsh: at a vertex it certifies nothing, and a step with one is not
-    gated, since nothing shows that it breaks the bound.
+    vertex certificate is a design term, formed with the others from the
+    model's vertex_stack whatever the trace. A gate slack that is not
+    finite (dA' Z dA overflowed) stays out of eigvalsh: at a vertex it
+    certifies nothing, and a step with one is not gated, since nothing
+    shows that it breaks the bound.
 
     The design terms (the conformed arrays, the error gain, the spectra of
     P and Q1, the norms of the error gain and F, and the vertex
@@ -336,11 +324,10 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
     # NaN row is outside). Row n, the terminal row, takes no step: the gate
     # never skips it.
     gated = np.zeros(n + 1, dtype=bool)
-    if not ((p >= model.p_lo).all() and (p <= model.p_hi).all() and terms.certified(model)):
+    if not (terms.certified and (p >= model.p_lo).all() and (p <= model.p_hi).all()):
         # A step whose slack is not finite has margin NaN: nothing shows
         # that it breaks the bound, so it is not gated.
-        dA = model.matrix_at(p)
-        margins, _ = _slack_margins(terms.F - np.swapaxes(dA, 1, 2) @ terms.Z @ dA)
+        margins = _slack_margins(_gate_slacks(terms.F, terms.Z, model.matrix_at(p)))
         gated[:n] = margins < -terms.gate_tol
 
     x, e, V = trace.states, trace.errors[:n], trace.V
@@ -396,7 +383,7 @@ def _lambda_min_weighted(C, M, w) -> np.ndarray:
     that is not finite gives NaN (_slack_margins).
     """
     weighted = (np.swapaxes(M, 1, 2)[None] * w[:, None, None, :]) @ M
-    return _slack_margins(C - weighted)[0].min(axis=1)
+    return _slack_margins(C - weighted).min(axis=1)
 
 
 # A margin that overflows fails its condition, so numpy need not warn.
@@ -445,7 +432,7 @@ def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> Che
         return s[:, None] + lam**2 / (s[:, None] - lam)
 
     def scaled(s):
-        return _slack_margins(F - s[:, None, None, None] * gram)[0].min(axis=1)
+        return _slack_margins(F - s[:, None, None, None] * gram).min(axis=1)
 
     def periodic(s):
         return _lambda_min_weighted(C, A_fb_e, s[:, None] * lam / (s[:, None] - lam))

@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,11 @@ def test_bundled_config_round_trips(path):
         assert config_to_dict(load_config(path)) == json.load(handle)
 
 
+def test_scaffold_is_the_bundled_demo():
+    """The template and configs/feasible_demo.json are one config; neither drifts from the other."""
+    assert config_to_dict(scaffold_config()) == _demo_dict()
+
+
 def test_saved_config_round_trips(tmp_path):
     from etcontrol import save_config
 
@@ -436,6 +442,22 @@ def test_cli_simulate_periodic_policy(tmp_path, capsys):
         rows = list(csv.DictReader(handle))
     assert [row["triggered"] for row in rows[:30]] == ["1"] * 30
     assert all(float(row["threshold"]) == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "verify"])
+def test_cli_reports_clamped_rows_once(tmp_path, capsys, command):
+    """Rows clamped into the box: one line of the command's own on stdout, no Python warning."""
+    data = _demo_dict()
+    data["simulation"]["trajectory"] = {"kind": "constant", "value": [0.5]}
+    config_path = tmp_path / "clamped.json"
+    config_path.write_text(json.dumps(data), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    warned = [line for line in out.splitlines() if line.startswith("warning:")]
+    assert warned == ["warning: 31 parameter rows were clamped into the box"]
+    assert err == ""
 
 
 # verify's audits, in the order verification.json lists them.

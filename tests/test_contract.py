@@ -1,6 +1,7 @@
 """The input contract: every entry point names the argument that does not fit."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def _demo(demo_system):
     )
     return dict(
         A=A, B=B, model=model, params=params, P=out.P, K=out.K, L=out.L, Z=out.Z, Q1=out.Q1,
-        F=model.F, sigma=params.sigma, trace=trace,
+        F=model.F, sigma=params.sigma, trace=trace, x0=[1.0, -1.0],
     )
 
 
@@ -70,6 +71,17 @@ _WRONG = {
         ),
     ),
     "sigma 2.0": ("sigma", lambda v: 2.0),
+    # numpy would drop the imaginary part of an array (with a ComplexWarning)
+    # and refuse a list of complex numbers with a bare TypeError.
+    "A complex": ("A", lambda v: v["A"] + 0.5j * np.eye(2)),
+    "A complex list": ("A", lambda v: (v["A"] + 0.5j * np.eye(2)).tolist()),
+    "P complex": ("P", lambda v: v["P"] * (1.0 + 0.1j)),
+    "x0 complex": ("x0", lambda v: np.array([1.0 + 1.0j, -1.0])),
+    "x0 complex list": ("x0", lambda v: [1.0 + 1.0j, -1.0]),
+}
+# The message of each wrong argument that is not a wrong shape.
+_MESSAGES = {"sigma 2.0": "must lie strictly between 0 and 1"} | {
+    wrong: "must be real, got complex entries$" for wrong in _WRONG if "complex" in wrong
 }
 _ENTRY_POINTS = {
     "feedback_gain": lambda v: feedback_gain(v["A"], v["B"], v["P"], v["params"]),
@@ -88,6 +100,13 @@ _ENTRY_POINTS = {
         v["A"], v["B"], v["P"], v["params"], v["K"], v["L"]
     ),
     "check_dissipation": _dissipation,
+    "simulate": lambda v: simulate(
+        v["A"], v["B"], v["model"], v["K"], TriggerPolicy.periodic(),
+        ParamTrajectory.constant([0.3]), v["x0"], 5, v["P"],
+    ),
+    "compare_policies": lambda v: compare_policies(
+        v["A"], v["B"], v["model"], v["K"], 0.3, ParamTrajectory.constant([0.3]), v["x0"], 5, v["P"]
+    ),
 }
 _CASES = [
     ("feedback_gain", "B 3x1"),
@@ -106,6 +125,12 @@ _CASES = [
     ("check_dissipation", "trace 3 states"),
     ("check_dissipation", "sigma 2.0"),
     ("trigger_coefficient", "K 2x2"),
+    ("synthesize", "A complex"),
+    ("synthesize", "A complex list"),
+    ("check_dissipation", "P complex"),
+    ("simulate", "x0 complex"),
+    ("simulate", "x0 complex list"),
+    ("compare_policies", "x0 complex"),
 ]
 # A wrong first argument fixes the dimensions, so the next one misfits; the
 # message names both.
@@ -119,10 +144,31 @@ def test_entry_point_names_the_wrong_argument(demo_system, entry, wrong):
     v = _demo(demo_system)
     name, make = _WRONG[wrong]
     v["params" if name == "R1" else name.split(".")[0]] = make(v)
-    message = "must lie strictly between 0 and 1" if name == "sigma" else "has shape"
+    message = _MESSAGES.get(wrong, "has shape")
     pattern = _FIXED_BY_THE_WRONG_ONE.get((entry, wrong), rf"^{name} {message}")
     with pytest.raises(ValueError, match=pattern):
         _ENTRY_POINTS[entry](v)
+
+
+# Each constructor argument made complex, and the constructor call.
+_COMPLEX_ARGUMENTS = {
+    "p_lo": lambda v: dataclasses.replace(v["model"], p_lo=[-0.3 + 0.1j]),
+    "p_hi": lambda v: dataclasses.replace(v["model"], p_hi=np.array([0.3 + 0.0j])),
+    "basis[0]": lambda v: dataclasses.replace(v["model"], basis=(v["model"].basis[0] * 1j,)),
+    "p": lambda v: v["model"].matrix_at([0.1j]),
+    "Q": lambda v: dataclasses.replace(v["params"], Q=v["params"].Q * (1.0 + 0.1j)),
+    "value": lambda v: ParamTrajectory.constant(np.array([0.1 + 0.1j])),
+    "start": lambda v: ParamTrajectory.ramp([0.1j], [0.2]),
+    "end": lambda v: ParamTrajectory.ramp([0.1], np.array([0.2j])),
+    "values": lambda v: ParamTrajectory.sequence([[0.1j]] * 31),
+}
+
+
+@pytest.mark.parametrize("name", list(_COMPLEX_ARGUMENTS))
+def test_constructors_refuse_complex_arguments_by_name(demo_system, name):
+    v = _demo(demo_system)
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be real, got complex entries$"):
+        _COMPLEX_ARGUMENTS[name](v)
 
 
 @pytest.mark.parametrize("entry", ["solve_modified_dare", "check_dissipation"])

@@ -5,12 +5,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from etcontrol import SynthesisParams
 from etcontrol.errors import RankDeficiencyError, SingularMatrixError
 from etcontrol.linalg import (
     DEFINITENESS_TOL,
@@ -57,6 +59,23 @@ def test_require_square_rejects_rectangular():
 def test_symmetrize_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         symmetrize([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_symmetrize_refuses_an_overflowing_defect_without_a_warning():
+    """m - m' overflows on finite entries near the float maximum: numpy must not warn.
+
+    The defect is inf, and the message says so, from symmetrize and from
+    the constructor that calls it.
+    """
+    m = [[1e308, -1e308], [1e308, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^Q is not symmetric \(defect inf\)$"):
+            symmetrize(m, "Q")
+        with pytest.raises(ValueError, match=r"^Q is not symmetric \(defect inf\)$"):
+            SynthesisParams(
+                Q=m, R1=[[1.0]], R2=np.eye(2), alpha=1.0, beta=0.2, epsilon=10.0, sigma=0.5
+            )
 
 
 def test_symmetrize_cleans_roundoff():

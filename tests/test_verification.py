@@ -272,6 +272,46 @@ def test_epsilon_interval_reference_is_empty(reference_system):
     assert window_lo > scaled_hi
 
 
+def test_epsilon_interval_disjoint_conditions():
+    """Two conditions that each hold on an interval, the two disjoint: no epsilon.
+
+    With P = diag(0.01, 1), K = L = 0 and s = 1/epsilon, the decay matrix
+    needs beta^2 >= s + 1 / (s - 1), which holds for s in [1.8, 2.25], and
+    the weighted bound at the vertex p = 1 needs
+    0.015 >= 0.01 (s + 1e-4 / (s - 0.01)), which holds up to s = 1.49993.
+    Each end is where the oracle's margin changes sign.
+    """
+    model = UncertaintyModel(
+        basis=([[0.1, 0.0], [0.0, 0.0]],), p_lo=[0.0], p_hi=[1.0], F=0.015 * np.eye(2)
+    )
+    params = SynthesisParams(
+        Q=np.eye(2), R1=np.eye(2), R2=np.eye(2), alpha=1.0, beta=np.sqrt(3.05), epsilon=0.5,
+        sigma=0.5,
+    )
+    design = (np.diag([0.0, 1.0]), np.eye(2), model, params, np.diag([0.01, 1.0]))
+    gains = (np.zeros((2, 2)), np.zeros((2, 2)))
+    result = check_epsilon_interval(*design, *gains)
+    witness = result.witness
+    assert (result.holds, result.margin) == (False, -np.inf)
+    decay, weighted = "decay_matrix_psd", "uncertainty_bound_weighted"
+    assert (witness["binding_lo"], witness["binding_hi"]) == (decay, weighted)
+    assert result.note == (
+        "no epsilon: decay_matrix_psd needs 1/epsilon >= 1.8, "
+        "uncertainty_bound_weighted needs 1/epsilon <= 1.49993"
+    )
+    for key in ("inv_eps_lo", "inv_eps_hi", "epsilon_best", "mu_best"):
+        assert witness[key] is None, key
+    lo = witness["intervals"][decay][0]
+    hi = witness["intervals"][weighted][1]
+    assert lo == pytest.approx(1.8, rel=1e-12)
+    assert hi == pytest.approx((1.51 + np.sqrt(1.51**2 - 4 * 0.0151)) / 2, rel=1e-12)
+    around = [lo * (1.0 - 1e-9), lo * (1.0 + 1e-9), hi * (1.0 - 1e-9), hi * (1.0 + 1e-9)]
+    with np.errstate(divide="ignore"):  # the oracle's mu divides by the zero error gain
+        margins, _ = epsilon_margins(*design, *gains, around)
+    assert margins[decay][0] < 0.0 < margins[decay][1]
+    assert margins[weighted][2] > 0.0 > margins[weighted][3]
+
+
 @pytest.mark.parametrize("seed", range(24))
 def test_epsilon_interval_random_designs(seed):
     A, B, model, params = _random_design(seed)
@@ -563,8 +603,8 @@ def test_dissipation_gate_certified_at_vertices(demo_system, monkeypatch, case, 
 
     Only a certified gate skips forming the steps' dA; every case agrees
     with the loop on verdict, note, witness and margin. The model's vertex
-    stack is formed once, by the first audit of a fresh model, and a second
-    audit reads it.
+    stack is formed once, with the design terms of the first audit of a
+    fresh model, whatever its trace, and a second audit reuses them.
     """
     trace, args, kwargs = _gate_case(demo_system, case)
     # A fresh copy: synthesize formed the demo model's vertex stack already.
@@ -581,8 +621,9 @@ def test_dissipation_gate_certified_at_vertices(demo_system, monkeypatch, case, 
 
     monkeypatch.setattr(UncertaintyModel, "matrix_at", counting)
     result = check_dissipation(trace, *args, **kwargs)
-    # A trace outside the box is gated step by step without the vertex stack.
-    vertices = [] if case.startswith("row") else [(2**d, d)]
+    # The vertex certificate is a design term: a trace outside the box is
+    # gated step by step, but the first audit forms the vertex stack all the same.
+    vertices = [(2**d, d)]
     steps = [] if case == "certified" else [(n, d)]
     assert shapes == vertices + steps
     assert check_dissipation(trace, *args, **kwargs) == result
@@ -981,8 +1022,8 @@ def test_dissipation_memo_keeps_no_failed_design(demo_system, name, value, messa
     """An input that fails the contract raises the same message on every call and is not kept.
 
     A ragged or complex array cannot be keyed and goes straight to the
-    contract, which raises what numpy raises for it (message None: taken
-    from a first call with nothing kept).
+    contract, which raises for it (message None: taken from a first call
+    with nothing kept).
     """
     A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
     v = {"P": out.P, "Q1": out.Q1, "K": out.K, "B": B, "Z": out.Z, "F": model.F}
