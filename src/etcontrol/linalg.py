@@ -3,15 +3,14 @@
 All routines operate on plain float64 numpy arrays and are thin wrappers
 over LAPACK via numpy, with the tolerance conventions of the rest of the
 package baked in so callers do not re-derive them. Only outside input is
-validated: as_real refuses complex values, as_matrix is the 2-D gate on
-it (shape, finiteness), require_square adds squareness and symmetrize
-near-symmetry, each on one (n, n) matrix. Every other routine trusts its
-array, which the package formed or checked: a caller guards a product
-that can overflow before passing it on (synthesis._require_finite).
-inverse and pseudo_inverse take one matrix; spectral_norm and
-smallest_eigenvalues take a matrix or a (k, n, n) stack, in one LAPACK
-call. numpy runs a stack slice by slice, so every slice of a stacked
-result equals the result on that slice alone bit for bit.
+validated: as_real refuses complex values, as_scalar is its gate on one
+number, as_matrix the 2-D gate, require_square and symmetrize add
+squareness and near-symmetry. inverse and pseudo_inverse trust their
+matrix, which a caller formed or checked (synthesis._require_finite).
+smallest_eigenvalues and spectral_norm are the package's one kernel for
+each quantity, on a matrix or a (..., n, n) stack in one LAPACK call, and
+definite its one definiteness threshold. numpy runs a stack slice by
+slice, so each slice of a stacked result has the bits of its 2-D call.
 """
 
 from __future__ import annotations
@@ -31,6 +30,16 @@ def as_real(values, name: str) -> np.ndarray:
     if np.iscomplexobj(values):
         raise ValueError(f"{name} must be real, got complex entries")
     return np.asarray(values, dtype=float)
+
+
+def as_scalar(value, name: str) -> float:
+    """float(value), but a complex value or one that is not 0-d raises ValueError naming it."""
+    if isinstance(value, float):  # np.float64 too; the common case skips the array checks
+        return float(value)
+    shape = as_real(value, name).shape
+    if shape != ():
+        raise ValueError(f"{name} must be a scalar, got shape {shape}")
+    return float(value)
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -77,16 +86,40 @@ def _symmetric_part(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * m.swapaxes(-1, -2)
 
 
-def smallest_eigenvalues(m):
-    """Smallest eigenvalue and definiteness threshold of a matrix or of each of a stack.
+def _zero_non_finite(m):
+    """m with each (n, n) slice that is not finite zeroed, and the finite mask (None if all are)."""
+    if np.isfinite(m).all():  # the common case, one reduction
+        return m, None
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    return np.where(finite[..., None, None], m, 0.0), finite
 
-    The threshold DEFINITENESS_TOL * max(1, max|m|) is the one scale of
-    every definiteness test: positive definite when the smallest eigenvalue
-    exceeds it, positive semidefinite when it is at least its negative. m is
-    not validated: it must be exactly symmetric, such as symmetrize returns.
+
+def smallest_eigenvalues(m):
+    """Smallest eigenvalue of an exactly symmetric matrix (a scalar) or of each of a stack.
+
+    A slice that is not finite (a product overflowed) gets NaN and stays out
+    of LAPACK, which can return finite eigenvalues for a matrix holding NaN,
+    or fail on it and so lose the whole stack.
     """
-    threshold = DEFINITENESS_TOL * np.maximum(1.0, abs(m).max(axis=(-2, -1)))
-    return np.linalg.eigvalsh(m)[..., 0], threshold
+    m, finite = _zero_non_finite(m)
+    smallest = np.linalg.eigvalsh(m)[..., 0]
+    return (smallest if finite is None else np.where(finite, smallest, np.nan))[()]
+
+
+def definite(smallest, m, strict: bool = True) -> bool:
+    """Whether m, of smallest eigenvalue smallest, is positive definite (strict) or semidefinite.
+
+    Definite above DEFINITENESS_TOL * max(1, max|m|), semidefinite at or
+    above its negative; a NaN smallest eigenvalue is neither.
+    """
+    threshold = DEFINITENESS_TOL * max(1.0, abs(m).max())
+    return bool(smallest > threshold if strict else smallest >= -threshold)
+
+
+def _require_definite(m, name: str, strict: bool) -> None:
+    """Raise ValueError unless the exactly symmetric matrix m is positive (semi)definite."""
+    if not definite(smallest_eigenvalues(m), m, strict):
+        raise ValueError(f"{name} must be positive {'definite' if strict else 'semidefinite'}")
 
 
 def inverse(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -121,6 +154,6 @@ def pseudo_inverse(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def spectral_norm(m):
-    """Largest singular value of a finite matrix (a float) or of each of a stack (an array)."""
-    norms = np.linalg.svd(m, compute_uv=False).max(axis=-1)
+    """Largest singular value of a matrix (a float) or of each of a stack; 0 where not finite."""
+    norms = np.linalg.svd(_zero_non_finite(m)[0], compute_uv=False).max(axis=-1)
     return float(norms) if norms.ndim == 0 else norms

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_real
+from .linalg import as_real, as_scalar
 from .synthesis import UncertaintyModel, _conform
 
 DIVERGENCE_NORM = 1e12
@@ -48,8 +48,8 @@ TRAJECTORY_FIELDS = {
 class TriggerPolicy:
     """Transmission policy: kind is "periodic" or "event".
 
-    mu is the relative threshold coefficient and must be present (and
-    finite and positive) exactly when kind is "event".
+    mu is the relative threshold coefficient and must be present (a real
+    number, finite and positive) exactly when kind is "event".
     """
 
     kind: str
@@ -61,7 +61,7 @@ class TriggerPolicy:
         if self.kind == POLICY_EVENT:
             if self.mu is None:
                 raise ValueError("event policy requires a threshold coefficient mu")
-            object.__setattr__(self, "mu", float(self.mu))
+            object.__setattr__(self, "mu", as_scalar(self.mu, "mu"))
             if not math.isfinite(self.mu):
                 raise ValueError("mu must be finite")
             if self.mu <= 0.0:

@@ -23,9 +23,10 @@ before a kernel takes it, with NumericalError naming it (_require_finite).
 synthesize and synthesize_matched run one pipeline, which chains the
 kernels and computes each shared factor once; the matched mode is the
 special case with no virtual channel. The two window gaps are inverted
-one after the other, and the report makes one stacked eigvalsh for every
-slack and one svd for every scale. numpy runs a stack slice by slice, so
-each result has the bits of the call on that matrix alone.
+one after the other, and the report makes one smallest_eigenvalues call
+for every slack and one spectral_norm call for every scale. numpy runs a
+stack slice by slice, so each result has the bits of the call on that
+matrix alone.
 """
 
 from __future__ import annotations
@@ -44,10 +45,12 @@ from .errors import (
     TriggerUndefinedError,
 )
 from .linalg import (
-    DEFINITENESS_TOL,
+    _require_definite,
     _symmetric_part,
     as_matrix,
     as_real,
+    as_scalar,
+    definite,
     inverse,
     pseudo_inverse,
     require_square,
@@ -96,16 +99,9 @@ def _reduce_through_constructor(self):
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-def _require_definite(m: np.ndarray, name: str, strict: bool) -> None:
-    """Raise ValueError unless the exactly symmetric matrix m is positive (semi)definite."""
-    smallest, threshold = smallest_eigenvalues(m)
-    if not (smallest > threshold if strict else smallest >= -threshold):
-        raise ValueError(f"{name} must be positive {'definite' if strict else 'semidefinite'}")
-
-
 def _require_epsilon(epsilon) -> float:
-    """epsilon as a float, ValueError unless it is positive with a finite 1/epsilon."""
-    epsilon = float(epsilon)
+    """epsilon as a float, ValueError unless it is real and positive with a finite 1/epsilon."""
+    epsilon = as_scalar(epsilon, "epsilon")
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if not math.isfinite(1.0 / epsilon):
@@ -114,8 +110,8 @@ def _require_epsilon(epsilon) -> float:
 
 
 def _require_sigma(sigma) -> float:
-    """sigma as a float, ValueError unless it lies strictly between 0 and 1."""
-    sigma = float(sigma)
+    """sigma as a float, ValueError unless it is real and lies strictly between 0 and 1."""
+    sigma = as_scalar(sigma, "sigma")
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie strictly between 0 and 1")
     return sigma
@@ -182,8 +178,8 @@ class SynthesisParams:
     acting on the uncontrolled subspace. alpha scales the virtual channel,
     beta adds a uniform robustness floor, epsilon sets the design window,
     and sigma in (0, 1) is the decay fraction retained by the trigger.
-    alpha and beta must be nonnegative with a finite square, and epsilon
-    positive with a finite reciprocal.
+    The four scalars must be real numbers; alpha and beta nonnegative with
+    a finite square, and epsilon positive with a finite reciprocal.
     """
 
     Q: np.ndarray
@@ -199,7 +195,7 @@ class SynthesisParams:
         for name in ("Q", "R1", "R2"):
             object.__setattr__(self, name, _read_only(symmetrize(getattr(self, name), name)))
         for name in ("alpha", "beta", "epsilon", "sigma"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, as_scalar(getattr(self, name), name))
         _require_definite(self.Q, "Q", strict=False)
         _require_definite(self.R1, "R1", strict=True)
         _require_definite(self.R2, "R2", strict=True)
@@ -484,8 +480,8 @@ def _riccati(A, W, Qbar):
             iterations=iteration,
             last_step=step,
         )
-    smallest, threshold = smallest_eigenvalues(H)
-    if not smallest > threshold:
+    smallest = smallest_eigenvalues(H)
+    if not definite(smallest, H):
         raise NumericalError(
             f"Riccati solution is not positive definite (smallest eigenvalue {smallest:.3e})"
         )
@@ -611,7 +607,7 @@ def trigger_coefficient(K, B, Z, Q1, sigma: float) -> float:
     K, B, Z, Q1 = _conform(K=K, B=B, Z=Z, Q1=Q1)
     # An error gain that overflows raises NumericalError, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _trigger_coefficient(K, B, Z, np.linalg.eigvalsh(Q1)[0], sigma)
+        return _trigger_coefficient(K, B, Z, smallest_eigenvalues(Q1), sigma)
 
 
 # The names of Q1 and of the error weight in TriggerUndefinedError messages.
@@ -640,45 +636,16 @@ def _trigger_coefficient(K, B, Z, decay_margin, sigma, report=None, names=_TRIGG
     return float(sigma * decay_margin / denom)
 
 
-def _finite_slices(stack):
-    """The (..., n, n) stack with every slice that is not finite zeroed, and the finite mask.
-
-    The mask has the stack's leading shape. A slack that is not finite (a
-    product overflowed) must stay out of LAPACK, which can return finite
-    eigenvalues for a matrix holding NaN or fail on it, and so the whole
-    stack.
-    """
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    if not finite.all():
-        stack = np.where(finite[..., None, None], stack, 0.0)
-    return stack, finite
-
-
-def _finite_norms(matrices) -> list:
-    """Spectral norms of the matrices in one svd; a matrix that is not finite gets 0."""
-    return spectral_norm(_finite_slices(np.array(matrices))[0]).tolist()
-
-
-def _slack_margins(slacks):
-    """Smallest eigenvalues of a (..., n, n) stack, in one eigvalsh.
-
-    A slack that is not finite gets margin NaN (_finite_slices).
-    """
-    slacks, finite = _finite_slices(slacks)
-    margins = np.linalg.eigvalsh(slacks)[..., 0]
-    margins[~finite] = np.nan
-    return margins
-
-
 def _check(condition, description, margins, scale, vertices=None):
     """One design condition from the smallest eigenvalues of its slacks.
 
     A matrix condition passes one margin and no vertices. A box condition
-    passes one margin per row of vertices: lambda_min, from _slack_margins,
-    of the slack F - dA' W dA at that vertex, with W positive semidefinite
-    (c I or Z). Because dA(p) is affine in p, the slack is matrix-concave
-    in p, lambda_min of it is concave, and its minimum over the box lies at
-    a vertex: the margin is a certificate for the whole box, not a sample
+    passes one margin per row of vertices: lambda_min, from
+    smallest_eigenvalues, of the slack F - dA' W dA at that vertex, with W
+    positive semidefinite (c I or Z). Because dA(p) is affine in p, the
+    slack is matrix-concave in p, lambda_min of it is concave, and its
+    minimum over the box lies at a vertex: the margin is a certificate for
+    the whole box, not a sample
     (multi-convexity; Boyd et al., LMIs in System and Control Theory, 1994).
     The witness is the first vertex attaining the minimum. scale is at
     least 1: the condition holds when the margin is at least
@@ -746,9 +713,10 @@ def feasibility_report(
 def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner):
     """The mismatched report; inner is the inner window matrix, None if a gap is singular.
 
-    Every slack goes into one eigvalsh call and the scales of F, P and Q1
-    into one svd. A slack that overflowed leaves its condition uncertified,
-    so a scale that is not finite sets no verdict (_finite_norms gives 0).
+    Every slack goes into one smallest_eigenvalues call and the scales of
+    F, P and Q1 into one spectral_norm call. A slack that overflowed leaves
+    its condition uncertified, so a scale that is not finite sets no verdict
+    (spectral_norm gives it 0).
     """
     inv_eps = 1.0 / params.epsilon
     F = model.F
@@ -758,14 +726,14 @@ def _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner):
     vertices, dA = model.vertices().tolist(), model.vertex_stack
     v = len(vertices)
     dA_t = np.swapaxes(dA, 1, 2)
-    margins = _slack_margins(
+    margins = smallest_eigenvalues(
         np.concatenate([F - inv_eps * (dA_t @ dA), F - dA_t @ Z @ dA, matrices])
     )
-    z_psd = margins[2 * v + 1] >= -DEFINITENESS_TOL * max(1.0, abs(Z).max())
+    z_psd = definite(margins[2 * v + 1], Z, strict=False)
     margins = margins.tolist()  # one conversion; _check then works on Python floats
     window_min, z_min, q1_min, *decay_min = margins[2 * v :]
     weighted_min = margins[v : 2 * v] if z_psd else None
-    F_scale, P_scale, Q1_scale = (max(1.0, s) for s in _finite_norms([F, P, Q1]))
+    F_scale, P_scale, Q1_scale = np.maximum(1.0, spectral_norm(np.array([F, P, Q1]))).tolist()
     scaled = "scaled uncertainty bound: (1/epsilon) dA' dA <= F over the box"
     decay = "periodic transmission decay margin is nonnegative"
     weighted = "weighted uncertainty bound: dA' Z dA <= F over the box"
@@ -824,16 +792,16 @@ def as_matched_model(B, model: UncertaintyModel) -> UncertaintyModel:
 
 
 def _matched_feasibility_report(A_fb, model, params, P, K):
-    """The matched report: one eigvalsh for its slacks, one svd for the scales of F and A_fb."""
+    """The matched report: one kernel call for its slacks, one for the scales of F and A_fb."""
     inv_eps = 1.0 / params.epsilon
     F = model.F
     slack = _symmetric_part(_control_weight(K, None, params) - (2.0 * inv_eps) * (A_fb.T @ A_fb))
     window = inv_eps * np.eye(len(P)) - P
     vertices, dA = model.vertices().tolist(), model.vertex_stack
-    margins = _slack_margins(
+    margins = smallest_eigenvalues(
         np.concatenate([F - (2.0 * inv_eps) * (np.swapaxes(dA, 1, 2) @ dA), [window, slack]])
     ).tolist()
-    F_norm, A_fb_norm = _finite_norms([F, A_fb])
+    F_norm, A_fb_norm = spectral_norm(np.array([F, A_fb])).tolist()
     bound = (
         "matched uncertainty bound: (2/epsilon) phi' B' B phi = "
         "(2/epsilon) dA' dA <= F over the box"
@@ -889,7 +857,7 @@ def _synthesize(A, B, model, params, matched):
         if matched:
             Q1, weight, names = Q_eff, inner, _MATCHED_TRIGGER_NAMES
             report = _matched_feasibility_report(A_fb, model, params, P, K)
-            decay_margin = np.linalg.eigvalsh(Q1)[0]
+            decay_margin = smallest_eigenvalues(Q1)
         else:
             Q1, weight, names = _decay_matrix(A_fb, K, L, Z, params), Z, _TRIGGER_NAMES
             report = _feasibility_report(A_fb, model, params, P, K, L, Z, Q1, inner)

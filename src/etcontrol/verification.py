@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FeasibilityError
-from .linalg import _symmetric_part, as_real, inverse, smallest_eigenvalues, spectral_norm
+from .linalg import _symmetric_part, as_real, definite, inverse, smallest_eigenvalues, spectral_norm
 from .simulation import _integer
 from .synthesis import (
     COND_DECAY_PSD,
@@ -43,7 +43,6 @@ from .synthesis import (
     _conform,
     _control_weight,
     _error_gain,
-    _finite_norms,
     _hold_interval,
     _maximize,
     _read_only,
@@ -52,7 +51,6 @@ from .synthesis import (
     _require_finite,
     _require_sigma,
     _s_inv,
-    _slack_margins,
     _window_weights,
 )
 
@@ -80,14 +78,14 @@ def _bound_result(name: str, slack, dominating) -> CheckResult:
 
     Margin is the smallest slack eigenvalue, and the check holds when it
     stays above minus CHECK_TOL relative to the magnitude of the dominating
-    side. A slack that is not finite (the products overflowed) fails, with
-    margin -inf and tolerance inf; a finite slack implies a finite
-    dominating side.
+    side. A slack that is not finite (the products overflowed) has margin
+    NaN (smallest_eigenvalues) and fails, with margin -inf and tolerance
+    inf; a finite slack implies a finite dominating side.
     """
     note = "margin is the smallest slack eigenvalue"
-    if not np.isfinite(slack).all():
+    margin = float(smallest_eigenvalues(slack))
+    if np.isnan(margin):
         return CheckResult(name, False, -np.inf, {"tolerance": np.inf}, note)
-    margin = float(np.linalg.eigvalsh(slack)[0])
     tol = CHECK_TOL * max(1.0, spectral_norm(dominating))
     return CheckResult(name, margin >= -tol, margin, {"tolerance": tol}, note)
 
@@ -139,8 +137,7 @@ def check_cross_term_bound(P, epsilon: float, A_closed, dA) -> CheckResult:
     # the products the slack (the check fails), so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         gap = _require_finite((1.0 / epsilon) * np.eye(len(P)) - P, "design window gap")
-        smallest, threshold = smallest_eigenvalues(gap)
-        if not smallest > threshold:
+        if not definite(smallest_eigenvalues(gap), gap):
             raise FeasibilityError(
                 "design window violated: (1/epsilon) I - P is not positive definite, "
                 "the cross-term bound is not claimed here",
@@ -196,8 +193,8 @@ class _DesignTerms:
     ||dA' Z dA|| <= ||F|| + tol in the box, and no step's rounding (about
     1e-15 ||F||) can cross the other tol / 2, so a certified gate skips no
     step in the box. A vertex slack that is not finite gets margin NaN
-    (_slack_margins), which certifies nothing. The terms hold no reference
-    to the model that keeps them (_design_terms), so they go away with it.
+    (smallest_eigenvalues), which certifies nothing. The terms keep no
+    reference to their model (_design_terms), so they go away with it.
     """
 
     __slots__ = (
@@ -207,18 +204,18 @@ class _DesignTerms:
     def __init__(self, model, sigma, B, K, P, Q1, Z, F):
         self.Q1, self.Z, self.F = _read_only(Q1), _read_only(Z), _read_only(F)
         self.error_gain = _read_only(_symmetric_part(_error_gain(K, B, Z)))
-        # One eigvalsh over P and Q1 and one svd over error_gain and F: every
-        # slice is computed as on its own. An error gain that overflowed gets
-        # norm 0, so no rate bound applies.
-        eigs = np.linalg.eigvalsh(np.stack([P, Q1]))
-        denom, F_norm = _finite_norms([self.error_gain, F])
-        self.p_extremes, self.q_min = (eigs[0, 0], eigs[0, -1]), float(eigs[1, 0])
+        # One kernel call over Q1, Z and the vertex gate slacks and one over
+        # error_gain and F: every slice is computed as on its own. An error
+        # gain that overflowed gets norm 0, so no rate bound applies.
+        eigs, gate = np.linalg.eigvalsh(P), _gate_slacks(F, Z, model.vertex_stack)
+        margins = smallest_eigenvalues(np.concatenate([Q1[None], Z[None], gate]))
+        denom, F_norm = spectral_norm(np.array([self.error_gain, F])).tolist()
+        self.p_extremes, self.q_min = (eigs[0], eigs[-1]), float(margins[0])
         self.mu_derived = (
             sigma * self.q_min / denom if (self.q_min > 0.0 and denom > 0.0) else None
         )
         self.gate_tol = CHECK_TOL * max(1.0, F_norm)
-        margins = _slack_margins(np.concatenate([Z[None], _gate_slacks(F, Z, model.vertex_stack)]))
-        self.certified = bool(margins[0] >= 0.0 and margins[1:].min() >= -0.5 * self.gate_tol)
+        self.certified = bool(margins[1] >= 0.0 and margins[2:].min() >= -0.5 * self.gate_tol)
 
 
 def _design_key(sigma, arrays):
@@ -327,7 +324,7 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
     if not (terms.certified and (p >= model.p_lo).all() and (p <= model.p_hi).all()):
         # A step whose slack is not finite has margin NaN: nothing shows
         # that it breaks the bound, so it is not gated.
-        margins = _slack_margins(_gate_slacks(terms.F, terms.Z, model.matrix_at(p)))
+        margins = smallest_eigenvalues(_gate_slacks(terms.F, terms.Z, model.matrix_at(p)))
         gated[:n] = margins < -terms.gate_tol
 
     x, e, V = trace.states, trace.errors[:n], trace.V
@@ -380,10 +377,10 @@ def _lambda_min_weighted(C, M, w) -> np.ndarray:
 
     M is a (v, n, n) stack; the minimum runs over it as well, so a stack of
     box vertices gives the worst vertex at every weight. A weighted matrix
-    that is not finite gives NaN (_slack_margins).
+    that is not finite gives NaN (smallest_eigenvalues).
     """
     weighted = (np.swapaxes(M, 1, 2)[None] * w[:, None, None, :]) @ M
-    return _slack_margins(C - weighted).min(axis=1)
+    return smallest_eigenvalues(C - weighted).min(axis=1)
 
 
 # A margin that overflows fails its condition, so numpy need not warn.
@@ -432,7 +429,7 @@ def check_epsilon_interval(A, B, model, params: SynthesisParams, P, K, L) -> Che
         return s[:, None] + lam**2 / (s[:, None] - lam)
 
     def scaled(s):
-        return _slack_margins(F - s[:, None, None, None] * gram).min(axis=1)
+        return smallest_eigenvalues(F - s[:, None, None, None] * gram).min(axis=1)
 
     def periodic(s):
         return _lambda_min_weighted(C, A_fb_e, s[:, None] * lam / (s[:, None] - lam))

@@ -13,9 +13,11 @@ from etcontrol import (
     as_matched_model,
     check_dissipation,
     check_epsilon_interval,
+    check_inversion_identity,
     check_loop_energy_bound,
     compare_policies,
     decay_matrix,
+    error_weight,
     feasibility_report,
     feedback_gain,
     simulate,
@@ -39,7 +41,8 @@ def _demo(demo_system):
     )
     return dict(
         A=A, B=B, model=model, params=params, P=out.P, K=out.K, L=out.L, Z=out.Z, Q1=out.Q1,
-        F=model.F, sigma=params.sigma, trace=trace, x0=[1.0, -1.0],
+        F=model.F, sigma=params.sigma, trace=trace, x0=[1.0, -1.0], mu=0.3,
+        epsilon=params.epsilon,
     )
 
 
@@ -78,11 +81,25 @@ _WRONG = {
     "P complex": ("P", lambda v: v["P"] * (1.0 + 0.1j)),
     "x0 complex": ("x0", lambda v: np.array([1.0 + 1.0j, -1.0])),
     "x0 complex list": ("x0", lambda v: [1.0 + 1.0j, -1.0]),
+    # A scalar goes through the one scalar gate: float() would refuse a
+    # complex number with a bare TypeError and truncate a numpy one.
+    "sigma complex": ("sigma", lambda v: 0.5 + 0.1j),
+    "sigma complex128": ("sigma", lambda v: np.complex128(v["sigma"])),
+    "sigma array": ("sigma", lambda v: np.array([v["sigma"]])),
+    "mu complex": ("mu", lambda v: 0.3 + 0j),
+    "mu complex128": ("mu", lambda v: np.complex128(0.3 + 0.1j)),
+    "mu list": ("mu", lambda v: [0.3]),
+    "epsilon complex": ("epsilon", lambda v: v["epsilon"] + 0.5j),
+    "epsilon list": ("epsilon", lambda v: [v["epsilon"]]),
 }
 # The message of each wrong argument that is not a wrong shape.
-_MESSAGES = {"sigma 2.0": "must lie strictly between 0 and 1"} | {
-    wrong: "must be real, got complex entries$" for wrong in _WRONG if "complex" in wrong
-}
+_MESSAGES = (
+    {"sigma 2.0": "must lie strictly between 0 and 1"}
+    | {wrong: "must be real, got complex entries$" for wrong in _WRONG if "complex" in wrong}
+    | dict.fromkeys(
+        ("sigma array", "mu list", "epsilon list"), r"must be a scalar, got shape \(1,\)$"
+    )
+)
 _ENTRY_POINTS = {
     "feedback_gain": lambda v: feedback_gain(v["A"], v["B"], v["P"], v["params"]),
     "virtual_gain": lambda v: virtual_gain(v["A"], v["B"], v["P"], v["params"]),
@@ -105,8 +122,11 @@ _ENTRY_POINTS = {
         ParamTrajectory.constant([0.3]), v["x0"], 5, v["P"],
     ),
     "compare_policies": lambda v: compare_policies(
-        v["A"], v["B"], v["model"], v["K"], 0.3, ParamTrajectory.constant([0.3]), v["x0"], 5, v["P"]
+        v["A"], v["B"], v["model"], v["K"], v["mu"], ParamTrajectory.constant([0.3]), v["x0"], 5,
+        v["P"],
     ),
+    "check_inversion_identity": lambda v: check_inversion_identity(v["P"], v["epsilon"]),
+    "error_weight": lambda v: error_weight(v["P"], v["epsilon"]),
 }
 _CASES = [
     ("feedback_gain", "B 3x1"),
@@ -131,6 +151,14 @@ _CASES = [
     ("simulate", "x0 complex"),
     ("simulate", "x0 complex list"),
     ("compare_policies", "x0 complex"),
+    ("check_dissipation", "sigma complex"),
+    ("check_dissipation", "sigma complex128"),
+    ("trigger_coefficient", "sigma array"),
+    ("compare_policies", "mu complex"),
+    ("compare_policies", "mu complex128"),
+    ("compare_policies", "mu list"),
+    ("error_weight", "epsilon complex"),
+    ("check_inversion_identity", "epsilon list"),
 ]
 # A wrong first argument fixes the dimensions, so the next one misfits; the
 # message names both.
@@ -161,6 +189,11 @@ _COMPLEX_ARGUMENTS = {
     "start": lambda v: ParamTrajectory.ramp([0.1j], [0.2]),
     "end": lambda v: ParamTrajectory.ramp([0.1], np.array([0.2j])),
     "values": lambda v: ParamTrajectory.sequence([[0.1j]] * 31),
+    "alpha": lambda v: dataclasses.replace(v["params"], alpha=0.5 + 0.1j),
+    "beta": lambda v: dataclasses.replace(v["params"], beta=np.complex128(0.2)),
+    "epsilon": lambda v: dataclasses.replace(v["params"], epsilon=np.complex128(1.0 + 1.0j)),
+    "sigma": lambda v: dataclasses.replace(v["params"], sigma=np.array(0.5 + 0j)),
+    "mu": lambda v: TriggerPolicy.event(0.3 + 0j),
 }
 
 
@@ -169,6 +202,16 @@ def test_constructors_refuse_complex_arguments_by_name(demo_system, name):
     v = _demo(demo_system)
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be real, got complex entries$"):
         _COMPLEX_ARGUMENTS[name](v)
+
+
+def test_scalars_parse_numeric_strings_and_refuse_none(demo_system):
+    """The scalar gate keeps float()'s parsing of a numeric string and its refusal of None."""
+    params = demo_system[3]
+    parsed = dataclasses.replace(params, alpha=str(params.alpha), epsilon=str(params.epsilon))
+    assert (parsed.alpha, parsed.epsilon) == (params.alpha, params.epsilon)
+    assert TriggerPolicy.event("0.3").mu == 0.3
+    with pytest.raises(TypeError):
+        dataclasses.replace(params, beta=None)
 
 
 @pytest.mark.parametrize("entry", ["solve_modified_dare", "check_dissipation"])

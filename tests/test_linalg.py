@@ -17,6 +17,8 @@ from etcontrol.errors import RankDeficiencyError, SingularMatrixError
 from etcontrol.linalg import (
     DEFINITENESS_TOL,
     as_matrix,
+    as_scalar,
+    definite,
     inverse,
     pseudo_inverse,
     require_square,
@@ -121,8 +123,9 @@ def test_symmetrize_bits_of_the_mean(m):
 
 def _definite(m):
     """(positive definite, positive semidefinite) by the one definiteness test."""
-    smallest, threshold = smallest_eigenvalues(symmetrize(m))
-    return bool(smallest > threshold), bool(smallest >= -threshold)
+    m = symmetrize(m)
+    smallest = smallest_eigenvalues(m)
+    return definite(smallest, m), definite(smallest, m, strict=False)
 
 
 def test_definiteness_examples():
@@ -174,8 +177,7 @@ def test_stack_forms_match_single_matrix_forms(n, seed):
     mixed = np.array([_random_symmetric(seed + i, n) for i in range(5)])
     for stack in (general, wide):
         assert np.array_equal(spectral_norm(stack), [spectral_norm(m) for m in stack])
-    smallest, threshold = smallest_eigenvalues(mixed)
-    assert [(s, t) for s, t in zip(smallest, threshold)] == [smallest_eigenvalues(m) for m in mixed]
+    assert np.array_equal(smallest_eigenvalues(mixed), [smallest_eigenvalues(m) for m in mixed])
     # The 2-D calls give the plain numpy results bit for bit.
     for m in general:
         assert np.array_equal(inverse(m), np.linalg.solve(m, np.eye(n)))
@@ -183,8 +185,7 @@ def test_stack_forms_match_single_matrix_forms(n, seed):
         assert spectral_norm(m) == float(np.linalg.norm(m, 2))
     for m in mixed:
         assert np.array_equal(symmetrize(m), 0.5 * (m + m.T))
-        scale = DEFINITENESS_TOL * max(1.0, float(np.max(np.abs(m))))
-        assert smallest_eigenvalues(m) == (np.linalg.eigvalsh(m)[0], scale)
+        assert smallest_eigenvalues(m) == np.linalg.eigvalsh(m)[0]
 
 
 def test_stack_forms_keep_messages():
@@ -242,6 +243,78 @@ def test_pseudo_inverse_rank_deficient_raises():
 def test_spectral_norm_examples():
     assert spectral_norm(np.zeros((2, 2))) == 0.0
     assert np.isclose(spectral_norm(np.diag([3.0, -4.0])), 4.0)
+
+
+def test_spectral_norm_beside_non_finite_slices():
+    """A NaN or inf slice gets norm 0; the others keep the bits of the 2-D call.
+
+    tests/test_synthesis.py::test_slack_margins_beside_a_non_finite_slack
+    pins the same for smallest_eigenvalues, where such a slice gets NaN.
+    """
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(4, 3, 3))
+    stack[1, 0, 2] = np.nan
+    stack[3, 1, 1] = np.inf
+    norms = spectral_norm(stack)
+    assert norms.shape == (4,) and norms[1] == norms[3] == 0.0
+    for i in (0, 2):
+        assert _bits(norms[i]) == _bits(spectral_norm(stack[i]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_alone(bad):
+    """One (n, n) matrix that is not finite: margin NaN, norm 0, neither definite."""
+    m = np.eye(3)
+    m[2, 2] = bad
+    smallest = smallest_eigenvalues(m)
+    assert np.ndim(smallest) == 0 and np.isnan(smallest)
+    assert spectral_norm(m) == 0.0
+    assert not definite(smallest, np.eye(3)) and not definite(smallest, np.eye(3), strict=False)
+
+
+@pytest.mark.parametrize("peak", [0.5, 1.0, 40.0])
+def test_definite_at_its_edges(peak):
+    """The threshold 1e-9 max(1, max|m|): above it definite, at minus it semidefinite."""
+    m = np.diag([peak, 0.0])
+    threshold = DEFINITENESS_TOL * max(1.0, peak)
+    assert definite(np.nextafter(threshold, np.inf), m)
+    assert not definite(threshold, m)
+    assert definite(threshold, m, strict=False)
+    assert definite(-threshold, m, strict=False)
+    assert not definite(np.nextafter(-threshold, -np.inf), m, strict=False)
+    assert not definite(np.nan, m) and not definite(np.nan, m, strict=False)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(0.5, 0.5), (np.float64(0.25), 0.25), (3, 3.0), (np.int64(2), 2.0), ("0.125", 0.125),
+     (np.array(0.75), 0.75)],
+    ids=["float", "float64", "int", "int64", "string", "0-d array"],
+)
+def test_as_scalar_keeps_real_numbers(value, expected):
+    out = as_scalar(value, "x")
+    assert type(out) is float and out == expected
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (0.5 + 0.1j, "must be real, got complex entries"),
+        (np.complex128(1.0 + 1.0j), "must be real, got complex entries"),
+        (np.complex128(0.3), "must be real, got complex entries"),
+        (np.array(0.3 + 0j), "must be real, got complex entries"),
+        ([0.5], r"must be a scalar, got shape \(1,\)"),
+        (np.array([0.5]), r"must be a scalar, got shape \(1,\)"),
+        (np.ones((2, 2)), r"must be a scalar, got shape \(2, 2\)"),
+    ],
+    ids=["complex", "complex128", "complex128 real", "0-d complex", "list", "array", "matrix"],
+)
+def test_as_scalar_refuses_by_name(value, message):
+    """numpy would truncate a complex scalar with a ComplexWarning; no warning is raised here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^x {message}$"):
+            as_scalar(value, "x")
 
 
 def test_import_does_not_load_scipy():

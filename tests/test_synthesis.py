@@ -53,7 +53,6 @@ from etcontrol.synthesis import (
     _effective_weight,
     _feedback_gain,
     _riccati,
-    _slack_margins,
     _trigger_coefficient,
     _virtual_gain,
     _window_weights,
@@ -727,7 +726,7 @@ def test_check_reads_finiteness_from_the_slack(kind):
     matrix condition has neither.
     """
     slack = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]])
-    margins = _slack_margins(slack).tolist()
+    margins = smallest_eigenvalues(slack).tolist()
     if kind == "box":
         check = _check(COND_UNC_SCALED, "", margins, 1.0, [[-1.0], [1.0]])
         assert (check.witness_p, check.points_evaluated) == ((1.0,), 2)
@@ -765,10 +764,10 @@ def test_slack_margins_beside_a_non_finite_slack(bad):
     rng = np.random.default_rng(8)
     stack = np.array([g + g.T for g in rng.normal(size=(4, 3, 3))])
     stack[2, 0, 1] = stack[2, 1, 0] = bad
-    margins = _slack_margins(stack)
+    margins = smallest_eigenvalues(stack)
     assert margins.shape == (4,) and np.isnan(margins[2])
     for i in (0, 1, 3):
-        assert margins[i] == smallest_eigenvalues(stack[i])[0]
+        assert margins[i] == smallest_eigenvalues(stack[i])
         assert margins[i].tobytes() == np.linalg.eigvalsh(stack[i])[0].tobytes()
 
 
