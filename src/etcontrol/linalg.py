@@ -3,10 +3,11 @@
 All routines operate on plain float64 numpy arrays and are thin wrappers
 over LAPACK via numpy, with the tolerance conventions of the rest of the
 package baked in so callers do not re-derive them. Only outside input is
-validated: as_real refuses complex values, as_scalar is its gate on one
-number, as_matrix the 2-D gate, require_square and symmetrize add
-squareness and near-symmetry. inverse and pseudo_inverse trust their
-matrix, which a caller formed or checked (synthesis._require_finite).
+validated: as_real refuses complex values and ragged nesting, as_scalar
+is its gate on one number (a bool is not one), as_matrix the 2-D gate,
+require_square and symmetrize add squareness and near-symmetry. inverse
+and pseudo_inverse trust their matrix, which a caller formed or checked
+(synthesis._require_finite).
 smallest_eigenvalues and spectral_norm are the package's one kernel for
 each quantity, on a matrix or a (..., n, n) stack in one LAPACK call, and
 definite its one definiteness threshold. numpy runs a stack slice by
@@ -26,16 +27,25 @@ RANK_TOL = 1e-10
 
 
 def as_real(values, name: str) -> np.ndarray:
-    """Coerce to a float64 array; complex values, which numpy would truncate, raise ValueError."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"{name} must be real, got complex entries")
-    return np.asarray(values, dtype=float)
+    """Coerce to a float64 array, or raise ValueError naming it.
+
+    Complex values, which numpy would truncate, are refused, and so is what
+    numpy cannot coerce (a ragged list, a non-numeric string).
+    """
+    try:
+        if not np.iscomplexobj(values):
+            return np.asarray(values, dtype=float)
+    except ValueError as error:
+        raise ValueError(f"{name} does not convert to a real array: {error}") from None
+    raise ValueError(f"{name} must be real, got complex entries")
 
 
 def as_scalar(value, name: str) -> float:
-    """float(value), but a complex value or one that is not 0-d raises ValueError naming it."""
+    """float(value), but a bool, a complex value or one not 0-d raises ValueError naming it."""
     if isinstance(value, float):  # np.float64 too; the common case skips the array checks
         return float(value)
+    if isinstance(value, (bool, np.bool_)):  # as the config refuses it
+        raise ValueError(f"{name} must be a real number, got bool")
     shape = as_real(value, name).shape
     if shape != ():
         raise ValueError(f"{name} must be a scalar, got shape {shape}")

@@ -7,7 +7,9 @@ error reaches a fraction mu of the squared state norm. Parameter
 trajectories describe how the uncertain plant parameters evolve over the
 horizon. They are realized once per run, together with the plant matrices
 A + dA(p_k) along the run, so that policy comparisons see the exact same
-plant.
+plant. simulate and compare_policies validate the arrays of a design once:
+the model keeps the conformed A, B, K and P of its last run as read-only
+copies (synthesis._kept), and repeated runs of that design reuse them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_real, as_scalar
-from .synthesis import UncertaintyModel, _conform
+from .synthesis import UncertaintyModel, _conform, _kept, _read_only
 
 DIVERGENCE_NORM = 1e12
 
@@ -255,6 +257,9 @@ class SimTrace:
 
 # TriggerPolicy is frozen, so every periodic run of compare_policies shares one.
 _PERIODIC = TriggerPolicy.periodic()
+# The columns an event run that transmits at every decision row has in
+# common with the periodic run; only its thresholds differ.
+_SHARED_COLUMNS = ("states", "inputs", "errors", "monitored_sq", "triggered", "p", "V")
 
 
 @dataclass
@@ -280,6 +285,16 @@ def _validated_run(x0, n_steps, n):
     if not np.isfinite(x0).all():
         raise ValueError("x0 contains non-finite entries")
     return x0, n_steps
+
+
+def _conformed_run(model, A, B, K, P):
+    """_conform(model, A=A, B=B, K=K, P=P), kept on the model as read-only C-ordered copies."""
+
+    def build():
+        conformed = _conform(model, A=A, B=B, K=K, P=P)
+        return tuple(None if M is None else _read_only(np.array(M, order="C")) for M in conformed)
+
+    return _kept(model, "_run_arrays", build, (A, B, K, P))
 
 
 def _realized_plant(A, model, trajectory, n_steps):
@@ -390,7 +405,7 @@ def simulate(
     ends with the first row past the limit, with the diverged flag set. P
     supplies the Lyapunov value column V = x' P x.
     """
-    A, B, K, P = _conform(model, A=A, B=B, K=K, P=P)
+    A, B, K, P = _conformed_run(model, A, B, K, P)
     x0, n_steps = _validated_run(x0, n_steps, len(A))
     plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
     return _trace(*_step(plant, B, K, x0, policy.mu), p_rows, P, policy, clamped)[0]
@@ -419,27 +434,32 @@ def compare_policies(
     The periodic run goes first. When the event rule fires at every
     decision row of the periodic trace's own numbers (its monitored_sq and
     x'x columns, the operands the event loop would form), the event run
-    would repeat the periodic run bit for bit: copies of the periodic rows
-    then go through _trace a second time, under the event policy, a
-    divergence included, and no event loop runs. Otherwise the event loop
-    runs from row 0. Every column equals that of simulate under the same
-    policy. The mean inter-event gap is the exact integer sum over the
-    count, the bits of gaps.mean().
+    would repeat the periodic run bit for bit, a divergence included: its
+    trace is then built from copies of the periodic trace's columns, with
+    thresholds mu x'x from the same x'x, and no event loop runs. Otherwise
+    the event loop runs from row 0. Every column equals that of simulate
+    under the same policy, and neither trace shares memory with the other.
+    The mean inter-event gap is the exact integer sum over the count, the
+    bits of gaps.mean().
     """
-    A, B, K, P = _conform(model, A=A, B=B, K=K, P=P)
+    A, B, K, P = _conformed_run(model, A, B, K, P)
     x0, n_steps = _validated_run(x0, n_steps, len(A))
     event_policy = TriggerPolicy.event(mu)
     mu = event_policy.mu
     plant, p_rows, clamped = _realized_plant(A, model, trajectory, n_steps)
-    rows = _step(plant, B, K, x0, None)
-    periodic, x_sq = _trace(*rows, p_rows, P, _PERIODIC, clamped)
+    periodic, x_sq = _trace(*_step(plant, B, K, x0, None), p_rows, P, _PERIODIC, clamped)
     # The rule at the decision rows 1 .. n - 1 of the periodic run.
     decided = slice(1, periodic.n_steps)
     if _transmits(periodic.monitored_sq[decided], x_sq[decided], mu).all():
-        rows = [row.copy() for row in rows]
+        event = SimTrace(
+            **{name: getattr(periodic, name).copy() for name in _SHARED_COLUMNS},
+            thresholds=mu * x_sq,
+            diverged=periodic.diverged,
+            clamped_steps=clamped,
+            policy=event_policy,
+        )
     else:
-        rows = _step(plant, B, K, x0, mu)
-    event, _ = _trace(*rows, p_rows, P, event_policy, clamped)
+        event, _ = _trace(*_step(plant, B, K, x0, mu), p_rows, P, event_policy, clamped)
     savings = 1.0 - event.transmissions / periodic.transmissions
     gaps = event.inter_event_gaps
     # The sum of integer gaps is exact, so this is gaps.mean() bit for bit.

@@ -20,9 +20,12 @@ simulation and in the audits checks its arrays against one input contract
 (_conform), then calls a private kernel that trusts them; a formed product
 that can overflow (a window gap, the trigger's error gain) is checked
 before a kernel takes it, with NumericalError naming it (_require_finite).
-synthesize and synthesize_matched run one pipeline, which chains the
-kernels and computes each shared factor once; the matched mode is the
-special case with no virtual channel. The two window gaps are inverted
+An entry point called again and again on one design (a simulation, the
+dissipation audit) keeps what it formed from the design on the model
+(_kept), keyed on the bytes of its arrays. synthesize and
+synthesize_matched run one pipeline, which chains the kernels and
+computes each shared factor once; the matched mode is the special case
+with no virtual channel. The two window gaps are inverted
 one after the other, and the report makes one smallest_eigenvalues call
 for every slack and one spectral_norm call for every scale. numpy runs a
 stack slice by slice, so each result has the bits of the call on that
@@ -168,6 +171,40 @@ def _conform(model=None, params=None, **arrays):
                     f"{d} from {_fixed_by(arrays, d)}"
                 )
     return out
+
+
+def _kept(model, slot: str, build, arrays, scalars=()):
+    """build(), kept on model under slot and reused while its arrays and scalars stay the same.
+
+    The model keeps, in its instance __dict__ (as functools.cached_property
+    keeps vertex_stack), the last value built under each slot with its key:
+    the scalars, then the shape and float64 bytes of each array (None for
+    an absent one). A float64 ndarray is keyed as it is, anything else as
+    as_real coerces it; one that does not coerce is not keyed, and build
+    runs, whose input contract raises for it. The key is read at every
+    call, so an array the caller edits in place misses; build must return
+    what no caller can edit (read-only copies). The dataclass's equality,
+    repr and pickle never see the slot, and it goes away with the model. A
+    miss replaces the slot in one assignment, so concurrent calls need no
+    lock: each gets the value of its own key, and one that replaces
+    another's costs that one a rebuild at most. A build that raises keeps
+    nothing.
+    """
+    key = list(scalars)
+    for M in arrays:
+        if M is not None and not (type(M) is np.ndarray and M.dtype == np.float64):
+            try:
+                M = as_real(M, "array")
+            except (TypeError, ValueError, OverflowError):  # the contract raises it again
+                return build()
+        key.append(None if M is None else (M.shape, M.tobytes()))
+    key = tuple(key)
+    kept = model.__dict__.get(slot)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    value = build()
+    model.__dict__[slot] = (key, value)
+    return value
 
 
 @dataclass(frozen=True)

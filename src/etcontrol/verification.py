@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FeasibilityError
-from .linalg import _symmetric_part, as_real, definite, inverse, smallest_eigenvalues, spectral_norm
+from .linalg import _symmetric_part, definite, inverse, smallest_eigenvalues, spectral_norm
 from .simulation import _integer
 from .synthesis import (
     COND_DECAY_PSD,
@@ -44,6 +44,7 @@ from .synthesis import (
     _control_weight,
     _error_gain,
     _hold_interval,
+    _kept,
     _maximize,
     _read_only,
     _require_definite,
@@ -194,7 +195,8 @@ class _DesignTerms:
     1e-15 ||F||) can cross the other tol / 2, so a certified gate skips no
     step in the box. A vertex slack that is not finite gets margin NaN
     (smallest_eigenvalues), which certifies nothing. The terms keep no
-    reference to their model (_design_terms), so they go away with it.
+    reference to their model, which keeps them (synthesis._kept), so they
+    go away with it.
     """
 
     __slots__ = (
@@ -216,45 +218,6 @@ class _DesignTerms:
         )
         self.gate_tol = CHECK_TOL * max(1.0, F_norm)
         self.certified = bool(margins[1] >= 0.0 and margins[2:].min() >= -0.5 * self.gate_tol)
-
-
-def _design_key(sigma, arrays):
-    """The key of one design on its model, or None when an array cannot be keyed.
-
-    The key is sigma and the shape and bytes of each array as float64. An
-    array that does not coerce (a complex one included) is left to
-    _conform, which reports it as for any audit.
-    """
-    key = [sigma]
-    for M in arrays.values():
-        try:
-            M = as_real(M, "array")
-        except Exception:  # _conform raises it again, in the contract's order
-            return None
-        key += (M.shape, M.tobytes())
-    return tuple(key)
-
-
-def _design_terms(model, sigma, arrays) -> _DesignTerms:
-    """The design terms of check_dissipation, kept on the model for the next audit.
-
-    The model keeps the (key, terms) of the last design audited on it in
-    its instance __dict__, as functools.cached_property keeps vertex_stack:
-    the dataclass's equality, repr and pickle never see it, and it goes
-    away with the model. A miss replaces it in one assignment, so
-    concurrent audits need no lock: each gets the terms of its own key,
-    and one that replaces another's costs that one a rebuild at most. A
-    design whose arrays fail the input contract raises here and is not
-    kept.
-    """
-    key = _design_key(sigma, arrays)
-    kept = model.__dict__.get("_dissipation_terms")
-    if kept is not None and kept[0] == key:
-        return kept[1]
-    terms = _DesignTerms(model, sigma, *_conform(model, **arrays))
-    if key is not None:
-        model.__dict__["_dissipation_terms"] = (key, terms)
-    return terms
 
 
 # A slack that overflows fails the audit, so numpy need not warn.
@@ -289,12 +252,12 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
 
     The design terms (the conformed arrays, the error gain, the spectra of
     P and Q1, the norms of the error gain and F, and the vertex
-    certificate) are kept on the model: it keeps those of the last design
-    audited on it, keyed on sigma and the bytes of B, K, P, Q1, Z and F,
-    and repeated audits of that design reuse them. They go away with the
-    model, and concurrent audits are safe without a lock. numpy computes a
-    stacked eigvalsh or svd slice by slice, so an audit that reuses them
-    has the bits of one that forms them.
+    certificate) are kept on the model (synthesis._kept): it keeps those of
+    the last design audited on it, keyed on sigma and the bytes of B, K, P,
+    Q1, Z and F, and repeated audits of that design reuse them. They go
+    away with the model, and concurrent audits are safe without a lock.
+    numpy computes a stacked eigvalsh or svd slice by slice, so an audit
+    that reuses them has the bits of one that forms them.
 
     The slacks of the whole trace are formed at once into one
     (n + 1, 3) array, one row per trace row in the bound order above. The
@@ -307,7 +270,13 @@ def check_dissipation(trace, P, Q1, K, B, Z, sigma: float, model, F) -> CheckRes
     strictly between 0 and 1.
     """
     sigma = _require_sigma(sigma)
-    terms = _design_terms(model, sigma, {"B": B, "K": K, "P": P, "Q1": Q1, "Z": Z, "F": F})
+    terms = _kept(
+        model,
+        "_dissipation_terms",
+        lambda: _DesignTerms(model, sigma, *_conform(model, B=B, K=K, P=P, Q1=Q1, Z=Z, F=F)),
+        (B, K, P, Q1, Z, F),
+        (sigma,),
+    )
     Q1, q_min, mu_derived = terms.Q1, terms.q_min, terms.mu_derived
     n = trace.n_steps
     if trace.states.shape[1:] != Q1.shape[1:]:

@@ -91,6 +91,15 @@ _WRONG = {
     "mu list": ("mu", lambda v: [0.3]),
     "epsilon complex": ("epsilon", lambda v: v["epsilon"] + 0.5j),
     "epsilon list": ("epsilon", lambda v: [v["epsilon"]]),
+    # numpy would refuse a ragged list with a message that names nothing.
+    "A ragged": ("A", lambda v: [[1.0, 0.0], [0.0]]),
+    "epsilon ragged": ("epsilon", lambda v: [[0.1], [0.1, 0.2]]),
+    "mu ragged": ("mu", lambda v: [0.3, [0.1]]),
+    # float() would take a bool as 0.0 or 1.0; the config refuses it too.
+    "epsilon bool": ("epsilon", lambda v: True),
+    "mu bool": ("mu", lambda v: True),
+    "mu numpy bool": ("mu", lambda v: np.True_),
+    "sigma numpy bool": ("sigma", lambda v: np.False_),
 }
 # The message of each wrong argument that is not a wrong shape.
 _MESSAGES = (
@@ -99,6 +108,12 @@ _MESSAGES = (
     | dict.fromkeys(
         ("sigma array", "mu list", "epsilon list"), r"must be a scalar, got shape \(1,\)$"
     )
+    | {
+        wrong: "does not convert to a real array: setting an array element with a sequence"
+        for wrong in _WRONG
+        if "ragged" in wrong
+    }
+    | {wrong: "must be a real number, got bool$" for wrong in _WRONG if "bool" in wrong}
 )
 _ENTRY_POINTS = {
     "feedback_gain": lambda v: feedback_gain(v["A"], v["B"], v["P"], v["params"]),
@@ -159,6 +174,13 @@ _CASES = [
     ("compare_policies", "mu list"),
     ("error_weight", "epsilon complex"),
     ("check_inversion_identity", "epsilon list"),
+    ("synthesize", "A ragged"),
+    ("error_weight", "epsilon ragged"),
+    ("compare_policies", "mu ragged"),
+    ("error_weight", "epsilon bool"),
+    ("compare_policies", "mu bool"),
+    ("compare_policies", "mu numpy bool"),
+    ("check_dissipation", "sigma numpy bool"),
 ]
 # A wrong first argument fixes the dimensions, so the next one misfits; the
 # message names both.
@@ -202,6 +224,31 @@ def test_constructors_refuse_complex_arguments_by_name(demo_system, name):
     v = _demo(demo_system)
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be real, got complex entries$"):
         _COMPLEX_ARGUMENTS[name](v)
+
+
+# Each constructor argument made a bool or ragged, the constructor call, and
+# the message after the argument's name.
+_REFUSED_ARGUMENTS = {
+    "mu bool": ("mu", lambda v: TriggerPolicy.event(True)),
+    "alpha bool": ("alpha", lambda v: dataclasses.replace(v["params"], alpha=True)),
+    "beta numpy bool": ("beta", lambda v: dataclasses.replace(v["params"], beta=np.False_)),
+    "mu ragged": ("mu", lambda v: TriggerPolicy.event([0.3, [0.1]])),
+    "p_lo ragged": ("p_lo", lambda v: dataclasses.replace(v["model"], p_lo=[[-0.3], [0.1, 0.2]])),
+    "values ragged": ("values", lambda v: ParamTrajectory.sequence([[0.1], [0.1, 0.2]])),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED_ARGUMENTS))
+def test_constructors_refuse_bool_and_ragged_arguments_by_name(demo_system, case):
+    v = _demo(demo_system)
+    name, make = _REFUSED_ARGUMENTS[case]
+    message = (
+        "must be a real number, got bool$"
+        if "bool" in case
+        else "does not convert to a real array: setting an array element with a sequence"
+    )
+    with pytest.raises(ValueError, match=rf"^{name} {message}"):
+        make(v)
 
 
 def test_scalars_parse_numeric_strings_and_refuse_none(demo_system):

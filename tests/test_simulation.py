@@ -600,8 +600,8 @@ def test_random_systems_match_stepwise_oracle(n):
 def test_compare_policies_branches_are_simulate(n, branch):
     """Both branches of compare_policies give simulate's traces, column by column, bit for bit.
 
-    mu = 1e-9 never declines, so the event trace is the copied periodic one;
-    mu = 30 declines, so the event loop runs. The loop writes K x straight
+    mu = 1e-9 never declines, so the event trace is built from copies of the
+    periodic one's columns; mu = 30 declines, so the event loop runs. The loop writes K x straight
     into the input row of a transmitting step, and a held step's row is
     gathered from the last transmitting one; m = n / 2 inputs.
     """
@@ -634,6 +634,11 @@ def test_compare_policies_branches_are_simulate(n, branch):
         assert (trace.diverged, trace.clamped_steps, trace.policy) == (
             single.diverged, single.clamped_steps, single.policy
         )
+    if branch.endswith("copied"):
+        # The event trace is built from the periodic one's columns, as copies.
+        for name in _COLUMNS:
+            event, periodic = getattr(comparison.event, name), getattr(comparison.periodic, name)
+            assert not np.shares_memory(event, periodic), name
     if branch == "event loop":
         held = ~comparison.event.triggered[:-1]
         assert held.any()

@@ -43,6 +43,7 @@ from etcontrol import (
 )
 from etcontrol.cli import main
 from oracles import campaign_stepwise, dissipation_stepwise, epsilon_margins, epsilon_scan
+from test_simulation import _COLUMNS
 from test_synthesis import _random_design as _synthesis_design
 
 
@@ -792,24 +793,115 @@ def test_epsilon_interval_keeps_overflowing_slacks_out_of_eigvalsh():
 
 
 # ---------------------------------------------------------------------------
-# the design terms check_dissipation keeps on the model
+# the values a model keeps (synthesis._kept): check_dissipation's design
+# terms, and the conformed run arrays of simulate and compare_policies
 
 _SLOT = "_dissipation_terms"
+_RUN_SLOT = "_run_arrays"
 
 
-def _kept(model):
-    """The (key, terms) of the last design audited on model, or None.
+def _kept(model, slot=_SLOT):
+    """The (key, value) last kept on model under slot, or None.
 
-    The slot lives on the model, and every test builds its own models, so
+    The slots live on the model, and every test builds its own models, so
     each starts with nothing kept.
     """
-    return model.__dict__.get(_SLOT)
+    return model.__dict__.get(slot)
 
 
 def _cleared_audit(trace, *args, model, **kwargs):
     """check_dissipation with nothing kept on model: every design term is formed afresh."""
     model.__dict__.pop(_SLOT, None)
     return check_dissipation(trace, *args, model=model, **kwargs)
+
+
+def _columns(trace):
+    """The shape and bytes of every column and the run's flags: equal when the traces are."""
+    return tuple((getattr(trace, c).shape, getattr(trace, c).tobytes()) for c in _COLUMNS) + (
+        trace.diverged, trace.clamped_steps, trace.policy
+    )
+
+
+def _audit(v):
+    return check_dissipation(
+        v["trace"], v["P"], v["Q1"], v["K"], v["B"], v["Z"], v["sigma"], model=v["model"], F=v["F"]
+    )
+
+
+def _compared(v):
+    """compare_policies on v, as the columns of its periodic and event traces."""
+    comparison = compare_policies(
+        v["A"], v["B"], v["model"], v["K"], v["mu"], ParamTrajectory.random(7), [1.0, -1.0], 30,
+        v["P"],
+    )
+    return _columns(comparison.periodic), _columns(comparison.event)
+
+
+def _audit_oracle(v):
+    expected = dissipation_stepwise(
+        v["trace"], v["P"], v["Q1"], v["K"], v["B"], v["Z"], v["sigma"], model=v["model"], F=v["F"]
+    )
+    return expected.holds, expected.note, expected.witness
+
+
+def _simulated(v):
+    """simulate under both policies on a model of its own, as _compared gives them."""
+    model = dataclasses.replace(v["model"])
+    return tuple(
+        _columns(simulate(
+            v["A"], v["B"], model, v["K"], policy, ParamTrajectory.random(7), [1.0, -1.0], 30,
+            v["P"],
+        ))
+        for policy in (TriggerPolicy.periodic(), TriggerPolicy.event(v["mu"]))
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class _Memo:
+    """One slot a model keeps and the entry point that fills it.
+
+    call(v) is the call on the inputs v (a result that compares with ==),
+    contents(value) the arrays of a kept value, other(v) the inputs of
+    another design, and oracle(v) what verdict(call(v)) must equal, formed
+    without the slot.
+    """
+
+    slot: str
+    call: object
+    contents: object
+    other: object
+    oracle: object
+    verdict: object
+
+    def cleared(self, v):
+        v["model"].__dict__.pop(self.slot, None)
+        return self.call(v)
+
+
+_MEMOS = {
+    "dissipation": _Memo(
+        _SLOT, _audit, lambda terms: [terms.Q1, terms.Z, terms.F, terms.error_gain],
+        lambda v: dict(v, sigma=0.7), _audit_oracle,
+        lambda result: (result.holds, result.note, result.witness),
+    ),
+    "run": _Memo(
+        _RUN_SLOT, _compared, list, lambda v: dict(v, P=2.0 * v["P"]), _simulated,
+        lambda result: result,
+    ),
+}
+
+
+def _memo_inputs(demo_system):
+    """The demo's design as arrays of the test's own, its event trace and a model with nothing kept.
+
+    The demo's event rule transmits at every step, so compare_policies
+    takes its copied branch.
+    """
+    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
+    arrays = dict(A=A, B=B, K=out.K, P=out.P, Q1=out.Q1, Z=out.Z, F=model.F)
+    return {name: np.array(M) for name, M in arrays.items()} | dict(
+        sigma=params.sigma, mu=out.mu, trace=trace, model=dataclasses.replace(model)
+    )
 
 
 @pytest.mark.parametrize("run, gate, edit", _DISSIPATION_CASES)
@@ -842,104 +934,125 @@ def test_dissipation_memo_hit_matches_stepwise_oracle(request, run, gate, edit):
     assert first == second
 
 
-@pytest.mark.parametrize("name", ["P", "Z"])
-def test_dissipation_memo_sees_an_edit_in_place(demo_system, name):
-    """An array edited in place between two audits is a new design, not a hit.
+@pytest.mark.parametrize(
+    "slot, name", [("dissipation", "P"), ("dissipation", "Z"), ("run", "A"), ("run", "P")],
+    ids=["P", "Z", "run-A", "run-P"],
+)
+def test_dissipation_memo_sees_an_edit_in_place(demo_system, slot, name):
+    """An array edited in place between two calls is a new design, not a hit.
 
-    P x 2 moves the sandwich bounds; Z x 1e6 breaks the gate, so steps are
-    skipped. The model keeps read-only copies of its own, so the edit
-    reaches neither the kept terms nor the next audit of the old content.
+    P x 2 moves the sandwich bounds and V; Z x 1e6 breaks the gate, so
+    steps are skipped; A x 1.5 moves every state. The model keeps read-only
+    copies of its own, so the edit reaches neither the kept value nor the
+    next call on the old content.
     """
-    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
-    arrays = {"P": out.P.copy(), "Z": out.Z.copy()}
-    args = [arrays["P"], out.Q1, out.K, B, arrays["Z"], params.sigma]
-    kwargs = {"model": model, "F": model.F}
-    before = check_dissipation(trace, *args, **kwargs)
-    _, terms = _kept(model)
-    kept = [terms.Q1, terms.Z, terms.F, terms.error_gain]
+    memo, v = _MEMOS[slot], _memo_inputs(demo_system)
+    model = v["model"]
+    before = memo.call(v)
+    _, value = _kept(model, memo.slot)
+    kept = memo.contents(value)
     assert not any(a.flags.writeable for a in kept)
-    assert not any(np.shares_memory(a, b) for a in kept for b in arrays.values())
-    original = arrays[name].copy()
-    arrays[name] *= {"P": 2.0, "Z": 1e6}[name]
-    after = check_dissipation(trace, *args, **kwargs)
-    assert _kept(model)[1] is not terms
+    callers = [M for M in v.values() if isinstance(M, np.ndarray)]
+    assert not any(np.shares_memory(a, b) for a in kept for b in callers)
+    original = v[name].copy()
+    v[name] *= {"P": 2.0, "Z": 1e6, "A": 1.5}[name]
+    after = memo.call(v)
+    assert _kept(model, memo.slot)[1] is not value
     assert after != before
-    assert after == _cleared_audit(trace, *args, **kwargs)
-    arrays[name][...] = original
-    assert check_dissipation(trace, *args, **kwargs) == before
+    assert after == memo.cleared(v)
+    v[name][...] = original
+    assert memo.call(v) == before
+
+
+def test_run_memo_keeps_no_alias_of_the_callers_arrays(demo_system):
+    """The caller's A edited in place after a call leaves the kept copy as it was.
+
+    A fresh array holding the old bytes hits the kept run arrays and gets
+    the old design's traces; the edited A is a design of its own.
+    """
+    memo, v = _MEMOS["run"], _memo_inputs(demo_system)
+    A = v["A"]
+    original = A.copy()
+    before = memo.call(v)
+    _, value = _kept(v["model"], memo.slot)
+    A *= 1.5
+    assert memo.call(dict(v, A=original.copy())) == before
+    assert _kept(v["model"], memo.slot)[1] is value
+    assert np.array_equal(value[0], original)
+    edited = memo.call(v)
+    assert edited != before and edited == memo.cleared(v)
 
 
 def test_dissipation_memo_keeps_equal_models_apart(demo_system):
-    """Two models built separately with equal content keep terms each, each audited right."""
-    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
-    args = (out.P, out.Q1, out.K, B, out.Z, params.sigma)
-    twins = [
-        UncertaintyModel(basis=model.basis, p_lo=model.p_lo, p_hi=model.p_hi, F=model.F)
-        for _ in range(2)
-    ]
-    results = [check_dissipation(trace, *args, model=m, F=model.F) for m in twins]
-    first, second = (_kept(m) for m in twins)
-    assert first[0] == second[0] and first[1] is not second[1]
-    expected = dissipation_stepwise(trace, *args, model=model, F=model.F)
-    for m, result in zip(twins, results):
-        assert result == check_dissipation(trace, *args, model=m, F=model.F)
-        assert result == _cleared_audit(trace, *args, model=m, F=model.F)
-        assert (result.holds, result.note, result.witness) == (
-            expected.holds, expected.note, expected.witness
-        )
+    """Two models built separately with equal content keep a value each, each call right.
+
+    Run for both slots.
+    """
+    for memo in _MEMOS.values():
+        v = _memo_inputs(demo_system)
+        model = v["model"]
+        twins = [
+            UncertaintyModel(basis=model.basis, p_lo=model.p_lo, p_hi=model.p_hi, F=model.F)
+            for _ in range(2)
+        ]
+        results = [memo.call(dict(v, model=m)) for m in twins]
+        first, second = (_kept(m, memo.slot) for m in twins)
+        assert first[0] == second[0] and first[1] is not second[1]
+        expected = memo.oracle(v)
+        for m, result in zip(twins, results):
+            assert result == memo.call(dict(v, model=m))
+            assert result == memo.cleared(dict(v, model=m))
+            assert memo.verdict(result) == expected
 
 
 def test_dissipation_memo_keeps_the_last_design(demo_system):
-    """A second design audited on one model replaces the first; a copy keeps none.
+    """A second design called on one model replaces the first; a copy keeps none.
 
-    Each sigma is a design of its own. Equality, repr, pickle, copy and
+    Run for both slots: the dissipation slot's second design is sigma 0.7,
+    the run slot's 2 P. Equality, repr, pickle, copy and
     dataclasses.replace read the model's fields only, so none of them sees
-    the kept terms.
+    the kept values.
     """
-    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
-    text = repr(model)
-
-    def audit(sigma):
-        return check_dissipation(
-            trace, out.P, out.Q1, out.K, B, out.Z, sigma, model=model, F=model.F
-        )
-
-    first = audit(0.2)
-    (sigma, *_), terms = _kept(model)
-    assert sigma == 0.2
-    audit(0.7)
-    (sigma, *_), replaced = _kept(model)
-    assert sigma == 0.7 and replaced.mu_derived != terms.mu_derived
-    assert audit(0.2) == first and _kept(model)[1] is not terms
-    assert repr(model) == text
-    for other in (
-        copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model)),
-        dataclasses.replace(model),
-    ):
-        assert _kept(other) is None and repr(other) == text
+    for memo in _MEMOS.values():
+        v = _memo_inputs(demo_system)
+        model = v["model"]
+        text = repr(model)
+        first = memo.call(v)
+        key, value = _kept(model, memo.slot)
+        memo.call(memo.other(v))
+        replaced_key, replaced = _kept(model, memo.slot)
+        assert replaced_key != key and replaced is not value
+        assert memo.call(v) == first and _kept(model, memo.slot)[1] is not value
+        assert _kept(model, memo.slot)[0] == key
+        assert repr(model) == text
+        for other in (
+            copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model)),
+            dataclasses.replace(model),
+        ):
+            assert _kept(other, memo.slot) is None and repr(other) == text
 
 
 def test_dissipation_memo_goes_away_with_the_model(demo_system):
-    """A model dropped after an audit is freed by reference counting alone.
+    """A model dropped after a call is freed by reference counting alone.
 
-    The kept terms hold no reference to their model, so the slot makes no
-    cycle, and the model needs no garbage collection to go.
+    Run for both slots. The kept values hold no reference to their model,
+    so the slot makes no cycle, and the model needs no garbage collection
+    to go.
     """
-    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
-    twin = UncertaintyModel(basis=model.basis, p_lo=model.p_lo, p_hi=model.p_hi, F=model.F)
-    result = check_dissipation(
-        trace, out.P, out.Q1, out.K, B, out.Z, params.sigma, model=twin, F=model.F
-    )
-    assert result.holds and _kept(twin) is not None
-    ref = weakref.ref(twin)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        del twin
-        assert ref() is None
-    finally:
-        if enabled:
-            gc.enable()
+    for memo in _MEMOS.values():
+        v = _memo_inputs(demo_system)
+        twin = v.pop("model")
+        memo.call(dict(v, model=twin))
+        assert _kept(twin, memo.slot) is not None
+        ref = weakref.ref(twin)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del twin
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _race(audit, sigmas, expected):
@@ -1009,36 +1122,42 @@ def test_dissipation_memo_under_threads_with_a_model_each(demo_system):
 
 
 @pytest.mark.parametrize(
-    "name, value, message",
+    "slot, name, value, message",
     [
-        ("P", np.full((2, 2), np.nan), "P contains non-finite entries"),
-        ("K", np.ones((2, 2)), "K has shape (2, 2), expected (1, 2), m from B"),
-        ("Z", [[1.0, 0.0], [0.0]], None),
-        ("F", np.eye(2, dtype=complex), None),
+        ("dissipation", "P", np.full((2, 2), np.nan), "P contains non-finite entries"),
+        ("dissipation", "K", np.ones((2, 2)), "K has shape (2, 2), expected (1, 2), m from B"),
+        ("dissipation", "Z", [[1.0, 0.0], [0.0]], None),
+        ("dissipation", "F", np.eye(2, dtype=complex), "F must be real, got complex entries"),
+        ("run", "A", np.full((2, 2), np.nan), "A contains non-finite entries"),
+        ("run", "K", np.ones((2, 2)), "K has shape (2, 2), expected (1, 2), m from B"),
+        ("run", "P", [[1.0, 0.0], [0.0]], None),
+        ("run", "B", np.ones((2, 1), dtype=complex), "B must be real, got complex entries"),
     ],
-    ids=["NaN P", "misshaped K", "ragged Z", "complex F"],
+    ids=[
+        "NaN P", "misshaped K", "ragged Z", "complex F",
+        "run-NaN A", "run-misshaped K", "run-ragged P", "run-complex B",
+    ],
 )
-def test_dissipation_memo_keeps_no_failed_design(demo_system, name, value, message):
+def test_dissipation_memo_keeps_no_failed_design(demo_system, slot, name, value, message):
     """An input that fails the contract raises the same message on every call and is not kept.
 
     A ragged or complex array cannot be keyed and goes straight to the
-    contract, which raises for it (message None: taken from a first call
-    with nothing kept).
+    contract, which raises for it, naming it (for a ragged one, message
+    None, the rest of the message is numpy's).
     """
-    A, B, model, params, out, trace = _demo_trace(demo_system, ParamTrajectory.random(7))
-    v = {"P": out.P, "Q1": out.Q1, "K": out.K, "B": B, "Z": out.Z, "F": model.F}
+    memo, v = _MEMOS[slot], _memo_inputs(demo_system)
     v[name] = value
     errors = []
     for _ in range(2):
-        with pytest.raises(Exception) as info:
-            check_dissipation(
-                trace, v["P"], v["Q1"], v["K"], v["B"], v["Z"], params.sigma, model=model, F=v["F"]
-            )
-        errors.append((type(info.value), str(info.value)))
-        assert _kept(model) is None
+        with pytest.raises(ValueError) as info:
+            memo.call(v)
+        errors.append(str(info.value))
+        assert _kept(v["model"], memo.slot) is None
     assert errors[0] == errors[1]
-    if message is not None:
-        assert errors[0] == (ValueError, message)
+    if message is None:
+        assert errors[0].startswith(f"{name} does not convert to a real array: ")
+    else:
+        assert errors[0] == message
 
 
 # ---------------------------------------------------------------------------
